@@ -59,9 +59,11 @@ from .numutil import (
     TruncationPolicy,
     complex_quad,
     continued_fraction,
+    current_policy,
     numeric_derivative,
     principal_power,
     sum_series,
+    truncation,
 )
 from .qseries import (
     bernoulli,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 
 from .elliptic import EllipticContext
-from .numutil import TruncationPolicy, principal_power, sum_series
+from .numutil import principal_power, sum_series
 
 __all__ = [
     "angle_sum",
@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-def angle_sum(q: complex, x: complex, *, policy: TruncationPolicy | None = None) -> complex:
+def angle_sum(q: complex, x: complex) -> complex:
     """``2 sum_{n>=0} atanh(q^{n+x})`` with principal powers.
 
     Requires ``|q^x| < 1`` so every atanh argument stays inside the unit
@@ -36,10 +36,10 @@ def angle_sum(q: complex, x: complex, *, policy: TruncationPolicy | None = None)
     qx = principal_power(q, x)
     if abs(qx) >= 1.0:
         raise ValueError("angle sum needs |q^x| < 1")
-    return 2.0 * sum_series(lambda n: cmath.atanh(qx * q**n), policy=policy).value
+    return 2.0 * sum_series(lambda n: cmath.atanh(qx * q**n)).value
 
 
-def angle_sum_lambert(q: complex, x: complex, *, policy: TruncationPolicy | None = None) -> complex:
+def angle_sum_lambert(q: complex, x: complex) -> complex:
     """Same angle as a Lambert-type sum over odd indices:
 
     ``2 sum_{m>=0} q^{x(2m+1)} / ((2m+1)(1 - q^{2m+1}))``.
@@ -57,10 +57,10 @@ def angle_sum_lambert(q: complex, x: complex, *, policy: TruncationPolicy | None
         odd = 2 * m + 1
         return qx**odd / (odd * (1.0 - q**odd))
 
-    return 2.0 * sum_series(term, policy=policy).value
+    return 2.0 * sum_series(term).value
 
 
-def angle_derivative(q: complex, a: complex, *, policy: TruncationPolicy | None = None) -> complex:
+def angle_derivative(q: complex, a: complex) -> complex:
     """Exact x-derivative of the angle at ``x = a``:
 
     ``2 Log(q) sum_{j>=0} q^{a(2j+1)} / (1 - q^{2j+1})``.
@@ -72,7 +72,7 @@ def angle_derivative(q: complex, a: complex, *, policy: TruncationPolicy | None 
         odd = 2 * j + 1
         return qa**odd / (1.0 - q**odd)
 
-    return 2.0 * cmath.log(q) * sum_series(term, policy=policy).value
+    return 2.0 * cmath.log(q) * sum_series(term).value
 
 
 def frame_offset(ctx: EllipticContext, a: complex) -> complex:

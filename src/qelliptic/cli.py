@@ -18,11 +18,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from math import pi
 from typing import Any, Callable
 
-from . import numutil
 from .angle import angle_sum
 from .elliptic import (
     EllipticContext,
@@ -48,7 +46,7 @@ from .harness import (
     report_to_text,
     run_registry,
 )
-from .numutil import PoleError, sum_series, term_counter
+from .numutil import NonConvergenceError, PoleError, sum_series, term_counter, truncation
 from .qseries import euler_product
 from .registry import registry
 from .thetagen import (
@@ -204,13 +202,8 @@ def _diagnostic_eval(fn: Callable[[], complex]) -> tuple[complex, int, float]:
     with term_counter() as count:
         value = fn()
         used = count()
-    coarse = replace(numutil.DEFAULT_POLICY, rel_tail_cutoff=1e-12)
-    saved = numutil.DEFAULT_POLICY
-    numutil.DEFAULT_POLICY = coarse
-    try:
+    with truncation(rel_tail_cutoff=1e-12):
         coarse_value = fn()
-    finally:
-        numutil.DEFAULT_POLICY = saved
     return value, used, abs(value - coarse_value)
 
 
@@ -224,7 +217,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = run_registry(
         registry(),
         id_filter=id_filter,
-        jobs=args.jobs,
         tol_override=args.tol,
         sample_override=_sample_override(args) or None,
     )
@@ -349,7 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--id", default=None, help="shell glob over case ids")
     p_verify.add_argument("--tol", type=float, default=None,
                           help="override every selected case's tolerance")
-    p_verify.add_argument("--jobs", type=int, default=1)
     add_common(p_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate one library function")
@@ -369,7 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_max_terms(args: argparse.Namespace) -> None:
+def _max_terms(args: argparse.Namespace) -> dict[str, int]:
+    """Truncation overrides from ``--max-terms`` or ``QELLIPTIC_MAX_TERMS``."""
     cap = getattr(args, "max_terms", None)
     if cap is None:
         env = os.environ.get("QELLIPTIC_MAX_TERMS")
@@ -379,27 +371,28 @@ def _apply_max_terms(args: argparse.Namespace) -> None:
             except ValueError:
                 raise PreconditionError(
                     f"QELLIPTIC_MAX_TERMS must be an integer, got {env!r}")
-    if cap is not None:
-        _require(cap > 0, "--max-terms must be positive")
-        numutil.DEFAULT_POLICY = replace(numutil.DEFAULT_POLICY, max_terms=cap)
+    if cap is None:
+        return {}
+    _require(cap > 0, "--max-terms must be positive")
+    return {"max_terms": cap}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_max_terms(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "table":
-            return cmd_table(args)
-        return cmd_list(args)
+        with truncation(**_max_terms(args)):
+            if args.command == "verify":
+                return cmd_verify(args)
+            if args.command == "eval":
+                return cmd_eval(args)
+            if args.command == "table":
+                return cmd_table(args)
+            return cmd_list(args)
     except (PreconditionError, ValueError, PoleError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
-    except numutil.NonConvergenceError as exc:
+    except NonConvergenceError as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return 1
 

@@ -13,13 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .numutil import (
-    DEFAULT_POLICY,
-    PoleError,
-    TruncationPolicy,
-    principal_power,
-    sum_series,
-)
+from .numutil import PoleError, principal_power, sum_series
 
 __all__ = [
     "theta2",
@@ -42,28 +36,28 @@ _AGM_MAX_ITER = 64
 _BRANCH_TOL = 1e-8
 
 
-def theta2(q: complex, *, policy: TruncationPolicy | None = None) -> complex:
+def theta2(q: complex) -> complex:
     """Theta null ``2 q^{1/4} sum_{n>=0} q^{n(n+1)}`` (principal ``q^{1/4}``)."""
     q = complex(q)
-    s = sum_series(lambda n: q ** (n * (n + 1)), policy=policy).value
+    s = sum_series(lambda n: q ** (n * (n + 1))).value
     return 2.0 * principal_power(q, 0.25) * s
 
 
-def theta3(q: complex, *, policy: TruncationPolicy | None = None) -> complex:
+def theta3(q: complex) -> complex:
     """Theta null ``1 + 2 sum_{n>=1} q^{n^2}``."""
     q = complex(q)
-    return 1.0 + 2.0 * sum_series(lambda n: q ** (n * n), start=1, policy=policy).value
+    return 1.0 + 2.0 * sum_series(lambda n: q ** (n * n), start=1).value
 
 
-def theta4(q: complex, *, policy: TruncationPolicy | None = None) -> complex:
+def theta4(q: complex) -> complex:
     """Theta null ``1 + 2 sum_{n>=1} (-1)^n q^{n^2}``."""
     q = complex(q)
-    return 1.0 + 2.0 * sum_series(lambda n: (-1) ** n * q ** (n * n), start=1, policy=policy).value
+    return 1.0 + 2.0 * sum_series(lambda n: (-1) ** n * q ** (n * n), start=1).value
 
 
-def modulus_from_nome(q: complex, *, policy: TruncationPolicy | None = None) -> complex:
+def modulus_from_nome(q: complex) -> complex:
     """Elliptic modulus ``k = theta2(q)^2 / theta3(q)^2``."""
-    return theta2(q, policy=policy) ** 2 / theta3(q, policy=policy) ** 2
+    return theta2(q) ** 2 / theta3(q) ** 2
 
 
 def agm(a: complex, b: complex) -> complex:
@@ -135,13 +129,7 @@ class EllipticContext:
     E: complex
 
     @classmethod
-    def from_nome(
-        cls,
-        q: complex,
-        z: complex | None = None,
-        *,
-        policy: TruncationPolicy | None = None,
-    ) -> "EllipticContext":
+    def from_nome(cls, q: complex, z: complex | None = None) -> "EllipticContext":
         """Build the context at nome ``q`` (``0 < |q| < 1``).
 
         ``z`` defaults to the principal ``log(q) / (2 pi i)``, which places
@@ -157,8 +145,7 @@ class EllipticContext:
             raise ValueError("nome must satisfy 0 < |q| < 1")
         if z is None:
             z = cmath.log(q) / (2.0j * math.pi)
-        pol = policy or DEFAULT_POLICY
-        k = modulus_from_nome(q, policy=pol)
+        k = modulus_from_nome(q)
         kprime = cmath.sqrt(1.0 - k * k)
         K, E = _K_and_E(k, kprime)
         Kp = math.pi / (2.0 * agm(1.0, k))
@@ -169,22 +156,22 @@ class EllipticContext:
         return cls(q=q, z=complex(z), k=k, kprime=kprime, K=K, Kprime=Kp, E=E)
 
     @classmethod
-    def from_r(cls, r: float, *, policy: TruncationPolicy | None = None) -> "EllipticContext":
+    def from_r(cls, r: float) -> "EllipticContext":
         """Context at the real nome ``q = exp(-pi sqrt(r))``, i.e. ``K'/K = sqrt(r)``."""
         if r <= 0:
             raise ValueError("r must be positive")
         rt = math.sqrt(r)
-        return cls.from_nome(math.exp(-math.pi * rt), z=0.5j * rt, policy=policy)
+        return cls.from_nome(math.exp(-math.pi * rt), z=0.5j * rt)
 
     @classmethod
-    def from_modulus(cls, k: float, *, policy: TruncationPolicy | None = None) -> "EllipticContext":
+    def from_modulus(cls, k: float) -> "EllipticContext":
         """Context from a real modulus ``0 < k < 1`` via ``q = exp(-pi K'/K)``."""
         if not 0.0 < k < 1.0:
             raise ValueError("modulus must lie in (0, 1)")
         kp = math.sqrt(1.0 - k * k)
         K = ellint_K(k).real
         Kp = ellint_K(kp).real
-        return cls.from_nome(math.exp(-math.pi * Kp / K), z=0.5j * Kp / K, policy=policy)
+        return cls.from_nome(math.exp(-math.pi * Kp / K), z=0.5j * Kp / K)
 
     @property
     def half_period_w(self) -> complex:
@@ -199,10 +186,10 @@ def nome_from_r(r: float) -> float:
     return math.exp(-math.pi * math.sqrt(r))
 
 
-def singular_alpha(r: float, *, policy: TruncationPolicy | None = None) -> float:
+def singular_alpha(r: float) -> float:
     """Elliptic alpha function ``alpha(r) = pi/(4 K^2) - sqrt(r) (E/K - 1)``
     evaluated at the singular modulus ``k_r`` (where ``K'/K = sqrt(r)``)."""
-    ctx = EllipticContext.from_r(r, policy=policy)
+    ctx = EllipticContext.from_r(r)
     val = math.pi / (4.0 * ctx.K**2) - math.sqrt(r) * (ctx.E / ctx.K - 1.0)
     return complex(val).real
 

@@ -19,12 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .elliptic import EllipticContext
-from .numutil import (
-    PoleError,
-    TruncationPolicy,
-    principal_power,
-    sum_series,
-)
+from .numutil import PoleError, principal_power, sum_series
 
 __all__ = [
     "FOURIER_TABLE",
@@ -79,7 +74,6 @@ def eval_fourier(
     ctx: EllipticContext,
     u: complex,
     *,
-    policy: TruncationPolicy | None = None,
     check_strip: bool = True,
 ) -> complex:
     """Evaluate one expansion from :data:`FOURIER_TABLE` at argument ``u``.
@@ -111,49 +105,44 @@ def eval_fourier(
             raise PoleError(f"{name}: vanishing denominator at n={n}")
         return num * trig((2 * n + spec.offset) * w) / den
 
-    total = sum_series(term, policy=policy).value
+    total = sum_series(term).value
     pref = 2.0 * math.pi / (ctx.K * ctx.k)
     if spec.with_kprime:
         pref /= ctx.kprime
     return pref * total
 
 
-def jacobi_sn(ctx: EllipticContext, u: complex, **kw) -> complex:
+def jacobi_sn(ctx: EllipticContext, u: complex) -> complex:
     """Jacobi sn via its sine expansion."""
-    return eval_fourier("sn", ctx, u, **kw)
+    return eval_fourier("sn", ctx, u)
 
 
-def jacobi_cn(ctx: EllipticContext, u: complex, **kw) -> complex:
+def jacobi_cn(ctx: EllipticContext, u: complex) -> complex:
     """Jacobi cn via its cosine expansion."""
-    return eval_fourier("cn", ctx, u, **kw)
+    return eval_fourier("cn", ctx, u)
 
 
-def jacobi_cd(ctx: EllipticContext, u: complex, **kw) -> complex:
+def jacobi_cd(ctx: EllipticContext, u: complex) -> complex:
     """Jacobi cd = cn/dn via its own cosine expansion."""
-    return eval_fourier("cd", ctx, u, **kw)
+    return eval_fourier("cd", ctx, u)
 
 
-def jacobi_sd(ctx: EllipticContext, u: complex, **kw) -> complex:
+def jacobi_sd(ctx: EllipticContext, u: complex) -> complex:
     """Jacobi sd = sn/dn via its own sine expansion."""
-    return eval_fourier("sd", ctx, u, **kw)
+    return eval_fourier("sd", ctx, u)
 
 
-def jacobi_dn(ctx: EllipticContext, u: complex, **kw) -> complex:
+def jacobi_dn(ctx: EllipticContext, u: complex) -> complex:
     """Jacobi dn as the ratio of the cn and cd expansions."""
-    return eval_fourier("cn", ctx, u, **kw) / eval_fourier("cd", ctx, u, **kw)
+    return eval_fourier("cn", ctx, u) / eval_fourier("cd", ctx, u)
 
 
-def jacobi_nd(ctx: EllipticContext, u: complex, **kw) -> complex:
+def jacobi_nd(ctx: EllipticContext, u: complex) -> complex:
     """Reciprocal dn as the ratio of the cd and cn expansions."""
-    return eval_fourier("cd", ctx, u, **kw) / eval_fourier("cn", ctx, u, **kw)
+    return eval_fourier("cd", ctx, u) / eval_fourier("cn", ctx, u)
 
 
-def jacobi_cd_continued(
-    ctx: EllipticContext,
-    u: complex,
-    *,
-    policy: TruncationPolicy | None = None,
-) -> complex:
+def jacobi_cd_continued(ctx: EllipticContext, u: complex) -> complex:
     """cd at arbitrary ``u`` by quasi-period reduction into the strip.
 
     Decomposes ``u = alpha K + beta iK'`` over the reals, pulls out
@@ -177,7 +166,7 @@ def jacobi_cd_continued(
     m = round(alpha / 2.0)
     n = round(beta)
     u0 = u - 2.0 * m * K - n * iKp
-    val = eval_fourier("cd", ctx, u0, policy=policy)
+    val = eval_fourier("cd", ctx, u0)
     if n % 2:
         if abs(val) < 1e-12:
             raise PoleError("cd pole: odd iK' shift of a cd zero")
@@ -187,12 +176,7 @@ def jacobi_cd_continued(
     return val
 
 
-def cd1_halfplane(
-    ctx: EllipticContext,
-    u: complex,
-    *,
-    policy: TruncationPolicy | None = None,
-) -> complex:
+def cd1_halfplane(ctx: EllipticContext, u: complex) -> complex:
     """The cd1 companion on the half-plane ``|A| < 1``, ``A = i q^{1/2} e^{i w}``.
 
     Uses the representation
@@ -214,8 +198,8 @@ def cd1_halfplane(
         qn = q**n
         return qn * (1.0 / (1.0 + A * qn) + 1.0 / (1.0 - A * qn))
 
-    D = (1j * math.pi * A / (2.0 * ctx.K)) * sum_series(term, policy=policy).value
-    c = jacobi_cd_continued(ctx, u, policy=policy)
+    D = (1j * math.pi * A / (2.0 * ctx.K)) * sum_series(term).value
+    c = jacobi_cd_continued(ctx, u)
     two_w = 2.0 * w
     return (
         c * cmath.cos(two_w)

@@ -32,16 +32,10 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .numutil import (
-    NonConvergenceError,
-    PoleError,
-    TruncationPolicy,
-    term_counter,
-)
+from .numutil import NonConvergenceError, PoleError, term_counter
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -248,7 +242,6 @@ def run_registry(
     cases: Iterable[IdentityCase],
     *,
     id_filter: str = "*",
-    jobs: int = 1,
     tol_override: float | None = None,
     sample_override: Mapping[str, Any] | None = None,
 ) -> RegistryReport:
@@ -256,7 +249,7 @@ def run_registry(
 
     ``sample_override`` replaces the matching parameter(s) in each default
     sample of the selected cases (parameters the case does not take are
-    ignored).  Results preserve registry order regardless of ``jobs``.
+    ignored).  Results keep registry order.
     """
     selected = [c for c in cases if fnmatch.fnmatchcase(c.id, id_filter)]
 
@@ -273,20 +266,10 @@ def run_registry(
         return out
 
     t0 = time.perf_counter()
-    if jobs <= 1 or len(selected) <= 1:
-        results = [
-            run_case(c, samples=samples_for(c), tol_override=tol_override)
-            for c in selected
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(
-                    run_case, c, samples=samples_for(c), tol_override=tol_override
-                )
-                for c in selected
-            ]
-            results = [f.result() for f in futures]
+    results = [
+        run_case(c, samples=samples_for(c), tol_override=tol_override)
+        for c in selected
+    ]
     wall = (time.perf_counter() - t0) * 1000.0
     return RegistryReport(results=tuple(results), wall_time_ms=wall)
 

@@ -4,7 +4,8 @@ Truncated series summation with geometric tail estimates, continued-fraction
 evaluation by backward recurrence with depth doubling, Richardson-extrapolated
 numerical derivatives, and complex line-segment quadrature.  Every series-based
 evaluator in this package routes through :func:`sum_series` so that term counts
-can be instrumented uniformly.
+can be instrumented uniformly.  The one truncation policy is scoped with
+:func:`truncation` and read at call time.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import cmath
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 from scipy.integrate import quad
@@ -23,6 +25,8 @@ __all__ = [
     "NonConvergenceError",
     "PoleError",
     "DEFAULT_POLICY",
+    "current_policy",
+    "truncation",
     "sum_series",
     "continued_fraction",
     "numeric_derivative",
@@ -63,6 +67,29 @@ class TruncationPolicy:
 
 
 DEFAULT_POLICY = TruncationPolicy()
+
+_POLICY: ContextVar[TruncationPolicy] = ContextVar("qelliptic_truncation", default=DEFAULT_POLICY)
+
+
+def current_policy() -> TruncationPolicy:
+    """The truncation policy in force in the current context."""
+    return _POLICY.get()
+
+
+@contextmanager
+def truncation(**overrides) -> Iterator[TruncationPolicy]:
+    """Scope a truncation policy, in the manner of ``decimal.localcontext``.
+
+    Inside the ``with`` block every series and infinite product sees the
+    active policy with ``overrides`` applied (field names of
+    :class:`TruncationPolicy`); the previous policy is restored on exit,
+    also when the block raises.  Scopes nest.
+    """
+    token = _POLICY.set(replace(_POLICY.get(), **overrides))
+    try:
+        yield _POLICY.get()
+    finally:
+        _POLICY.reset(token)
 
 
 @dataclass(frozen=True)
@@ -108,7 +135,6 @@ def sum_series(
     term: Callable[[int], complex],
     *,
     start: int = 0,
-    policy: TruncationPolicy | None = None,
 ) -> SeriesValue:
     """Sum ``term(n)`` for ``n = start, start+1, ...`` until the tail is negligible.
 
@@ -126,9 +152,9 @@ def sum_series(
     Raises
     ------
     NonConvergenceError
-        If ``policy.max_terms`` terms do not suffice.
+        If the active policy's ``max_terms`` terms do not suffice.
     """
-    pol = policy or DEFAULT_POLICY
+    pol = _POLICY.get()
     total = 0.0 + 0.0j
     prev_mag = 0.0
     est_tail = float("inf")

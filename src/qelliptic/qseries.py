@@ -14,13 +14,7 @@ from typing import Callable
 
 from scipy.special import zeta as _scipy_zeta
 
-from .numutil import (
-    DEFAULT_POLICY,
-    NonConvergenceError,
-    TruncationPolicy,
-    _bump_terms,
-    sum_series,
-)
+from .numutil import _POLICY, NonConvergenceError, _bump_terms, sum_series
 
 __all__ = [
     "qpochhammer",
@@ -38,18 +32,12 @@ __all__ = [
 ]
 
 
-def qpochhammer(
-    a: complex,
-    q: complex,
-    n: int | None = None,
-    *,
-    policy: TruncationPolicy | None = None,
-) -> complex:
+def qpochhammer(a: complex, q: complex, n: int | None = None) -> complex:
     """q-shifted factorial ``(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k)``.
 
     ``n=None`` gives the infinite product, which converges for ``|q| < 1``;
     factors are multiplied until the deviation ``|a q^k|`` falls below the
-    policy's tail cutoff for several consecutive steps.
+    active policy's tail cutoff for several consecutive steps.
     """
     a = complex(a)
     q = complex(q)
@@ -65,7 +53,7 @@ def qpochhammer(
         return prod
     if abs(q) >= 1.0:
         raise ValueError("infinite q-Pochhammer requires |q| < 1")
-    pol = policy or DEFAULT_POLICY
+    pol = _POLICY.get()
     prod = 1.0 + 0.0j
     qk = 1.0 + 0.0j
     small = 0
@@ -83,17 +71,12 @@ def qpochhammer(
     raise NonConvergenceError(f"q-Pochhammer product did not converge in {pol.max_terms} factors")
 
 
-def euler_product(q: complex, *, policy: TruncationPolicy | None = None) -> complex:
+def euler_product(q: complex) -> complex:
     """``prod_{n>=1} (1 - q^n)`` for ``|q| < 1``."""
-    return qpochhammer(q, q, policy=policy)
+    return qpochhammer(q, q)
 
 
-def lambert_sum(
-    q: complex,
-    weight: Callable[[int], complex],
-    *,
-    policy: TruncationPolicy | None = None,
-) -> complex:
+def lambert_sum(q: complex, weight: Callable[[int], complex]) -> complex:
     """``sum_{n>=1} weight(n) q^n / (1 - q^n)`` for ``|q| < 1``."""
     q = complex(q)
     if abs(q) >= 1.0:
@@ -103,15 +86,10 @@ def lambert_sum(
         qn = q**n
         return complex(weight(n)) * qn / (1.0 - qn)
 
-    return sum_series(term, start=1, policy=policy).value
+    return sum_series(term, start=1).value
 
 
-def divisor_expand(
-    q: complex,
-    weight: Callable[[int], complex],
-    *,
-    policy: TruncationPolicy | None = None,
-) -> complex:
+def divisor_expand(q: complex, weight: Callable[[int], complex]) -> complex:
     """``sum_{m>=1} (sum_{d | m} weight(d)) q^m``.
 
     Power-series dual of :func:`lambert_sum`: grouping the double sum
@@ -127,7 +105,7 @@ def divisor_expand(
         coeff = sum(complex(weight(d)) for d in divisors(m))
         return coeff * q**m
 
-    return sum_series(term, start=1, policy=policy).value
+    return sum_series(term, start=1).value
 
 
 def divisors(n: int) -> list[int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import pi
 
 from scipy.special import gamma as _sp_gamma
@@ -51,7 +51,7 @@ from .fourier import (
     jacobi_sn,
 )
 from .harness import IdentityCase
-from .numutil import complex_quad, numeric_derivative, principal_power, sum_series
+from .numutil import _POLICY, complex_quad, numeric_derivative, principal_power, sum_series
 from .qseries import (
     bernoulli,
     dirichlet_chi8,
@@ -92,23 +92,30 @@ __all__ = ["registry", "UNREGISTERED"]
 # shared context cache and small helpers
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+def _per_policy(build):
+    """Cache ``build(x)`` keyed by ``x`` and the active truncation policy, so
+    a context built under one ``truncation`` scope is never reused in another."""
+    cached = lru_cache(maxsize=None)(lambda x, _policy: build(x))
+    return wraps(build)(lambda x: cached(x, _POLICY.get()))
+
+
+@_per_policy
 def _cr(r: float) -> EllipticContext:
     return EllipticContext.from_r(r)
 
 
-@lru_cache(maxsize=None)
+@_per_policy
 def _cneg(r: float) -> EllipticContext:
     """Context at the negated nome of ``_cr(r)`` (principal sheet)."""
     return EllipticContext.from_nome(-_cr(r).q)
 
 
-@lru_cache(maxsize=None)
+@_per_policy
 def _cy(y: float) -> EllipticContext:
     return EllipticContext.from_nome(math.exp(-2.0 * pi * y))
 
 
-@lru_cache(maxsize=None)
+@_per_policy
 def _cnegy(y: float) -> EllipticContext:
     return EllipticContext.from_nome(-math.exp(-2.0 * pi * y))
 

@@ -23,13 +23,7 @@ from __future__ import annotations
 import cmath
 from typing import Callable, Iterable, Sequence
 
-from .numutil import (
-    PoleError,
-    TruncationPolicy,
-    continued_fraction,
-    principal_power,
-    sum_series,
-)
+from .numutil import PoleError, continued_fraction, principal_power, sum_series
 from .qseries import divisors, qpochhammer
 
 __all__ = [
@@ -56,12 +50,16 @@ __all__ = [
     "restricted_divisor_log",
 ]
 
+# Agreement tolerances of the continued-fraction depth doubling.
+_RR_CF_TOL = 1e-14
+_U_CF_TOL = 1e-13
+
 
 # ---------------------------------------------------------------------------
 # Bilateral two-parameter theta sums
 # ---------------------------------------------------------------------------
 
-def theta3_two(a, b, q, *, policy: TruncationPolicy | None = None) -> complex:
+def theta3_two(a, b, q) -> complex:
     """Bilateral sum ``sum_{n in Z} q^(a n^2 + b n)``.
 
     Requires ``a > 0`` (more precisely ``|q^a| < 1``) for convergence.  The
@@ -77,10 +75,10 @@ def theta3_two(a, b, q, *, policy: TruncationPolicy | None = None) -> complex:
         quad = principal_power(q, a * n * n)
         return quad * (principal_power(q, b * n) + principal_power(q, -b * n))
 
-    return sum_series(term, policy=policy).value
+    return sum_series(term).value
 
 
-def theta4_two(a, b, q, *, policy: TruncationPolicy | None = None) -> complex:
+def theta4_two(a, b, q) -> complex:
     """Bilateral sum ``sum_{n in Z} (-1)^n q^(a n^2 + b n)``."""
     qa = principal_power(q, a)
     if abs(qa) >= 1.0:
@@ -93,42 +91,38 @@ def theta4_two(a, b, q, *, policy: TruncationPolicy | None = None) -> complex:
         quad = principal_power(q, a * n * n)
         return sign * quad * (principal_power(q, b * n) + principal_power(q, -b * n))
 
-    return sum_series(term, policy=policy).value
+    return sum_series(term).value
 
 
 # ---------------------------------------------------------------------------
 # Agile products and Ramanujan quantities
 # ---------------------------------------------------------------------------
 
-def agile_minus(a, p, q, *, policy: TruncationPolicy | None = None) -> complex:
+def agile_minus(a, p, q) -> complex:
     """Product ``prod_{n>=0} (1 - q^(p n + a)) (1 - q^(p n + p - a))``."""
     qp = principal_power(q, p)
-    return qpochhammer(principal_power(q, a), qp, policy=policy) * qpochhammer(
-        principal_power(q, p - a), qp, policy=policy
-    )
+    return qpochhammer(principal_power(q, a), qp) * qpochhammer(principal_power(q, p - a), qp)
 
 
-def agile_plus(a, p, q, *, policy: TruncationPolicy | None = None) -> complex:
+def agile_plus(a, p, q) -> complex:
     """Product ``prod_{n>=0} (1 + q^(p n + a)) (1 + q^(p n + p - a))``."""
     qp = principal_power(q, p)
-    return qpochhammer(-principal_power(q, a), qp, policy=policy) * qpochhammer(
-        -principal_power(q, p - a), qp, policy=policy
-    )
+    return qpochhammer(-principal_power(q, a), qp) * qpochhammer(-principal_power(q, p - a), qp)
 
 
-def ramanujan_quantity(a, b, p, q, *, policy: TruncationPolicy | None = None) -> complex:
+def ramanujan_quantity(a, b, p, q) -> complex:
     """Quotient ``agile_minus(a, p, q) / agile_minus(b, p, q)``."""
-    den = agile_minus(b, p, q, policy=policy)
+    den = agile_minus(b, p, q)
     if den == 0:
         raise PoleError("ramanujan_quantity: denominator agile product vanished")
-    return agile_minus(a, p, q, policy=policy) / den
+    return agile_minus(a, p, q) / den
 
 
 # ---------------------------------------------------------------------------
 # Rogers--Ramanujan evaluators
 # ---------------------------------------------------------------------------
 
-def rr_G(q, *, policy: TruncationPolicy | None = None) -> complex:
+def rr_G(q) -> complex:
     """Sum ``sum_{n>=0} q^(n^2) / (q; q)_n``."""
     state = {"num": 1.0 + 0.0j, "poch": 1.0 + 0.0j}
 
@@ -139,10 +133,10 @@ def rr_G(q, *, policy: TruncationPolicy | None = None) -> complex:
             state["poch"] *= 1.0 - q**n
         return state["num"] / state["poch"]
 
-    return sum_series(term, policy=policy).value
+    return sum_series(term).value
 
 
-def rr_H(q, *, policy: TruncationPolicy | None = None) -> complex:
+def rr_H(q) -> complex:
     """Sum ``sum_{n>=0} q^(n^2 + n) / (q; q)_n``.
 
     The ``n = 0`` term equals 1, so ``rr_H(0) = 1``, consistent with the
@@ -156,20 +150,20 @@ def rr_H(q, *, policy: TruncationPolicy | None = None) -> complex:
             state["poch"] *= 1.0 - q**n
         return state["num"] / state["poch"]
 
-    return sum_series(term, policy=policy).value
+    return sum_series(term).value
 
 
-def rr_product(q, *, policy: TruncationPolicy | None = None) -> complex:
+def rr_product(q) -> complex:
     """``q^(1/5) * agile_minus(1, 5, q) / agile_minus(2, 5, q)``."""
-    return principal_power(q, 0.2) * ramanujan_quantity(1, 2, 5, q, policy=policy)
+    return principal_power(q, 0.2) * ramanujan_quantity(1, 2, 5, q)
 
 
-def rr_sum(q, *, policy: TruncationPolicy | None = None) -> complex:
+def rr_sum(q) -> complex:
     """``q^(1/5) * rr_H(q) / rr_G(q)``."""
-    return principal_power(q, 0.2) * rr_H(q, policy=policy) / rr_G(q, policy=policy)
+    return principal_power(q, 0.2) * rr_H(q) / rr_G(q)
 
 
-def rr_cf(q, *, tail_tol: float = 1e-14) -> complex:
+def rr_cf(q) -> complex:
     """Continued fraction ``q^(1/5) / (1 + q/(1 + q^2/(1 + ...)))``."""
     q15 = principal_power(q, 0.2)
 
@@ -181,7 +175,7 @@ def rr_cf(q, *, tail_tol: float = 1e-14) -> complex:
             return q15
         return q ** (k - 1)
 
-    return continued_fraction(a_k, b_k, tail_tol=tail_tol)
+    return continued_fraction(a_k, b_k, tail_tol=_RR_CF_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +190,7 @@ def cayley(v) -> complex:
     return -1.0 + 2.0 / d
 
 
-def u_cf(a, b, q, *, tail_tol: float = 1e-13) -> complex:
+def u_cf(a, b, q) -> complex:
     """Continued fraction with partial numerators
     ``a - b, (a - b q)(a q - b), q (a - b q^2)(a q^2 - b), ...`` over
     partial denominators ``1 - q, 1 - q^3, 1 - q^5, ...``.
@@ -210,30 +204,30 @@ def u_cf(a, b, q, *, tail_tol: float = 1e-13) -> complex:
             return a - b
         return q ** (k - 2) * (a - b * q ** (k - 1)) * (a * q ** (k - 1) - b)
 
-    return continued_fraction(a_k, b_k, tail_tol=tail_tol)
+    return continued_fraction(a_k, b_k, tail_tol=_U_CF_TOL)
 
 
-def u_product(a, b, q, *, policy: TruncationPolicy | None = None) -> complex:
+def u_product(a, b, q) -> complex:
     """Closed form ``(N - D)/(N + D)`` with ``N = (-a; q) (b; q)`` and
     ``D = (a; q) (-b; q)``."""
-    num = qpochhammer(-a, q, policy=policy) * qpochhammer(b, q, policy=policy)
-    den = qpochhammer(a, q, policy=policy) * qpochhammer(-b, q, policy=policy)
+    num = qpochhammer(-a, q) * qpochhammer(b, q)
+    den = qpochhammer(a, q) * qpochhammer(-b, q)
     s = num + den
     if abs(s) < 1e-300:
         raise PoleError("u_product: vanishing denominator N + D")
     return (num - den) / s
 
 
-def cayley_u_product(a, b, q, *, policy: TruncationPolicy | None = None) -> complex:
+def cayley_u_product(a, b, q) -> complex:
     """Quotient ``(-a; q) (b; q) / ((a; q) (-b; q))``, the cayley image of
     the product form of ``U(a, b; q)`` computed without cancellation."""
-    den = qpochhammer(a, q, policy=policy) * qpochhammer(-b, q, policy=policy)
+    den = qpochhammer(a, q) * qpochhammer(-b, q)
     if abs(den) < 1e-300:
         raise PoleError("cayley_u_product: vanishing denominator")
-    return qpochhammer(-a, q, policy=policy) * qpochhammer(b, q, policy=policy) / den
+    return qpochhammer(-a, q) * qpochhammer(b, q) / den
 
 
-def u0_cf(a, q, *, tail_tol: float = 1e-13) -> complex:
+def u0_cf(a, q) -> complex:
     """Continued fraction ``2a/(1 - q +) a^2 (1+q)^2/(1 - q^3 +)
     a^2 q (1+q^2)^2/(1 - q^5 +) ...``; requires ``|q| < 1`` and ``|q/a| < 1``."""
 
@@ -245,21 +239,21 @@ def u0_cf(a, q, *, tail_tol: float = 1e-13) -> complex:
             return 2.0 * a
         return a * a * q ** (k - 2) * (1.0 + q ** (k - 1)) ** 2
 
-    return continued_fraction(a_k, b_k, tail_tol=tail_tol)
+    return continued_fraction(a_k, b_k, tail_tol=_U_CF_TOL)
 
 
-def u0_product(a, q, *, policy: TruncationPolicy | None = None) -> complex:
+def u0_product(a, q) -> complex:
     """Closed form ``(P - 1)/(P + 1)`` with ``P = ((-a; q)/(a; q))^2``."""
-    p_val = cayley_u0_product(a, q, policy=policy)
+    p_val = cayley_u0_product(a, q)
     return (p_val - 1.0) / (p_val + 1.0)
 
 
-def cayley_u0_product(a, q, *, policy: TruncationPolicy | None = None) -> complex:
+def cayley_u0_product(a, q) -> complex:
     """Quotient ``P = ((-a; q)/(a; q))^2``, the cayley image of ``u0(q, a)``."""
-    den = qpochhammer(a, q, policy=policy)
+    den = qpochhammer(a, q)
     if abs(den) < 1e-300:
         raise PoleError("cayley_u0_product: vanishing (a; q) product")
-    r = qpochhammer(-a, q, policy=policy) / den
+    r = qpochhammer(-a, q) / den
     return r * r
 
 
@@ -267,30 +261,30 @@ def cayley_u0_product(a, q, *, policy: TruncationPolicy | None = None) -> comple
 # Logarithm series
 # ---------------------------------------------------------------------------
 
-def odd_lambert(z, Q, *, policy: TruncationPolicy | None = None) -> complex:
+def odd_lambert(z, Q) -> complex:
     """Sum ``sum_{m odd >= 1} z^m / (m (1 - Q^m))``; needs ``|z| < 1``."""
 
     def term(n: int) -> complex:
         m = 2 * n + 1
         return z**m / (m * (1.0 - Q**m))
 
-    return sum_series(term, policy=policy).value
+    return sum_series(term).value
 
 
-def log_P(A, q, *, policy: TruncationPolicy | None = None) -> complex:
+def log_P(A, q) -> complex:
     """Series ``4 sum_{n>=0} A^(2n+1) / ((2n+1)(1 - q^(2n+1)))``, the
     logarithm of ``cayley_u0_product(A, q)``."""
-    return 4.0 * odd_lambert(A, q, policy=policy)
+    return 4.0 * odd_lambert(A, q)
 
 
-def odd_ratio_sum(A, q, *, policy: TruncationPolicy | None = None) -> complex:
+def odd_ratio_sum(A, q) -> complex:
     """Sum ``sum_{n>=0} A^(2n+1) / (1 - q^(2n+1))``."""
 
     def term(n: int) -> complex:
         m = 2 * n + 1
         return A**m / (1.0 - q**m)
 
-    return sum_series(term, policy=policy).value
+    return sum_series(term).value
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +300,6 @@ def restricted_divisor_log(
     alternating: bool = False,
     x: complex = 1.0,
     multiset: bool = False,
-    policy: TruncationPolicy | None = None,
 ) -> complex:
     """Sum ``sum_{n>=1} q^n sum_{A B = n} w(A)`` restricted by residue class.
 
@@ -347,4 +340,4 @@ def restricted_divisor_log(
         n = n_index + 1
         return q**n * inner(n)
 
-    return sum_series(term, policy=policy).value
+    return sum_series(term).value

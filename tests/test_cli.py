@@ -11,11 +11,7 @@ from qelliptic.registry import registry
 
 @pytest.fixture(autouse=True)
 def pristine_policy(monkeypatch):
-    # --max-terms / QELLIPTIC_MAX_TERMS rebind the module-level policy
     monkeypatch.delenv("QELLIPTIC_MAX_TERMS", raising=False)
-    saved = numutil.DEFAULT_POLICY
-    yield
-    numutil.DEFAULT_POLICY = saved
 
 
 def run_cli(capsys, *argv):
@@ -205,11 +201,25 @@ def test_verify_tol_override_can_fail_gate(capsys):
 # ---------------------------------------------------------------------------
 
 
+CAPPED_EVALS = [
+    (("theta3", "--q", "0.5"), 3),
+    # products, elliptic contexts and agile brackets must see the cap too
+    (("f", "--q", "0.3"), 5),
+    (("K", "--r", "2"), 5),
+    (("E", "--r", "2"), 5),
+    (("k", "--r", "2"), 5),
+    (("agile-minus", "--a", "0.3", "--p", "1", "--q", "0.3"), 5),
+]
+
+
 def test_max_terms_flag_caps_series(capsys):
-    rc, _, err = run_cli(capsys, "eval", "theta3", "--q", "0.5",
-                         "--max-terms", "3")
-    assert rc == 1
-    assert "evaluation failed" in err and "3 terms" in err
+    for argv, cap in CAPPED_EVALS:
+        rc, _, err = run_cli(capsys, "eval", *argv, "--max-terms", str(cap))
+        assert rc == 1, argv
+        assert "evaluation failed" in err, argv
+        assert f"{cap} terms" in err or f"{cap} factors" in err, argv
+        # the cap is scoped to the call
+        assert numutil.current_policy() is numutil.DEFAULT_POLICY
 
 
 def test_env_cap_honored(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -17,7 +18,7 @@ from qelliptic.harness import (
     run_case,
     run_registry,
 )
-from qelliptic.numutil import PoleError
+from qelliptic.numutil import NonConvergenceError, PoleError, truncation
 from qelliptic.registry import UNREGISTERED, registry
 
 
@@ -129,12 +130,29 @@ def test_determinism_of_numeric_payload():
     assert payload(a) == payload(b)
 
 
-def test_parallel_run_matches_serial():
-    serial = run_registry(registry(), id_filter="T*")
-    threaded = run_registry(registry(), id_filter="T*", jobs=4)
-    order_s = [(r.case.id, r.passed_all) for r in serial.results]
-    order_t = [(r.case.id, r.passed_all) for r in threaded.results]
-    assert order_s == order_t
+def test_scoped_policy_does_not_leak_into_cached_contexts():
+    def residuals(report):
+        return [
+            (rec.case_id, rec.lhs, rec.rhs, rec.abs_residual, rec.rel_residual)
+            for res in report.results
+            for rec in res.records
+        ]
+
+    first = run_registry(registry(), id_filter="EQ1*")
+    with truncation(rel_tail_cutoff=1e-12):
+        coarse = run_registry(registry(), id_filter="EQ1*")
+    third = run_registry(registry(), id_filter="EQ1*")
+    assert residuals(coarse) != residuals(first)
+    assert residuals(third) == residuals(first)
+
+
+def test_cached_contexts_are_keyed_by_policy():
+    # a context cached under the default policy must not answer a capped call
+    cached_context = sys.modules["qelliptic.registry"]._cr
+    default = cached_context(2.0)
+    with truncation(max_terms=3), pytest.raises(NonConvergenceError):
+        cached_context(2.0)
+    assert cached_context(2.0) is default
 
 
 # ---------------------------------------------------------------------------

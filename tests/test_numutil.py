@@ -15,9 +15,11 @@ from qelliptic.numutil import (
     complex_quad,
     continued_fraction,
     numeric_derivative,
+    current_policy,
     principal_power,
     sum_series,
     term_counter,
+    truncation,
 )
 
 
@@ -61,9 +63,24 @@ def test_sum_series_yields_complex_partial_sums():
 
 
 def test_sum_series_honors_max_terms():
-    slow = TruncationPolicy(rel_tail_cutoff=1e-16, max_terms=50, stagnation_window=8)
-    with pytest.raises(NonConvergenceError):
-        sum_series(lambda n: 0.999**n, policy=slow)
+    with truncation(max_terms=50), pytest.raises(NonConvergenceError):
+        sum_series(lambda n: 0.999**n)
+
+
+def test_truncation_nests_and_restores():
+    assert current_policy() is DEFAULT_POLICY
+    with truncation(max_terms=50) as outer:
+        assert current_policy() is outer
+        assert outer == TruncationPolicy(max_terms=50)
+        with truncation(rel_tail_cutoff=1e-12) as inner:
+            # overrides apply on top of the enclosing scope
+            assert inner == TruncationPolicy(rel_tail_cutoff=1e-12, max_terms=50)
+            assert current_policy() is inner
+        assert current_policy() is outer
+        with pytest.raises(NonConvergenceError), truncation(max_terms=3):
+            sum_series(lambda n: 0.5**n)
+        assert current_policy() is outer
+    assert current_policy() is DEFAULT_POLICY
 
 
 def test_policy_is_frozen():
