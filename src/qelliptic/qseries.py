@@ -12,8 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from scipy.special import zeta as _scipy_zeta
-
 from .numutil import _POLICY, NonConvergenceError, _bump_terms, sum_series
 
 __all__ = [
@@ -152,20 +150,38 @@ def bernoulli(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-def zeta_value(s: int | float) -> float:
-    """Riemann zeta at real ``s != 1``.
+# zeta_value: the Euler-Maclaurin cut N and the number of Bernoulli
+# corrections; the first omitted correction is below 1e-19 for every s > 1.
+_ZETA_CUT = 10
+_ZETA_ORDER = 10
 
-    Positive arguments go through scipy; zero and negative integers use the
-    exact Bernoulli evaluation ``zeta(-n) = -B_{n+1}/(n+1)``.
+
+def zeta_value(s: int | float) -> float:
+    """Riemann zeta at real ``s > 1`` or at an integer ``s <= 0``.
+
+    For ``s > 1`` the Euler-Maclaurin formula (DLMF 25.2.9) with cut ``N``:
+    ``sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2
+    + sum_k B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k)``.  Zero and negative
+    integers use the exact Bernoulli evaluation
+    ``zeta(-n) = (-1)^n B_{n+1}/(n+1)`` with ``B_1 = -1/2``.
     """
     if s == 1:
         raise ValueError("zeta has a pole at s = 1")
     if s > 1:
-        return float(_scipy_zeta(s))
+        n = _ZETA_CUT
+        parts = [k ** -s for k in range(1, n)]
+        parts.append(n ** (1.0 - s) / (s - 1.0))
+        parts.append(n ** -s / 2.0)
+        # c = s(s+1)...(s+2k-2) N^(1-s-2k) / (2k)!, starting at k = 1
+        c = s * n ** (-1.0 - s) / 2.0
+        for k in range(1, _ZETA_ORDER + 1):
+            parts.append(float(bernoulli(2 * k)) * c)
+            c *= (s + 2 * k - 1) * (s + 2 * k) / ((2 * k + 1) * (2 * k + 2) * n * n)
+        return math.fsum(parts)
     if float(s).is_integer():
         n = -int(s)
         return float((-1) ** n * bernoulli(n + 1) / (n + 1))
-    raise ValueError("negative non-integer zeta arguments are not needed here")
+    raise ValueError("zeta_value is defined here for s > 1 and for integers s <= 0")
 
 
 @lru_cache(maxsize=None)

@@ -21,9 +21,6 @@ import math
 from functools import lru_cache, wraps
 from math import pi
 
-from scipy.special import gamma as _sp_gamma
-from scipy.special import hyp2f1 as _sp_hyp2f1
-
 from .angle import (
     angle_derivative,
     angle_sum,
@@ -224,10 +221,25 @@ def _eq10_1_lhs(x, fn):
     return c.K if fn == "K" else c.E
 
 
+def _hyp2f1_half(a: float, z: float) -> float:
+    """Gauss series ``2F1(a, 1/2; 1; z)`` for ``|z| < 1``.
+
+    Summed through :func:`sum_series` with the running term ratio
+    ``(a + n)(1/2 + n) z / (n + 1)^2``.
+    """
+    state = {"term": 1.0}
+
+    def term(n: int) -> float:
+        if n > 0:
+            state["term"] *= (a + n - 1) * (n - 0.5) * z / (n * n)
+        return state["term"]
+
+    return _S(term).real
+
+
 def _eq10_1_rhs(x, fn):
-    if fn == "K":
-        return pi / 2.0 * float(_sp_hyp2f1(0.5, 0.5, 1.0, x * x))
-    return pi / 2.0 * float(_sp_hyp2f1(-0.5, 0.5, 1.0, x * x))
+    # K = (pi/2) 2F1(1/2, 1/2; 1; x^2), E = (pi/2) 2F1(-1/2, 1/2; 1; x^2)
+    return pi / 2.0 * _hyp2f1_half(0.5 if fn == "K" else -0.5, x * x)
 
 
 def _eq11_lhs(q):
@@ -303,7 +315,7 @@ def _eq17_lhs(r):
 
 
 def _eq17_rhs(r):
-    return -1.0 / 24.0 + 16.0 * pi / float(_sp_gamma(-0.25)) ** 4
+    return -1.0 / 24.0 + 16.0 * pi / math.gamma(-0.25) ** 4
 
 
 def _t2_lhs(r):

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qelliptic
 from qelliptic import cli, numutil
 from qelliptic.registry import registry
 
@@ -32,6 +37,23 @@ def test_eval_emits_value_terms_and_tail(capsys):
     assert lines[0] == "value=0.3841811341538738"
     assert lines[1].startswith("terms_used=") and int(lines[1].split("=")[1]) > 0
     assert lines[2].startswith("est_tail=") and float(lines[2].split("=")[1]) < 1e-12
+
+
+def test_eval_imports_neither_scipy_nor_numpy():
+    # the library is stdlib-only; scipy and numpy are test oracles
+    code = (
+        "import sys, qelliptic\n"
+        "from qelliptic import cli\n"
+        "assert cli.main(['eval', 'sn', '--q', '0.05', '--u', '0.4']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))\n"
+    )
+    src = str(Path(qelliptic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0] == "value=0.3841811341538738"
+    assert lines[-1] == "[]"
 
 
 def test_eval_singular_value(capsys):

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
@@ -24,6 +25,7 @@ from qelliptic.elliptic import (
 )
 from qelliptic.numutil import numeric_derivative
 from qelliptic.qseries import qpochhammer, euler_product
+from qelliptic.registry import _eq10_1_rhs
 
 PI = math.pi
 
@@ -60,6 +62,13 @@ def test_K_matches_quadrature():
 def test_E_matches_quadrature():
     for k in (0.3, 0.6, 0.9):
         assert abs(ellint_E(k) - quad_E(k)) <= 1e-12
+
+
+def test_registry_hypergeometric_route_matches_mpmath():
+    # EQ10.1's right-hand side: K, E = (pi/2) 2F1(+-1/2, 1/2; 1; x^2)
+    for x in (0.3, 0.8, 0.95):
+        assert_allclose(_eq10_1_rhs(x, "K"), float(mpmath.ellipk(x * x)), rtol=1e-14)
+        assert_allclose(_eq10_1_rhs(x, "E"), float(mpmath.ellipe(x * x)), rtol=1e-14)
 
 
 def test_agm_fixed_point_and_symmetry():

@@ -169,12 +169,27 @@ def test_quad_real_segment():
 
 def test_quad_complex_segment():
     # int_0^{1+i} e^t dt = e^{1+i} - 1, path independence of entire integrand
-    got = complex_quad(cmath.exp, 0.0, 1.0 + 1.0j)
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return cmath.exp(t)
+
+    got = complex_quad(f, 0.0, 1.0 + 1.0j)
     assert_allclose(
         [got.real, got.imag],
         [(cmath.exp(1.0 + 1.0j) - 1.0).real, (cmath.exp(1.0 + 1.0j) - 1.0).imag],
-        rtol=1e-12,
+        rtol=1e-13,
     )
+    # one complex evaluation per node, fewer than two 21-node real passes
+    assert len(calls) < 42
+
+
+def test_quad_kinked_integrand_is_refused():
+    # |t - 0.3| is not analytic on [0, 1]: the rules converge only
+    # algebraically, so they never agree to 1e-13
+    with pytest.raises(NonConvergenceError):
+        complex_quad(lambda t: abs(t - 0.3), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

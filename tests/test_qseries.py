@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -211,6 +212,11 @@ def test_zeta_positive_arguments():
     assert_allclose(zeta_value(2), math.pi**2 / 6.0, rtol=1e-12)
     assert_allclose(zeta_value(4), math.pi**4 / 90.0, rtol=1e-12)
     assert_allclose(zeta_value(3), 1.2020569031595942854, rtol=1e-12)
+    for s in (1.5, 2, 3, 5, 7.5, 20):
+        assert_allclose(zeta_value(s), float(mpmath.zeta(s)), rtol=1e-14)
+    for s in (0.5, -0.5):
+        with pytest.raises(ValueError, match="s > 1 and for integers s <= 0"):
+            zeta_value(s)
 
 
 def test_zeta_nonpositive_integers():
