@@ -95,15 +95,17 @@ def eval_fourier(
     w = ctx.half_period_w * u
     qh = principal_power(q, 0.5)
     trig = cmath.cos if spec.use_cos else cmath.sin
+    offset, alternating = spec.offset, spec.alternating
+    denom_sign, denom_shift = spec.denom_sign, spec.denom_shift
 
     def term(n: int) -> complex:
         num = qh * q**n
-        if spec.alternating and n % 2:
+        if alternating and n % 2:
             num = -num
-        den = 1.0 + spec.denom_sign * q ** (2 * n + spec.denom_shift)
+        den = 1.0 + denom_sign * q ** (2 * n + denom_shift)
         if den == 0:
             raise PoleError(f"{name}: vanishing denominator at n={n}")
-        return num * trig((2 * n + spec.offset) * w) / den
+        return num * trig((2 * n + offset) * w) / den
 
     total = sum_series(term).value
     pref = 2.0 * math.pi / (ctx.K * ctx.k)

@@ -157,37 +157,47 @@ def sum_series(
         If the active policy's ``max_terms`` terms do not suffice.
     """
     pol = _POLICY.get()
+    cutoff = pol.rel_tail_cutoff
+    window = pol.stagnation_window
+    max_terms = pol.max_terms
     total = 0.0 + 0.0j
-    prev_mag = 0.0
-    est_tail = float("inf")
-    consecutive_small = 0
-    n = start
-    used = 0
-    while used < pol.max_terms:
+    last = before = 0.0  # magnitudes of the last two nonzero terms
+    small = 0
+    for n in range(start, start + max_terms):
         t = complex(term(n))
         total += t
-        used += 1
         mag = abs(t)
-        scale = max(1.0, abs(total))
         if mag > 0.0:
-            if prev_mag > 0.0:
-                ratio = min(mag / prev_mag, 0.999999)
-                est_tail = mag * ratio / (1.0 - ratio)
-            prev_mag = mag
-        if mag <= pol.rel_tail_cutoff * scale:
-            consecutive_small += 1
-            if consecutive_small >= pol.stagnation_window and (
-                est_tail <= pol.rel_tail_cutoff * scale or mag == 0.0
-            ):
-                _bump_terms(used)
-                return SeriesValue(total, used, est_tail if est_tail != float("inf") else mag, True)
+            before, last = last, mag
+        scale = abs(total)
+        if not scale > 1.0:  # max(1.0, |total|), which also maps NaN to 1.0
+            scale = 1.0
+        if mag <= cutoff * scale:
+            small += 1
+            if small >= window:
+                est_tail = _geometric_tail(last, before)
+                if est_tail <= cutoff * scale or mag == 0.0:
+                    used = n - start + 1
+                    _bump_terms(used)
+                    return SeriesValue(total, used, est_tail if est_tail != math.inf else mag, True)
         else:
-            consecutive_small = 0
-        n += 1
-    _bump_terms(used)
+            small = 0
+    _bump_terms(max(max_terms, 0))
     raise NonConvergenceError(
-        f"series did not converge within {pol.max_terms} terms (est_tail={est_tail:.3g})"
+        f"series did not converge within {max_terms} terms "
+        f"(est_tail={_geometric_tail(last, before):.3g})"
     )
+
+
+def _geometric_tail(last: float, before: float) -> float:
+    """Tail ``last r / (1 - r)`` of a geometric series with ratio
+    ``r = min(last / before, 0.999999)``; infinite without two nonzero terms."""
+    if not before > 0.0:
+        return math.inf
+    ratio = last / before
+    if ratio > 0.999999:
+        ratio = 0.999999
+    return last * ratio / (1.0 - ratio)
 
 
 def continued_fraction(
@@ -201,7 +211,10 @@ def continued_fraction(
 
     Starts from a zero tail at depth 25 and doubles the depth until two
     successive evaluations agree to ``tail_tol`` (relative to the larger of
-    1 and the value's magnitude).
+    1 and the value's magnitude).  The deepest sweep is the largest doubling
+    of 25 not above ``max_depth`` (25 * 2**12 = 102,400 by default).
+    Each coefficient ``a(k)``, ``b(k)`` is computed once, on the first sweep
+    that reaches depth ``k``, and kept for the deeper sweeps.
 
     Raises
     ------
@@ -210,20 +223,32 @@ def continued_fraction(
     PoleError
         If a zero denominator is hit during the backward sweep.
     """
+    a_seen: list[complex] = [0j]  # a_seen[k] == complex(a(k)); index 0 unused
+    b_seen: list[complex] = [0j]
 
     def eval_depth(depth: int) -> complex:
+        known = len(a_seen) - 1
+        a_seen.extend([0j] * (depth - known))
+        b_seen.extend([0j] * (depth - known))
         acc = 0.0 + 0.0j
-        for k in range(depth, 0, -1):
-            den = complex(a(k)) + acc
+        for k in range(depth, known, -1):
+            ak = a_seen[k] = complex(a(k))
+            den = ak + acc
             if den == 0:
                 raise PoleError(f"continued fraction hit a zero denominator at depth {k}")
-            acc = complex(b(k)) / den
+            bk = b_seen[k] = complex(b(k))
+            acc = bk / den
+        for k in range(known, 0, -1):
+            den = a_seen[k] + acc
+            if den == 0:
+                raise PoleError(f"continued fraction hit a zero denominator at depth {k}")
+            acc = b_seen[k] / den
         return acc
 
     depth = 25
     prev = eval_depth(depth)
     total_work = depth
-    while depth <= max_depth:
+    while 2 * depth <= max_depth:
         depth *= 2
         cur = eval_depth(depth)
         total_work += depth

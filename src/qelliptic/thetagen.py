@@ -21,6 +21,7 @@ Conventions
 from __future__ import annotations
 
 import cmath
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .numutil import PoleError, continued_fraction, principal_power, sum_series
@@ -59,37 +60,55 @@ _U_CF_TOL = 1e-13
 # Bilateral two-parameter theta sums
 # ---------------------------------------------------------------------------
 
+def _powers_of(q) -> Callable[[complex], complex]:
+    """``s -> principal_power(q, s)``, bit for bit, with ``Log q`` taken once.
+
+    Integer exponents keep the exact integer power; a zero base goes through
+    :func:`principal_power` itself for its pole checks.
+    """
+    if q == 0:
+        return partial(principal_power, q)
+    w = complex(q)
+    log_w = cmath.log(w)
+
+    def power(s) -> complex:
+        sc = complex(s)
+        if sc.imag == 0.0 and float(sc.real).is_integer():
+            return w ** int(sc.real)
+        return cmath.exp(sc * log_w)
+
+    return power
+
+
 def theta3_two(a, b, q) -> complex:
     """Bilateral sum ``sum_{n in Z} q^(a n^2 + b n)``.
 
     Requires ``a > 0`` (more precisely ``|q^a| < 1``) for convergence.  The
     sum is folded into ``1 + sum_{n>=1} q^(a n^2) (q^(b n) + q^(-b n))``.
     """
-    qa = principal_power(q, a)
-    if abs(qa) >= 1.0:
+    power = _powers_of(q)
+    if abs(power(a)) >= 1.0:
         raise ValueError("theta3_two requires |q^a| < 1 for convergence")
 
     def term(n: int) -> complex:
         if n == 0:
             return 1.0
-        quad = principal_power(q, a * n * n)
-        return quad * (principal_power(q, b * n) + principal_power(q, -b * n))
+        return power(a * n * n) * (power(b * n) + power(-b * n))
 
     return sum_series(term).value
 
 
 def theta4_two(a, b, q) -> complex:
     """Bilateral sum ``sum_{n in Z} (-1)^n q^(a n^2 + b n)``."""
-    qa = principal_power(q, a)
-    if abs(qa) >= 1.0:
+    power = _powers_of(q)
+    if abs(power(a)) >= 1.0:
         raise ValueError("theta4_two requires |q^a| < 1 for convergence")
 
     def term(n: int) -> complex:
         if n == 0:
             return 1.0
         sign = -1.0 if n % 2 else 1.0
-        quad = principal_power(q, a * n * n)
-        return sign * quad * (principal_power(q, b * n) + principal_power(q, -b * n))
+        return sign * power(a * n * n) * (power(b * n) + power(-b * n))
 
     return sum_series(term).value
 

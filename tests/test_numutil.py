@@ -67,6 +67,73 @@ def test_sum_series_honors_max_terms():
         sum_series(lambda n: 0.999**n)
 
 
+def _reference_sum_series(term, start=0):
+    """The summation loop with its tail estimate updated every term: a bit-for-bit oracle."""
+    pol = current_policy()
+    total = 0.0 + 0.0j
+    prev_mag = 0.0
+    est_tail = float("inf")
+    consecutive_small = 0
+    n = start
+    used = 0
+    while used < pol.max_terms:
+        t = complex(term(n))
+        total += t
+        used += 1
+        mag = abs(t)
+        scale = max(1.0, abs(total))
+        if mag > 0.0:
+            if prev_mag > 0.0:
+                ratio = min(mag / prev_mag, 0.999999)
+                est_tail = mag * ratio / (1.0 - ratio)
+            prev_mag = mag
+        if mag <= pol.rel_tail_cutoff * scale:
+            consecutive_small += 1
+            if consecutive_small >= pol.stagnation_window and (
+                est_tail <= pol.rel_tail_cutoff * scale or mag == 0.0
+            ):
+                return (total, used, est_tail if est_tail != float("inf") else mag, True)
+        else:
+            consecutive_small = 0
+        n += 1
+    raise NonConvergenceError(
+        f"series did not converge within {pol.max_terms} terms (est_tail={est_tail:.3g})"
+    )
+
+
+_REFERENCE_SERIES = [
+    ("real geometric", lambda n: 0.5**n, 0),
+    ("slow real geometric", lambda n: 0.97**n, 0),
+    ("complex geometric", lambda n: (0.2 + 0.3j) ** n, 0),
+    ("lacunary, squares only", lambda m: 0.9**m if math.isqrt(m) ** 2 == m else 0.0, 0),
+    ("all zero", lambda n: 0.0, 0),
+    ("alternating", lambda n: (-0.7) ** n, 0),
+    ("start=1", lambda n: 0.3**n / n, 1),
+]
+
+
+@pytest.mark.parametrize("overrides", [{}, {"stagnation_window": 1}, {"rel_tail_cutoff": 1e-12}])
+def test_sum_series_matches_reference_loop_bit_for_bit(overrides):
+    with truncation(**overrides):
+        for label, term, start in _REFERENCE_SERIES:
+            out = sum_series(term, start=start)
+            got = (out.value, out.terms_used, out.est_tail, out.converged)
+            assert got == _reference_sum_series(term, start=start), label
+
+
+@pytest.mark.parametrize("max_terms", [0, 1, 50])
+def test_sum_series_refusal_matches_reference_loop(max_terms):
+    with truncation(max_terms=max_terms):
+        for _, term, start in _REFERENCE_SERIES[:2]:
+            with pytest.raises(NonConvergenceError) as expected:
+                _reference_sum_series(term, start=start)
+            with term_counter() as count:
+                with pytest.raises(NonConvergenceError) as got:
+                    sum_series(term, start=start)
+                assert count() == max_terms
+            assert str(got.value) == str(expected.value)
+
+
 def test_truncation_nests_and_restores():
     assert current_policy() is DEFAULT_POLICY
     with truncation(max_terms=50) as outer:
@@ -203,6 +270,32 @@ def test_cf_sqrt_two():
     assert_allclose(got, math.sqrt(2.0), rtol=1e-12)
 
 
+def test_cf_computes_each_coefficient_once():
+    calls = {"a": [], "b": []}
+
+    def a(k):
+        calls["a"].append(k)
+        return 2.0
+
+    def b(k):
+        calls["b"].append(k)
+        return 1.0
+
+    with term_counter() as count:
+        got = continued_fraction(a, b)
+        work = count()
+    deepest = max(calls["a"])
+    assert sorted(calls["a"]) == sorted(calls["b"]) == list(range(1, deepest + 1))
+    # the work count still charges every backward sweep, 25 + 50 + ...
+    assert work == sum(d for d in (25, 50, 100, 200, 400) if d <= deepest)
+
+    # a fresh backward evaluation at the final depth gives the same bits
+    acc = 0.0 + 0.0j
+    for k in range(deepest, 0, -1):
+        acc = complex(1.0) / (complex(2.0) + acc)
+    assert got == acc
+
+
 def test_cf_zero_denominator_raises():
     with pytest.raises(PoleError):
         continued_fraction(lambda k: 0.0, lambda k: 1.0, max_depth=100)
@@ -211,10 +304,17 @@ def test_cf_zero_denominator_raises():
 def test_cf_stagnation_raises():
     # sum |a_k| < infinity with unit numerators: even/odd convergents split
     # to different limits, so successive depths never agree
-    with pytest.raises(NonConvergenceError):
-        continued_fraction(
-            lambda k: 1e-8, lambda k: 1.0, tail_tol=1e-15, max_depth=400
-        )
+    requested = []
+
+    def a(k):
+        requested.append(k)
+        return 1e-8
+
+    with pytest.raises(NonConvergenceError, match="did not stabilize by depth 400"):
+        continued_fraction(a, lambda k: 1.0, tail_tol=1e-15, max_depth=400)
+    # the deepest sweep is the largest doubling of 25 not above max_depth
+    assert max(requested) == 400
+    assert len(requested) == 400
 
 
 # ---------------------------------------------------------------------------
