@@ -392,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, ValueError, PoleError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, ZeroDivisionError, OverflowError) as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return 1
 

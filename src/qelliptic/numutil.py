@@ -154,7 +154,8 @@ def sum_series(
     Raises
     ------
     NonConvergenceError
-        If the active policy's ``max_terms`` terms do not suffice.
+        If the active policy's ``max_terms`` terms do not suffice, or at the
+        first partial sum that is not finite (NaN or infinite).
     """
     pol = _POLICY.get()
     cutoff = pol.rel_tail_cutoff
@@ -170,8 +171,12 @@ def sum_series(
         if mag > 0.0:
             before, last = last, mag
         scale = abs(total)
-        if not scale > 1.0:  # max(1.0, |total|), which also maps NaN to 1.0
+        if scale <= 1.0:  # scale = max(1.0, |total|)
             scale = 1.0
+        elif not scale < math.inf:  # NaN or infinite partial sum
+            used = n - start + 1
+            _bump_terms(used)
+            raise NonConvergenceError(f"series partial sum is {total} after {used} terms")
         if mag <= cutoff * scale:
             small += 1
             if small >= window:

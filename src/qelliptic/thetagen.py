@@ -20,9 +20,7 @@ Conventions
 
 from __future__ import annotations
 
-import cmath
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .numutil import PoleError, continued_fraction, principal_power, sum_series
 from .qseries import divisors, qpochhammer
@@ -60,24 +58,44 @@ _U_CF_TOL = 1e-13
 # Bilateral two-parameter theta sums
 # ---------------------------------------------------------------------------
 
-def _powers_of(q) -> Callable[[complex], complex]:
-    """``s -> principal_power(q, s)``, bit for bit, with ``Log q`` taken once.
+def _theta_two(a, b, q, alternating: bool) -> complex:
+    """Folded sum ``1 + sum_{n>=1} s^n (q^(a n^2 + b n) + q^(a n^2 - b n))``
+    with ``s = -1`` when ``alternating``, else ``s = 1``.
 
-    Integer exponents keep the exact integer power; a zero base goes through
-    :func:`principal_power` itself for its pole checks.
+    Term ``n`` is built from term ``n - 1`` by running products: with
+    ``x = q^a`` and ``R_1 = s x q^(+-b)``, ``T_n = T_(n-1) R_n`` and
+    ``R_(n+1) = R_n x^2``, so a call takes three powers and each term four
+    complex multiplies.
     """
+    name = "theta4_two" if alternating else "theta3_two"
+    x = principal_power(q, a)
+    if abs(x) >= 1.0:
+        raise ValueError(f"{name} requires |q^a| < 1 for convergence")
     if q == 0:
-        return partial(principal_power, q)
-    w = complex(q)
-    log_w = cmath.log(w)
+        # Every term but n = 0 is 0^(n (a n + b)): 0 when each exponent has a
+        # positive real part, 1 when it is 0 (b = a at n = -1, b = -a at n = 1).
+        if complex(a).real > abs(complex(b).real):
+            return 1.0 + 0.0j
+        if b == a or b == -a:
+            return 0j if alternating else 2.0 + 0.0j
+        raise PoleError(f"{name}: q^(a n^2 + b n) has a pole at q = 0 when a < |b|")
+    x2 = x * x
+    lead = -x if alternating else x
+    r_plus = lead * principal_power(q, b)
+    r_minus = lead * principal_power(q, -b)
+    t_plus = t_minus = 1.0 + 0.0j
 
-    def power(s) -> complex:
-        sc = complex(s)
-        if sc.imag == 0.0 and float(sc.real).is_integer():
-            return w ** int(sc.real)
-        return cmath.exp(sc * log_w)
+    def term(n: int) -> complex:
+        nonlocal t_plus, t_minus, r_plus, r_minus
+        if n == 0:
+            return 1.0
+        t_plus *= r_plus
+        t_minus *= r_minus
+        r_plus *= x2
+        r_minus *= x2
+        return t_plus + t_minus
 
-    return power
+    return sum_series(term).value
 
 
 def theta3_two(a, b, q) -> complex:
@@ -86,31 +104,12 @@ def theta3_two(a, b, q) -> complex:
     Requires ``a > 0`` (more precisely ``|q^a| < 1``) for convergence.  The
     sum is folded into ``1 + sum_{n>=1} q^(a n^2) (q^(b n) + q^(-b n))``.
     """
-    power = _powers_of(q)
-    if abs(power(a)) >= 1.0:
-        raise ValueError("theta3_two requires |q^a| < 1 for convergence")
-
-    def term(n: int) -> complex:
-        if n == 0:
-            return 1.0
-        return power(a * n * n) * (power(b * n) + power(-b * n))
-
-    return sum_series(term).value
+    return _theta_two(a, b, q, alternating=False)
 
 
 def theta4_two(a, b, q) -> complex:
     """Bilateral sum ``sum_{n in Z} (-1)^n q^(a n^2 + b n)``."""
-    power = _powers_of(q)
-    if abs(power(a)) >= 1.0:
-        raise ValueError("theta4_two requires |q^a| < 1 for convergence")
-
-    def term(n: int) -> complex:
-        if n == 0:
-            return 1.0
-        sign = -1.0 if n % 2 else 1.0
-        return sign * power(a * n * n) * (power(b * n) + power(-b * n))
-
-    return sum_series(term).value
+    return _theta_two(a, b, q, alternating=True)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,22 @@ def test_eval_domain_error(capsys):
     assert "precondition violated" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 1/(e^((n+1)x) - 1) divides by zero at the first term
+        ("ghost-sum", "--x", "1e-300"),
+        # (q; q)_n and q^(n^2) both underflow to 0
+        ("G", "--q", "0.999"),
+    ],
+)
+def test_eval_arithmetic_failure_is_evaluation_failure(capsys, argv):
+    rc, out, err = run_cli(capsys, "eval", *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("evaluation failed: ") and "division by zero" in err
+
+
 def test_eval_is_deterministic(capsys):
     first = run_cli(capsys, "eval", "cd", "--q", "0.1", "--u", "0.7")
     second = run_cli(capsys, "eval", "cd", "--q", "0.1", "--u", "0.7")

@@ -67,6 +67,23 @@ def test_sum_series_honors_max_terms():
         sum_series(lambda n: 0.999**n)
 
 
+@pytest.mark.parametrize(
+    "term, used",
+    [
+        (lambda n: math.nan if n == 2 else 0.5**n, 3),
+        (lambda n: 1e308 if n < 3 else 0.0, 2),
+        (lambda n: math.nan, 1),
+        (lambda n: complex(0.5**n, math.inf) if n == 4 else 0.5**n, 5),
+    ],
+    ids=["nan term", "overflowing total", "nan terms only", "infinite imaginary part"],
+)
+def test_sum_series_refuses_non_finite_partial_sums(term, used):
+    with term_counter() as count:
+        with pytest.raises(NonConvergenceError, match="partial sum"):
+            sum_series(term)
+        assert count() == used
+
+
 def _reference_sum_series(term, start=0):
     """The summation loop with its tail estimate updated every term: a bit-for-bit oracle."""
     pol = current_policy()

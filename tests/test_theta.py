@@ -4,11 +4,19 @@ restricted divisor-sum logarithms."""
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 from numpy.testing import assert_allclose
 
+from qelliptic import thetagen
 from qelliptic.elliptic import theta3
-from qelliptic.numutil import PoleError
+from qelliptic.numutil import (
+    NonConvergenceError,
+    PoleError,
+    principal_power,
+    sum_series,
+    term_counter,
+)
 from qelliptic.qseries import euler_product, qpochhammer
 from qelliptic.thetagen import (
     agile_minus,
@@ -61,6 +69,126 @@ def test_theta_two_linear_symmetry():
 def test_theta_two_rejects_divergent_quadratic():
     with pytest.raises(ValueError):
         theta3_two(-1.0, 0.0, 0.3)
+
+
+def test_theta_two_at_zero_nome():
+    # every exponent n (a n +- b) with n != 0 is positive when a > |b|
+    assert theta3_two(2.5, 1.5, 0) == 1.0
+    assert theta4_two(2.5, 1.5, 0.0) == 1.0
+    assert theta3_two(1, 0.4j, 0j) == 1.0
+    # A-144's left side is 1 at q = 0
+    assert theta4_two(2.5, 1.5, 0) / theta3_two(2.5, 1.5, 0) * rr_G(0.0) ** 2 == 1.0
+    # a = |b|: the single q^0 term of n = -+1 counts
+    for b in (1.0, -1.0):
+        assert theta3_two(1.0, b, 0) == 2.0
+        assert theta4_two(1.0, b, 0) == 0.0
+    for f in (theta3_two, theta4_two):
+        with pytest.raises(PoleError):
+            f(1.0, 1.5, 0)
+
+
+def test_theta_two_overflow_is_refused_fast():
+    # q^(a n^2 - b n) overflows near n = 19 long before the sum would turn
+    with term_counter() as used:
+        with pytest.raises(NonConvergenceError):
+            theta3_two(0.5, 400, 0.9)
+        assert used() < 100
+
+
+def _reference_theta_two(a, b, q, alternating):
+    """The per-term sum these kernels replaced (q != 0): three powers per term."""
+    w = complex(q)
+    log_w = cmath.log(w)
+
+    def power(s):
+        sc = complex(s)
+        if sc.imag == 0.0 and float(sc.real).is_integer():
+            return w ** int(sc.real)
+        return cmath.exp(sc * log_w)
+
+    if abs(power(a)) >= 1.0:
+        raise ValueError("|q^a| >= 1")
+
+    def term(n):
+        if n == 0:
+            return 1.0
+        sign = -1.0 if alternating and n % 2 else 1.0
+        return sign * power(a * n * n) * (power(b * n) + power(-b * n))
+
+    return sum_series(term)
+
+
+_AB = [(1, 0), (1, 0.4), (2.5, 1.5), (2.5, 0.5), (0.5, 0.25), (1, 0.4j), (1.5, 0.3 + 0.2j), (0.7, -1.1)]
+_SHALLOW_NOMES = [0.01, 0.05, -0.02, -0.05, 0.05j, 0.04 * cmath.exp(2j)]
+_DEEP_NOMES = [0.5, 0.9, 0.95, -0.5, -0.9, -0.95, 0.3j, 0.6 * cmath.exp(1j),
+               0.95 * cmath.exp(2.5j), 0.95 * cmath.exp(-0.7j), 0.9j]
+
+
+@pytest.mark.parametrize("alternating", [False, True])
+def test_theta_two_kernel_matches_per_term_sum(alternating):
+    f = theta4_two if alternating else theta3_two
+    for q in _SHALLOW_NOMES + _DEEP_NOMES:
+        for a, b in _AB:
+            want = _reference_theta_two(a, b, q, alternating)
+            with term_counter() as used:
+                got = f(a, b, q)
+                assert used() == want.terms_used, (q, a, b)
+            if abs(q) > 0.05:
+                continue
+            if isinstance(q, float) and q > 0 and isinstance(b, (int, float)):
+                # the registry's class: shallow positive nomes, real exponents
+                assert got == want.value, (q, a, b)
+            else:
+                # the last bit moves; at q < 0 the per-term w**n (n > 100)
+                # also carried an imaginary part of ~1e-220
+                assert abs(got - want.value) <= 1e-15 * abs(want.value), (q, a, b)
+
+
+def _oracle_theta_two(a, b, q, alternating):
+    """Bilateral sum and sum of |terms| at 30 digits, q^s = exp(s Log q)."""
+    with mp.workdps(30):
+        log_q = mp.log(mp.mpc(q))
+        a, b = mp.mpc(a), mp.mpc(b)
+        # |term m| = exp(Re(a log q) m^2 + Re(b log q) m) falls for |m| past the vertex
+        vertex = abs(mp.re(b * log_q) / (2 * mp.re(a * log_q)))
+        total, abs_total, n = mp.mpc(0), mp.mpf(0), 0
+        while True:
+            largest = mp.mpf(0)
+            for m in (n, -n) if n else (0,):
+                t = mp.exp((a * m * m + b * m) * log_q)
+                if alternating and m % 2:
+                    t = -t
+                total += t
+                abs_total += abs(t)
+                largest = max(largest, abs(t))
+            if n > vertex and largest < mp.mpf(10) ** -34 * abs_total:
+                return complex(total), float(abs_total)
+            n += 1
+
+
+def test_theta_two_against_mpmath_over_the_disk():
+    # bound fixed before the running products were written; the per-term
+    # sum reached 2.1e-14 at q = -0.95, a = 1, b = 0.4i
+    for q in _SHALLOW_NOMES + _DEEP_NOMES:
+        for a, b in _AB:
+            for f, alternating in ((theta3_two, False), (theta4_two, True)):
+                want, abs_total = _oracle_theta_two(a, b, q, alternating)
+                assert abs(f(a, b, q) - want) <= 1e-14 * (1.0 + abs_total), (q, a, b, alternating)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.9])
+def test_theta_two_takes_three_powers_per_call(monkeypatch, q):
+    calls = []
+
+    def counting_power(w, s):
+        calls.append(s)
+        return principal_power(w, s)
+
+    monkeypatch.setattr(thetagen, "principal_power", counting_power)
+    for f in (theta3_two, theta4_two):
+        calls.clear()
+        f(2.5, 1.5, q)
+        assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
