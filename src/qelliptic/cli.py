@@ -101,7 +101,7 @@ def _nome(args: argparse.Namespace) -> float:
 
 def _ghost_sum(x: float) -> complex:
     _require(x > 0.0, "ghost-sum requires x > 0")
-    return sum_series(lambda n: 1.0 / (math.exp((n + 1) * x) - 1.0)).value
+    return sum_series(lambda n: 1.0 / math.expm1((n + 1) * x)).value
 
 
 def _jacobi(fn: Callable[..., complex]) -> Callable[[argparse.Namespace], complex]:

@@ -1,7 +1,7 @@
 """Shared numerical machinery.
 
 Truncated series summation with geometric tail estimates, continued-fraction
-evaluation by backward recurrence with depth doubling, Richardson-extrapolated
+evaluation by the forward modified Lentz recurrence, Richardson-extrapolated
 numerical derivatives, and complex line-segment quadrature by Gauss-Legendre
 rules of doubling size for integrands analytic on the segment.  Only the
 standard library is used.  Every series-based evaluator in this package routes
@@ -48,24 +48,20 @@ class PoleError(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Stopping rules for adaptive series summation.
+    """Stopping rules for adaptive series summation and infinite products.
 
     Attributes
     ----------
     rel_tail_cutoff : float
-        Summation stops once the estimated tail is below this fraction of
-        the partial sum's scale.
+        A series stops once its terms and estimated tail are below this
+        fraction of the partial sum's scale (see :func:`sum_series`); an
+        infinite product once its geometric tail bound is below it.
     max_terms : int
         Hard cap; exceeding it raises :class:`NonConvergenceError`.
-    stagnation_window : int
-        Number of consecutive negligible terms required before stopping,
-        so that structurally zero terms (e.g. odd-index gaps) do not end
-        the sum prematurely.
     """
 
     rel_tail_cutoff: float = 1e-16
     max_terms: int = 100_000
-    stagnation_window: int = 8
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -133,6 +129,14 @@ def _bump_terms(n: int) -> None:
         _tls.count = count + n
 
 
+# sum_series: the consecutive negligible nonzero terms that allow a stop; the
+# run of exact zeros that ends a sum on its own (finite support), which is also
+# the run of negligible terms that stands in for the trend guard when no
+# non-negligible term has followed the largest one.
+_WINDOW = 2
+_RUN = 64
+
+
 def sum_series(
     term: Callable[[int], complex],
     *,
@@ -140,10 +144,23 @@ def sum_series(
 ) -> SeriesValue:
     """Sum ``term(n)`` for ``n = start, start+1, ...`` until the tail is negligible.
 
-    The tail is estimated geometrically from the ratio of the last two
-    nonzero terms.  Convergence requires ``stagnation_window`` consecutive
-    terms that are individually negligible relative to the accumulated sum,
-    which guards against lacunary series stopping on a structural zero.
+    A term is negligible when its magnitude is at most ``rel_tail_cutoff``
+    times ``max(1, |partial sum|)``.  The sum stops at the second
+    consecutive negligible nonzero term if also
+
+    * the geometric tail estimated from the last two nonzero terms is
+      negligible, and
+    * some non-negligible term came after the largest term, and the
+      geometric trend from the largest term to the last non-negligible one,
+      extrapolated to the next index, is negligible.  Two float-noise
+      "zeros" in a row (``sin(k pi)``) therefore cannot end a sum whose
+      decay has not set in.  Where no non-negligible term has followed the
+      largest one (a lone leading term, or no non-negligible term at all),
+      64 consecutive negligible terms take the place of this trend.
+
+    Exact-zero terms neither count toward the run of negligible terms nor
+    break it, so lacunary series run on through their gaps; 64 exact zeros
+    in a row end the sum with ``est_tail`` 0.
 
     Returns
     -------
@@ -159,17 +176,26 @@ def sum_series(
     """
     pol = _POLICY.get()
     cutoff = pol.rel_tail_cutoff
-    window = pol.stagnation_window
     max_terms = pol.max_terms
     total = 0.0 + 0.0j
     last = before = 0.0  # magnitudes of the last two nonzero terms
-    small = 0
+    peak = 0.0  # largest term so far, at index peak_n
+    big = 0.0  # last non-negligible term, at index big_n
+    peak_n = big_n = start - 1
+    small = zeros = 0
     for n in range(start, start + max_terms):
         t = complex(term(n))
-        total += t
         mag = abs(t)
-        if mag > 0.0:
-            before, last = last, mag
+        if mag == 0.0:
+            zeros += 1
+            if zeros >= _RUN:
+                used = n - start + 1
+                _bump_terms(used)
+                return SeriesValue(total, used, 0.0, True)
+            continue
+        zeros = 0
+        total += t
+        before, last = last, mag
         scale = abs(total)
         if scale <= 1.0:  # scale = max(1.0, |total|)
             scale = 1.0
@@ -177,16 +203,24 @@ def sum_series(
             used = n - start + 1
             _bump_terms(used)
             raise NonConvergenceError(f"series partial sum is {total} after {used} terms")
-        if mag <= cutoff * scale:
-            small += 1
-            if small >= window:
-                est_tail = _geometric_tail(last, before)
-                if est_tail <= cutoff * scale or mag == 0.0:
-                    used = n - start + 1
-                    _bump_terms(used)
-                    return SeriesValue(total, used, est_tail if est_tail != math.inf else mag, True)
-        else:
+        bound = cutoff * scale
+        if mag > bound:
             small = 0
+            big, big_n = mag, n
+            if mag > peak:
+                peak, peak_n = mag, n
+            continue
+        small += 1
+        if small >= _WINDOW and (
+            big * (big / peak) ** ((n + 1 - big_n) / (big_n - peak_n)) <= bound
+            if big_n > peak_n
+            else small >= _RUN
+        ):
+            est_tail = _geometric_tail(last, before)
+            if est_tail <= bound:
+                used = n - start + 1
+                _bump_terms(used)
+                return SeriesValue(total, used, est_tail, True)
     _bump_terms(max(max_terms, 0))
     raise NonConvergenceError(
         f"series did not converge within {max_terms} terms "
@@ -205,63 +239,93 @@ def _geometric_tail(last: float, before: float) -> float:
     return last * ratio / (1.0 - ratio)
 
 
+# continued_fraction: the relative change of the convergent that ends the
+# evaluation, and the stand-in for an exact zero in Lentz's C_k or in the
+# denominator of D_k (Numerical Recipes section 5.2).
+_CF_TOL = 1e-14
+_TINY = 1e-30
+
+
 def continued_fraction(
     a: Callable[[int], complex],
     b: Callable[[int], complex],
     *,
-    tail_tol: float = 1e-13,
     max_depth: int = 102_400,
 ) -> complex:
-    """Evaluate ``b(1)/(a(1) + b(2)/(a(2) + ...))`` by backward recurrence.
+    """Evaluate ``b(1)/(a(1) + b(2)/(a(2) + ...))`` by forward modified Lentz.
 
-    Starts from a zero tail at depth 25 and doubles the depth until two
-    successive evaluations agree to ``tail_tol`` (relative to the larger of
-    1 and the value's magnitude).  The deepest sweep is the largest doubling
-    of 25 not above ``max_depth`` (25 * 2**12 = 102,400 by default).
-    Each coefficient ``a(k)``, ``b(k)`` is computed once, on the first sweep
-    that reaches depth ``k``, and kept for the deeper sweeps.
+    The convergents ``f_k = A_k/B_k`` are built front to back as products
+    ``f_k = f_(k-1) C_k D_k`` of the ratios ``C_k = A_k/A_(k-1)`` and
+    ``D_k = B_(k-1)/B_k`` of successive numerators and denominators
+    (Thompson & Barnett, J. Comput. Phys. 64 (1986); Numerical Recipes
+    section 5.2), so each coefficient ``a(k)``, ``b(k)`` is computed once.
+    The evaluation stops at the first depth ``k`` where the relative change
+    ``|C_k D_k - 1|`` of the convergent is at most 1e-14; ``b(1) == 0``
+    gives exactly 0.  The work charged to :func:`term_counter` is the final
+    depth.
+
+    An exact zero in ``C_k`` or in the denominator of ``D_k`` means one
+    convergent is 0 or infinite, not that the fraction is: it is replaced
+    by 1e-30, which carries the recurrence past that depth, and a depth
+    where this happens never counts as settled.  If ``b(k+1) == 0`` ends
+    the fraction right there, its value is exactly that convergent: 0, or
+    a pole.
 
     Raises
     ------
     NonConvergenceError
-        If agreement is not reached by ``max_depth``.
+        If the relative change is still above 1e-14 at depth ``max_depth``.
     PoleError
-        If a zero denominator is hit during the backward sweep.
+        If the fraction ends on an infinite convergent, or if it has not
+        settled by depth ``max_depth`` after an exact zero.
     """
-    a_seen: list[complex] = [0j]  # a_seen[k] == complex(a(k)); index 0 unused
-    b_seen: list[complex] = [0j]
-
-    def eval_depth(depth: int) -> complex:
-        known = len(a_seen) - 1
-        a_seen.extend([0j] * (depth - known))
-        b_seen.extend([0j] * (depth - known))
-        acc = 0.0 + 0.0j
-        for k in range(depth, known, -1):
-            ak = a_seen[k] = complex(a(k))
-            den = ak + acc
-            if den == 0:
-                raise PoleError(f"continued fraction hit a zero denominator at depth {k}")
-            bk = b_seen[k] = complex(b(k))
-            acc = bk / den
-        for k in range(known, 0, -1):
-            den = a_seen[k] + acc
-            if den == 0:
-                raise PoleError(f"continued fraction hit a zero denominator at depth {k}")
-            acc = b_seen[k] / den
-        return acc
-
-    depth = 25
-    prev = eval_depth(depth)
-    total_work = depth
-    while 2 * depth <= max_depth:
-        depth *= 2
-        cur = eval_depth(depth)
-        total_work += depth
-        if abs(cur - prev) <= tail_tol * max(1.0, abs(cur)):
-            _bump_terms(total_work)
-            return cur
-        prev = cur
-    _bump_terms(total_work)
+    b1 = complex(b(1))
+    if b1 == 0:
+        _bump_terms(1)
+        return 0j
+    den = complex(a(1))
+    zero_at = 0  # the first depth with an exact zero, replaced by _TINY
+    d_zero = den == 0  # B_(k-1) == 0: the last convergent is infinite
+    c_zero = False  # A_(k-1) == 0: the last convergent is 0
+    if d_zero:
+        den, zero_at = _TINY, 1
+    d = 1.0 / den
+    f = b1 * d
+    c = complex(math.inf)  # C_1 = A_1/A_0 with A_0 = 0, so C_2 = a(2)
+    for k in range(2, max_depth + 1):
+        ak = complex(a(k))
+        bk = complex(b(k))
+        if (d_zero or c_zero) and bk == 0:
+            # the fraction ends at depth k - 1, on a convergent that is 0 or infinite
+            _bump_terms(k)
+            if d_zero:
+                raise PoleError(f"continued fraction ends on a zero denominator at depth {k - 1}")
+            return 0j
+        den = ak + bk * d
+        c = ak + bk / c
+        d_zero = den == 0
+        c_zero = c == 0
+        if d_zero or c_zero:
+            zero_at = zero_at or k
+            if d_zero:
+                den = _TINY
+            if c_zero:
+                c = _TINY
+            d = 1.0 / den
+            f *= c * d
+            continue
+        d = 1.0 / den
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) <= _CF_TOL:
+            _bump_terms(k)
+            return f
+    _bump_terms(max(max_depth, 1))
+    if zero_at:
+        raise PoleError(
+            f"continued fraction hit a zero denominator at depth {zero_at} "
+            f"and did not settle by depth {max_depth}"
+        )
     raise NonConvergenceError(f"continued fraction did not stabilize by depth {max_depth}")
 
 

@@ -33,9 +33,10 @@ __all__ = [
 def qpochhammer(a: complex, q: complex, n: int | None = None) -> complex:
     """q-shifted factorial ``(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k)``.
 
-    ``n=None`` gives the infinite product, which converges for ``|q| < 1``;
-    factors are multiplied until the deviation ``|a q^k|`` falls below the
-    active policy's tail cutoff for several consecutive steps.
+    ``n=None`` gives the infinite product, which converges for ``|q| < 1``.
+    It stops at the first factor with ``|a q^k| |q| / (1 - |q|)`` at most
+    the active policy's ``rel_tail_cutoff``: that geometric series bounds the
+    relative effect of every factor left out.
     """
     a = complex(a)
     q = complex(q)
@@ -49,23 +50,21 @@ def qpochhammer(a: complex, q: complex, n: int | None = None) -> complex:
             qk *= q
         _bump_terms(n)
         return prod
-    if abs(q) >= 1.0:
+    rho = abs(q)
+    if rho >= 1.0:
         raise ValueError("infinite q-Pochhammer requires |q| < 1")
     pol = _POLICY.get()
+    # a factor |a q^k| at most this leaves a tail of at most rel_tail_cutoff
+    negligible = pol.rel_tail_cutoff * (1.0 - rho) / rho if rho > 0.0 else math.inf
     prod = 1.0 + 0.0j
     qk = 1.0 + 0.0j
-    small = 0
     for used in range(1, pol.max_terms + 1):
         factor_dev = a * qk
         prod *= 1.0 - factor_dev
+        if abs(factor_dev) <= negligible:
+            _bump_terms(used)
+            return prod
         qk *= q
-        if abs(factor_dev) <= pol.rel_tail_cutoff:
-            small += 1
-            if small >= pol.stagnation_window:
-                _bump_terms(used)
-                return prod
-        else:
-            small = 0
     raise NonConvergenceError(f"q-Pochhammer product did not converge in {pol.max_terms} factors")
 
 

@@ -1858,7 +1858,7 @@ def _build() -> tuple[IdentityCase, ...]:
           tol=1e-10),
         C("P1", "hyperbolic Fermi-free sum generates the divisor-count coefficients",
           "qelliptic.qseries.divisor_expand",
-          lambda x: _S(lambda n: 1.0 / (math.exp((n + 1) * x) - 1.0)),
+          lambda x: _S(lambda n: 1.0 / math.expm1((n + 1) * x)),
           lambda x: divisor_expand(math.exp(-x), lambda n: 1.0),
           ({"x": pi},)),
         C("P2", "secant-cosine expansion equals the amplitude-angle elliptic form",

@@ -49,11 +49,6 @@ __all__ = [
     "restricted_divisor_log",
 ]
 
-# Agreement tolerances of the continued-fraction depth doubling.
-_RR_CF_TOL = 1e-14
-_U_CF_TOL = 1e-13
-
-
 # ---------------------------------------------------------------------------
 # Bilateral two-parameter theta sums
 # ---------------------------------------------------------------------------
@@ -140,18 +135,23 @@ def ramanujan_quantity(a, b, p, q) -> complex:
 # Rogers--Ramanujan evaluators
 # ---------------------------------------------------------------------------
 
-def rr_G(q) -> complex:
-    """Sum ``sum_{n>=0} q^(n^2) / (q; q)_n``."""
-    state = {"num": 1.0 + 0.0j, "poch": 1.0 + 0.0j}
+def _rr_series(q, shift: int) -> complex:
+    """Sum ``sum_{n>=0} q^(n^2 + shift n) / (q; q)_n`` with the term carried
+    by its ratio ``q^(2n - 1 + shift) / (1 - q^n)``, so that neither the
+    numerator nor ``(q; q)_n`` underflows on its own near ``q = 1``."""
+    state = [1.0 + 0.0j]
 
     def term(n: int) -> complex:
         if n > 0:
-            # q^(n^2) = q^((n-1)^2) * q^(2n-1); (q;q)_n = (q;q)_{n-1} (1-q^n)
-            state["num"] *= q ** (2 * n - 1)
-            state["poch"] *= 1.0 - q**n
-        return state["num"] / state["poch"]
+            state[0] *= q ** (2 * n - 1 + shift) / (1.0 - q**n)
+        return state[0]
 
     return sum_series(term).value
+
+
+def rr_G(q) -> complex:
+    """Sum ``sum_{n>=0} q^(n^2) / (q; q)_n``."""
+    return _rr_series(q, 0)
 
 
 def rr_H(q) -> complex:
@@ -160,15 +160,7 @@ def rr_H(q) -> complex:
     The ``n = 0`` term equals 1, so ``rr_H(0) = 1``, consistent with the
     agile-product form ``1 / agile_minus(2, 5, q)``.
     """
-    state = {"num": 1.0 + 0.0j, "poch": 1.0 + 0.0j}
-
-    def term(n: int) -> complex:
-        if n > 0:
-            state["num"] *= q ** (2 * n)
-            state["poch"] *= 1.0 - q**n
-        return state["num"] / state["poch"]
-
-    return sum_series(term).value
+    return _rr_series(q, 1)
 
 
 def rr_product(q) -> complex:
@@ -193,7 +185,7 @@ def rr_cf(q) -> complex:
             return q15
         return q ** (k - 1)
 
-    return continued_fraction(a_k, b_k, tail_tol=_RR_CF_TOL)
+    return continued_fraction(a_k, b_k)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +214,7 @@ def u_cf(a, b, q) -> complex:
             return a - b
         return q ** (k - 2) * (a - b * q ** (k - 1)) * (a * q ** (k - 1) - b)
 
-    return continued_fraction(a_k, b_k, tail_tol=_U_CF_TOL)
+    return continued_fraction(a_k, b_k)
 
 
 def u_product(a, b, q) -> complex:
@@ -257,7 +249,7 @@ def u0_cf(a, q) -> complex:
             return 2.0 * a
         return a * a * q ** (k - 2) * (1.0 + q ** (k - 1)) ** 2
 
-    return continued_fraction(a_k, b_k, tail_tol=_U_CF_TOL)
+    return continued_fraction(a_k, b_k)
 
 
 def u0_product(a, q) -> complex:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import qelliptic
@@ -100,17 +101,51 @@ def test_eval_domain_error(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # 1/(e^((n+1)x) - 1) divides by zero at the first term
-        ("ghost-sum", "--x", "1e-300"),
-        # (q; q)_n and q^(n^2) both underflow to 0
-        ("G", "--q", "0.999"),
+        # expm1((n+1) x) overflows at the first term
+        ("ghost-sum", "--x", "1e308"),
+        # q^a with the integer exponent 1e308: CPython's complex power raises OverflowError
+        ("agile-plus", "--a", "1e308", "--p", "1", "--q", "0.3"),
     ],
 )
 def test_eval_arithmetic_failure_is_evaluation_failure(capsys, argv):
     rc, out, err = run_cli(capsys, "eval", *argv)
     assert rc == 1
     assert out == ""
-    assert err.startswith("evaluation failed: ") and "division by zero" in err
+    # the OverflowError's own message follows the prefix
+    assert err in ("evaluation failed: math range error\n",
+                   "evaluation failed: complex exponentiation\n")
+
+
+def test_eval_zero_division_is_evaluation_failure(capsys, monkeypatch):
+    # a plain ZeroDivisionError (not a PoleError) is a failed evaluation
+    monkeypatch.setattr(cli, "_ghost_sum", lambda x: 1.0 / (x - x))
+    rc, out, err = run_cli(capsys, "eval", "ghost-sum", "--x", "1.0")
+    assert rc == 1
+    assert out == ""
+    assert err == "evaluation failed: float division by zero\n"
+
+
+def test_ghost_sum_at_tiny_x_is_refused_by_max_terms(capsys):
+    # 1/expm1((n+1) x) ~ 1/((n+1) x): no division by zero, but ~1/x terms
+    rc, out, err = run_cli(capsys, "eval", "ghost-sum", "--x", "1e-300")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("evaluation failed: series did not converge within 100000 terms")
+
+
+def test_ghost_sum_matches_mpmath():
+    # sum 1/(e^(n x) - 1) = (gamma - log x)/x + 1/4 - x/144 - x^3/86400 + O(x^5)
+    x = mpmath.mpf("1e-3")
+    want = (mpmath.euler - mpmath.log(x)) / x + mpmath.mpf(1) / 4 - x / 144 - x**3 / 86400
+    got = cli._ghost_sum(1e-3)
+    assert abs(got - complex(want)) <= 1e-13 * abs(want)
+
+
+def test_eval_rogers_ramanujan_near_one(capsys):
+    # G(0.999) ~ 3.5e285: (q; q)_n and q^(n^2) underflow alone, their ratio does not
+    rc, out, _ = run_cli(capsys, "eval", "G", "--q", "0.999")
+    assert rc == 0
+    assert out.startswith("value=3.4766296164")
 
 
 def test_eval_is_deterministic(capsys):
@@ -243,9 +278,9 @@ CAPPED_EVALS = [
     (("theta3", "--q", "0.5"), 3),
     # products, elliptic contexts and agile brackets must see the cap too
     (("f", "--q", "0.3"), 5),
-    (("K", "--r", "2"), 5),
-    (("E", "--r", "2"), 5),
-    (("k", "--r", "2"), 5),
+    (("K", "--r", "2"), 4),
+    (("E", "--r", "2"), 4),
+    (("k", "--r", "2"), 4),
     (("agile-minus", "--a", "0.3", "--p", "1", "--q", "0.3"), 5),
 ]
 

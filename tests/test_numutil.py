@@ -84,38 +84,71 @@ def test_sum_series_refuses_non_finite_partial_sums(term, used):
         assert count() == used
 
 
-def _reference_sum_series(term, start=0):
-    """The summation loop with its tail estimate updated every term: a bit-for-bit oracle."""
+def _reference_sum_series(term, start=0, trend_guard=True):
+    """The stopping rule written out over the list of every term seen: a
+    bit-for-bit oracle.  ``trend_guard=False`` gives the plain rule (two
+    negligible nonzero terms and a negligible geometric tail)."""
     pol = current_policy()
     total = 0.0 + 0.0j
-    prev_mag = 0.0
-    est_tail = float("inf")
-    consecutive_small = 0
-    n = start
-    used = 0
-    while used < pol.max_terms:
+    seen = []  # (index, |term|, negligible) of every nonzero term
+    zeros = 0
+    for n in range(start, start + pol.max_terms):
         t = complex(term(n))
+        if t == 0:
+            zeros += 1
+            if zeros == 64:
+                return (total, n - start + 1, 0.0, True)
+            continue
+        zeros = 0
         total += t
-        used += 1
-        mag = abs(t)
-        scale = max(1.0, abs(total))
-        if mag > 0.0:
-            if prev_mag > 0.0:
-                ratio = min(mag / prev_mag, 0.999999)
-                est_tail = mag * ratio / (1.0 - ratio)
-            prev_mag = mag
-        if mag <= pol.rel_tail_cutoff * scale:
-            consecutive_small += 1
-            if consecutive_small >= pol.stagnation_window and (
-                est_tail <= pol.rel_tail_cutoff * scale or mag == 0.0
-            ):
-                return (total, used, est_tail if est_tail != float("inf") else mag, True)
-        else:
-            consecutive_small = 0
-        n += 1
+        if not math.isfinite(abs(total)):
+            raise NonConvergenceError(f"series partial sum is {total} after {n - start + 1} terms")
+        bound = pol.rel_tail_cutoff * max(1.0, abs(total))
+        seen.append((n, abs(t), abs(t) <= bound))
+        if len(seen) < 2 or not (seen[-1][2] and seen[-2][2]):
+            continue
+        if trend_guard:
+            big = [(m, mag) for m, mag, negligible in seen if not negligible]
+            peak_n = big_n = None
+            if big:
+                peak_n, peak = max(big, key=lambda item: (item[1], -item[0]))
+                big_n, last_big = big[-1]
+            if big_n is None or big_n <= peak_n:
+                # no big term after the peak: a run of 64 negligible terms stands in
+                run = len(seen) if not big else len(seen) - 1 - max(
+                    i for i, item in enumerate(seen) if not item[2])
+                if run < 64:
+                    continue
+            # the trend from the peak to the last big term, one index ahead
+            elif last_big * (last_big / peak) ** ((n + 1 - big_n) / (big_n - peak_n)) > bound:
+                continue
+        est_tail = _reference_tail(seen)
+        if est_tail <= bound:
+            return (total, n - start + 1, est_tail, True)
     raise NonConvergenceError(
-        f"series did not converge within {pol.max_terms} terms (est_tail={est_tail:.3g})"
+        f"series did not converge within {pol.max_terms} terms (est_tail={_reference_tail(seen):.3g})"
     )
+
+
+def _reference_tail(seen):
+    if len(seen) < 2:
+        return math.inf
+    last, before = seen[-1][1], seen[-2][1]
+    r = min(last / before, 0.999999)
+    return last * r / (1.0 - r)
+
+
+def _noise_gap_term(q):
+    """q^n sin(n pi/3) sin((n+1) pi/3): for n = 2, 3, 5, 6, ... one factor is
+    sin(k pi), float noise of about 1e-16 instead of 0, so two "zeros" in a
+    row come before the decay shows."""
+    return lambda n: q**n * math.sin(n * math.pi / 3) * math.sin((n + 1) * math.pi / 3)
+
+
+def _noise_gap_sum(q):
+    # sin a sin b = (cos(a - b) - cos(a + b))/2, summed as two geometric series
+    w = cmath.exp(2j * math.pi / 3)
+    return 0.25 / (1.0 - q) - 0.5 * (cmath.exp(1j * math.pi / 3) / (1.0 - q * w)).real
 
 
 _REFERENCE_SERIES = [
@@ -126,10 +159,18 @@ _REFERENCE_SERIES = [
     ("all zero", lambda n: 0.0, 0),
     ("alternating", lambda n: (-0.7) ** n, 0),
     ("start=1", lambda n: 0.3**n / n, 1),
+    ("noise gaps, q = 0.3", _noise_gap_term(0.3), 0),
+    ("noise gaps, q = 0.5", _noise_gap_term(0.5), 0),
+    ("noise gaps, q = 0.8", _noise_gap_term(0.8), 0),
+    ("one dominant term", lambda n: 1e6 if n == 5 else 0.5**n, 0),
+    ("finite support", lambda n: [3.0, -1.0, 0.5][n] if n < 3 else 0.0, 0),
+    ("all negligible, slow", lambda n: 1e-17 * 0.995**n, 0),
+    ("all negligible, fast", lambda n: 1e-17 * 0.9**n, 0),
+    ("lone first term", lambda n: 1.0 if n == 0 else 1e-17 / n**2, 0),
 ]
 
 
-@pytest.mark.parametrize("overrides", [{}, {"stagnation_window": 1}, {"rel_tail_cutoff": 1e-12}])
+@pytest.mark.parametrize("overrides", [{}, {"rel_tail_cutoff": 1e-8}, {"rel_tail_cutoff": 1e-12}])
 def test_sum_series_matches_reference_loop_bit_for_bit(overrides):
     with truncation(**overrides):
         for label, term, start in _REFERENCE_SERIES:
@@ -149,6 +190,39 @@ def test_sum_series_refusal_matches_reference_loop(max_terms):
                     sum_series(term, start=start)
                 assert count() == max_terms
             assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("q, plain_used, plain_error", [(0.3, 4, 0.027), (0.5, 4, 0.125), (0.8, 19, 0.018)])
+def test_sum_series_noise_gaps_need_the_trend_guard(q, plain_used, plain_error):
+    exact = _noise_gap_sum(q)
+    term = _noise_gap_term(q)
+    # without the guard two noise terms in a row end the sum early and wrong
+    plain, used, _, _ = _reference_sum_series(term, trend_guard=False)
+    assert used == plain_used
+    assert abs(plain.real - exact) / exact == pytest.approx(plain_error, rel=0.01)
+    out = sum_series(term)
+    assert abs(out.value - exact) <= 4e-16 * exact
+
+
+def test_sum_series_zero_run_ends_the_sum():
+    # 1e-30 and 1e-31 are negligible but follow no big term after the peak,
+    # so only the run of 64 exact zeros after them ends the sum
+    with term_counter() as count:
+        out = sum_series(lambda n: [1.0, 0.0, 1e-30, 0.0, 1e-31][n] if n < 5 else 0.0)
+        assert count() == out.terms_used == 5 + 64
+    assert out.value == 1.0 + 1e-30 + 1e-31
+    assert out.est_tail == 0.0
+    assert out.converged
+
+
+def test_sum_series_stops_after_a_run_without_a_trend():
+    # no non-negligible term follows the largest one, so there is no decay
+    # trend: 64 negligible terms in a row and a negligible tail end the sum
+    assert sum_series(lambda n: 1e-17 * 0.9**n).terms_used == 64
+    assert sum_series(lambda n: 1.0 if n == 0 else 1e-17 / n**2).terms_used == 65
+    # here the tail estimate is the later condition
+    out = sum_series(lambda n: 1e-17 * 0.995**n)
+    assert out.converged and out.terms_used == 598
 
 
 def test_truncation_nests_and_restores():
@@ -175,7 +249,7 @@ def test_policy_is_frozen():
 def test_policy_defaults():
     assert DEFAULT_POLICY.rel_tail_cutoff == 1e-16
     assert DEFAULT_POLICY.max_terms == 100_000
-    assert DEFAULT_POLICY.stagnation_window == 8
+    assert [f.name for f in dataclasses.fields(TruncationPolicy)] == ["rel_tail_cutoff", "max_terms"]
 
 
 # ---------------------------------------------------------------------------
@@ -302,36 +376,76 @@ def test_cf_computes_each_coefficient_once():
         got = continued_fraction(a, b)
         work = count()
     deepest = max(calls["a"])
-    assert sorted(calls["a"]) == sorted(calls["b"]) == list(range(1, deepest + 1))
-    # the work count still charges every backward sweep, 25 + 50 + ...
-    assert work == sum(d for d in (25, 50, 100, 200, 400) if d <= deepest)
+    assert calls["a"] == calls["b"] == list(range(1, deepest + 1))
+    # the work count is the final depth
+    assert work == deepest
 
-    # a fresh backward evaluation at the final depth gives the same bits
+    # a backward evaluation at the final depth agrees to rounding
     acc = 0.0 + 0.0j
     for k in range(deepest, 0, -1):
         acc = complex(1.0) / (complex(2.0) + acc)
-    assert got == acc
+    assert abs(got - acc) <= 2.5e-16 * abs(acc)
+
+
+def test_cf_zero_first_numerator_is_exactly_zero():
+    requested = []
+
+    def b(k):
+        requested.append(k)
+        return 0.0 if k == 1 else 1.0
+
+    with term_counter() as count:
+        assert continued_fraction(lambda k: 0.0, b) == 0
+        assert count() == 1
+    assert requested == [1]
+
+
+def test_cf_passes_a_zero_or_infinite_convergent():
+    # 1/(1 + 1/(-1 + 1/(-1 + ...))): B_2 = 0, so f_2 is infinite, yet the
+    # convergents 1, inf, 2, 3, 2.5, ... go on to phi^2
+    got = continued_fraction(lambda k: 1.0 if k == 1 else -1.0, lambda k: 1.0)
+    assert_allclose(got, (3.0 + math.sqrt(5.0)) / 2.0, rtol=1e-14)
+    # 1/(1 + 1/(0 + 1/(1 + 1/(1 + ...)))): A_2 = 0, so f_2 = 0; the fraction
+    # is 1/(1 + 1/(0 + t)) = t/(t + 1) with t = 1/(1 + t) = 1/phi
+    got = continued_fraction(lambda k: 0.0 if k == 2 else 1.0, lambda k: 1.0)
+    t = (math.sqrt(5.0) - 1.0) / 2.0
+    assert_allclose(got, t / (t + 1.0), rtol=1e-14)
+    # 1/(1 + 1/(0 + 0/...)) ends on f_2 = 0
+    with term_counter() as count:
+        got = continued_fraction(lambda k: 0.0 if k == 2 else 1.0, lambda k: 0.0 if k == 3 else 1.0)
+        assert count() == 3
+    assert got == 0
 
 
 def test_cf_zero_denominator_raises():
-    with pytest.raises(PoleError):
+    # 1/(0 + 1/(0 + ...)): the convergents are infinite and 0 by turns
+    with pytest.raises(PoleError, match="depth 1 and did not settle by depth 100"):
         continued_fraction(lambda k: 0.0, lambda k: 1.0, max_depth=100)
+    # 1/(1 + 1/(0 + 1/(0 + ...))): C_2 = a(2) = 0, then 1 and 0 by turns
+    with pytest.raises(PoleError, match="depth 2 and did not settle by depth 100"):
+        continued_fraction(lambda k: 1.0 if k == 1 else 0.0, lambda k: 1.0, max_depth=100)
+    # 1/(1 + 1/(-1 + 0/...)) ends on f_2 = 1/(1 - 1)
+    with term_counter() as count:
+        with pytest.raises(PoleError, match="ends on a zero denominator at depth 2"):
+            continued_fraction(lambda k: 1.0 if k == 1 else -1.0, lambda k: 0.0 if k == 3 else 1.0)
+        assert count() == 3
 
 
 def test_cf_stagnation_raises():
     # sum |a_k| < infinity with unit numerators: even/odd convergents split
-    # to different limits, so successive depths never agree
+    # to different limits (Stern-Stolz), so the convergent never settles
     requested = []
 
     def a(k):
         requested.append(k)
-        return 1e-8
+        return 1.0 / k**2
 
-    with pytest.raises(NonConvergenceError, match="did not stabilize by depth 400"):
-        continued_fraction(a, lambda k: 1.0, tail_tol=1e-15, max_depth=400)
-    # the deepest sweep is the largest doubling of 25 not above max_depth
-    assert max(requested) == 400
-    assert len(requested) == 400
+    with term_counter() as count:
+        with pytest.raises(NonConvergenceError, match="did not stabilize by depth 400"):
+            continued_fraction(a, lambda k: 1.0, max_depth=400)
+        assert count() == 400
+    # max_depth is the deepest coefficient requested, each requested once
+    assert requested == list(range(1, 401))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qelliptic.numutil import NonConvergenceError
+from qelliptic.numutil import NonConvergenceError, term_counter, truncation
 from qelliptic.qseries import (
     bernoulli,
     dirichlet_chi8,
@@ -49,6 +49,19 @@ def test_qpochhammer_matches_brute_force():
     for n in range(200):
         direct *= 1.0 - z * q**n
     assert_allclose(qpochhammer(z, q), direct, rtol=1e-14)
+
+
+@pytest.mark.parametrize("a, q", [(1.0, 0.5), (0.3, 0.9), (2j, -0.2), (0.5, 1e-3), (0.5, 0.0)])
+@pytest.mark.parametrize("cutoff", [1e-16, 1e-8])
+def test_qpochhammer_stops_at_its_geometric_tail_bound(a, q, cutoff):
+    # the first factor k with |a q^k| |q|/(1 - |q|) <= cutoff is the last one
+    k = 0
+    while abs(a) * abs(q) ** k * abs(q) / (1.0 - abs(q)) > cutoff:
+        k += 1
+    with truncation(rel_tail_cutoff=cutoff), term_counter() as count:
+        got = qpochhammer(a, q)
+        assert count() == k + 1
+    assert got == qpochhammer(a, q, k + 1)
 
 
 def test_qpochhammer_finite():

@@ -278,6 +278,17 @@ def test_G_and_H_are_agile_reciprocals():
         assert abs(rr_H(q) - 1.0 / agile_minus(2, 5, q)) <= 1e-11
 
 
+@pytest.mark.parametrize("q", [0.99, 0.998, 0.999])
+def test_G_and_H_near_one_carry_the_ratio_term(q):
+    # q^(n^2) and (q; q)_n underflow on their own near q = 1 (G(0.999) is
+    # 3.5e285).  Against a 40-digit sum the series are within 3.6e-14; the
+    # agile products (about 8,400 factors of q^5 each) are within 2.3e-12, hence
+    # the bound of 5e-12 relative.
+    for series, a in ((rr_G, 1), (rr_H, 2)):
+        want = 1.0 / agile_minus(a, 5, q)
+        assert abs(series(q) - want) <= 5e-12 * abs(want)
+
+
 def test_H_small_nome_limit():
     # the n = 0 term is included, so H(0+) = 1
     assert_allclose(rr_H(1e-10), 1.0, rtol=1e-9)
