@@ -1,5 +1,5 @@
-"""Elliptic context: theta nulls on the q-disk, the induced modulus pair,
-AGM evaluation of the complete integrals, and singular-value machinery.
+"""Elliptic context: theta nulls on the q-disk and the modulus pair and
+integrals they induce, AGM evaluation of ``K(k)``, ``E(k)``, singular values.
 
 A context bundles everything the series evaluators need at one nome:
 ``q``, the half-period ratio ``z`` (``q = exp(2 pi i z)``), modulus ``k``,
@@ -13,7 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .numutil import PoleError, principal_power, sum_series
+from .numutil import principal_power, sum_series
+from .qseries import lambert_sum
 
 __all__ = [
     "theta2",
@@ -33,7 +34,7 @@ __all__ = [
 
 _AGM_TOL = 1e-15
 _AGM_MAX_ITER = 64
-_BRANCH_TOL = 1e-8
+_SELF_DUAL = math.exp(-math.pi)  # only beyond this |q| can the S step shrink q
 
 
 def theta2(q: complex) -> complex:
@@ -44,50 +45,39 @@ def theta2(q: complex) -> complex:
 
 
 def theta3(q: complex) -> complex:
-    """Theta null ``1 + 2 sum_{n>=1} q^{n^2}``."""
+    """Theta null ``1 + 2 sum_{n>=1} q^{n^2}``, summed as ``theta4(-q)`` where ``Re q < 0``."""
     q = complex(q)
+    if q.real < 0.0:
+        return theta4(-q)
     return 1.0 + 2.0 * sum_series(lambda n: q ** (n * n), start=1).value
 
 
 def theta4(q: complex) -> complex:
-    """Theta null ``1 + 2 sum_{n>=1} (-1)^n q^{n^2}``."""
+    """Theta null ``1 + 2 sum_{n>=1} (-1)^n q^{n^2}``, a sum that cancels near
+    the positive real axis; where Jacobi's imaginary transformation shrinks the
+    nome (``|tau| < 1``, ``q = exp(i pi tau)``) the S step is summed instead,
+    ``theta4(q) = (-i tau)^{-1/2} theta2(exp(-i pi / tau))`` (DLMF 20.7(viii))."""
     q = complex(q)
+    if abs(q) > _SELF_DUAL:
+        tau = cmath.log(q) / (1j * math.pi)
+        if abs(tau) < 1.0:
+            dual = -1.0 / tau
+            qd = cmath.exp(1j * math.pi * dual)
+            s = sum_series(lambda n: qd ** (n * (n + 1))).value
+            # the dual nome's quarter power, formed directly: ``qd`` underflows first
+            return 2.0 * cmath.exp(0.25j * math.pi * dual) * s / cmath.sqrt(-1j * tau)
     return 1.0 + 2.0 * sum_series(lambda n: (-1) ** n * q ** (n * n), start=1).value
 
 
 def modulus_from_nome(q: complex) -> complex:
     """Elliptic modulus ``k = theta2(q)^2 / theta3(q)^2``."""
-    return theta2(q) ** 2 / theta3(q) ** 2
+    return (theta2(q) / theta3(q)) ** 2
 
 
-def agm(a: complex, b: complex) -> complex:
-    """Arithmetic-geometric mean with the branch of each square root chosen
-    so that ``|a_{n+1} - b_{n+1}| <= |a_{n+1} + b_{n+1}|`` (the convergent chain)."""
-    a = complex(a)
-    b = complex(b)
-    for _ in range(_AGM_MAX_ITER):
-        if abs(a - b) <= _AGM_TOL * max(abs(a), 1e-300):
-            break
-        a, b = (a + b) / 2.0, cmath.sqrt(a * b)
-        if abs(a - b) > abs(a + b):
-            b = -b
-    return (a + b) / 2.0
-
-
-def ellint_K(k: complex) -> complex:
-    """Complete elliptic integral ``K(k) = pi / (2 agm(1, sqrt(1 - k^2)))``."""
-    kp = cmath.sqrt(1.0 - complex(k) ** 2)
-    return math.pi / (2.0 * agm(1.0, kp))
-
-
-def _K_and_E(k: complex, kprime: complex) -> tuple[complex, complex]:
-    # One AGM sweep delivers both: K from the limit, E from the companion
-    # sum  E = K (1 - sum_{n>=0} 2^{n-1} c_n^2)  with c_0 = k, c_{n+1} = (a_n - b_n)/2.
-    k = complex(k)
-    if k == 1.0:
-        raise PoleError("K diverges at k = 1")
-    a, b = 1.0 + 0.0j, complex(kprime)
-    c = k
+def _agm(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
+    # The AGM chain from (a, b) and Legendre's companion sum
+    # sum_{n>=0} 2^{n-1} c_n^2 with c_0 = c, c_{n+1} = (a_n - b_n)/2.  Each
+    # square root takes the branch with |a_{n+1} - b_{n+1}| <= |a_{n+1} + b_{n+1}|.
     csum = 0.5 * c * c
     power = 0.5
     for _ in range(_AGM_MAX_ITER):
@@ -98,26 +88,40 @@ def _K_and_E(k: complex, kprime: complex) -> tuple[complex, complex]:
             b = -b
         power *= 2.0
         csum += power * c * c
-    m = (a + b) / 2.0
-    K = math.pi / (2.0 * m)
-    return K, K * (1.0 - csum)
+    return (a + b) / 2.0, csum
+
+
+def agm(a: complex, b: complex) -> complex:
+    """Arithmetic-geometric mean with the branch of each square root chosen
+    so that ``|a_{n+1} - b_{n+1}| <= |a_{n+1} + b_{n+1}|`` (the convergent chain)."""
+    return _agm(complex(a), complex(b), 0j)[0]
+
+
+def ellint_K(k: complex) -> complex:
+    """Complete elliptic integral ``K(k) = pi / (2 agm(1, sqrt(1 - k^2)))``."""
+    kp = cmath.sqrt(1.0 - complex(k) ** 2)
+    return math.pi / (2.0 * agm(1.0, kp))
 
 
 def ellint_E(k: complex) -> complex:
-    """Complete elliptic integral of the second kind via the AGM companion sum."""
+    """Complete elliptic integral of the second kind,
+    ``E = K (1 - sum_{n>=0} 2^{n-1} c_n^2)`` from the same AGM chain as ``K``."""
     k = complex(k)
     if k == 1.0:
         return 1.0 + 0.0j
-    return _K_and_E(k, cmath.sqrt(1.0 - k * k))[1]
+    m, csum = _agm(1.0 + 0.0j, cmath.sqrt(1.0 - k * k), k)
+    return math.pi / (2.0 * m) * (1.0 - csum)
 
 
 @dataclass(frozen=True)
 class EllipticContext:
-    """All elliptic quantities attached to one nome.
+    """All elliptic quantities attached to one nome, from its theta nulls.
 
-    ``z`` satisfies ``q = exp(2 pi i z)`` and fixes the branch of ``K'``
-    through ``K' = -2 i z K``; the AGM value is kept when it already agrees,
-    so real nomes keep their textbook real ``K'``.
+    ``k = theta2^2/theta3^2``, ``k' = theta4^2/theta3^2``,
+    ``K = (pi/2) theta3^2`` and ``K' = -2 i z K``, where ``z`` satisfies
+    ``q = exp(2 pi i z)``; ``E = (K/3)(2 - k^2 + (pi/(2K))^2 P(q^2))`` is
+    Ramanujan's Eisenstein form, ``P(q) = 1 - 24 sum n q^n/(1 - q^n)``
+    (Borwein & Borwein, *Pi and the AGM*, ch. 2-4).  No AGM runs, no branch is chosen.
     """
 
     q: complex
@@ -133,8 +137,7 @@ class EllipticContext:
         """Build the context at nome ``q`` (``0 < |q| < 1``).
 
         ``z`` defaults to the principal ``log(q) / (2 pi i)``, which places
-        ``Re z`` in ``(-1/2, 1/2]``; pass ``z`` explicitly to select another
-        sheet.
+        ``Re z`` in ``(-1/2, 1/2]``; pass ``z`` to select another sheet.
         """
         q = complex(q)
         if q.imag == 0.0:
@@ -145,23 +148,18 @@ class EllipticContext:
             raise ValueError("nome must satisfy 0 < |q| < 1")
         if z is None:
             z = cmath.log(q) / (2.0j * math.pi)
-        k = modulus_from_nome(q)
-        kprime = cmath.sqrt(1.0 - k * k)
-        K, E = _K_and_E(k, kprime)
-        Kp = math.pi / (2.0 * agm(1.0, k))
-        expected = -2.0j * z * K
-        on_cut = kprime.imag == 0.0 and kprime.real >= 1.0
-        if on_cut or abs(Kp - expected) > _BRANCH_TOL * max(1.0, abs(expected)):
-            Kp = expected
-        return cls(q=q, z=complex(z), k=k, kprime=kprime, K=K, Kprime=Kp, E=E)
+        t2, t3, t4 = theta2(q), theta3(q), theta4(q)
+        K = 0.5 * math.pi * t3 * t3
+        k = (t2 / t3) ** 2
+        # (pi/(2K))^2 P(q^2) with pi/(2K) = theta3^-2
+        E = K / 3.0 * (2.0 - k * k + (1.0 - 24.0 * lambert_sum(q * q, float)) / t3**4)
+        return cls(q=q, z=complex(z), k=k, kprime=(t4 / t3) ** 2, K=K,
+                   Kprime=-2.0j * z * K, E=E)
 
     @classmethod
     def from_r(cls, r: float) -> "EllipticContext":
         """Context at the real nome ``q = exp(-pi sqrt(r))``, i.e. ``K'/K = sqrt(r)``."""
-        if r <= 0:
-            raise ValueError("r must be positive")
-        rt = math.sqrt(r)
-        return cls.from_nome(math.exp(-math.pi * rt), z=0.5j * rt)
+        return cls.from_nome(nome_from_r(r), z=0.5j * math.sqrt(r))
 
     @classmethod
     def from_modulus(cls, k: float) -> "EllipticContext":

@@ -74,13 +74,16 @@ def euler_product(q: complex) -> complex:
 
 
 def lambert_sum(q: complex, weight: Callable[[int], complex]) -> complex:
-    """``sum_{n>=1} weight(n) q^n / (1 - q^n)`` for ``|q| < 1``."""
+    """``sum_{n>=1} weight(n) q^n / (1 - q^n)`` for ``|q| < 1``, with ``q^n``
+    carried from term to term as a running product."""
     q = complex(q)
     if abs(q) >= 1.0:
         raise ValueError("Lambert sum requires |q| < 1")
+    qn = 1.0 + 0.0j
 
     def term(n: int) -> complex:
-        qn = q**n
+        nonlocal qn
+        qn *= q
         return complex(weight(n)) * qn / (1.0 - qn)
 
     return sum_series(term, start=1).value

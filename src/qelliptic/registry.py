@@ -31,6 +31,7 @@ from .angle import (
 from .elliptic import (
     EllipticContext,
     dk_dq,
+    ellint_E,
     ellint_K,
     modulus_from_nome,
     nome_from_r,
@@ -217,8 +218,7 @@ def _eq10_rhs(r):
 
 
 def _eq10_1_lhs(x, fn):
-    c = EllipticContext.from_modulus(x)
-    return c.K if fn == "K" else c.E
+    return ellint_K(x) if fn == "K" else ellint_E(x)
 
 
 def _hyp2f1_half(a: float, z: float) -> float:
@@ -949,8 +949,9 @@ def _eq89_1_lhs(r):
 
 
 def _eq89_1_rhs(r):
+    # k' through Jacobi's quartic k'^2 = 1 - k^2, not the context's theta4^2/theta3^2
     c = _cr(r)
-    return 1j * c.k / c.kprime
+    return 1j * c.k / cmath.sqrt(1.0 - c.k * c.k)
 
 
 def _eq89_2_lhs(x, y):
@@ -960,8 +961,9 @@ def _eq89_2_lhs(x, y):
 
 
 def _eq41_lhs(r):
+    # K* by the AGM at the negated-nome modulus, not the context's theta3(-q)^2
     c, cn = _cr(r), _cneg(r)
-    return 1j * c.K * c.k / (cn.K * cn.k)
+    return 1j * c.K * c.k / (ellint_K(cn.k) * cn.k)
 
 
 # --------------------------------------------------------------------------
@@ -1068,7 +1070,8 @@ def _eq97_lhs(r, a):
 
 
 def _eq97_rhs(r, a):
-    return 2j * _cr(r).Kprime
+    # K' by the AGM at the complementary modulus, not the context's -2 i z K
+    return 2j * ellint_K(_cr(r).kprime)
 
 
 def _eq98_lhs(r, a):
@@ -1231,8 +1234,9 @@ def _eq120_lhs(r, a):
 
 
 def _eq120_rhs(r, a):
+    # K' by the AGM at the complementary modulus, not the context's -2 i z K
     c = _cr(r)
-    return 2.0 * (a - 1.0) * c.K + 1j * (2.0 * a - 1.0) * c.Kprime
+    return 2.0 * (a - 1.0) * c.K + 1j * (2.0 * a - 1.0) * ellint_K(c.kprime)
 
 
 def _t24_lhs(y, a):
@@ -1784,7 +1788,7 @@ def _build() -> tuple[IdentityCase, ...]:
            {"x": 0.8, "fn": "K"}, {"x": 0.8, "fn": "E"})),
         C("EQ10.2", "quarter-period ratio at the nome e^{-pi sqrt(r)} is sqrt(r)",
           "qelliptic.elliptic.EllipticContext.from_r",
-          lambda r: _cr(r).Kprime / _cr(r).K,
+          lambda r: ellint_K(_cr(r).kprime) / ellint_K(_cr(r).k),
           lambda r: math.sqrt(r),
           ({"r": 1.0}, {"r": 2.0}, {"r": 3.0}, {"r": 4.0})),
         C("EQ11", "nome-derivative of the averaged Lambert sum equals a csch^2 series",
@@ -1882,7 +1886,7 @@ def _build() -> tuple[IdentityCase, ...]:
           ({"x": 0.3}, {"x": 0.62})),
         C("EQ34", "quarter-period ratio between negated and plain nome is k'",
           "qelliptic.elliptic.EllipticContext.from_nome",
-          lambda r: _cneg(r).K / _cr(r).K,
+          lambda r: ellint_K(_cneg(r).k) / ellint_K(_cr(r).k),
           lambda r: _cr(r).kprime,
           ({"r": 1.0}, {"r": 2.0})),
         C("P3", "negated-nome sn equals k' times an argument-scaled sd",

@@ -26,6 +26,19 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def _rel_to(literal: str, want) -> float:
+    """Relative distance of a printed decimal from an mpmath value."""
+    with mpmath.workdps(30):
+        return float(abs(mpmath.mpf(literal) - want) / abs(want))
+
+
+# sn(0.4) at the nome 0.05, m = (theta2/theta3)^4, at 30 digits: 0.384181134153873560899...
+with mpmath.workdps(30):
+    _Q = mpmath.mpf(0.05)
+    _M = (mpmath.jtheta(2, 0, _Q) / mpmath.jtheta(3, 0, _Q)) ** 4
+    _SN_ORACLE = mpmath.ellipfun("sn", 0.4, m=_M)
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -35,7 +48,8 @@ def test_eval_emits_value_terms_and_tail(capsys):
     rc, out, _ = run_cli(capsys, "eval", "sn", "--q", "0.05", "--u", "0.4")
     assert rc == 0
     lines = out.splitlines()
-    assert lines[0] == "value=0.3841811341538738"
+    assert lines[0] == "value=0.3841811341538737"
+    assert _rel_to("0.3841811341538737", _SN_ORACLE) <= 4e-16
     assert lines[1].startswith("terms_used=") and int(lines[1].split("=")[1]) > 0
     assert lines[2].startswith("est_tail=") and float(lines[2].split("=")[1]) < 1e-12
 
@@ -53,7 +67,7 @@ def test_eval_imports_neither_scipy_nor_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     lines = out.splitlines()
-    assert lines[0] == "value=0.3841811341538738"
+    assert lines[0] == "value=0.3841811341538737"
     assert lines[-1] == "[]"
 
 
@@ -69,6 +83,24 @@ def test_eval_lemniscatic_period(capsys):
     rc, out, _ = run_cli(capsys, "eval", "K", "--r", "1")
     assert rc == 0
     assert out.splitlines()[0] == "value=1.854074677301372"
+
+
+@pytest.mark.parametrize("fn, q", [("K", 0.9), ("kprime", 0.95)])
+def test_eval_context_at_deep_nomes(capsys, fn, q):
+    # K was off by 60% at q = 0.9; q = 0.95 raised "K diverges at k = 1"
+    rc, out, _ = run_cli(capsys, "eval", fn, "--q", str(q))
+    assert rc == 0
+    with mpmath.workdps(60):
+        x = mpmath.mpf(q)
+        t3 = mpmath.jtheta(3, 0, x)
+        if fn == "K":
+            want = mpmath.pi / 2 * t3**2
+        else:  # theta4 by Jacobi's imaginary transformation, L = -log q
+            L = -mpmath.log(x)
+            t4 = mpmath.sqrt(mpmath.pi / L) * mpmath.jtheta(2, 0, mpmath.exp(-mpmath.pi**2 / L))
+            want = (t4 / t3) ** 2
+    value = out.splitlines()[0].split("=")[1]
+    assert _rel_to(value, want) <= 1e-13
 
 
 def test_eval_angle_series(capsys):
@@ -174,11 +206,17 @@ def test_table_default_sweep_modulus(capsys):
     assert lines[0] == "r,value,terms_used"
     values = [row.split(",")[1] for row in lines[1:]]
     assert values == [
-        "0.7071067811865476",
-        "0.4142135623730952",
-        "0.2588190451025209",
+        "0.7071067811865475",
+        "0.4142135623730951",
+        "0.2588190451025208",
         "0.1715728752538099",
     ]
+    # the singular moduli k_1..k_4: 1/sqrt 2, sqrt 2 - 1, (sqrt 6 - sqrt 2)/4, 3 - 2 sqrt 2
+    with mpmath.workdps(30):
+        exact = [1 / mpmath.sqrt(2), mpmath.sqrt(2) - 1,
+                 (mpmath.sqrt(6) - mpmath.sqrt(2)) / 4, 3 - 2 * mpmath.sqrt(2)]
+    for value, want in zip(values, exact):
+        assert _rel_to(value, want) <= 4e-16
 
 
 def test_table_explicit_sweep(capsys):
@@ -188,7 +226,7 @@ def test_table_explicit_sweep(capsys):
     rows = json.loads(out)
     assert len(rows) == 2
     assert rows[0]["q"] == "0.05"
-    assert rows[0]["value"] == "0.3841811341538738"
+    assert rows[0]["value"] == "0.3841811341538737"
 
 
 def test_table_no_default_sweep(capsys):

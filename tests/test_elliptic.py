@@ -71,6 +71,39 @@ def test_registry_hypergeometric_route_matches_mpmath():
         assert_allclose(_eq10_1_rhs(x, "E"), float(mpmath.ellipe(x * x)), rtol=1e-14)
 
 
+# agm, ellint_K and ellint_E at moduli real and complex, inside and beyond
+# (0, 1), and at k = 1: repr of the values before the three shared one AGM loop
+_AGM_LITERALS = [
+    (0.0, "(1.5707963267948966+0j)", "(1.5707963267948966+0j)"),
+    (0.1, "(1.574745561517356+0j)", "(1.5668619420216683+0j)"),
+    (0.5, "(1.685750354812596+0j)", "(1.4674622093394272+0j)"),
+    (0.8, "(1.9953027776647299+0j)", "(1.2763499431699066+0j)"),
+    (0.99, "(3.3566005233611915+0j)", "(1.0284758090288038+0j)"),
+    (1.0, None, "(1+0j)"),
+    (0.3 + 0.4j, "(1.5335767112151648+0.08565924129639449j)",
+     "(1.6017871055114894-0.09151728599134284j)"),
+    (2j, "(1.0094529099892116+0j)", "(2.6351835815956304+0j)"),
+    (1.5, "(1.2064449969910587-1.2694942779633327j)",
+     "(0.5590996606111507+0.7136856706979906j)"),
+    (-0.7 + 0.2j, "(1.761046524329961-0.19561052272830112j)",
+     "(1.3868169793360658+0.13414940760194277j)"),
+]
+
+
+@pytest.mark.parametrize("k, K, E", _AGM_LITERALS)
+def test_complete_integrals_are_bit_identical_to_literals(k, K, E):
+    if K is not None:
+        assert repr(ellint_K(k)) == K
+    assert repr(ellint_E(k)) == E
+
+
+def test_agm_is_bit_identical_to_literals():
+    assert repr(agm(1.0, 0.25)) == "(0.5607571450719007+0j)"
+    assert repr(agm(1.0, 0.5 + 0.5j)) == "(0.7636581374104707+0.2855023913223095j)"
+    assert repr(agm(3.0, -1.0 + 0.1j)) == "(0.7314986219273667+0.9174590519582424j)"
+    assert repr(agm(2.0, 1e-8)) == "(0.15324750798153153+0j)"
+
+
 def test_agm_fixed_point_and_symmetry():
     assert_allclose(agm(3.0, 3.0), 3.0, rtol=1e-15)
     assert_allclose(agm(1.0, 0.25), agm(0.25, 1.0), rtol=1e-15)
@@ -168,17 +201,19 @@ def test_context_pythagorean_invariant():
 
 
 def test_context_period_ratio_invariant():
-    # i K'/K = 2z with q = e^{2 pi i z}, Im z > 0
+    # i K'/K = 2z with q = e^{2 pi i z}, Im z > 0; the context's K' is -2 i z K
+    # by definition, so the ratio is taken from the AGM at the context's k, k'
     for q in (0.05, 0.2, 0.1 + 0.05j):
         c = EllipticContext.from_nome(q)
         assert abs(cmath.exp(2j * PI * c.z) - complex(q)) <= 1e-14
-        assert abs(1j * c.Kprime / c.K - 2.0 * c.z) <= 1e-10
+        assert abs(1j * ellint_K(c.kprime) / ellint_K(c.k) - 2.0 * c.z) <= 1e-10
 
 
 def test_context_singular_ratio():
+    # K'/K = sqrt(r) by the AGM at the singular modulus k_r and its complement
     for r in (1.0, 2.0, 3.0, 4.0):
         c = EllipticContext.from_r(r)
-        assert abs(c.Kprime / c.K - math.sqrt(r)) <= 1e-10
+        assert abs(ellint_K(c.kprime) / ellint_K(c.k) - math.sqrt(r)) <= 1e-10
 
 
 def test_context_from_modulus_round_trip():

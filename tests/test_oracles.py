@@ -1,4 +1,5 @@
-"""mpmath oracles over 330 seeded points of the disk |q| <= 0.9.
+"""mpmath oracles over 330 seeded points of the disk |q| <= 0.9, and the
+elliptic context over the real segment [-0.98, 0.98] and the disk |q| <= 0.95.
 
 The continued fractions are checked against their product forms evaluated
 by mpmath; the products, the angle sum and theta3 directly against mpmath.
@@ -6,7 +7,8 @@ Every bound was fixed before the stopping rules of ``sum_series``,
 ``qpochhammer`` and ``continued_fraction`` were last changed: 1e-14 for
 the fractions (the backward-sweep fractions reached 1.3e-15), and for the
 others the worst error of the code before that change, rounded up in the
-second digit.
+second digit.  theta3's bound now covers the whole disk, the region near
+q = -1 where its alternating sum cancels included (worst there 6.4e-15).
 """
 
 import cmath
@@ -18,7 +20,7 @@ import mpmath as mp
 import pytest
 
 from qelliptic.angle import angle_sum
-from qelliptic.elliptic import theta3
+from qelliptic.elliptic import EllipticContext, theta3, theta4
 from qelliptic.qseries import euler_product, qpochhammer
 from qelliptic.thetagen import rr_cf, u0_cf, u_cf
 
@@ -100,8 +102,9 @@ def worst_errors() -> dict[str, float]:
             note("euler_product", _rel(euler_product(q), _qp(mq, mq)))
             note("qpochhammer", _rel(qpochhammer(a, q), minus_a))
             note("angle_sum", _rel(angle_sum(q, x), _angle(mq, x)))
-            if complex(q).real > -0.8:  # theta3's known defect region is left out
-                note("theta3", _rel(theta3(q), mp.jtheta(3, 0, mq)))
+    with mp.workdps(40):  # theta3 cancels to ~1e-7 near q = -0.9
+        for q, _, _, _ in points():
+            note("theta3", _rel(theta3(q), mp.jtheta(3, 0, mp.mpc(q))))
     return worst
 
 
@@ -119,3 +122,87 @@ def worst_errors() -> dict[str, float]:
 )
 def test_worst_relative_error_over_the_disk(name, bound):
     assert worst_errors()[name] <= bound
+
+
+# ---------------------------------------------------------------------------
+# the elliptic context: k, k', K, E from theta quotients and Eisenstein E
+# ---------------------------------------------------------------------------
+
+
+def _context_points() -> list[complex]:
+    """Seeded nomes: real q in [-0.98, 0.98] with both ends; complex
+    |q| <= 0.8 at every phase; and 0.05 <= |q| <= 0.95 within 0.1 rad of the
+    real axis on either side of it, where theta4 (Re q > 0) or theta3
+    (Re q < 0) cancels."""
+    rng = random.Random(2027)
+    out = [-0.98, 0.98] + [rng.uniform(-0.98, 0.98) for _ in range(40)]
+    out += [0.8 * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            for _ in range(40)]
+    for _ in range(24):
+        phase = rng.uniform(-0.1, 0.1) + rng.choice((0.0, math.pi))
+        out.append(rng.uniform(0.05, 0.95) * cmath.exp(1j * phase))
+    return out
+
+
+def _context_oracle(q: complex) -> tuple:
+    """k, k', K, E at 60 digits.
+
+    Real ``|q| > 0.9`` takes the cancelling null through Jacobi's imaginary
+    transformation, ``theta4(x) = sqrt(pi/L) theta2(exp(-pi^2/L))`` with
+    ``L = -log x`` and ``theta3(-x) = theta4(x)``: summed directly, even
+    ``jtheta(4, 0, 0.99)`` at 40 digits comes out negative.  E is
+    ``ellipe(k^2)`` on the real axis; off it ``ellipe`` picks its own branch,
+    so E = k'^2 K + pi^2 q (dK/dq) / (2 K^2) with K = (pi/2) theta3^2.
+    """
+    with mp.workdps(60):
+        mq = mp.mpc(q)
+        t2, t3, t4 = (mp.jtheta(n, 0, mq) for n in (2, 3, 4))
+        x = complex(q)
+        if x.imag == 0.0 and abs(x.real) > 0.9:
+            L = -mp.log(abs(x.real))
+            dual = mp.sqrt(mp.pi / L) * mp.jtheta(2, 0, mp.exp(-mp.pi**2 / L))
+            if x.real > 0:
+                t4 = dual
+            else:
+                t3 = dual
+        k, kp, K = (t2 / t3) ** 2, (t4 / t3) ** 2, mp.pi / 2 * t3**2
+        if x.imag == 0.0:
+            E = mp.ellipe(k**2)
+        else:
+            dt3 = mp.nsum(lambda n: 2 * n**2 * mq ** (n**2 - 1), [1, mp.inf])
+            E = kp**2 * K + mp.pi**2 * mq * (mp.pi * t3 * dt3) / (2 * K**2)
+        return k, kp, K, E
+
+
+@lru_cache(maxsize=None)
+def context_errors() -> list[tuple[complex, float]]:
+    out = []
+    for q in _context_points():
+        c = EllipticContext.from_nome(q)
+        want = _context_oracle(q)
+        out.append((q, max(_rel(g, w) for g, w in zip((c.k, c.kprime, c.K, c.E), want))))
+    return out
+
+
+def test_context_matches_theta_quotients_over_the_disk():
+    worst = max(context_errors(), key=lambda pair: pair[1])
+    assert worst[1] <= 1e-12, worst
+
+
+@pytest.mark.parametrize("q", [0.8, 0.9, 0.95, 0.5j, 0.6 + 0.3j, -0.95])
+def test_context_regressions(q):
+    # from_nome refused at 0.8 and 0.95 (PoleError) and was wrong at 0.9
+    # (K by 60%), 0.5j (109%) and 0.6+0.3j (78%) when k' was sqrt(1 - k^2)
+    c = EllipticContext.from_nome(q)
+    for got, want in zip((c.k, c.kprime, c.K, c.E), _context_oracle(q)):
+        assert _rel(got, want) <= 1e-12
+
+
+def test_cancelling_nulls_near_one():
+    # theta3(-0.95) was 2.8e4 and theta4(0.99) 1e30 relative off; the oracle
+    # is the plain alternating sum at the same double, at enough digits to
+    # survive its cancellation (theta4(0.99) ~ 8e-106)
+    for got, x in ((theta3(-0.95), 0.95), (theta4(0.99), 0.99)):
+        with mp.workdps(150):
+            want = 1 + 2 * sum((-1) ** n * mp.mpf(x) ** (n * n) for n in range(1, 200))
+        assert _rel(got, want) <= 1e-13
