@@ -55,7 +55,6 @@ from .numutil import (
     DEFAULT_POLICY,
     NonConvergenceError,
     PoleError,
-    SeriesValue,
     TruncationPolicy,
     complex_quad,
     continued_fraction,

@@ -36,7 +36,7 @@ def angle_sum(q: complex, x: complex) -> complex:
     qx = principal_power(q, x)
     if abs(qx) >= 1.0:
         raise ValueError("angle sum needs |q^x| < 1")
-    return 2.0 * sum_series(lambda n: cmath.atanh(qx * q**n)).value
+    return 2.0 * sum_series(lambda n: cmath.atanh(qx * q**n))
 
 
 def angle_sum_lambert(q: complex, x: complex) -> complex:
@@ -57,7 +57,7 @@ def angle_sum_lambert(q: complex, x: complex) -> complex:
         odd = 2 * m + 1
         return qx**odd / (odd * (1.0 - q**odd))
 
-    return 2.0 * sum_series(term).value
+    return 2.0 * sum_series(term)
 
 
 def angle_derivative(q: complex, a: complex) -> complex:
@@ -72,7 +72,7 @@ def angle_derivative(q: complex, a: complex) -> complex:
         odd = 2 * j + 1
         return qa**odd / (1.0 - q**odd)
 
-    return 2.0 * cmath.log(q) * sum_series(term).value
+    return 2.0 * cmath.log(q) * sum_series(term)
 
 
 def frame_offset(ctx: EllipticContext, a: complex) -> complex:

@@ -101,7 +101,7 @@ def _nome(args: argparse.Namespace) -> float:
 
 def _ghost_sum(x: float) -> complex:
     _require(x > 0.0, "ghost-sum requires x > 0")
-    return sum_series(lambda n: 1.0 / math.expm1((n + 1) * x)).value
+    return sum_series(lambda n: 1.0 / math.expm1((n + 1) * x))
 
 
 def _jacobi(fn: Callable[..., complex]) -> Callable[[argparse.Namespace], complex]:
@@ -201,10 +201,9 @@ def _diagnostic_eval(fn: Callable[[], complex]) -> tuple[complex, int, float]:
     """
     with term_counter() as count:
         value = fn()
-        used = count()
     with truncation(rel_tail_cutoff=1e-12):
         coarse_value = fn()
-    return value, used, abs(value - coarse_value)
+    return value, count(), abs(value - coarse_value)
 
 
 def _sample_override(args: argparse.Namespace) -> dict[str, float]:
@@ -277,10 +276,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         setattr(args, param, v)
         with term_counter() as count:
             value = complex(fn(args))
-            used = count()
         rows.append({param: format_complex(complex(v)),
                      "value": format_complex(value),
-                     "terms_used": used})
+                     "terms_used": count()})
     if args.format == "json":
         print(json.dumps(rows, sort_keys=False))
     elif args.format == "csv":
@@ -330,7 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, *, params: bool = True) -> None:
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--max-terms", type=int, default=None,
-                       help="series truncation cap (overrides QELLIPTIC_MAX_TERMS)")
+                       help="cap on series terms, product factors and continued-fraction "
+                            "depth (overrides QELLIPTIC_MAX_TERMS)")
         if params:
             for name in PARAM_FLAGS:
                 p.add_argument(f"--{name}", type=float, default=None)

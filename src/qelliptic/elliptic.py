@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .numutil import principal_power, sum_series
+from .numutil import NonConvergenceError, PoleError, principal_power, sum_series
 from .qseries import lambert_sum
 
 __all__ = [
@@ -40,7 +40,7 @@ _SELF_DUAL = math.exp(-math.pi)  # only beyond this |q| can the S step shrink q
 def theta2(q: complex) -> complex:
     """Theta null ``2 q^{1/4} sum_{n>=0} q^{n(n+1)}`` (principal ``q^{1/4}``)."""
     q = complex(q)
-    s = sum_series(lambda n: q ** (n * (n + 1))).value
+    s = sum_series(lambda n: q ** (n * (n + 1)))
     return 2.0 * principal_power(q, 0.25) * s
 
 
@@ -49,7 +49,7 @@ def theta3(q: complex) -> complex:
     q = complex(q)
     if q.real < 0.0:
         return theta4(-q)
-    return 1.0 + 2.0 * sum_series(lambda n: q ** (n * n), start=1).value
+    return 1.0 + 2.0 * sum_series(lambda n: q ** (n * n), start=1)
 
 
 def theta4(q: complex) -> complex:
@@ -63,10 +63,10 @@ def theta4(q: complex) -> complex:
         if abs(tau) < 1.0:
             dual = -1.0 / tau
             qd = cmath.exp(1j * math.pi * dual)
-            s = sum_series(lambda n: qd ** (n * (n + 1))).value
+            s = sum_series(lambda n: qd ** (n * (n + 1)))
             # the dual nome's quarter power, formed directly: ``qd`` underflows first
             return 2.0 * cmath.exp(0.25j * math.pi * dual) * s / cmath.sqrt(-1j * tau)
-    return 1.0 + 2.0 * sum_series(lambda n: (-1) ** n * q ** (n * n), start=1).value
+    return 1.0 + 2.0 * sum_series(lambda n: (-1) ** n * q ** (n * n), start=1)
 
 
 def modulus_from_nome(q: complex) -> complex:
@@ -78,36 +78,57 @@ def _agm(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
     # The AGM chain from (a, b) and Legendre's companion sum
     # sum_{n>=0} 2^{n-1} c_n^2 with c_0 = c, c_{n+1} = (a_n - b_n)/2.  Each
     # square root takes the branch with |a_{n+1} - b_{n+1}| <= |a_{n+1} + b_{n+1}|.
+    # A zero element makes every later geometric mean 0, so the mean is 0.
     csum = 0.5 * c * c
     power = 0.5
     for _ in range(_AGM_MAX_ITER):
-        if abs(a - b) <= _AGM_TOL * max(abs(a), 1e-300):
-            break
+        if a == 0 or b == 0:
+            return 0j, csum
+        if abs(a - b) <= _AGM_TOL * abs(a):
+            return (a + b) / 2.0, csum
         a, b, c = (a + b) / 2.0, cmath.sqrt(a * b), (a - b) / 2.0
         if abs(a - b) > abs(a + b):
             b = -b
         power *= 2.0
         csum += power * c * c
-    return (a + b) / 2.0, csum
+    raise NonConvergenceError(f"AGM chain did not settle in {_AGM_MAX_ITER} steps (at {a}, {b})")
 
 
 def agm(a: complex, b: complex) -> complex:
     """Arithmetic-geometric mean with the branch of each square root chosen
-    so that ``|a_{n+1} - b_{n+1}| <= |a_{n+1} + b_{n+1}|`` (the convergent chain)."""
+    so that ``|a_{n+1} - b_{n+1}| <= |a_{n+1} + b_{n+1}|`` (the convergent chain).
+
+    A chain that reaches a zero element has mean exactly 0.
+
+    Raises
+    ------
+    NonConvergenceError
+        If the chain has not settled to 1e-15 relative after 64 steps.
+    """
     return _agm(complex(a), complex(b), 0j)[0]
 
 
 def ellint_K(k: complex) -> complex:
-    """Complete elliptic integral ``K(k) = pi / (2 agm(1, sqrt(1 - k^2)))``."""
+    """Complete elliptic integral ``K(k) = pi / (2 agm(1, sqrt(1 - k^2)))``.
+
+    Raises
+    ------
+    PoleError
+        Where the mean is 0: at ``k^2 = 1``, K's logarithmic singularity.
+    """
     kp = cmath.sqrt(1.0 - complex(k) ** 2)
-    return math.pi / (2.0 * agm(1.0, kp))
+    m = agm(1.0, kp)
+    if m == 0:
+        raise PoleError(f"K(k) is singular at k = {k}")
+    return math.pi / (2.0 * m)
 
 
 def ellint_E(k: complex) -> complex:
     """Complete elliptic integral of the second kind,
-    ``E = K (1 - sum_{n>=0} 2^{n-1} c_n^2)`` from the same AGM chain as ``K``."""
+    ``E = K (1 - sum_{n>=0} 2^{n-1} c_n^2)`` from the same AGM chain as ``K``;
+    ``E = 1`` where ``k^2 = 1``."""
     k = complex(k)
-    if k == 1.0:
+    if k * k == 1.0:
         return 1.0 + 0.0j
     m, csum = _agm(1.0 + 0.0j, cmath.sqrt(1.0 - k * k), k)
     return math.pi / (2.0 * m) * (1.0 - csum)

@@ -73,20 +73,17 @@ def eval_fourier(
     name: str,
     ctx: EllipticContext,
     u: complex,
-    *,
-    check_strip: bool = True,
 ) -> complex:
     """Evaluate one expansion from :data:`FOURIER_TABLE` at argument ``u``.
 
     Raises
     ------
     ValueError
-        If ``u`` is outside the convergence strip (unless ``check_strip``
-        is disabled, e.g. for boundary experiments).
+        If ``u`` is outside the convergence strip.
     """
     spec = FOURIER_TABLE[name]
     u = complex(u)
-    if check_strip and not in_strip(ctx, u):
+    if not in_strip(ctx, u):
         raise ValueError(
             f"{name}: argument outside the convergence strip "
             f"|Im(pi u/(2K))| < pi Im z; use the continued evaluators"
@@ -107,7 +104,7 @@ def eval_fourier(
             raise PoleError(f"{name}: vanishing denominator at n={n}")
         return num * trig((2 * n + offset) * w) / den
 
-    total = sum_series(term).value
+    total = sum_series(term)
     pref = 2.0 * math.pi / (ctx.K * ctx.k)
     if spec.with_kprime:
         pref /= ctx.kprime
@@ -200,7 +197,7 @@ def cd1_halfplane(ctx: EllipticContext, u: complex) -> complex:
         qn = q**n
         return qn * (1.0 / (1.0 + A * qn) + 1.0 / (1.0 - A * qn))
 
-    D = (1j * math.pi * A / (2.0 * ctx.K)) * sum_series(term).value
+    D = (1j * math.pi * A / (2.0 * ctx.K)) * sum_series(term)
     c = jacobi_cd_continued(ctx, u)
     two_w = 2.0 * w
     return (

@@ -190,35 +190,18 @@ def run_case(
                 OverflowError,
             ) as exc:
                 err = f"{type(exc).__name__}: {exc}"
-            terms = used()
         wall = (time.perf_counter() - t0) * 1000.0
         if err:
-            records.append(
-                SampleRecord(
-                    case_id=case.id,
-                    params=dict(params),
-                    lhs=lhs_v,
-                    rhs=rhs_v,
-                    abs_residual=math.inf,
-                    rel_residual=math.inf,
-                    passed=False,
-                    tolerance=tol,
-                    compare=case.compare,
-                    status=case.status,
-                    terms_used=terms,
-                    wall_time_ms=wall,
-                    error=err,
-                )
-            )
-            continue
-        assert lhs_v is not None and rhs_v is not None
-        if case.compare == "exponentiated":
-            cmp_l, cmp_r = cmath.exp(lhs_v), cmath.exp(rhs_v)
+            abs_res = rel_res = math.inf
+            passed = False
         else:
-            cmp_l, cmp_r = lhs_v, rhs_v
-        abs_res = abs(cmp_l - cmp_r)
-        rel_res = abs_res / max(abs(cmp_l), abs(cmp_r), 1e-300)
-        passed = abs_res <= tol or rel_res <= tol
+            if case.compare == "exponentiated":
+                cmp_l, cmp_r = cmath.exp(lhs_v), cmath.exp(rhs_v)
+            else:
+                cmp_l, cmp_r = lhs_v, rhs_v
+            abs_res = abs(cmp_l - cmp_r)
+            rel_res = abs_res / max(abs(cmp_l), abs(cmp_r), 1e-300)
+            passed = abs_res <= tol or rel_res <= tol
         records.append(
             SampleRecord(
                 case_id=case.id,
@@ -231,8 +214,9 @@ def run_case(
                 tolerance=tol,
                 compare=case.compare,
                 status=case.status,
-                terms_used=terms,
+                terms_used=used(),
                 wall_time_ms=wall,
+                error=err,
             )
         )
     return CaseResult(case=case, records=tuple(records))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -23,7 +22,6 @@ from typing import Callable, Iterator
 
 __all__ = [
     "TruncationPolicy",
-    "SeriesValue",
     "NonConvergenceError",
     "PoleError",
     "DEFAULT_POLICY",
@@ -48,7 +46,8 @@ class PoleError(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Stopping rules for adaptive series summation and infinite products.
+    """Stopping rules for adaptive series, infinite products and continued
+    fractions.
 
     Attributes
     ----------
@@ -57,7 +56,9 @@ class TruncationPolicy:
         fraction of the partial sum's scale (see :func:`sum_series`); an
         infinite product once its geometric tail bound is below it.
     max_terms : int
-        Hard cap; exceeding it raises :class:`NonConvergenceError`.
+        Hard cap on the terms of a series, the factors of a product and the
+        depth of a continued fraction; exceeding it raises
+        :class:`NonConvergenceError`.
     """
 
     rel_tail_cutoff: float = 1e-16
@@ -78,9 +79,9 @@ def current_policy() -> TruncationPolicy:
 def truncation(**overrides) -> Iterator[TruncationPolicy]:
     """Scope a truncation policy, in the manner of ``decimal.localcontext``.
 
-    Inside the ``with`` block every series and infinite product sees the
-    active policy with ``overrides`` applied (field names of
-    :class:`TruncationPolicy`); the previous policy is restored on exit,
+    Inside the ``with`` block every series, infinite product and continued
+    fraction sees the active policy with ``overrides`` applied (field names
+    of :class:`TruncationPolicy`); the previous policy is restored on exit,
     also when the block raises.  Scopes nest.
     """
     token = _POLICY.set(replace(_POLICY.get(), **overrides))
@@ -90,43 +91,36 @@ def truncation(**overrides) -> Iterator[TruncationPolicy]:
         _POLICY.reset(token)
 
 
-@dataclass(frozen=True)
-class SeriesValue:
-    """Value of a truncated series plus convergence diagnostics."""
-
-    value: complex
-    terms_used: int
-    est_tail: float
-    converged: bool
-
-
-_tls = threading.local()
+_WORK: ContextVar[list[int] | None] = ContextVar("qelliptic_work", default=None)
 
 
 @contextmanager
 def term_counter() -> Iterator[Callable[[], int]]:
-    """Count series/fraction terms evaluated in this thread.
+    """Count the series terms, fraction depth and product factors evaluated
+    in this context.
 
-    Yields a zero-argument callable returning the running count.  Nested
-    counters stack; each level sees only the work done inside it plus its
-    nested levels (inner work bubbles up to the outer count).
+    Yields a zero-argument callable returning the running count; read after
+    the block, it returns the block's final count.  Nested counters stack:
+    each level sees only the work done inside it plus its nested levels
+    (inner work bubbles up to the outer count on exit).  The count lives in
+    a :class:`~contextvars.ContextVar`, so concurrent asyncio tasks keep
+    separate counts.
     """
-    prev = getattr(_tls, "count", None)
-    _tls.count = 0
+    cell = [0]
+    token = _WORK.set(cell)
     try:
-        yield lambda: _tls.count
+        yield lambda: cell[0]
     finally:
-        inner = _tls.count
-        if prev is None:
-            _tls.count = None
-        else:
-            _tls.count = prev + inner
+        _WORK.reset(token)
+        outer = _WORK.get()
+        if outer is not None:
+            outer[0] += cell[0]
 
 
 def _bump_terms(n: int) -> None:
-    count = getattr(_tls, "count", None)
-    if count is not None:
-        _tls.count = count + n
+    cell = _WORK.get()
+    if cell is not None:
+        cell[0] += n
 
 
 # sum_series: the consecutive negligible nonzero terms that allow a stop; the
@@ -141,7 +135,7 @@ def sum_series(
     term: Callable[[int], complex],
     *,
     start: int = 0,
-) -> SeriesValue:
+) -> complex:
     """Sum ``term(n)`` for ``n = start, start+1, ...`` until the tail is negligible.
 
     A term is negligible when its magnitude is at most ``rel_tail_cutoff``
@@ -160,13 +154,13 @@ def sum_series(
 
     Exact-zero terms neither count toward the run of negligible terms nor
     break it, so lacunary series run on through their gaps; 64 exact zeros
-    in a row end the sum with ``est_tail`` 0.
+    in a row end the sum.  The terms consumed are charged to
+    :func:`term_counter`.
 
     Returns
     -------
-    SeriesValue
-        Truncated value with the number of terms consumed and the final
-        tail estimate.
+    complex
+        The partial sum at the stop.
 
     Raises
     ------
@@ -189,9 +183,8 @@ def sum_series(
         if mag == 0.0:
             zeros += 1
             if zeros >= _RUN:
-                used = n - start + 1
-                _bump_terms(used)
-                return SeriesValue(total, used, 0.0, True)
+                _bump_terms(n - start + 1)
+                return total
             continue
         zeros = 0
         total += t
@@ -216,11 +209,9 @@ def sum_series(
             if big_n > peak_n
             else small >= _RUN
         ):
-            est_tail = _geometric_tail(last, before)
-            if est_tail <= bound:
-                used = n - start + 1
-                _bump_terms(used)
-                return SeriesValue(total, used, est_tail, True)
+            if _geometric_tail(last, before) <= bound:
+                _bump_terms(n - start + 1)
+                return total
     _bump_terms(max(max_terms, 0))
     raise NonConvergenceError(
         f"series did not converge within {max_terms} terms "
@@ -249,8 +240,6 @@ _TINY = 1e-30
 def continued_fraction(
     a: Callable[[int], complex],
     b: Callable[[int], complex],
-    *,
-    max_depth: int = 102_400,
 ) -> complex:
     """Evaluate ``b(1)/(a(1) + b(2)/(a(2) + ...))`` by forward modified Lentz.
 
@@ -261,7 +250,8 @@ def continued_fraction(
     section 5.2), so each coefficient ``a(k)``, ``b(k)`` is computed once.
     The evaluation stops at the first depth ``k`` where the relative change
     ``|C_k D_k - 1|`` of the convergent is at most 1e-14; ``b(1) == 0``
-    gives exactly 0.  The work charged to :func:`term_counter` is the final
+    gives exactly 0.  The deepest depth tried is the active policy's
+    ``max_terms``.  The work charged to :func:`term_counter` is the final
     depth.
 
     An exact zero in ``C_k`` or in the denominator of ``D_k`` means one
@@ -274,11 +264,12 @@ def continued_fraction(
     Raises
     ------
     NonConvergenceError
-        If the relative change is still above 1e-14 at depth ``max_depth``.
+        If the relative change is still above 1e-14 at depth ``max_terms``.
     PoleError
         If the fraction ends on an infinite convergent, or if it has not
-        settled by depth ``max_depth`` after an exact zero.
+        settled by depth ``max_terms`` after an exact zero.
     """
+    max_terms = _POLICY.get().max_terms
     b1 = complex(b(1))
     if b1 == 0:
         _bump_terms(1)
@@ -292,7 +283,7 @@ def continued_fraction(
     d = 1.0 / den
     f = b1 * d
     c = complex(math.inf)  # C_1 = A_1/A_0 with A_0 = 0, so C_2 = a(2)
-    for k in range(2, max_depth + 1):
+    for k in range(2, max_terms + 1):
         ak = complex(a(k))
         bk = complex(b(k))
         if (d_zero or c_zero) and bk == 0:
@@ -320,13 +311,13 @@ def continued_fraction(
         if abs(delta - 1.0) <= _CF_TOL:
             _bump_terms(k)
             return f
-    _bump_terms(max(max_depth, 1))
+    _bump_terms(max(max_terms, 1))
     if zero_at:
         raise PoleError(
             f"continued fraction hit a zero denominator at depth {zero_at} "
-            f"and did not settle by depth {max_depth}"
+            f"and did not settle by depth {max_terms}"
         )
-    raise NonConvergenceError(f"continued fraction did not stabilize by depth {max_depth}")
+    raise NonConvergenceError(f"continued fraction did not stabilize by depth {max_terms}")
 
 
 def numeric_derivative(

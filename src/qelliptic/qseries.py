@@ -86,7 +86,7 @@ def lambert_sum(q: complex, weight: Callable[[int], complex]) -> complex:
         qn *= q
         return complex(weight(n)) * qn / (1.0 - qn)
 
-    return sum_series(term, start=1).value
+    return sum_series(term, start=1)
 
 
 def divisor_expand(q: complex, weight: Callable[[int], complex]) -> complex:
@@ -105,7 +105,7 @@ def divisor_expand(q: complex, weight: Callable[[int], complex]) -> complex:
         coeff = sum(complex(weight(d)) for d in divisors(m))
         return coeff * q**m
 
-    return sum_series(term, start=1).value
+    return sum_series(term, start=1)
 
 
 def divisors(n: int) -> list[int]:

@@ -118,11 +118,6 @@ def _cnegy(y: float) -> EllipticContext:
     return EllipticContext.from_nome(-math.exp(-2.0 * pi * y))
 
 
-def _S(term, start: int = 0) -> complex:
-    """Converged value of ``sum(term(n) for n >= start)``."""
-    return sum_series(term, start=start).value
-
-
 def _weight(kind: str):
     if kind == "one":
         return lambda n: 1.0
@@ -153,7 +148,7 @@ def _odd_frame_A(ctx: EllipticContext, u: complex) -> complex:
 # --------------------------------------------------------------------------
 
 def _eq2_lhs(nu):
-    return _S(lambda n: (n + 1.0) ** (4 * nu + 1) / (math.exp(2 * pi * (n + 1)) - 1.0))
+    return sum_series(lambda n: (n + 1.0) ** (4 * nu + 1) / (math.exp(2 * pi * (n + 1)) - 1.0))
 
 
 def _eq2_rhs(nu):
@@ -161,7 +156,7 @@ def _eq2_rhs(nu):
 
 
 def _eq3_lhs(nu):
-    return _S(lambda j: (2 * j + 1.0) ** (4 * nu + 1) / (math.exp((2 * j + 1) * pi) + 1.0))
+    return sum_series(lambda j: (2 * j + 1.0) ** (4 * nu + 1) / (math.exp((2 * j + 1) * pi) + 1.0))
 
 
 def _eq3_rhs(nu):
@@ -186,7 +181,7 @@ def _t1_lhs(nu, a):
     zv = zeta_value(2 * nu + 1)
 
     def bracket(x):
-        return 0.5 * zv + _S(lambda n: (n + 1.0) ** (-2 * nu - 1)
+        return 0.5 * zv + sum_series(lambda n: (n + 1.0) ** (-2 * nu - 1)
                              / (math.exp(2 * x * (n + 1)) - 1.0))
 
     return a ** (-nu) * bracket(a) - (-1.0) ** (-nu) * b ** (-nu) * bracket(b)
@@ -204,7 +199,7 @@ def _t1_rhs(nu, a):
 
 
 def _eq9_lhs(q):
-    return _S(lambda n: q ** (n + 1) / ((n + 1) * (1.0 - q ** (n + 1))))
+    return sum_series(lambda n: q ** (n + 1) / ((n + 1) * (1.0 - q ** (n + 1))))
 
 
 def _eq10_lhs(r):
@@ -234,7 +229,7 @@ def _hyp2f1_half(a: float, z: float) -> float:
             state["term"] *= (a + n - 1) * (n - 0.5) * z / (n * n)
         return state["term"]
 
-    return _S(term).real
+    return sum_series(term).real
 
 
 def _eq10_1_rhs(x, fn):
@@ -244,13 +239,13 @@ def _eq10_1_rhs(x, fn):
 
 def _eq11_lhs(q):
     return numeric_derivative(
-        lambda t: _S(lambda n: t ** (n + 1) / ((n + 1) * (1.0 - t ** (n + 1)))),
+        lambda t: sum_series(lambda n: t ** (n + 1) / ((n + 1) * (1.0 - t ** (n + 1)))),
         q, steps=2)
 
 
 def _eq11_rhs(q):
     x = -math.log(q) / 2.0
-    return math.exp(2 * x) / 4.0 * _S(lambda n: 1.0 / math.sinh((n + 1) * x) ** 2)
+    return math.exp(2 * x) / 4.0 * sum_series(lambda n: 1.0 / math.sinh((n + 1) * x) ** 2)
 
 
 def _neg_nome(q: complex) -> complex:
@@ -270,7 +265,7 @@ def _eq11_1_rhs(q):
 
 
 def _eq12_lhs(x):
-    return _S(lambda n: 1.0 / math.sinh((n + 1) * x) ** 2)
+    return sum_series(lambda n: 1.0 / math.sinh((n + 1) * x) ** 2)
 
 
 def _eq12_rhs(x):
@@ -281,7 +276,7 @@ def _eq12_rhs(x):
 
 def _eq13_lhs(r):
     rt = math.sqrt(r)
-    return _S(lambda n: (-1) ** (n + 1) * (n + 1) / (math.exp(2 * pi * (n + 1) / rt) - 1.0))
+    return sum_series(lambda n: (-1) ** (n + 1) * (n + 1) / (math.exp(2 * pi * (n + 1) / rt) - 1.0))
 
 
 def _eq13_rhs(r):
@@ -297,8 +292,8 @@ def _eq15_rhs(r):
 
 def _eq16_lhs(r):
     rt = math.sqrt(r)
-    return (2 * _S(lambda n: (n + 1) / (math.exp(4 * pi * (n + 1) / rt) - 1.0))
-            - _S(lambda j: (2 * j + 1) / (math.exp(2 * pi * (2 * j + 1) / rt) - 1.0)))
+    return (2 * sum_series(lambda n: (n + 1) / (math.exp(4 * pi * (n + 1) / rt) - 1.0))
+            - sum_series(lambda j: (2 * j + 1) / (math.exp(2 * pi * (2 * j + 1) / rt) - 1.0)))
 
 
 def _eq16_rhs(r):
@@ -311,7 +306,7 @@ def _eq17_lhs(r):
     # the half-rate odd sum; the registered domain point r = 4 makes it
     # sum_{n odd} n / (e^{pi n} - 1)
     rate = pi * math.sqrt(r) / 2.0
-    return _S(lambda j: (2 * j + 1) / (math.exp((2 * j + 1) * rate) - 1.0))
+    return sum_series(lambda j: (2 * j + 1) / (math.exp((2 * j + 1) * rate) - 1.0))
 
 
 def _eq17_rhs(r):
@@ -319,7 +314,8 @@ def _eq17_rhs(r):
 
 
 def _t2_lhs(r):
-    return 1.0 - 24.0 * _S(lambda n: (n + 1) / (math.exp(pi * (n + 1) * math.sqrt(r)) - 1.0))
+    return 1.0 - 24.0 * sum_series(
+        lambda n: (n + 1) / (math.exp(pi * (n + 1) * math.sqrt(r)) - 1.0))
 
 
 def _t2_rhs(r):
@@ -338,7 +334,8 @@ def _eq19_rhs(r):
 
 
 def _t3_lhs(r):
-    return 1.0 + 24.0 * _S(lambda j: (2 * j + 1) / (math.exp(pi * (2 * j + 1) * math.sqrt(r)) - 1.0))
+    return 1.0 + 24.0 * sum_series(
+        lambda j: (2 * j + 1) / (math.exp(pi * (2 * j + 1) * math.sqrt(r)) - 1.0))
 
 
 def _t3_rhs(r):
@@ -348,7 +345,7 @@ def _t3_rhs(r):
 
 def _t4_lhs(r):
     y = pi * math.sqrt(r)
-    return 1.0 - 24.0 * _S(lambda j: (2 * j + 1) / (math.exp((2 * j + 1) * y) + 1.0))
+    return 1.0 - 24.0 * sum_series(lambda j: (2 * j + 1) / (math.exp((2 * j + 1) * y) + 1.0))
 
 
 def _t4_rhs(r):
@@ -357,11 +354,11 @@ def _t4_rhs(r):
 
 
 def _t5_lhs(r):
-    return _S(lambda j: 1.0 / math.cosh((2 * j + 1) * pi * math.sqrt(r) / 2.0))
+    return sum_series(lambda j: 1.0 / math.cosh((2 * j + 1) * pi * math.sqrt(r) / 2.0))
 
 
 def _t6_lhs(r):
-    return _S(lambda n: (-1) ** n / (math.exp((2 * n + 1) * pi * math.sqrt(r)) + 1.0))
+    return sum_series(lambda n: (-1) ** n / (math.exp((2 * n + 1) * pi * math.sqrt(r)) + 1.0))
 
 
 def _t6_rhs(r):
@@ -380,7 +377,7 @@ def _eq24_rhs(r, x):
     u = x * c.K.real
     w = pi * u / (2.0 * c.K.real)
     q = c.q.real
-    tail = _S(lambda j: (-1) ** (j + 1) * q ** (j + 1) * math.sin(2 * (j + 1) * w)
+    tail = sum_series(lambda j: (-1) ** (j + 1) * q ** (j + 1) * math.sin(2 * (j + 1) * w)
               / (1.0 + q ** (j + 1)))
     return (pi / (2.0 * c.kprime ** 2 * c.K) * math.tan(w)
             + 2.0 * pi / (c.kprime ** 2 * c.K) * tail)
@@ -395,7 +392,7 @@ def _p2_lhs(r, x):
     th = pi * x / 2.0  # theta = pi u / (2K) with u = x K
     y = pi * math.sqrt(r)
     return (1.0 / math.cos(th)
-            + 4.0 * _S(lambda n: (-1) ** n * math.cos((2 * n + 1) * th)
+            + 4.0 * sum_series(lambda n: (-1) ** n * math.cos((2 * n + 1) * th)
                        / (math.exp((2 * n + 1) * y) - 1.0)))
 
 
@@ -409,18 +406,18 @@ def _p2_rhs(r, x):
 def _cor1_lhs(r, form):
     rt = math.sqrt(r)
     if form == "alt":
-        return 1.0 + 4.0 * _S(lambda n: (-1) ** n / (math.exp((2 * n + 1) * pi * rt) - 1.0))
-    return (1.0 + 4.0 * _S(lambda j: 1.0 / (math.exp((4 * j + 1) * pi * rt) - 1.0))
-            - 4.0 * _S(lambda j: 1.0 / (math.exp((4 * j + 3) * pi * rt) - 1.0)))
+        return 1.0 + 4.0 * sum_series(lambda n: (-1) ** n / (math.exp((2 * n + 1) * pi * rt) - 1.0))
+    return (1.0 + 4.0 * sum_series(lambda j: 1.0 / (math.exp((4 * j + 1) * pi * rt) - 1.0))
+            - 4.0 * sum_series(lambda j: 1.0 / (math.exp((4 * j + 3) * pi * rt) - 1.0)))
 
 
 def _t7_lhs(x):
-    return _S(lambda n: (n + 1) / math.sinh((n + 1) * x) ** 2)
+    return sum_series(lambda n: (n + 1) / math.sinh((n + 1) * x) ** 2)
 
 
 def _t7_rhs(x):
     return -2.0 * numeric_derivative(
-        lambda t: _S(lambda n: 1.0 / (math.exp(2 * (n + 1) * t) - 1.0)), x, steps=2)
+        lambda t: sum_series(lambda n: 1.0 / (math.exp(2 * (n + 1) * t) - 1.0)), x, steps=2)
 
 
 def _eq32_1_lhs(r, u):
@@ -438,14 +435,14 @@ def _eq33_lhs(x):
 
 def _eq36_lhs(r):
     q = _cr(r).q.real
-    return 2.0 * _S(lambda j: q ** (j + 0.5) / (1.0 + q ** (2 * j + 1)))
+    return 2.0 * sum_series(lambda j: q ** (j + 0.5) / (1.0 + q ** (2 * j + 1)))
 
 
 def _t8_lhs(r, form):
     if form == "sinh":
-        return _S(lambda n: (-1) ** n / math.sinh((n + 0.5) * pi * math.sqrt(r)))
+        return sum_series(lambda n: (-1) ** n / math.sinh((n + 0.5) * pi * math.sqrt(r)))
     q = _cr(r).q.real
-    return 2.0 * _S(lambda j: (-1) ** j * q ** (j + 0.5) / (1.0 - q ** (2 * j + 1)))
+    return 2.0 * sum_series(lambda j: (-1) ** j * q ** (j + 0.5) / (1.0 - q ** (2 * j + 1)))
 
 
 def _kk_over_pi(r):
@@ -560,7 +557,7 @@ def _eq44_rhs(r, u):
 def _t10_lhs(r, x):
     c = _cr(r)
     rt = math.sqrt(r)
-    return pi / (c.K * c.k) * _S(lambda n: (-1) ** n * math.exp(-pi * rt * (n + 0.5) * x)
+    return pi / (c.K * c.k) * sum_series(lambda n: (-1) ** n * math.exp(-pi * rt * (n + 0.5) * x)
                                  / math.sinh((n + 0.5) * pi * rt))
 
 
@@ -576,7 +573,7 @@ def _t10_rhs(r, x):
 def _t11_lhs(r, nu):
     c = _cr(r)
     q = c.q.real
-    return 2.0 * pi / (c.K * c.k) * _S(
+    return 2.0 * pi / (c.K * c.k) * sum_series(
         lambda n: q ** ((2 * n + 1) * (0.5 + 1.0 / nu)) / (1.0 - q ** (2 * n + 1)))
 
 
@@ -597,7 +594,7 @@ def _cor2_lhs(r):
 def _cor2_rhs(r):
     c = _cr(r)
     q = c.q.real
-    return 1.0 + 2.0 * pi ** 2 / (c.K ** 2 * c.k) * _S(
+    return 1.0 + 2.0 * pi ** 2 / (c.K ** 2 * c.k) * sum_series(
         lambda j: q ** (j + 0.5) / (1.0 - q ** (2 * j + 1)))
 
 
@@ -621,17 +618,17 @@ def _cor3_rhs(r):
     c = _cr(r)
     q = c.q.real
     rt = math.sqrt(r)
-    tail = _S(lambda n: (-1) ** n * math.exp(-(n + 0.5) * pi * rt / 2.0)
+    tail = sum_series(lambda n: (-1) ** n * math.exp(-(n + 0.5) * pi * rt / 2.0)
               / math.sinh((n + 0.5) * pi * rt))
     return 1.0 / math.sqrt(q * c.k.real) - pi * math.sinh(pi * rt / 2.0) / (c.K * c.k) * tail
 
 
 def _s1(q):
-    return _S(lambda j: (-1) ** j * q ** ((4 * j + 1) / 2.0) / (1.0 - q ** (4 * j + 1)))
+    return sum_series(lambda j: (-1) ** j * q ** ((4 * j + 1) / 2.0) / (1.0 - q ** (4 * j + 1)))
 
 
 def _s3(q):
-    return _S(lambda j: (-1) ** j * q ** ((4 * j + 3) / 2.0) / (1.0 - q ** (4 * j + 3)))
+    return sum_series(lambda j: (-1) ** j * q ** ((4 * j + 3) / 2.0) / (1.0 - q ** (4 * j + 3)))
 
 
 def _cd1_half(r):
@@ -647,7 +644,8 @@ def _cor4_rhs(r):
 
 def _eq55_lhs(r):
     q = _cr(r).q.real
-    return -_S(lambda n: dirichlet_chi8(n + 1) * q ** ((n + 1) / 2.0) / (1.0 - q ** (n + 1)))
+    return -sum_series(
+        lambda n: dirichlet_chi8(n + 1) * q ** ((n + 1) / 2.0) / (1.0 - q ** (n + 1)))
 
 
 def _eq55_rhs(r):
@@ -680,7 +678,7 @@ def _eq57_rhs(r):
 def _eq58_rhs(r):
     c = _cr(r)
     q = c.q.real
-    tail = _S(lambda n: q ** (n + 0.5) * (-1j) ** n / (1.0 - q ** (2 * n + 1)))
+    tail = sum_series(lambda n: q ** (n + 0.5) * (-1j) ** n / (1.0 - q ** (2 * n + 1)))
     return (cmath.exp(3j * pi / 4.0) * 2.0 * pi / (c.K * c.k) * tail
             - 1j * jacobi_cd(c, c.K.real / 2.0))
 
@@ -753,7 +751,7 @@ def _t14_rhs(r, x):
     c = _cr(r)
     q = c.q.real
     u = x * c.K.real
-    tail = _S(lambda n: (-1) ** n * q ** (n + 0.5)
+    tail = sum_series(lambda n: (-1) ** n * q ** (n + 0.5)
               * math.cos((2 * n + 1) * pi * u / (2.0 * c.K.real))
               / ((2 * n + 1) * (1.0 - q ** (2 * n + 1))))
     return -cmath.log(jacobi_nd(c, u) + c.k * jacobi_sd(c, u)) + 4j * tail
@@ -768,7 +766,7 @@ def _eq71_1_rhs(r, x):
     c = _cr(r)
     q = c.q.real
     u = x * c.K.real
-    return 2.0 * pi / (c.K * c.k) * _S(
+    return 2.0 * pi / (c.K * c.k) * sum_series(
         lambda n: (-1) ** n * q ** (n + 0.5)
         * math.sin((2 * n + 1) * pi * u / (2.0 * c.K.real)) / (1.0 - q ** (2 * n + 1)))
 
@@ -856,7 +854,8 @@ def _t17a_rhs(r, m, j):
 
 def _eq79_lhs(r, l):
     q = _cr(r).q.real
-    return _S(lambda n: (-1) ** n * q ** ((2 * n + 1) * (l + 0.5)) / (1.0 - q ** (2 * n + 1)))
+    return sum_series(
+        lambda n: (-1) ** n * q ** ((2 * n + 1) * (l + 0.5)) / (1.0 - q ** (2 * n + 1)))
 
 
 def _eq79_rhs(r, l):
@@ -924,7 +923,7 @@ def _t18_lhs(r, a):
     c = _cr(r)
     q = c.q.real
     th0 = frame_offset(c, a)
-    return _S(lambda n: (-1) ** n * q ** (n + 0.5)
+    return sum_series(lambda n: (-1) ** n * q ** (n + 0.5)
               * cmath.cos((2 * n + 1) * pi * th0 / (2.0 * c.K))
               / ((2 * n + 1) * (1.0 - q ** (2 * n + 1))))
 
@@ -980,7 +979,7 @@ def _eq90_rhs(r, a):
     c = _cr(r)
     q = c.q.real
     th0 = frame_offset(c, a)
-    return 4.0 / c.k * _S(
+    return 4.0 / c.k * sum_series(
         lambda n: (-1) ** n * q ** (n + 0.5)
         * (1.0 - cmath.cos((2 * n + 1) * pi * th0 / (2.0 * c.K)))
         / ((2 * n + 1) * (1.0 - q ** (2 * n + 1))))
@@ -990,7 +989,8 @@ def _t19a_rhs(r, a):
     c = _cr(r)
     q = c.q.real
     th0 = frame_offset(c, a)
-    tail = _S(lambda n: (-1) ** n * q ** (n + 0.5) / ((2 * n + 1) * (1.0 - q ** (2 * n + 1))))
+    tail = sum_series(
+        lambda n: (-1) ** n * q ** (n + 0.5) / ((2 * n + 1) * (1.0 - q ** (2 * n + 1))))
     return (1j / c.k * cmath.log(cmath.exp(2.0 * angle_sum(q, a))
                                  * (jacobi_nd(c, th0) + c.k * jacobi_sd(c, th0)))
             + 4.0 / c.k * tail)
@@ -1005,7 +1005,8 @@ def _t19b_rhs(r, a):
     c = _cr(r)
     q = c.q.real
     th0 = frame_offset(c, a)
-    return (-2.0 * pi / (c.k * c.K) * _S(lambda n: q ** (a * (2 * n + 1)) / (1.0 - q ** (2 * n + 1)))
+    return (-2.0 * pi / (c.k * c.K)
+            * sum_series(lambda n: q ** (a * (2 * n + 1)) / (1.0 - q ** (2 * n + 1)))
             + 1j * jacobi_cd(c, th0))
 
 
@@ -1013,7 +1014,7 @@ def _t20_lhs(r, a):
     c = _cr(r)
     q = c.q.real
     th0 = frame_offset(c, a)
-    return 4j * pi * c.z * _S(
+    return 4j * pi * c.z * sum_series(
         lambda n: (-1) ** n * q ** (n + 0.5)
         * cmath.sin((2 * n + 1) * pi * th0 / (2.0 * c.K)) / (1.0 - q ** (2 * n + 1)))
 
@@ -1029,7 +1030,7 @@ def _eq94_lhs(r, a):
     c = _cr(r)
     q = c.q.real
     th0p = frame_offset_star_scaled(c, a)
-    return 4j * pi * (c.z + 0.5) * _S(
+    return 4j * pi * (c.z + 0.5) * sum_series(
         lambda n: q ** (n + 0.5)
         * cmath.sin((2 * n + 1) * pi * th0p / (2.0 * c.K)) / (1.0 + q ** (2 * n + 1)))
 
@@ -1056,7 +1057,7 @@ def _t20_1_rhs(r, a):
 def _eq96_lhs(r, a):
     c = _cr(r)
     q = c.q.real
-    return 1j * pi / c.K * _S(lambda n: q ** (a * (2 * n + 1)) / (1.0 - q ** (2 * n + 1)))
+    return 1j * pi / c.K * sum_series(lambda n: q ** (a * (2 * n + 1)) / (1.0 - q ** (2 * n + 1)))
 
 
 def _eq96_rhs(r, a):
@@ -1076,7 +1077,7 @@ def _eq97_rhs(r, a):
 
 def _eq98_lhs(r, a):
     q = _cr(r).q.real
-    return _S(lambda n: q ** (a * (2 * n + 1)) / (1.0 - q ** (2 * n + 1)))
+    return sum_series(lambda n: q ** (a * (2 * n + 1)) / (1.0 - q ** (2 * n + 1)))
 
 
 def _eq98_rhs(r, a):
@@ -1129,7 +1130,7 @@ def _eq102_rhs(r, a):
 
 def _star_sum(c: EllipticContext, a: float) -> complex:
     q = c.q.real
-    return _S(lambda n: q ** (a * (2 * n + 1)) * cmath.exp(1j * pi * a * (2 * n + 1))
+    return sum_series(lambda n: q ** (a * (2 * n + 1)) * cmath.exp(1j * pi * a * (2 * n + 1))
               / (1.0 + q ** (2 * n + 1)))
 
 
@@ -1182,7 +1183,7 @@ def _t22_rhs(r, a):
 
 def _negq_ratio_sum(q: complex, a: float) -> complex:
     nq = _neg_nome(q)
-    return _S(lambda n: principal_power(nq, a * (2 * n + 1)) / (1.0 + q ** (2 * n + 1)))
+    return sum_series(lambda n: principal_power(nq, a * (2 * n + 1)) / (1.0 + q ** (2 * n + 1)))
 
 
 def _t23_lhs(x, y, a):
@@ -1203,8 +1204,9 @@ def _eq121_rhs(x, y, a):
 
 
 def _eq108_lhs(r, a):
+    # K* by the AGM at the negated-nome modulus, not frame_offset_star's k'K
     c = _cr(r)
-    return frame_offset_star(c, a) / (c.kprime * c.K) - frame_offset(c, a) / c.K
+    return frame_offset_star(c, a) / ellint_K(_cneg(r).k) - frame_offset(c, a) / c.K
 
 
 def _eq109_lhs(r, a):
@@ -1214,13 +1216,13 @@ def _eq109_lhs(r, a):
 
 def _eq109_rhs(r, a):
     c = _cr(r)
-    Ks = c.kprime * c.K
+    Ks = ellint_K(_cneg(r).k)
     return 2.0 * Ks + 4.0 * c.z * Ks
 
 
 def _eq110_lhs(y, a):
     q = math.exp(-2.0 * pi * y)
-    return _S(lambda n: q ** (a * (2 * n + 1)) * cmath.exp(1j * pi * a * (2 * n + 1))
+    return sum_series(lambda n: q ** (a * (2 * n + 1)) * cmath.exp(1j * pi * a * (2 * n + 1))
               / (1.0 + q ** (2 * n + 1)))
 
 
@@ -1257,7 +1259,7 @@ def _t24_rhs(y, a):
 
 def _eq112_lhs(y):
     q = math.exp(-2.0 * pi * y)
-    return _S(lambda n: q ** (n + 0.5) / (1.0 - q ** (2 * n + 1)))
+    return sum_series(lambda n: q ** (n + 0.5) / (1.0 - q ** (2 * n + 1)))
 
 
 def _eq112_rhs(y):
@@ -1275,7 +1277,7 @@ def _eq113_rhs(y):
 
 
 def _eq114_lhs(y):
-    return _S(lambda n: 1.0 / (math.exp(2.0 * (2 * n + 1) * pi * y) - 1.0))
+    return sum_series(lambda n: 1.0 / (math.exp(2.0 * (2 * n + 1) * pi * y) - 1.0))
 
 
 def _eq114_rhs(y):
@@ -1306,7 +1308,7 @@ def _eq116_rhs(y):
 
 def _eq117_lhs(y):
     q = math.exp(-2.0 * pi * y)
-    return _S(lambda n: (-1) ** n * q ** (n + 0.5) / (1.0 + q ** (2 * n + 1)))
+    return sum_series(lambda n: (-1) ** n * q ** (n + 0.5) / (1.0 + q ** (2 * n + 1)))
 
 
 def _eq117_rhs(y):
@@ -1324,17 +1326,17 @@ def _eq122_lhs(q, a):
 def _eq122_rhs(q, a):
     lg = math.log(q)
     return (2.0 * q ** a * lg / (1.0 - q ** (2 * a))
-            + 2.0 * lg * _S(lambda n: q ** (n + 1) * _odd_quotient_count(n + 1, a)))
+            + 2.0 * lg * sum_series(lambda n: q ** (n + 1) * _odd_quotient_count(n + 1, a)))
 
 
 def _eq123_lhs(y):
-    return _S(lambda n: 1.0 / (math.exp(2.0 * (2 * n + 1) * pi * y) - 1.0))
+    return sum_series(lambda n: 1.0 / (math.exp(2.0 * (2 * n + 1) * pi * y) - 1.0))
 
 
 def _eq123_rhs(y):
     q = math.exp(-2.0 * pi * y)
     return (q / (1.0 - q * q)
-            + _S(lambda n: q ** (n + 1) * _odd_quotient_count(n + 1, 1)))
+            + sum_series(lambda n: q ** (n + 1) * _odd_quotient_count(n + 1, 1)))
 
 
 def _eq124_lhs(q, a):
@@ -1352,7 +1354,8 @@ def _eq125_lhs(q, a):
 def _eq125_rhs(q, a):
     lg = math.log(q)
     head = sum(q ** n / (1.0 - q ** (2 * n)) for n in range(1, int(a)))
-    return -2.0 * lg * head + 2.0 * lg * _S(lambda n: q ** (n + 1) / (1.0 - q ** (2 * (n + 1))))
+    return -2.0 * lg * head + 2.0 * lg * sum_series(
+        lambda n: q ** (n + 1) / (1.0 - q ** (2 * (n + 1))))
 
 
 def _eq126_lhs(y, a):
@@ -1363,13 +1366,13 @@ def _eq126_lhs(y, a):
 def _eq126_rhs(y, a):
     head = sum(1.0 / math.sinh(2.0 * pi * n * y) for n in range(1, int(a)))
     return (head
-            - _S(lambda n: 1.0 / (math.exp(2.0 * pi * (n + 1) * y) - 1.0))
-            - _S(lambda n: 1.0 / (math.exp(2.0 * pi * (n + 1) * y) + 1.0)))
+            - sum_series(lambda n: 1.0 / (math.exp(2.0 * pi * (n + 1) * y) - 1.0))
+            - sum_series(lambda n: 1.0 / (math.exp(2.0 * pi * (n + 1) * y) + 1.0)))
 
 
 def _eq127_rhs(y, a):
     head = sum(1.0 / math.sinh(2.0 * pi * n * y) for n in range(1, int(a)))
-    return head - 2.0 * _S(lambda n: 1.0 / (math.exp(2.0 * pi * (2 * n + 1) * y) - 1.0))
+    return head - 2.0 * sum_series(lambda n: 1.0 / (math.exp(2.0 * pi * (2 * n + 1) * y) - 1.0))
 
 
 def _eq128_lhs(q):
@@ -1385,7 +1388,7 @@ def _eq128_rhs(q):
 def _eq128_1_lhs(r, a):
     rt = math.sqrt(r)
     lam = (2.0 * a - 1.0) + 1j / rt
-    return _S(lambda n: (-1) ** n * cmath.exp(-pi * (n + 0.5) * lam * rt)
+    return sum_series(lambda n: (-1) ** n * cmath.exp(-pi * (n + 0.5) * lam * rt)
               / math.sinh((n + 0.5) * pi * rt))
 
 
@@ -1401,7 +1404,7 @@ def _eq128_1_printed_rhs(r, a):
 
 def _eq129_lhs(r, a):
     rt = math.sqrt(r)
-    return _S(lambda n: math.exp(-pi * (n + 0.5) * (2.0 * a - 1.0) * rt)
+    return sum_series(lambda n: math.exp(-pi * (n + 0.5) * (2.0 * a - 1.0) * rt)
               / math.sinh((n + 0.5) * pi * rt))
 
 
@@ -1412,12 +1415,12 @@ def _eq129_rhs(r, a):
 def _eq129_1_rhs(r, a):
     rt = math.sqrt(r)
     head = sum(1.0 / math.sinh(pi * n * rt) for n in range(1, int(a)))
-    return -head + 2.0 * _S(lambda n: 1.0 / (math.exp(pi * (2 * n + 1) * rt) - 1.0))
+    return -head + 2.0 * sum_series(lambda n: 1.0 / (math.exp(pi * (2 * n + 1) * rt) - 1.0))
 
 
 def _eq130_lhs(y):
     q = math.exp(-2.0 * pi * y)
-    return -4.0 * pi * y * _S(lambda n: q ** ((n + 1) / 2.0) / (1.0 - q ** (n + 1)))
+    return -4.0 * pi * y * sum_series(lambda n: q ** ((n + 1) / 2.0) / (1.0 - q ** (n + 1)))
 
 
 def _eq130_rhs(y):
@@ -1862,7 +1865,7 @@ def _build() -> tuple[IdentityCase, ...]:
           tol=1e-10),
         C("P1", "hyperbolic Fermi-free sum generates the divisor-count coefficients",
           "qelliptic.qseries.divisor_expand",
-          lambda x: _S(lambda n: 1.0 / math.expm1((n + 1) * x)),
+          lambda x: sum_series(lambda n: 1.0 / math.expm1((n + 1) * x)),
           lambda x: divisor_expand(math.exp(-x), lambda n: 1.0),
           ({"x": pi},)),
         C("P2", "secant-cosine expansion equals the amplitude-angle elliptic form",

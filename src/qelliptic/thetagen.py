@@ -90,7 +90,7 @@ def _theta_two(a, b, q, alternating: bool) -> complex:
         r_minus *= x2
         return t_plus + t_minus
 
-    return sum_series(term).value
+    return sum_series(term)
 
 
 def theta3_two(a, b, q) -> complex:
@@ -146,7 +146,7 @@ def _rr_series(q, shift: int) -> complex:
             state[0] *= q ** (2 * n - 1 + shift) / (1.0 - q**n)
         return state[0]
 
-    return sum_series(term).value
+    return sum_series(term)
 
 
 def rr_G(q) -> complex:
@@ -278,7 +278,7 @@ def odd_lambert(z, Q) -> complex:
         m = 2 * n + 1
         return z**m / (m * (1.0 - Q**m))
 
-    return sum_series(term).value
+    return sum_series(term)
 
 
 def log_P(A, q) -> complex:
@@ -294,7 +294,7 @@ def odd_ratio_sum(A, q) -> complex:
         m = 2 * n + 1
         return A**m / (1.0 - q**m)
 
-    return sum_series(term).value
+    return sum_series(term)
 
 
 # ---------------------------------------------------------------------------
@@ -350,4 +350,4 @@ def restricted_divisor_log(
         n = n_index + 1
         return q**n * inner(n)
 
-    return sum_series(term).value
+    return sum_series(term)

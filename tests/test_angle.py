@@ -37,10 +37,6 @@ from qelliptic.thetagen import (
 PI = math.pi
 
 
-def S(term, start=0):
-    return sum_series(term, start=start).value
-
-
 # ---------------------------------------------------------------------------
 # the angle itself
 # ---------------------------------------------------------------------------
@@ -125,7 +121,7 @@ def test_scaled_derivative_at_one_is_even_exponential_sum():
     y = 1.0
     q = math.exp(-2.0 * PI * y)
     lhs = -angle_derivative(q, 1.0) / (4.0 * PI * y)
-    rhs = S(lambda n: 1.0 / (math.exp(2.0 * (2 * n + 1) * PI * y) - 1.0))
+    rhs = sum_series(lambda n: 1.0 / (math.exp(2.0 * (2 * n + 1) * PI * y) - 1.0))
     assert abs(lhs - rhs) <= 1e-10
 
 
@@ -136,7 +132,7 @@ def test_scaled_derivative_with_sinh_correction():
     q = math.exp(-2.0 * PI * y)
     lhs = angle_derivative(q, float(a)) / (2.0 * PI * y)
     head = sum(1.0 / math.sinh(2.0 * PI * n * y) for n in range(1, a))
-    rhs = head - 2.0 * S(lambda n: 1.0 / (math.exp(2.0 * PI * (2 * n + 1) * y) - 1.0))
+    rhs = head - 2.0 * sum_series(lambda n: 1.0 / (math.exp(2.0 * PI * (2 * n + 1) * y) - 1.0))
     assert abs(lhs - rhs) <= 1e-10
 
 
@@ -144,7 +140,7 @@ def test_scaled_derivative_at_half():
     # sum q^{n+1/2}/(1 - q^{2n+1}) = -(1/(4 pi y)) theta'(q, a)|_{a=1/2}
     y = 1.0
     q = math.exp(-2.0 * PI * y)
-    lhs = S(lambda n: q ** (n + 0.5) / (1.0 - q ** (2 * n + 1)))
+    lhs = sum_series(lambda n: q ** (n + 0.5) / (1.0 - q ** (2 * n + 1)))
     rhs = -angle_derivative(q, 0.5) / (4.0 * PI * y)
     assert abs(lhs - rhs) <= 1e-9
 
@@ -153,7 +149,7 @@ def test_scaled_derivative_half_plus_one():
     # -4 pi y sum q^{n/2}/(1 - q^n) = theta'(1/2) + theta'(1)
     y = 1.0
     q = math.exp(-2.0 * PI * y)
-    lhs = -4.0 * PI * y * S(lambda n: q ** ((n + 1) / 2.0) / (1.0 - q ** (n + 1)))
+    lhs = -4.0 * PI * y * sum_series(lambda n: q ** ((n + 1) / 2.0) / (1.0 - q ** (n + 1)))
     rhs = angle_derivative(q, 0.5) + angle_derivative(q, 1.0)
     assert abs(lhs - rhs) <= 1e-9
 
@@ -163,7 +159,7 @@ def test_shifted_hyperbolic_reduction():
     y = 1.0  # 2 pi y = pi sqrt(r) at r = 4
     q = math.exp(-2.0 * PI * y)
     lhs = angle_derivative(q, 2.0) / (2.0 * PI * y)
-    rhs = 1.0 / math.sinh(2.0 * PI) - 2.0 * S(
+    rhs = 1.0 / math.sinh(2.0 * PI) - 2.0 * sum_series(
         lambda n: 1.0 / (math.exp((2 * n + 1) * 2.0 * PI) - 1.0)
     )
     assert abs(lhs - rhs) <= 1e-10
@@ -241,7 +237,7 @@ def test_log_P_decomposition_exponentiated():
     for x in (0.2, 0.45, 0.7):
         u = x * c.K.real
         lhs = cmath.log(cayley_u0_product(frame_A(c, u), q))
-        tail = S(
+        tail = sum_series(
             lambda n: (-1) ** n
             * q ** (n + 0.5)
             * math.cos((2 * n + 1) * PI * u / (2.0 * c.K.real))
@@ -313,7 +309,7 @@ def test_lambda_parameterized_hyperbolic_sum():
         lhs = (
             PI
             / (c.K * c.k)
-            * S(
+            * sum_series(
                 lambda n: (-1) ** n
                 * math.exp(-PI * rt * (n + 0.5) * x)
                 / math.sinh((n + 0.5) * PI * rt)
@@ -338,7 +334,7 @@ def test_nu_parameterized_hyperbolic_sum():
             2.0
             * PI
             / (c.K * c.k)
-            * S(lambda n: q ** ((2 * n + 1) * (0.5 + 1.0 / nu)) / (1.0 - q ** (2 * n + 1)))
+            * sum_series(lambda n: q ** ((2 * n + 1) * (0.5 + 1.0 / nu)) / (1.0 - q ** (2 * n + 1)))
         )
         u = 2j * c.Kprime.real / nu
         t = 2.0 * PI * math.sqrt(r) / nu
@@ -355,7 +351,7 @@ def test_alternating_tail_finite_reduction():
         c = EllipticContext.from_r(r)
         q = c.q.real
         for l in (1, 2, 3):
-            lhs = S(
+            lhs = sum_series(
                 lambda n: (-1) ** n
                 * q ** ((2 * n + 1) * (l + 0.5))
                 / (1.0 - q ** (2 * n + 1))
@@ -432,7 +428,7 @@ def test_frame_angle_decomposition():
         q = c.q.real
         for a in (0.3, 0.45):
             t0 = frame_offset(c, a)
-            lhs = S(
+            lhs = sum_series(
                 lambda n: (-1) ** n
                 * q ** (n + 0.5)
                 * cmath.cos((2 * n + 1) * PI * t0 / (2.0 * c.K))

@@ -320,6 +320,8 @@ CAPPED_EVALS = [
     (("E", "--r", "2"), 4),
     (("k", "--r", "2"), 4),
     (("agile-minus", "--a", "0.3", "--p", "1", "--q", "0.3"), 5),
+    # and the continued fractions, whose depth is capped by the same policy
+    (("R", "--q", "0.05"), 3),
 ]
 
 
@@ -328,7 +330,7 @@ def test_max_terms_flag_caps_series(capsys):
         rc, _, err = run_cli(capsys, "eval", *argv, "--max-terms", str(cap))
         assert rc == 1, argv
         assert "evaluation failed" in err, argv
-        assert f"{cap} terms" in err or f"{cap} factors" in err, argv
+        assert f"{cap} terms" in err or f"{cap} factors" in err or f"depth {cap}" in err, argv
         # the cap is scoped to the call
         assert numutil.current_policy() is numutil.DEFAULT_POLICY
 

@@ -23,7 +23,7 @@ from qelliptic.elliptic import (
     theta3,
     theta4,
 )
-from qelliptic.numutil import numeric_derivative
+from qelliptic.numutil import NonConvergenceError, PoleError, numeric_derivative
 from qelliptic.qseries import qpochhammer, euler_product
 from qelliptic.registry import _eq10_1_rhs
 
@@ -107,6 +107,25 @@ def test_agm_is_bit_identical_to_literals():
 def test_agm_fixed_point_and_symmetry():
     assert_allclose(agm(3.0, 3.0), 3.0, rtol=1e-15)
     assert_allclose(agm(1.0, 0.25), agm(0.25, 1.0), rtol=1e-15)
+
+
+def test_agm_zero_element_gives_a_pole_of_K():
+    # a chain that reaches 0 has mean exactly 0 (a_1 = 0 for agm(1, -1))
+    assert agm(1.0, 0.0) == 0
+    assert agm(1.0, -1.0) == 0
+    assert agm(0.0, 0.0) == 0
+    for k in (1.0, -1.0, 1.0 + 0j):
+        with pytest.raises(PoleError, match="singular"):
+            ellint_K(k)
+        # E is even in k, E(+-1) = 1
+        assert ellint_E(k) == 1.0
+
+
+def test_agm_refuses_a_chain_that_does_not_settle():
+    with pytest.raises(NonConvergenceError, match="did not settle in 64 steps"):
+        agm(math.nan, 1.0)
+    with pytest.raises(NonConvergenceError):
+        ellint_K(complex(0.5, math.nan))
 
 
 def test_legendre_relation():
