@@ -15,6 +15,7 @@ import cmath
 
 from .elliptic import EllipticContext
 from .numutil import principal_power, sum_series
+from .thetagen import odd_lambert, odd_ratio_sum
 
 __all__ = [
     "angle_sum",
@@ -52,12 +53,7 @@ def angle_sum_lambert(q: complex, x: complex) -> complex:
     qx = principal_power(q, x)
     if abs(qx) >= 1.0:
         raise ValueError("angle sum needs |q^x| < 1")
-
-    def term(m: int) -> complex:
-        odd = 2 * m + 1
-        return qx**odd / (odd * (1.0 - q**odd))
-
-    return 2.0 * sum_series(term)
+    return 2.0 * odd_lambert(qx, q)
 
 
 def angle_derivative(q: complex, a: complex) -> complex:
@@ -67,12 +63,7 @@ def angle_derivative(q: complex, a: complex) -> complex:
     """
     q = complex(q)
     qa = principal_power(q, a)
-
-    def term(j: int) -> complex:
-        odd = 2 * j + 1
-        return qa**odd / (1.0 - q**odd)
-
-    return 2.0 * cmath.log(q) * sum_series(term)
+    return 2.0 * cmath.log(q) * odd_ratio_sum(qa, q)
 
 
 def frame_offset(ctx: EllipticContext, a: complex) -> complex:

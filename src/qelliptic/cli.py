@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from math import pi
-from typing import Any, Callable
+from typing import Callable
 
 from .angle import angle_sum
 from .elliptic import (
@@ -151,37 +151,37 @@ def _agile(fn: Callable[..., complex]) -> Callable[[argparse.Namespace], complex
     return run
 
 
-# name -> (parameter hint, evaluator).  Every entry returns a complex value.
-EVAL_FUNCTIONS: dict[str, tuple[str, Callable[[argparse.Namespace], complex]]] = {
-    "sn": ("(--q|--r) --u", _jacobi(jacobi_sn)),
-    "cn": ("(--q|--r) --u", _jacobi(jacobi_cn)),
-    "dn": ("(--q|--r) --u", _jacobi(jacobi_dn)),
-    "cd": ("(--q|--r) --u", _jacobi(jacobi_cd)),
-    "sd": ("(--q|--r) --u", _jacobi(jacobi_sd)),
-    "nd": ("(--q|--r) --u", _jacobi(jacobi_nd)),
-    "ss": ("(--q|--r) --u", _series("ss")),
-    "cc": ("(--q|--r) --u", _series("cc")),
-    "dd": ("(--q|--r) --u", _series("dd")),
-    "cd1": ("(--q|--r) --u", _series("cd1")),
-    "cn1": ("(--q|--r) --u", _series("cn1")),
-    "theta2": ("(--q|--r)", lambda a: theta2(_nome(a))),
-    "theta3": ("(--q|--r)", lambda a: theta3(_nome(a))),
-    "theta4": ("(--q|--r)", lambda a: theta4(_nome(a))),
-    "k": ("(--q|--r)", lambda a: _context(a).k),
-    "kprime": ("(--q|--r)", lambda a: _context(a).kprime),
-    "K": ("(--q|--r)", lambda a: _context(a).K),
-    "E": ("(--q|--r)", lambda a: _context(a).E),
-    "alpha": ("--r", lambda a: singular_alpha(_param(a, "r"))),
-    "theta-angle": ("--q --x", _theta_angle),
-    "ghost-sum": ("--x", lambda a: _ghost_sum(_param(a, "x"))),
-    "G": ("--q", lambda a: rr_G(_small_q(a))),
-    "H": ("--q", lambda a: rr_H(_small_q(a))),
-    "R": ("--q", lambda a: rr_cf(_small_q(a))),
-    "U": ("--a --b --q", _u_full),
-    "u0": ("--a --q", _u_zero),
-    "agile-minus": ("--a --p --q", _agile(agile_minus)),
-    "agile-plus": ("--a --p --q", _agile(agile_plus)),
-    "f": ("--q", lambda a: euler_product(_small_q(a))),
+# name -> evaluator.  Every entry returns a complex value.
+EVAL_FUNCTIONS: dict[str, Callable[[argparse.Namespace], complex]] = {
+    "sn": _jacobi(jacobi_sn),
+    "cn": _jacobi(jacobi_cn),
+    "dn": _jacobi(jacobi_dn),
+    "cd": _jacobi(jacobi_cd),
+    "sd": _jacobi(jacobi_sd),
+    "nd": _jacobi(jacobi_nd),
+    "ss": _series("ss"),
+    "cc": _series("cc"),
+    "dd": _series("dd"),
+    "cd1": _series("cd1"),
+    "cn1": _series("cn1"),
+    "theta2": lambda a: theta2(_nome(a)),
+    "theta3": lambda a: theta3(_nome(a)),
+    "theta4": lambda a: theta4(_nome(a)),
+    "k": lambda a: _context(a).k,
+    "kprime": lambda a: _context(a).kprime,
+    "K": lambda a: _context(a).K,
+    "E": lambda a: _context(a).E,
+    "alpha": lambda a: singular_alpha(_param(a, "r")),
+    "theta-angle": _theta_angle,
+    "ghost-sum": lambda a: _ghost_sum(_param(a, "x")),
+    "G": lambda a: rr_G(_small_q(a)),
+    "H": lambda a: rr_H(_small_q(a)),
+    "R": lambda a: rr_cf(_small_q(a)),
+    "U": _u_full,
+    "u0": _u_zero,
+    "agile-minus": _agile(agile_minus),
+    "agile-plus": _agile(agile_plus),
+    "f": lambda a: euler_product(_small_q(a)),
 }
 
 # built-in sweeps: function name -> (swept parameter, values)
@@ -232,15 +232,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    hint, fn = EVAL_FUNCTIONS[args.fn]
+    fn = EVAL_FUNCTIONS[args.fn]
     value, used, est_tail = _diagnostic_eval(lambda: complex(fn(args)))
+    row = {"fn": args.fn, "value": format_complex(value),
+           "terms_used": used, "est_tail": est_tail}
     if args.format == "json":
-        print(json.dumps({
-            "fn": args.fn,
-            "value": format_complex(value),
-            "terms_used": used,
-            "est_tail": est_tail,
-        }, sort_keys=False))
+        print(json.dumps(row, sort_keys=False))
+    elif args.format == "csv":
+        print(",".join(row))
+        print(",".join(str(v) for v in row.values()))
     else:
         print(f"value={format_complex(value)}")
         print(f"terms_used={used}")
@@ -263,7 +263,7 @@ def _parse_sweep(text: str) -> tuple[str, tuple[float, ...]]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    _hint, fn = EVAL_FUNCTIONS[args.fn]
+    fn = EVAL_FUNCTIONS[args.fn]
     if args.sweep is not None:
         param, values = _parse_sweep(args.sweep)
     elif args.fn in DEFAULT_SWEEPS:

@@ -104,8 +104,18 @@ def agm(a: complex, b: complex) -> complex:
     ------
     NonConvergenceError
         If the chain has not settled to 1e-15 relative after 64 steps.
+    OverflowError
+        Where ``|a|`` and ``|b|`` are too far apart for any common scaling.
     """
-    return _agm(complex(a), complex(b), 0j)[0]
+    a, b = complex(a), complex(b)
+    # The mean is homogeneous: the chain runs on (a, b) / 2^e, with the larger
+    # near 2^511 so that no a_n b_n (between a b and max^2) leaves the range.
+    e = math.frexp(max(abs(a), abs(b)))[1] - 511
+    sa, sb = (complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e)) for w in (a, b))
+    if (sa == 0 or sb == 0) and a != 0 and b != 0:
+        raise OverflowError(f"agm: {a} and {b} are too far apart to scale")
+    m = _agm(sa, sb, 0j)[0]
+    return complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
 
 
 def ellint_K(k: complex) -> complex:

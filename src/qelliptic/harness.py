@@ -103,7 +103,6 @@ class SampleRecord:
     passed: bool
     tolerance: float
     compare: str
-    status: str
     terms_used: int
     wall_time_ms: float
     error: str = ""
@@ -159,10 +158,6 @@ class RegistryReport:
         return [r for r in self.results if r.effective_status != "ACTIVE"]
 
 
-def _evaluate(fn: Callable[..., complex], params: Mapping[str, Any]) -> complex:
-    return complex(fn(**params))
-
-
 def run_case(
     case: IdentityCase,
     *,
@@ -180,8 +175,8 @@ def run_case(
         err = ""
         with term_counter() as used:
             try:
-                lhs_v = _evaluate(case.lhs, params)
-                rhs_v = _evaluate(case.rhs, params)
+                lhs_v = complex(case.lhs(**params))
+                rhs_v = complex(case.rhs(**params))
             except (
                 PoleError,
                 NonConvergenceError,
@@ -213,7 +208,6 @@ def run_case(
                 passed=passed,
                 tolerance=tol,
                 compare=case.compare,
-                status=case.status,
                 terms_used=used(),
                 wall_time_ms=wall,
                 error=err,

@@ -53,6 +53,7 @@ from .numutil import _POLICY, complex_quad, numeric_derivative, principal_power,
 from .qseries import (
     bernoulli,
     dirichlet_chi8,
+    divisor_count,
     divisor_expand,
     divisors,
     euler_product,
@@ -1057,7 +1058,7 @@ def _t20_1_rhs(r, a):
 def _eq96_lhs(r, a):
     c = _cr(r)
     q = c.q.real
-    return 1j * pi / c.K * sum_series(lambda n: q ** (a * (2 * n + 1)) / (1.0 - q ** (2 * n + 1)))
+    return 1j * pi / c.K * sum_series(lambda n: q ** (n + a) / (1.0 - q ** (2 * (n + a))))
 
 
 def _eq96_rhs(r, a):
@@ -1076,8 +1077,9 @@ def _eq97_rhs(r, a):
 
 
 def _eq98_lhs(r, a):
+    # the atanh sum's termwise x-derivative, Lambert dual of the slope's odd series
     q = _cr(r).q.real
-    return sum_series(lambda n: q ** (a * (2 * n + 1)) / (1.0 - q ** (2 * n + 1)))
+    return sum_series(lambda n: q ** (n + a) / (1.0 - q ** (2 * (n + a))))
 
 
 def _eq98_rhs(r, a):
@@ -1258,8 +1260,9 @@ def _t24_rhs(y, a):
 # --------------------------------------------------------------------------
 
 def _eq112_lhs(y):
+    # divisor form q^{1/2} sum_N d(2N+1) q^N of the slope's odd series at a = 1/2
     q = math.exp(-2.0 * pi * y)
-    return sum_series(lambda n: q ** (n + 0.5) / (1.0 - q ** (2 * n + 1)))
+    return math.sqrt(q) * sum_series(lambda n: divisor_count(2 * n + 1) * q**n)
 
 
 def _eq112_rhs(y):
@@ -1307,8 +1310,9 @@ def _eq116_rhs(y):
 
 
 def _eq117_lhs(y):
+    # divisor form q^{1/2} sum_N chi_{-4}(2N+1) d(2N+1) q^N of the alternating series
     q = math.exp(-2.0 * pi * y)
-    return sum_series(lambda n: (-1) ** n * q ** (n + 0.5) / (1.0 + q ** (2 * n + 1)))
+    return math.sqrt(q) * sum_series(lambda n: (-1) ** n * divisor_count(2 * n + 1) * q**n)
 
 
 def _eq117_rhs(y):

@@ -54,6 +54,30 @@ def test_angle_monotone_decay():
     assert all(a > b > 0.0 for a, b in zip(values, values[1:]))
 
 
+# repr of angle_sum_lambert and angle_derivative at negative, complex and deep
+# nomes, from the bodies they had before they called thetagen's kernels
+_ANGLE_LITERALS = [
+    (-0.6, 0.3, (0.3546526746116786+0.8514541132647058j), (-2.0985667380347817-0.4889438739206031j)),
+    (-0.6, 0.5, (3.1818666215886084e-17+0.7852706509495067j), (-1.6324917209374812-0.26544453517479855j)),
+    (-0.6, 1.7, (0.2703304335743908-0.43229758507168103j), (1.2809053850122933+0.8417281146934464j)),
+    (0.5 * cmath.exp(0.7j), 0.3, (2.0808633474952276+1.9389614445180174j),
+     (-4.210750005556171-0.7938226794898717j)),
+    (0.5 * cmath.exp(0.7j), 0.5, (1.4157704055058598+1.7797667873296898j),
+     (-2.6718475003835684-0.7970468085126579j)),
+    (0.5 * cmath.exp(0.7j), 1.7, (-0.10291424119424472+0.8698659058445983j),
+     (-0.5048370795907964-0.680790767624064j)),
+    (0.85, 0.3, (15.861088430577029+0j), (-6.012536782860645+0j)),
+    (0.85, 0.5, (14.835664613584898+0j), (-4.473434482844373+0j)),
+    (0.85, 1.7, (11.154315539864903+0j), (-2.3045414863752964+0j)),
+]
+
+
+@pytest.mark.parametrize("q, x, lambert, slope", _ANGLE_LITERALS)
+def test_angle_lambert_and_slope_are_bit_identical_to_literals(q, x, lambert, slope):
+    assert angle_sum_lambert(q, x) == lambert
+    assert angle_derivative(q, x) == slope
+
+
 def test_angle_sum_equals_lambert_form():
     assert abs(angle_sum(0.2, 0.7) - angle_sum_lambert(0.2, 0.7)) <= 1e-12
 

@@ -69,6 +69,15 @@ def test_eval_imports_neither_scipy_nor_numpy():
     lines = out.splitlines()
     assert lines[0] == "value=0.3841811341538737"
     assert lines[-1] == "[]"
+    # -S leaves site-packages off the path, so any third-party import fails
+    bare = dict(os.environ, PYTHONPATH=src)
+    for argv, first in ((["verify", "--all"], None),
+                        (["eval", "sn", "--q", "0.05", "--u", "0.4"], "value=0.3841811341538737")):
+        run = subprocess.run([sys.executable, "-S", "-m", "qelliptic", *argv], env=bare,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        if first is not None:
+            assert run.stdout.splitlines()[0] == first
 
 
 def test_eval_singular_value(capsys):
@@ -116,6 +125,16 @@ def test_eval_json_format(capsys):
     doc = json.loads(out)
     assert set(doc) == {"fn", "value", "terms_used", "est_tail"}
     assert abs(float(doc["value"]) - 0.5231861892435733) < 1e-12
+
+
+def test_eval_csv_format_is_one_row_of_the_json_fields(capsys):
+    rc, out, _ = run_cli(capsys, "eval", "sn", "--q", "0.05", "--u", "0.4", "--format", "csv")
+    assert rc == 0
+    _, doc_out, _ = run_cli(capsys, "eval", "sn", "--q", "0.05", "--u", "0.4", "--format", "json")
+    doc = json.loads(doc_out)
+    header, row = out.splitlines()
+    assert header == "fn,value,terms_used,est_tail"
+    assert row.split(",") == ["sn", "0.3841811341538737", str(doc["terms_used"]), str(doc["est_tail"])]
 
 
 def test_eval_missing_parameter_is_precondition_error(capsys):

@@ -104,6 +104,20 @@ def test_agm_is_bit_identical_to_literals():
     assert repr(agm(2.0, 1e-8)) == "(0.15324750798153153+0j)"
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (1.0, 0.5 + 0.5j), (3.0, -1.0 + 0.1j)])
+def test_agm_keeps_tiny_and_huge_arguments(a, b, scale):
+    # the mean is homogeneous; unscaled, a*b underflows to 0 or overflows
+    with mpmath.workdps(30):
+        want = complex(mpmath.agm(mpmath.mpc(a) * scale, mpmath.mpc(b) * scale))
+    assert abs(agm(a * scale, b * scale) - want) <= 1e-15 * abs(want)
+
+
+def test_agm_refuses_arguments_beyond_a_common_scaling():
+    with pytest.raises(OverflowError, match="too far apart"):
+        agm(1e-300, 1e300)
+
+
 def test_agm_fixed_point_and_symmetry():
     assert_allclose(agm(3.0, 3.0), 3.0, rtol=1e-15)
     assert_allclose(agm(1.0, 0.25), agm(0.25, 1.0), rtol=1e-15)
