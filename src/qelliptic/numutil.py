@@ -2,12 +2,13 @@
 
 Truncated series summation with geometric tail estimates, continued-fraction
 evaluation by the forward modified Lentz recurrence, Richardson-extrapolated
-numerical derivatives, and complex line-segment quadrature by Gauss-Legendre
-rules of doubling size for integrands analytic on the segment.  Only the
-standard library is used.  Every series-based evaluator in this package routes
-through :func:`sum_series` so that term counts can be instrumented uniformly.
-The one truncation policy is scoped with :func:`truncation` and read at call
-time.
+numerical derivatives, and complex line-segment quadrature by nested
+Gauss-Kronrod pairs of doubling size for integrands analytic on the segment.
+Only the standard library is used.  Most series in this package are summed by
+:func:`sum_series`; the infinite q-Pochhammer products and the two-parameter
+theta sums stop on their own exact tail bounds instead.  All of them read the
+one truncation policy, scoped with :func:`truncation` and read at call time,
+and charge their work to :func:`term_counter`.
 """
 
 from __future__ import annotations
@@ -356,10 +357,11 @@ def numeric_derivative(
     return row[0]
 
 
-# complex_quad: the first Gauss-Legendre rule tried, the largest one tried,
-# and the agreement two successive rules must reach, relative to max(1, |I|).
+# complex_quad: the Gauss half of the first Gauss-Kronrod pair tried, the
+# largest Kronrod rule tried, and the agreement a pair's two sums must reach,
+# relative to max(1, |K|).
 _QUAD_START_NODES = 12
-_QUAD_MAX_NODES = 768
+_QUAD_MAX_NODES = 769
 _QUAD_TOL = 1e-13
 
 
@@ -391,36 +393,143 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(nodes), tuple(weights)
 
 
+def _kronrod_jacobi(n: int) -> list[float]:
+    """Off-diagonal recurrence coefficients ``b_0 .. b_2n`` of the Jacobi
+    matrix of the (2n+1)-point Kronrod extension of the n-point
+    Gauss-Legendre rule on [-1, 1].
+
+    Laurie's algorithm (Math. Comp. 66 (1997) 1133-1145) starts from
+    Legendre's coefficients ``a_k = 0``, ``b_0 = 2``,
+    ``b_k = k^2 / (4k^2 - 1)`` for ``k <= ceil(3n/2)`` and fills in the rest
+    from the mixed moments ``s``, ``t``.  The weight function is even, so
+    every ``a_k`` of the Kronrod matrix is 0 too and only the ``b_k`` are
+    carried.
+    """
+    b = [0.0] * (2 * n + 1)
+    b[0] = 2.0
+    for k in range(1, (3 * n + 1) // 2 + 1):
+        b[k] = k * k / (4.0 * k * k - 1.0)
+    s = [0.0] * (n // 2 + 2)
+    t = [0.0] * (n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        acc = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            acc += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = acc
+        s, t = t, s
+    for j in range(n // 2, -1, -1):
+        s[j + 1] = s[j]
+    for m in range(n - 1, 2 * n - 2):
+        acc = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - m + k
+            acc += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = acc
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    return b
+
+
+@lru_cache(maxsize=None)
+def _gauss_kronrod(n: int) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """The Gauss-Kronrod pair G_n/K_(2n+1) on [0, 1], for even ``n``.
+
+    Returns ``(nodes, kronrod_weights, gauss_weights)`` with the ``2n + 1``
+    nodes in ascending order.  Every second node, ``nodes[1::2]``, is a
+    node of :func:`_gauss_legendre`'s rule, whose weights are
+    ``gauss_weights``; the other ``n + 1`` nodes are the zeros of the
+    characteristic polynomial of :func:`_kronrod_jacobi`'s matrix that are
+    not Gauss nodes.  The two sets interlace, so each new node is found by
+    Newton iteration on the orthonormal recurrence started at the angle
+    midpoint of its two Gauss neighbours (or of a Gauss node and an end).
+    Every Kronrod weight is the Christoffel number ``1 / sum_k p_k(z)^2``
+    over the orthonormal polynomials ``p_0 .. p_2n``, halved for [0, 1].
+    The rule is symmetric about 1/2, so only the half ``z >= 0`` of [-1, 1]
+    is computed; for even ``n`` its middle node ``z = 0`` is a new node.
+    """
+    gauss_nodes, gauss_weights = _gauss_legendre(n)
+    root_b = [math.sqrt(v) for v in _kronrod_jacobi(n)]
+
+    def recurrence(z: float) -> tuple[float, float, float]:
+        """``(pi(z), pi'(z), sum_k p_k(z)^2)`` with ``pi`` proportional to
+        the characteristic polynomial."""
+        p0, p1 = 0.0, 1.0 / root_b[0]
+        d0 = d1 = 0.0
+        squares = p1 * p1
+        for k in range(2 * n):
+            p0, p1 = p1, (z * p1 - root_b[k] * p0) / root_b[k + 1]
+            d0, d1 = d1, (p0 + z * d1 - root_b[k] * d0) / root_b[k + 1]
+            squares += p1 * p1
+        return z * p1 - root_b[2 * n] * p0, p1 + z * d1 - root_b[2 * n] * d0, squares
+
+    # z = 1 - 2t recovers the Gauss roots z > 0: exactly for z >= 1/2, and
+    # within 2^-54 below, where the Christoffel function is flat
+    gauss_z = [1.0 - 2.0 * t for t in gauss_nodes[: n // 2]]
+    angles = [0.0] + [math.acos(z) for z in gauss_z]
+    new_z = []
+    for lo, hi in zip(angles, angles[1:]):
+        z = math.cos((lo + hi) / 2.0)
+        for _ in range(100):
+            value, slope = recurrence(z)[:2]
+            dz = value / slope
+            z -= dz
+            if abs(dz) <= 1e-16:
+                break
+        new_z.append(z)
+    new_z.append(0.0)  # the midpoint, a root of the odd polynomial
+    gauss_w = [0.5 / recurrence(z)[2] for z in gauss_z]
+    new_w = [0.5 / recurrence(z)[2] for z in new_z]
+    nodes = [0.0] * (2 * n + 1)
+    weights = [0.0] * (2 * n + 1)
+    nodes[1::2] = gauss_nodes
+    nodes[0::2] = [(1.0 - z) / 2.0 for z in new_z] + [(1.0 + z) / 2.0 for z in new_z[-2::-1]]
+    weights[1::2] = gauss_w + gauss_w[::-1]
+    weights[0::2] = new_w + new_w[-2::-1]
+    return tuple(nodes), tuple(weights), gauss_weights
+
+
 def complex_quad(f: Callable[[complex], complex], a: complex, b: complex) -> complex:
     """Integrate ``f`` along the straight segment from ``a`` to ``b``.
 
-    Applies Gauss-Legendre rules of 12, 24, 48, ... nodes, evaluating the
-    complex ``f`` once per node, until two successive rules agree to
-    ``1e-13 * max(1, |I|)``, and returns the larger rule's value.  The rules
-    converge geometrically when ``f`` is analytic on (a neighbourhood of)
-    the segment; a kink, pole or branch point on it stalls them.
+    Applies the Gauss-Kronrod pairs G_n/K_(2n+1) for n = 12, 24, 48, ...,
+    384 (Kronrod 1965; nested as in QUADPACK), built by Laurie's algorithm.
+    At each level the complex ``f`` is evaluated once at each of the
+    ``2n + 1`` Kronrod nodes, of which the ``n`` Gauss nodes are a subset;
+    the first pair whose two sums agree to ``1e-13 * max(1, |K|)`` returns
+    the Kronrod sum.  The rules converge geometrically when ``f`` is
+    analytic on (a neighbourhood of) the segment; a kink, pole or branch
+    point on it stalls them.  Every Kronrod rule here has a node at the
+    midpoint of the segment, so an integrand that raises there (a pole at
+    the midpoint) raises out of this function.
 
     Raises
     ------
     NonConvergenceError
-        If no two successive rules up to 768 nodes agree.
+        At the first pair whose Gauss or Kronrod sum is not finite (NaN or
+        infinite), or if no pair up to G384/K769 agrees.
     """
     a = complex(a)
     delta = complex(b) - a
-    prev = None
-    diff = float("inf")
+    diff = math.inf
     n = _QUAD_START_NODES
-    while n <= _QUAD_MAX_NODES:
-        nodes, weights = _gauss_legendre(n)
-        cur = delta * sum(w * complex(f(a + t * delta)) for t, w in zip(nodes, weights))
-        if prev is not None:
-            diff = abs(cur - prev)
-            if diff <= _QUAD_TOL * max(1.0, abs(cur)):
-                return cur
-        prev = cur
+    while 2 * n + 1 <= _QUAD_MAX_NODES:
+        nodes, kronrod_weights, gauss_weights = _gauss_kronrod(n)
+        values = [complex(f(a + t * delta)) for t in nodes]
+        gauss = delta * sum(w * v for w, v in zip(gauss_weights, values[1::2]))
+        kronrod = delta * sum(w * v for w, v in zip(kronrod_weights, values))
+        if not (cmath.isfinite(gauss) and cmath.isfinite(kronrod)):
+            raise NonConvergenceError(
+                f"Gauss-Kronrod pair G{n}/K{2 * n + 1} sum is not finite "
+                f"(G={gauss}, K={kronrod})"
+            )
+        diff = abs(kronrod - gauss)
+        if diff <= _QUAD_TOL * max(1.0, abs(kronrod)):
+            return kronrod
         n *= 2
     raise NonConvergenceError(
-        f"Gauss-Legendre rules up to {_QUAD_MAX_NODES} nodes did not agree "
+        f"Gauss-Kronrod pairs up to {_QUAD_MAX_NODES} nodes did not agree "
         f"(last difference {diff:.3g})"
     )
 

@@ -20,9 +20,18 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
-from .numutil import PoleError, continued_fraction, principal_power, sum_series
+from .numutil import (
+    _POLICY,
+    NonConvergenceError,
+    PoleError,
+    _bump_terms,
+    continued_fraction,
+    principal_power,
+    sum_series,
+)
 from .qseries import divisors, qpochhammer
 
 __all__ = [
@@ -60,7 +69,17 @@ def _theta_two(a, b, q, alternating: bool) -> complex:
     Term ``n`` is built from term ``n - 1`` by running products: with
     ``x = q^a`` and ``R_1 = s x q^(+-b)``, ``T_n = T_(n-1) R_n`` and
     ``R_(n+1) = R_n x^2``, so a call takes three powers and each term four
-    complex multiplies.
+    complex multiplies.  Once both next ratios have ``rho = |R_(n+1)| < 1``,
+    every later ratio is smaller (``|x^2| < 1``), so the terms left out sum
+    to at most ``|T_n+| rho+ / (1 - rho+) + |T_n-| rho- / (1 - rho-)``.  The
+    sum stops at the first partial sum where that bound is at most the
+    active policy's ``rel_tail_cutoff`` times ``max(1, |partial sum|)``;
+    the terms consumed, ``n = 0`` included, are charged to
+    :func:`~qelliptic.numutil.term_counter`.
+
+    Raises :class:`~qelliptic.numutil.NonConvergenceError` after the
+    policy's ``max_terms`` terms, or at the first partial sum that is not
+    finite.
     """
     name = "theta4_two" if alternating else "theta3_two"
     x = principal_power(q, a)
@@ -74,23 +93,36 @@ def _theta_two(a, b, q, alternating: bool) -> complex:
         if b == a or b == -a:
             return 0j if alternating else 2.0 + 0.0j
         raise PoleError(f"{name}: q^(a n^2 + b n) has a pole at q = 0 when a < |b|")
+    pol = _POLICY.get()
+    cutoff = pol.rel_tail_cutoff
+    max_terms = pol.max_terms
     x2 = x * x
     lead = -x if alternating else x
     r_plus = lead * principal_power(q, b)
     r_minus = lead * principal_power(q, -b)
-    t_plus = t_minus = 1.0 + 0.0j
-
-    def term(n: int) -> complex:
-        nonlocal t_plus, t_minus, r_plus, r_minus
-        if n == 0:
-            return 1.0
+    t_plus = t_minus = total = 1.0 + 0.0j
+    used = 1
+    while True:
+        rho_plus = abs(r_plus)
+        rho_minus = abs(r_minus)
+        if rho_plus < 1.0 and rho_minus < 1.0:
+            tail = abs(t_plus) * rho_plus / (1.0 - rho_plus) + abs(t_minus) * rho_minus / (1.0 - rho_minus)
+            scale = abs(total)
+            if tail <= cutoff * (scale if scale > 1.0 else 1.0):
+                _bump_terms(used)
+                return total
+        if used >= max_terms:
+            _bump_terms(used)
+            raise NonConvergenceError(f"{name} did not converge within {max_terms} terms")
         t_plus *= r_plus
         t_minus *= r_minus
         r_plus *= x2
         r_minus *= x2
-        return t_plus + t_minus
-
-    return sum_series(term)
+        total += t_plus + t_minus
+        used += 1
+        if not abs(total) < math.inf:
+            _bump_terms(used)
+            raise NonConvergenceError(f"{name} partial sum is {total} after {used} terms")
 
 
 def theta3_two(a, b, q) -> complex:

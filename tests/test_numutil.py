@@ -5,9 +5,11 @@ import cmath
 import dataclasses
 import math
 
+import mpmath as mp
 import pytest
 from numpy.testing import assert_allclose
 
+from qelliptic import numutil
 from qelliptic.numutil import (
     DEFAULT_POLICY,
     NonConvergenceError,
@@ -381,6 +383,153 @@ def test_quad_kinked_integrand_is_refused():
     # algebraically, so they never agree to 1e-13
     with pytest.raises(NonConvergenceError):
         complex_quad(lambda t: abs(t - 0.3), 0.0, 1.0)
+
+
+def _counting(f):
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return f(t)
+
+    return g, calls
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_quad_refuses_a_non_finite_rule_sum_at_the_first_pair(value):
+    f, calls = _counting(lambda t: value)
+    with pytest.raises(NonConvergenceError, match="G12/K25"):
+        complex_quad(f, 0.0, 1.0)
+    assert len(calls) <= 25
+
+
+@pytest.mark.parametrize(
+    "f, want",
+    [
+        (cmath.sin, 1.0 - math.cos(1.0)),
+        (lambda t: cmath.cos(200.0 * t), math.sin(200.0) / 200.0),
+    ],
+)
+def test_quad_matches_closed_forms(f, want):
+    assert abs(complex_quad(f, 0.0, 1.0) - want) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        cmath.sqrt,  # branch point at 0
+        cmath.log,  # integrable singularity at 0
+        lambda t: 1.0 / ((t - 0.5) ** 2 + 1e-4),  # poles 0.01 off the segment
+        lambda t: abs(t - 0.3),  # kink
+    ],
+)
+def test_quad_refuses_what_it_cannot_resolve(f):
+    # never a silent wrong value: these rules stall, so the pairs never agree
+    with pytest.raises(NonConvergenceError):
+        complex_quad(f, 0.0, 1.0)
+
+
+def test_quad_pole_at_the_midpoint_raises_at_the_kronrod_node():
+    # every K_(2n+1) has a node at the midpoint; a Gauss-only rule of even
+    # size would have returned the principal value 0 here
+    f, calls = _counting(lambda t: 1.0 / (t - 0.5))
+    with pytest.raises(ZeroDivisionError):
+        complex_quad(f, 0.0, 1.0)
+    assert calls[-1] == 0.5 and len(calls) <= 25
+
+
+def _kronrod_reference(n):
+    """The K_(2n+1) rule on [0, 1] at 40 digits: Laurie's algorithm with the
+    diagonal carried, nodes by Newton from the rule under test, Christoffel
+    weights.  Returns (nodes, weights, largest diagonal entry)."""
+    got = numutil._gauss_kronrod(n)[0]
+    with mp.workdps(40):
+        a = [mp.mpf(0)] * (2 * n + 1)
+        b = [mp.mpf(0)] * (2 * n + 1)
+        b[0] = mp.mpf(2)
+        for k in range(1, (3 * n + 1) // 2 + 1):
+            b[k] = mp.mpf(k * k) / (4 * k * k - 1)
+        s = [mp.mpf(0)] * (n // 2 + 2)
+        t = [mp.mpf(0)] * (n // 2 + 2)
+        t[1] = b[n + 1]
+        for m in range(n - 1):
+            acc = mp.mpf(0)
+            for k in range((m + 1) // 2, -1, -1):
+                acc += (a[k + n + 1] - a[m - k]) * t[k + 1] + b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+                s[k + 1] = acc
+            s, t = t, s
+        for j in range(n // 2, -1, -1):
+            s[j + 1] = s[j]
+        for m in range(n - 1, 2 * n - 2):
+            acc = mp.mpf(0)
+            for k in range(m + 1 - n, (m - 1) // 2 + 1):
+                j = n - 1 - m + k
+                acc += -(a[k + n + 1] - a[m - k]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[m - k] * s[j + 2]
+                s[j + 1] = acc
+            k = (m + 1) // 2
+            if m % 2:
+                b[k + n + 1] = s[j + 1] / s[j + 2]
+            else:
+                a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+            s, t = t, s
+        a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+        root_b = [mp.sqrt(v) for v in b]
+
+        def recurrence(z):
+            p0, p1 = mp.mpf(0), 1 / root_b[0]
+            d0 = d1 = mp.mpf(0)
+            squares = p1 * p1
+            for k in range(2 * n):
+                p0, p1 = p1, ((z - a[k]) * p1 - root_b[k] * p0) / root_b[k + 1]
+                d0, d1 = d1, (p0 + (z - a[k]) * d1 - root_b[k] * d0) / root_b[k + 1]
+                squares += p1 * p1
+            z_a = z - a[2 * n]
+            return z_a * p1 - root_b[2 * n] * p0, p1 + z_a * d1 - root_b[2 * n] * d0, squares
+
+        nodes, weights = [], []
+        for node in got:
+            z = 2 * mp.mpf(node) - 1
+            for _ in range(20):
+                value, slope, _ = recurrence(z)
+                z -= value / slope
+                if abs(value / slope) <= mp.mpf(10) ** -38:
+                    break
+            nodes.append((1 + z) / 2)
+            weights.append(1 / (2 * recurrence(z)[2]))
+        return nodes, weights, max(abs(v) for v in a)
+
+
+@pytest.mark.parametrize("n", [12, 24, 48])
+def test_kronrod_rule_matches_a_40_digit_construction(n):
+    nodes, weights, gauss_weights = numutil._gauss_kronrod(n)
+    ref_nodes, ref_weights, diagonal = _kronrod_reference(n)
+    assert diagonal <= 1e-35  # Legendre's symmetry: the Kronrod diagonal is 0
+    # 2n + 1 distinct roots of a degree 2n + 1 polynomial: every Kronrod node
+    assert all(x < y for x, y in zip(ref_nodes, ref_nodes[1:]))
+    assert max(abs(x - y) for x, y in zip(nodes, ref_nodes)) <= 2e-16
+    errors = [w - y for w, y in zip(weights, ref_weights)]
+    assert max(abs(e) for e in errors) <= 2e-16
+    assert abs(sum(errors)) <= 3e-15
+    assert min(weights) > 0.0
+    assert (nodes[1::2], gauss_weights) == numutil._gauss_legendre(n)
+
+
+@pytest.mark.parametrize("n", [12, 24, 48, 96, 192, 384])
+def test_kronrod_rule_integrates_legendre_polynomials_exactly(n):
+    # K_(2n+1) has degree 3n + 1: int_0^1 P_j(2t - 1) dt = [j == 0]
+    nodes, weights, _ = numutil._gauss_kronrod(n)
+    assert len(nodes) == 2 * n + 1
+    moments = [0.0] * (3 * n + 2)
+    for node, w in zip(nodes, weights):
+        z = 2.0 * node - 1.0
+        p0, p1 = 1.0, z
+        moments[0] += w
+        moments[1] += w * z
+        for j in range(1, 3 * n + 1):
+            p0, p1 = p1, ((2 * j + 1) * z * p1 - j * p0) / (j + 1)
+            moments[j + 1] += w * p1
+    assert abs(moments[0] - 1.0) <= 1e-14
+    assert max(abs(m) for m in moments[1:]) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

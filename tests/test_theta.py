@@ -16,6 +16,7 @@ from qelliptic.numutil import (
     principal_power,
     sum_series,
     term_counter,
+    truncation,
 )
 from qelliptic.qseries import euler_product, qpochhammer
 from qelliptic.thetagen import (
@@ -95,9 +96,9 @@ def test_theta_two_overflow_is_refused_fast():
         assert used() < 100
 
 
-def _reference_theta_two(a, b, q, alternating):
-    """The per-term sum these kernels replaced (q != 0): three powers per term.
-    Returns the sum and its term count."""
+def _per_term_power(q):
+    """``s -> q^s`` as the per-term sum took it: exact integer powers,
+    else ``exp(s Log q)``."""
     w = complex(q)
     log_w = cmath.log(w)
 
@@ -107,6 +108,13 @@ def _reference_theta_two(a, b, q, alternating):
             return w ** int(sc.real)
         return cmath.exp(sc * log_w)
 
+    return power
+
+
+def _reference_theta_two(a, b, q, alternating):
+    """The per-term sum these kernels replaced (q != 0): three powers per term.
+    Returns the sum and its term count."""
+    power = _per_term_power(q)
     if abs(power(a)) >= 1.0:
         raise ValueError("|q^a| >= 1")
 
@@ -119,6 +127,27 @@ def _reference_theta_two(a, b, q, alternating):
     with term_counter() as used:
         value = sum_series(term)
     return value, used()
+
+
+def _tail_bound_stop(a, b, q, alternating, cutoff=1e-16):
+    """Terms to the first partial sum ``S_m`` (``n = 0 .. m``) at which both
+    next ratios ``rho = |q^(a (2m + 1) +- b)|`` are below 1 and
+    ``|T_m+| rho+ / (1 - rho+) + |T_m-| rho- / (1 - rho-)`` is at most
+    ``cutoff * max(1, |S_m|)``, every quantity from the per-term powers."""
+    power = _per_term_power(q)
+    total = 0.0
+    for m in range(10_000):
+        sign = -1.0 if alternating and m % 2 else 1.0
+        t_plus = sign * power(a * m * m + b * m)
+        t_minus = sign * power(a * m * m - b * m)
+        total += 1.0 if m == 0 else t_plus + t_minus
+        rho_plus = abs(power(a * (2 * m + 1) + b))
+        rho_minus = abs(power(a * (2 * m + 1) - b))
+        if rho_plus < 1.0 and rho_minus < 1.0:
+            tail = abs(t_plus) * rho_plus / (1.0 - rho_plus) + abs(t_minus) * rho_minus / (1.0 - rho_minus)
+            if tail <= cutoff * max(1.0, abs(total)):
+                return m + 1
+    raise AssertionError("no stop within 10,000 terms")
 
 
 _AB = [(1, 0), (1, 0.4), (2.5, 1.5), (2.5, 0.5), (0.5, 0.25), (1, 0.4j), (1.5, 0.3 + 0.2j), (0.7, -1.1)]
@@ -135,7 +164,7 @@ def test_theta_two_kernel_matches_per_term_sum(alternating):
             want, want_used = _reference_theta_two(a, b, q, alternating)
             with term_counter() as used:
                 got = f(a, b, q)
-            assert used() == want_used, (q, a, b)
+            assert used() <= want_used, (q, a, b)
             if abs(q) > 0.05:
                 continue
             if isinstance(q, float) and q > 0 and isinstance(b, (int, float)):
@@ -145,6 +174,35 @@ def test_theta_two_kernel_matches_per_term_sum(alternating):
                 # the last bit moves; at q < 0 the per-term w**n (n > 100)
                 # also carried an imaginary part of ~1e-220
                 assert abs(got - want) <= 1e-15 * abs(want), (q, a, b)
+
+
+@pytest.mark.parametrize("alternating", [False, True])
+def test_theta_two_stops_at_its_first_negligible_tail_bound(alternating):
+    f = theta4_two if alternating else theta3_two
+    for q in _SHALLOW_NOMES + _DEEP_NOMES:
+        for a, b in _AB:
+            with term_counter() as used:
+                f(a, b, q)
+            assert used() == _tail_bound_stop(a, b, q, alternating), (q, a, b)
+
+
+def test_theta_two_obeys_the_truncation_policy():
+    a, b, q = 2.5, 1.5, 0.9
+    with term_counter() as used:
+        want = theta3_two(a, b, q)
+    needed = used()
+    with truncation(max_terms=needed):
+        assert theta3_two(a, b, q) == want
+    with term_counter() as used:
+        with truncation(max_terms=needed - 1):
+            with pytest.raises(NonConvergenceError):
+                theta3_two(a, b, q)
+    assert used() == needed - 1
+    with term_counter() as used:
+        with truncation(rel_tail_cutoff=1e-12):
+            coarse = theta3_two(a, b, q)
+    assert used() == _tail_bound_stop(a, b, q, False, cutoff=1e-12) < needed
+    assert abs(coarse - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def _oracle_theta_two(a, b, q, alternating):
