@@ -169,6 +169,12 @@ class EllipticContext:
 
         ``z`` defaults to the principal ``log(q) / (2 pi i)``, which places
         ``Re z`` in ``(-1/2, 1/2]``; pass ``z`` to select another sheet.
+
+        Raises
+        ------
+        OverflowError
+            Where ``k^2`` is past the double range, as on the real axis from
+            ``q = -0.987`` towards ``-1``.
         """
         q = complex(q)
         if q.imag == 0.0:
@@ -180,10 +186,17 @@ class EllipticContext:
         if z is None:
             z = cmath.log(q) / (2.0j * math.pi)
         t2, t3, t4 = theta2(q), theta3(q), theta4(q)
+        t3_4 = t3**4
+        # theta3 -> 0 as q -> -1: k^2 leaves the double range from q = -0.987
+        # on, and theta3^4 underflows to 0 from q = -0.988 on
+        if t3_4 == 0.0 or not cmath.isfinite((t2 / t3) ** 4):
+            raise OverflowError(
+                f"k^2 = (theta2/theta3)^4 leaves the double range at nome q = {q}"
+            )
         K = 0.5 * math.pi * t3 * t3
         k = (t2 / t3) ** 2
         # (pi/(2K))^2 P(q^2) with pi/(2K) = theta3^-2
-        E = K / 3.0 * (2.0 - k * k + (1.0 - 24.0 * lambert_sum(q * q, float)) / t3**4)
+        E = K / 3.0 * (2.0 - k * k + (1.0 - 24.0 * lambert_sum(q * q, float)) / t3_4)
         return cls(q=q, z=complex(z), k=k, kprime=(t4 / t3) ** 2, K=K,
                    Kprime=-2.0j * z * K, E=E)
 

@@ -1889,7 +1889,7 @@ def _build() -> tuple[IdentityCase, ...]:
           ({"r": 2.0, "u": 0.3}, {"r": 1.0, "u": 0.5})),
         C("EQ33", "parameter-negation transformation of the complete integral",
           "qelliptic.elliptic.ellint_K", _eq33_lhs,
-          lambda x: ellint_K(cmath.sqrt(x)),
+          lambda x: pi / 2.0 * _hyp2f1_half(0.5, x),
           ({"x": 0.3}, {"x": 0.62})),
         C("EQ34", "quarter-period ratio between negated and plain nome is k'",
           "qelliptic.elliptic.EllipticContext.from_nome",

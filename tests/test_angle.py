@@ -4,7 +4,6 @@ import cmath
 import math
 
 import pytest
-from numpy.testing import assert_allclose
 
 from qelliptic.angle import (
     angle_derivative,

@@ -55,7 +55,7 @@ def test_eval_emits_value_terms_and_tail(capsys):
 
 
 def test_eval_imports_neither_scipy_nor_numpy():
-    # the library is stdlib-only; scipy and numpy are test oracles
+    # the library is stdlib-only
     code = (
         "import sys, qelliptic\n"
         "from qelliptic import cli\n"

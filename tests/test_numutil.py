@@ -7,7 +7,7 @@ import math
 
 import mpmath as mp
 import pytest
-from numpy.testing import assert_allclose
+from assertions import assert_close
 
 from qelliptic import numutil
 from qelliptic.numutil import (
@@ -41,14 +41,14 @@ def _terms_used(term, start=0):
 def test_sum_series_geometric_value():
     # sum_{n>=0} 0.5^n = 2
     out = sum_series(lambda n: 0.5**n)
-    assert_allclose(out, 2.0, rtol=1e-14)
+    assert_close(out, 2.0, rtol=1e-14)
     assert _terms_used(lambda n: 0.5**n) > 0
 
 
 def test_sum_series_start_offset():
     # sum_{n>=1} 0.5^n = 1
     out = sum_series(lambda n: 0.5**n, start=1)
-    assert_allclose(out, 1.0, rtol=1e-14)
+    assert_close(out, 1.0, rtol=1e-14)
 
 
 def test_sum_series_est_tail_bounds_truncation_error():
@@ -65,12 +65,12 @@ def test_sum_series_survives_gaps():
     # window must bridge runs of exact zeros without stopping early
     q = 0.4
     out = sum_series(lambda n: q**n if n % 5 == 0 else 0.0)
-    assert_allclose(out, 1.0 / (1.0 - q**5), rtol=1e-13)
+    assert_close(out, 1.0 / (1.0 - q**5), rtol=1e-13)
 
 
 def test_sum_series_yields_complex_partial_sums():
     out = sum_series(lambda n: (0.2 + 0.3j) ** n)
-    assert_allclose(out, 1.0 / (1.0 - (0.2 + 0.3j)), rtol=1e-13)
+    assert_close(out, 1.0 / (1.0 - (0.2 + 0.3j)), rtol=1e-13)
 
 
 def test_sum_series_honors_max_terms():
@@ -318,11 +318,11 @@ def test_term_counter_is_per_task():
 
 def test_derivative_of_square():
     # d/dx x^2 at 3 = 6
-    assert_allclose(numeric_derivative(lambda x: x * x, 3.0), 6.0, rtol=1e-9)
+    assert_close(numeric_derivative(lambda x: x * x, 3.0), 6.0, rtol=1e-9)
 
 
 def test_derivative_of_exp_at_zero():
-    assert_allclose(numeric_derivative(cmath.exp, 0.0), 1.0, rtol=1e-10)
+    assert_close(numeric_derivative(cmath.exp, 0.0), 1.0, rtol=1e-10)
 
 
 def test_derivative_richardson_steps_sharpen():
@@ -357,7 +357,7 @@ def test_derivative_log_euler_product():
 
 def test_quad_real_segment():
     # int_0^pi sin = 2
-    assert_allclose(complex_quad(cmath.sin, 0.0, math.pi), 2.0, rtol=1e-12)
+    assert_close(complex_quad(cmath.sin, 0.0, math.pi), 2.0, rtol=1e-12)
 
 
 def test_quad_complex_segment():
@@ -369,20 +369,13 @@ def test_quad_complex_segment():
         return cmath.exp(t)
 
     got = complex_quad(f, 0.0, 1.0 + 1.0j)
-    assert_allclose(
+    assert_close(
         [got.real, got.imag],
         [(cmath.exp(1.0 + 1.0j) - 1.0).real, (cmath.exp(1.0 + 1.0j) - 1.0).imag],
         rtol=1e-13,
     )
-    # one complex evaluation per node, fewer than two 21-node real passes
-    assert len(calls) < 42
-
-
-def test_quad_kinked_integrand_is_refused():
-    # |t - 0.3| is not analytic on [0, 1]: the rules converge only
-    # algebraically, so they never agree to 1e-13
-    with pytest.raises(NonConvergenceError):
-        complex_quad(lambda t: abs(t - 0.3), 0.0, 1.0)
+    # the pair agrees on the whole segment: one complex evaluation per node
+    assert len(calls) == 25
 
 
 def _counting(f):
@@ -408,6 +401,9 @@ def test_quad_refuses_a_non_finite_rule_sum_at_the_first_pair(value):
     [
         (cmath.sin, 1.0 - math.cos(1.0)),
         (lambda t: cmath.cos(200.0 * t), math.sin(200.0) / 200.0),
+        (cmath.sqrt, 2.0 / 3.0),  # branch point at 0
+        (lambda t: 1.0 / ((t - 0.5) ** 2 + 1e-4), 200.0 * math.atan(50.0)),  # poles 0.01 off
+        (lambda t: abs(t - 0.3), 0.29),  # kink
     ],
 )
 def test_quad_matches_closed_forms(f, want):
@@ -417,21 +413,23 @@ def test_quad_matches_closed_forms(f, want):
 @pytest.mark.parametrize(
     "f",
     [
-        cmath.sqrt,  # branch point at 0
         cmath.log,  # integrable singularity at 0
-        lambda t: 1.0 / ((t - 0.5) ** 2 + 1e-4),  # poles 0.01 off the segment
-        lambda t: abs(t - 0.3),  # kink
+        lambda t: 1.0 / (t - 0.3),  # pole on the segment: no integral, only a principal value
+        lambda t: 1.0 / (t - 0.3) ** 2,  # non-integrable pole
     ],
 )
 def test_quad_refuses_what_it_cannot_resolve(f):
-    # never a silent wrong value: these rules stall, so the pairs never agree
-    with pytest.raises(NonConvergenceError):
+    # never a silent wrong value: next to the singularity the pair keeps
+    # disagreeing, so the bisection spends its 30 intervals and stops
+    f, calls = _counting(f)
+    with pytest.raises(NonConvergenceError, match="30 intervals"):
         complex_quad(f, 0.0, 1.0)
+    assert len(calls) == 25 + 29 * 50
 
 
 def test_quad_pole_at_the_midpoint_raises_at_the_kronrod_node():
-    # every K_(2n+1) has a node at the midpoint; a Gauss-only rule of even
-    # size would have returned the principal value 0 here
+    # K25 has a node at the midpoint; the Gauss rule of even size alone
+    # would have returned the principal value 0 here
     f, calls = _counting(lambda t: 1.0 / (t - 0.5))
     with pytest.raises(ZeroDivisionError):
         complex_quad(f, 0.0, 1.0)
@@ -440,9 +438,9 @@ def test_quad_pole_at_the_midpoint_raises_at_the_kronrod_node():
 
 def _kronrod_reference(n):
     """The K_(2n+1) rule on [0, 1] at 40 digits: Laurie's algorithm with the
-    diagonal carried, nodes by Newton from the rule under test, Christoffel
+    diagonal carried, nodes by Newton from the tabulated rule, Christoffel
     weights.  Returns (nodes, weights, largest diagonal entry)."""
-    got = numutil._gauss_kronrod(n)[0]
+    got = numutil._QUAD_NODES
     with mp.workdps(40):
         a = [mp.mpf(0)] * (2 * n + 1)
         b = [mp.mpf(0)] * (2 * n + 1)
@@ -499,9 +497,20 @@ def _kronrod_reference(n):
         return nodes, weights, max(abs(v) for v in a)
 
 
-@pytest.mark.parametrize("n", [12, 24, 48])
+def _legendre_reference(nodes):
+    """The Gauss-Legendre rule on [0, 1] at 40 digits: the roots of P_n by
+    mpmath's root finder from the tabulated nodes, weights
+    1/((1 - z^2) P_n'(z)^2).  Returns (nodes, weights)."""
+    n = len(nodes)
+    with mp.workdps(40):
+        zs = [mp.findroot(lambda z: mp.legendre(n, z), 2 * mp.mpf(t) - 1) for t in nodes]
+        slopes = [n * (z * mp.legendre(n, z) - mp.legendre(n - 1, z)) / (z * z - 1) for z in zs]
+        return [(1 + z) / 2 for z in zs], [1 / ((1 - z * z) * d * d) for z, d in zip(zs, slopes)]
+
+
+@pytest.mark.parametrize("n", [12])
 def test_kronrod_rule_matches_a_40_digit_construction(n):
-    nodes, weights, gauss_weights = numutil._gauss_kronrod(n)
+    nodes, weights, gauss_weights = numutil._QUAD_NODES, numutil._QUAD_KRONROD, numutil._QUAD_GAUSS
     ref_nodes, ref_weights, diagonal = _kronrod_reference(n)
     assert diagonal <= 1e-35  # Legendre's symmetry: the Kronrod diagonal is 0
     # 2n + 1 distinct roots of a degree 2n + 1 polynomial: every Kronrod node
@@ -511,13 +520,18 @@ def test_kronrod_rule_matches_a_40_digit_construction(n):
     assert max(abs(e) for e in errors) <= 2e-16
     assert abs(sum(errors)) <= 3e-15
     assert min(weights) > 0.0
-    assert (nodes[1::2], gauss_weights) == numutil._gauss_legendre(n)
+    # every second node is a node of the n-point Gauss rule
+    gauss_nodes, ref_gauss_weights = _legendre_reference(nodes[1::2])
+    assert len(gauss_weights) == n
+    assert all(x < y for x, y in zip(gauss_nodes, gauss_nodes[1:]))
+    assert max(abs(x - y) for x, y in zip(nodes[1::2], gauss_nodes)) <= 2e-16
+    assert max(abs(w - y) for w, y in zip(gauss_weights, ref_gauss_weights)) <= 2e-16
 
 
-@pytest.mark.parametrize("n", [12, 24, 48, 96, 192, 384])
+@pytest.mark.parametrize("n", [12])
 def test_kronrod_rule_integrates_legendre_polynomials_exactly(n):
     # K_(2n+1) has degree 3n + 1: int_0^1 P_j(2t - 1) dt = [j == 0]
-    nodes, weights, _ = numutil._gauss_kronrod(n)
+    nodes, weights = numutil._QUAD_NODES, numutil._QUAD_KRONROD
     assert len(nodes) == 2 * n + 1
     moments = [0.0] * (3 * n + 2)
     for node, w in zip(nodes, weights):
@@ -540,7 +554,7 @@ def test_kronrod_rule_integrates_legendre_polynomials_exactly(n):
 def test_cf_sqrt_two():
     # sqrt(2) = 1 + 1/(2 + 1/(2 + ...))
     got = 1.0 + continued_fraction(lambda k: 2.0, lambda k: 1.0)
-    assert_allclose(got, math.sqrt(2.0), rtol=1e-12)
+    assert_close(got, math.sqrt(2.0), rtol=1e-12)
 
 
 def test_cf_computes_each_coefficient_once():
@@ -586,12 +600,12 @@ def test_cf_passes_a_zero_or_infinite_convergent():
     # 1/(1 + 1/(-1 + 1/(-1 + ...))): B_2 = 0, so f_2 is infinite, yet the
     # convergents 1, inf, 2, 3, 2.5, ... go on to phi^2
     got = continued_fraction(lambda k: 1.0 if k == 1 else -1.0, lambda k: 1.0)
-    assert_allclose(got, (3.0 + math.sqrt(5.0)) / 2.0, rtol=1e-14)
+    assert_close(got, (3.0 + math.sqrt(5.0)) / 2.0, rtol=1e-14)
     # 1/(1 + 1/(0 + 1/(1 + 1/(1 + ...)))): A_2 = 0, so f_2 = 0; the fraction
     # is 1/(1 + 1/(0 + t)) = t/(t + 1) with t = 1/(1 + t) = 1/phi
     got = continued_fraction(lambda k: 0.0 if k == 2 else 1.0, lambda k: 1.0)
     t = (math.sqrt(5.0) - 1.0) / 2.0
-    assert_allclose(got, t / (t + 1.0), rtol=1e-14)
+    assert_close(got, t / (t + 1.0), rtol=1e-14)
     # 1/(1 + 1/(0 + 0/...)) ends on f_2 = 0
     with term_counter() as count:
         got = continued_fraction(lambda k: 0.0 if k == 2 else 1.0, lambda k: 0.0 if k == 3 else 1.0)
@@ -644,7 +658,7 @@ def test_principal_power_integer_exponents_exact():
 
 def test_principal_power_principal_branch():
     got = principal_power(-0.2, 0.5)
-    assert_allclose([got.real, got.imag], [0.0, math.sqrt(0.2)], atol=1e-15)
+    assert_close([got.real, got.imag], [0.0, math.sqrt(0.2)], atol=1e-15)
 
 
 def test_principal_power_zero_base():

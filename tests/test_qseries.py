@@ -1,13 +1,13 @@
 """q-Pochhammer products, Lambert/divisor duality, arithmetic constants."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from assertions import assert_close
 
 from qelliptic.numutil import NonConvergenceError, term_counter, truncation
 from qelliptic.qseries import (
@@ -33,12 +33,12 @@ from qelliptic.qseries import (
 
 def test_qpochhammer_zero_argument():
     # (0; q)_inf = 1: every factor equals 1
-    assert_allclose(qpochhammer(0.0, 0.3), 1.0, rtol=1e-15)
+    assert_close(qpochhammer(0.0, 0.3), 1.0, rtol=1e-15)
 
 
 def test_qpochhammer_zero_nome():
     # q = 0 leaves the single factor 1 - z
-    assert_allclose(qpochhammer(0.1, 0.0), 0.9, rtol=1e-15)
+    assert_close(qpochhammer(0.1, 0.0), 0.9, rtol=1e-15)
 
 
 def test_qpochhammer_matches_brute_force():
@@ -46,7 +46,7 @@ def test_qpochhammer_matches_brute_force():
     direct = 1.0
     for n in range(200):
         direct *= 1.0 - z * q**n
-    assert_allclose(qpochhammer(z, q), direct, rtol=1e-14)
+    assert_close(qpochhammer(z, q), direct, rtol=1e-14)
 
 
 @pytest.mark.parametrize("a, q", [(1.0, 0.5), (0.3, 0.9), (2j, -0.2), (0.5, 1e-3), (0.5, 0.0)])
@@ -64,7 +64,7 @@ def test_qpochhammer_stops_at_its_geometric_tail_bound(a, q, cutoff):
 
 def test_qpochhammer_finite():
     a, q = 0.4, 0.3
-    assert_allclose(
+    assert_close(
         qpochhammer(a, q, 3), (1 - a) * (1 - a * q) * (1 - a * q**2), rtol=1e-15
     )
     assert qpochhammer(a, q, 0) == 1.0 + 0.0j
@@ -91,21 +91,21 @@ def _draws(rng, count, *ranges):
 def test_qpochhammer_shift_property():
     # (z; q)_inf = (1 - z) (z q; q)_inf
     for z, q in _draws(random.Random(60), 60, (-2.0, 2.0), (-0.5, 0.5)):
-        assert_allclose(
+        assert_close(
             qpochhammer(z, q), (1.0 - z) * qpochhammer(z * q, q), rtol=1e-12, atol=1e-12
         )
 
 
 def test_euler_product_is_q_self_pochhammer():
     q = 0.37
-    assert_allclose(euler_product(q), qpochhammer(q, q), rtol=1e-15)
+    assert_close(euler_product(q), qpochhammer(q, q), rtol=1e-15)
 
 
 def test_euler_product_factorization():
     # prod(1 - q^n) prod(1 + q^n) = prod(1 - q^{2n})
     q = 0.2
     plus = qpochhammer(-q, q)
-    assert_allclose(euler_product(q) * plus, euler_product(q * q), rtol=1e-13)
+    assert_close(euler_product(q) * plus, euler_product(q * q), rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def test_lambert_divisor_duality_complex():
 
 def test_lambert_leading_term():
     q = 1e-8
-    assert_allclose(lambert_sum(q, lambda n: 1.0), q, rtol=1e-7)
+    assert_close(lambert_sum(q, lambda n: 1.0), q, rtol=1e-7)
 
 
 def test_lambert_rejects_big_nome():
@@ -152,12 +152,12 @@ def test_lambert_power_series_coefficients_are_divisor_counts():
     # on the circle |q| = 0.05 and compare against the divisor function
     rho, N = 0.05, 32
     samples = [
-        lambert_sum(rho * np.exp(2j * np.pi * k / N), lambda n: 1.0)
+        lambert_sum(rho * cmath.exp(2j * math.pi * k / N), lambda n: 1.0)
         for k in range(N)
     ]
-    coeffs = np.fft.fft(samples) / N
     for n in range(1, 9):
-        c = coeffs[n] / rho**n
+        # the samples' n-th discrete Fourier coefficient, over rho^n
+        c = sum(s * cmath.exp(-2j * math.pi * k * n / N) for k, s in enumerate(samples)) / N / rho**n
         assert abs(c - divisor_count(n)) <= 1e-6
 
 
@@ -218,19 +218,19 @@ def test_bernoulli_exact_values():
 
 
 def test_zeta_positive_arguments():
-    assert_allclose(zeta_value(2), math.pi**2 / 6.0, rtol=1e-12)
-    assert_allclose(zeta_value(4), math.pi**4 / 90.0, rtol=1e-12)
-    assert_allclose(zeta_value(3), 1.2020569031595942854, rtol=1e-12)
+    assert_close(zeta_value(2), math.pi**2 / 6.0, rtol=1e-12)
+    assert_close(zeta_value(4), math.pi**4 / 90.0, rtol=1e-12)
+    assert_close(zeta_value(3), 1.2020569031595942854, rtol=1e-12)
     for s in (1.5, 2, 3, 5, 7.5, 20):
-        assert_allclose(zeta_value(s), float(mpmath.zeta(s)), rtol=1e-14)
+        assert_close(zeta_value(s), float(mpmath.zeta(s)), rtol=1e-14)
     for s in (0.5, -0.5):
         with pytest.raises(ValueError, match="s > 1 and for integers s <= 0"):
             zeta_value(s)
 
 
 def test_zeta_nonpositive_integers():
-    assert_allclose(zeta_value(0), -0.5, rtol=1e-15)
-    assert_allclose(zeta_value(-1), -1.0 / 12.0, rtol=1e-15)
+    assert_close(zeta_value(0), -0.5, rtol=1e-15)
+    assert_close(zeta_value(-1), -1.0 / 12.0, rtol=1e-15)
     assert zeta_value(-2) == 0.0
 
 
