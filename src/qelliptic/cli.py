@@ -362,17 +362,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _max_terms(args: argparse.Namespace) -> dict[str, int]:
     """Truncation overrides from ``--max-terms`` or ``QELLIPTIC_MAX_TERMS``."""
     cap = getattr(args, "max_terms", None)
+    source = "--max-terms"
     if cap is None:
         env = os.environ.get("QELLIPTIC_MAX_TERMS")
-        if env is not None:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise PreconditionError(
-                    f"QELLIPTIC_MAX_TERMS must be an integer, got {env!r}")
-    if cap is None:
-        return {}
-    _require(cap > 0, "--max-terms must be positive")
+        if env is None:
+            return {}
+        source = "QELLIPTIC_MAX_TERMS"
+        try:
+            cap = int(env)
+        except ValueError:
+            raise PreconditionError(f"{source} must be an integer, got {env!r}")
+    _require(cap > 0, f"{source} must be positive, got {cap}")
     return {"max_terms": cap}
 
 

@@ -1,6 +1,12 @@
 """Elliptic context: theta nulls on the q-disk and the modulus pair and
 integrals they induce, AGM evaluation of ``K(k)``, ``E(k)``, singular values.
 
+The theta nulls are special cases of :mod:`qelliptic.thetagen`'s bilateral
+kernel, which stops on its exact geometric tail bound: ``theta3(q)`` is
+``theta3_two(1, 0, q)``, ``theta4(q)`` is ``theta4_two(1, 0, q)`` or, where
+Jacobi's imaginary transformation shrinks the nome, ``theta2`` at the dual
+nome, and ``theta2(q)`` is ``q^{1/4} theta3_two(1, 1, q)``.
+
 A context bundles everything the series evaluators need at one nome:
 ``q``, the half-period ratio ``z`` (``q = exp(2 pi i z)``), modulus ``k``,
 complement ``k'``, quarter periods ``K``, ``K'``, and the second integral
@@ -13,8 +19,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .numutil import NonConvergenceError, PoleError, principal_power, sum_series
+from .numutil import NonConvergenceError, PoleError, principal_power
 from .qseries import lambert_sum
+from .thetagen import theta3_two, theta4_two
 
 __all__ = [
     "theta2",
@@ -38,35 +45,49 @@ _SELF_DUAL = math.exp(-math.pi)  # only beyond this |q| can the S step shrink q
 
 
 def theta2(q: complex) -> complex:
-    """Theta null ``2 q^{1/4} sum_{n>=0} q^{n(n+1)}`` (principal ``q^{1/4}``)."""
+    """Theta null ``2 q^{1/4} sum_{n>=0} q^{n(n+1)}`` (principal ``q^{1/4}``),
+    summed as ``q^{1/4} theta3_two(1, 1, q)``: the bilateral sum
+    ``sum_{n in Z} q^{n^2 + n}`` counts each term twice.
+
+    Raises ``ValueError`` where ``|q| >= 1``.
+    """
     q = complex(q)
-    s = sum_series(lambda n: q ** (n * (n + 1)))
-    return 2.0 * principal_power(q, 0.25) * s
+    return principal_power(q, 0.25) * theta3_two(1, 1, q)
 
 
 def theta3(q: complex) -> complex:
-    """Theta null ``1 + 2 sum_{n>=1} q^{n^2}``, summed as ``theta4(-q)`` where ``Re q < 0``."""
+    """Theta null ``1 + 2 sum_{n>=1} q^{n^2}``, summed as ``theta3_two(1, 0, q)``,
+    or as ``theta4(-q)`` where ``Re q < 0``.
+
+    Raises ``ValueError`` where ``|q| >= 1``.
+    """
     q = complex(q)
     if q.real < 0.0:
         return theta4(-q)
-    return 1.0 + 2.0 * sum_series(lambda n: q ** (n * n), start=1)
+    return theta3_two(1, 0, q)
 
 
 def theta4(q: complex) -> complex:
-    """Theta null ``1 + 2 sum_{n>=1} (-1)^n q^{n^2}``, a sum that cancels near
-    the positive real axis; where Jacobi's imaginary transformation shrinks the
-    nome (``|tau| < 1``, ``q = exp(i pi tau)``) the S step is summed instead,
-    ``theta4(q) = (-i tau)^{-1/2} theta2(exp(-i pi / tau))`` (DLMF 20.7(viii))."""
+    """Theta null ``1 + 2 sum_{n>=1} (-1)^n q^{n^2}``, summed as
+    ``theta4_two(1, 0, q)``, a sum that cancels near the positive real axis.
+    Where Jacobi's imaginary transformation shrinks the nome (``|tau| < 1``,
+    ``q = exp(i pi tau)``) the S step is summed instead,
+    ``theta4(q) = (-i tau)^{-1/2} theta2(exp(-i pi / tau))`` (DLMF 20.7(viii)),
+    with ``theta2`` as ``q'^{1/4} theta3_two(1, 1, q')`` at the dual nome ``q'``.
+
+    Raises ``ValueError`` where ``|q| >= 1``.
+    """
     q = complex(q)
+    if not abs(q) < 1.0:  # tau = 0 at q = 1
+        raise ValueError(f"theta4 requires |q| < 1, got q = {q}")
     if abs(q) > _SELF_DUAL:
         tau = cmath.log(q) / (1j * math.pi)
         if abs(tau) < 1.0:
             dual = -1.0 / tau
             qd = cmath.exp(1j * math.pi * dual)
-            s = sum_series(lambda n: qd ** (n * (n + 1)))
             # the dual nome's quarter power, formed directly: ``qd`` underflows first
-            return 2.0 * cmath.exp(0.25j * math.pi * dual) * s / cmath.sqrt(-1j * tau)
-    return 1.0 + 2.0 * sum_series(lambda n: (-1) ** n * q ** (n * n), start=1)
+            return cmath.exp(0.25j * math.pi * dual) * theta3_two(1, 1, qd) / cmath.sqrt(-1j * tau)
+    return theta4_two(1, 0, q)
 
 
 def modulus_from_nome(q: complex) -> complex:

@@ -8,9 +8,10 @@ disagreement summed over the intervals is below 1e-13 relative and refuses
 what 1,475 integrand calls do not resolve.
 Only the standard library is used.  Most series in this package are summed by
 :func:`sum_series`; the infinite q-Pochhammer products and the two-parameter
-theta sums stop on their own exact tail bounds instead.  All of them read the
-one truncation policy, scoped with :func:`truncation` and read at call time,
-and charge their work to :func:`term_counter`.
+theta sums, the theta nulls among them, stop on their own exact tail bounds
+instead.  All of them read the one truncation policy, scoped with
+:func:`truncation` and read at call time, and charge their work to
+:func:`term_counter`.
 """
 
 from __future__ import annotations

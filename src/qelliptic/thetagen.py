@@ -1,7 +1,9 @@
 """Two-parameter theta sums, agile products, and Ramanujan-style q-machinery.
 
-This module holds the q-series layer that sits above the nome/modulus
-functions: bilateral theta sums with quadratic-plus-linear exponents,
+This module holds the q-series layer beneath the nome/modulus functions
+(it imports only :mod:`~qelliptic.numutil` and :mod:`~qelliptic.qseries`,
+and :mod:`~qelliptic.elliptic` sums its theta nulls with the kernel here):
+bilateral theta sums with quadratic-plus-linear exponents,
 restricted q-Pochhammer ("agile") products, the continued fractions
 ``U(a, b; q)`` and ``u0(q, a)`` together with their closed product forms,
 Rogers--Ramanujan evaluators, and restricted divisor-sum logarithm series.
@@ -67,15 +69,18 @@ def _theta_two(a, b, q, alternating: bool) -> complex:
     with ``s = -1`` when ``alternating``, else ``s = 1``.
 
     Term ``n`` is built from term ``n - 1`` by running products: with
-    ``x = q^a`` and ``R_1 = s x q^(+-b)``, ``T_n = T_(n-1) R_n`` and
-    ``R_(n+1) = R_n x^2``, so a call takes three powers and each term four
-    complex multiplies.  Once both next ratios have ``rho = |R_(n+1)| < 1``,
-    every later ratio is smaller (``|x^2| < 1``), so the terms left out sum
-    to at most ``|T_n+| rho+ / (1 - rho+) + |T_n-| rho- / (1 - rho-)``.  The
-    sum stops at the first partial sum where that bound is at most the
-    active policy's ``rel_tail_cutoff`` times ``max(1, |partial sum|)``;
-    the terms consumed, ``n = 0`` included, are charged to
-    :func:`~qelliptic.numutil.term_counter`.
+    ``R_1 = s q^(a +- b)``, each formed as one power, ``T_n = T_(n-1) R_n``
+    and ``R_(n+1) = R_n q^(2a)``, so a call takes three powers and each term
+    four complex multiplies.  (Formed as ``q^a q^(-b)``, ``R_1-`` would
+    overflow at a tiny nome even where ``q^(a-b) = 1``.)  Once both next
+    ratios have ``rho = |R_(n+1)| < 1``, every later ratio is smaller
+    (``|q^(2a)| < 1``), so the terms left out sum to at most
+    ``|T_n+| rho+ / (1 - rho+) + |T_n-| rho- / (1 - rho-)``.  The sum stops
+    at the first partial sum where that bound is at most the active policy's
+    ``rel_tail_cutoff`` times ``max(1, |partial sum|)``.  The terms
+    ``n >= 1`` are summed on their own and the ``n = 0`` term is added once,
+    to the scale and to the result; the terms consumed, ``n = 0`` included,
+    are charged to :func:`~qelliptic.numutil.term_counter`.
 
     Raises :class:`~qelliptic.numutil.NonConvergenceError` after the
     policy's ``max_terms`` terms, or at the first partial sum that is not
@@ -97,20 +102,21 @@ def _theta_two(a, b, q, alternating: bool) -> complex:
     cutoff = pol.rel_tail_cutoff
     max_terms = pol.max_terms
     x2 = x * x
-    lead = -x if alternating else x
-    r_plus = lead * principal_power(q, b)
-    r_minus = lead * principal_power(q, -b)
-    t_plus = t_minus = total = 1.0 + 0.0j
+    sign = -1.0 if alternating else 1.0
+    r_plus = sign * principal_power(q, a + b)
+    r_minus = sign * principal_power(q, a - b)
+    t_plus = t_minus = 1.0 + 0.0j
+    total = 0j  # the terms n >= 1
     used = 1
     while True:
         rho_plus = abs(r_plus)
         rho_minus = abs(r_minus)
         if rho_plus < 1.0 and rho_minus < 1.0:
             tail = abs(t_plus) * rho_plus / (1.0 - rho_plus) + abs(t_minus) * rho_minus / (1.0 - rho_minus)
-            scale = abs(total)
+            scale = abs(1.0 + total)
             if tail <= cutoff * (scale if scale > 1.0 else 1.0):
                 _bump_terms(used)
-                return total
+                return 1.0 + total
         if used >= max_terms:
             _bump_terms(used)
             raise NonConvergenceError(f"{name} did not converge within {max_terms} terms")
@@ -122,7 +128,7 @@ def _theta_two(a, b, q, alternating: bool) -> complex:
         used += 1
         if not abs(total) < math.inf:
             _bump_terms(used)
-            raise NonConvergenceError(f"{name} partial sum is {total} after {used} terms")
+            raise NonConvergenceError(f"{name} partial sum is {1.0 + total} after {used} terms")
 
 
 def theta3_two(a, b, q) -> complex:

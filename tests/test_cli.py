@@ -376,8 +376,14 @@ def test_invalid_env_cap(capsys, monkeypatch):
     assert "must be an integer" in err
 
 
-def test_nonpositive_cap(capsys):
+def test_nonpositive_cap(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "eval", "theta3", "--q", "0.5",
                          "--max-terms", "-2")
     assert rc == 2
-    assert "must be positive" in err
+    assert "--max-terms must be positive" in err
+    # a bad cap from the environment names the variable, not the unused flag
+    monkeypatch.setenv("QELLIPTIC_MAX_TERMS", "0")
+    rc, _, err = run_cli(capsys, "eval", "theta3", "--q", "0.5")
+    assert rc == 2
+    assert "QELLIPTIC_MAX_TERMS must be positive" in err
+    assert "--max-terms" not in err

@@ -22,7 +22,7 @@ from qelliptic.elliptic import (
     theta3,
     theta4,
 )
-from qelliptic.numutil import NonConvergenceError, PoleError, numeric_derivative
+from qelliptic.numutil import NonConvergenceError, PoleError, numeric_derivative, term_counter
 from qelliptic.qseries import qpochhammer, euler_product
 from qelliptic.registry import _eq10_1_rhs
 
@@ -176,6 +176,28 @@ def test_theta2_matches_direct_sum():
     q = 0.15
     direct = 2.0 * sum(q ** ((n + 0.5) ** 2) for n in range(20))
     assert_close(theta2(q), direct, rtol=1e-14)
+
+
+@pytest.mark.parametrize("q", [1.0, -1.0, 1j, 1.5])
+@pytest.mark.parametrize("null", [theta2, theta3, theta4])
+def test_theta_nulls_refuse_nomes_off_the_disk(null, q):
+    # theta4(1) and theta3(-1) divided by tau = 0, theta2(1j) and theta4(-1)
+    # summed 100,000 terms before NonConvergenceError, and every null
+    # overflowed at 1.5
+    with term_counter() as used:
+        with pytest.raises(ValueError, match=r"\|q"):
+            null(q)
+    assert used() == 0
+
+
+@pytest.mark.parametrize("null, q", [(theta4, 0.9), (theta3, -0.9)])
+def test_cancelling_null_near_one_takes_a_short_dual_sum(null, q):
+    # the S step's dual nome is ~1e-41 here: its sum ends after the terms
+    # n = 0, 1 (the summed theta3(1, 1, q') counts its leading term twice);
+    # summed as a lone leading term it ran on to 64 exact zeros, 67 terms
+    with term_counter() as used:
+        null(q)
+    assert used() <= 3
 
 
 def test_jacobi_quartic_identity():

@@ -1,5 +1,7 @@
-"""mpmath oracles over 330 seeded points of the disk |q| <= 0.9, and the
-elliptic context over the real segment [-0.98, 0.98] and the disk |q| <= 0.95.
+"""mpmath oracles over 330 seeded points of the disk |q| <= 0.9, the
+elliptic context over the real segment [-0.98, 0.98] and the disk |q| <= 0.95,
+and the theta nulls over the real segments +-[0.001, 0.999] and the disk
+|q| <= 0.95 (bounds and their reasons in each test's docstring).
 
 The continued fractions are checked against their product forms evaluated
 by mpmath; the products, the angle sum and theta3 directly against mpmath.
@@ -20,9 +22,9 @@ import mpmath as mp
 import pytest
 
 from qelliptic.angle import angle_sum
-from qelliptic.elliptic import EllipticContext, theta3, theta4
+from qelliptic.elliptic import EllipticContext, theta2, theta3, theta4
 from qelliptic.qseries import euler_product, qpochhammer
-from qelliptic.thetagen import rr_cf, u0_cf, u_cf
+from qelliptic.thetagen import rr_cf, theta3_two, u0_cf, u_cf
 
 
 def _phase(rng):
@@ -206,3 +208,119 @@ def test_cancelling_nulls_near_one():
         with mp.workdps(150):
             want = 1 + 2 * sum((-1) ** n * mp.mpf(x) ** (n * n) for n in range(1, 200))
         assert _rel(got, want) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the theta nulls on the real segments +-[0.001, 0.999] and the disk |q| <= 0.95
+# ---------------------------------------------------------------------------
+
+_U = 2.0**-53
+_NULLS = {2: theta2, 3: theta3, 4: theta4}
+
+
+def _cancels(n: int, q: complex) -> bool:
+    """theta4 at real q > 0 and theta3 at real q < 0: the alternating nulls,
+    which the code sums through Jacobi's imaginary transformation near 1."""
+    return isinstance(q, float) and (n == 4 and q > 0 or n == 3 and q < 0)
+
+
+def _mp_null(n: int, q: complex, dps: int):
+    with mp.workdps(dps):
+        if _cancels(n, q) and abs(q) > 0.5:
+            # the S-transformed form; jtheta(4, 0, 0.99) is wrong at 60 digits
+            L = -mp.log(abs(mp.mpf(q)))
+            return mp.sqrt(mp.pi / L) * mp.jtheta(2, 0, mp.exp(-mp.pi**2 / L))
+        return mp.jtheta(n, 0, mp.mpc(q))
+
+
+@lru_cache(maxsize=None)
+def _null_reference(n: int, q: complex):
+    """theta_n(q) from the first precision 30, 60, 120 whose value the
+    doubled precision confirms to 1e-20 relative."""
+    for dps in (30, 60, 120):
+        lo, hi = _mp_null(n, q, dps), _mp_null(n, q, 2 * dps)
+        with mp.workdps(2 * dps):
+            if abs(lo - hi) <= mp.mpf(10) ** -20 * abs(hi):
+                return hi
+    raise AssertionError(f"no two precisions agree on theta{n}({q})")
+
+
+def _null_error(n: int, q: complex) -> float:
+    with mp.workdps(40):
+        want = _null_reference(n, q)
+        return float(abs(mp.mpc(_NULLS[n](q)) - want) / abs(want))
+
+
+def _real_nomes() -> list[float]:
+    """Both signs of 0.001 .. 0.999: fixed points, where the S step's dual
+    nome is subnormal (0.9862 .. 0.9868), and seeded ones."""
+    rng = random.Random(2029)
+    mags = [0.001, 0.01, 0.1, 0.5, 0.9, 0.95, 0.98, 0.9862, 0.9866, 0.9868, 0.99,
+            0.995, 0.999] + [rng.uniform(0.001, 0.999) for _ in range(24)]
+    return [s * m for m in mags for s in (1.0, -1.0)]
+
+
+def _disk_nomes() -> list[complex]:
+    """Seeded |q| <= 0.95: uniform over the disk, within 0.1 rad of the real
+    axis (where theta4 or theta3 cancels) and within 0.2 rad of the imaginary
+    axis at |q| >= 0.8 (where theta2's terms cancel), with 0.9i and 0.95i."""
+    rng = random.Random(2030)
+    out = [0.95 * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+           for _ in range(60)]
+    out += [rng.uniform(0.05, 0.95) * cmath.exp(1j * (rng.uniform(-0.1, 0.1) + rng.choice((0.0, math.pi))))
+            for _ in range(16)]
+    out += [rng.uniform(0.8, 0.95) * cmath.exp(1j * (rng.choice((1, -1)) * math.pi / 2 + rng.uniform(-0.2, 0.2)))
+            for _ in range(12)]
+    return out + [0.9j, 0.95j]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_theta_null_on_the_real_segments(n):
+    """1e-14 relative, except for the alternating null past |q| = 0.95: its
+    S step computes exp(-pi^2 / (4 L)) from L = -log|q|, whose rounding alone
+    moves the value by up to pi^2 / (4 L) units of roundoff (1.1e-13 at
+    0.995), and past 0.9967 the value is below the normal double range."""
+    for q in _real_nomes():
+        if _cancels(n, q) and abs(q) > 0.95:
+            want = _null_reference(n, q)
+            if abs(want) < 2.2250738585072014e-308:
+                assert abs(_NULLS[n](q)) < 2.2250738585072014e-308, q
+                continue
+            exponent = math.pi**2 / (4.0 * -math.log(abs(q)))
+            assert _null_error(n, q) <= 1e-14 + 4.0 * _U * exponent, q
+        else:
+            assert _null_error(n, q) <= 1e-14, q
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_theta_null_over_the_disk(n):
+    """1.5e-14 relative: theta4 by the S step at |tau| ~ 0.8, where the dual
+    nome is hardly smaller, reaches 1.4e-14 (-0.774 + 0.548i, 1.43e-14 when
+    the nulls were summed by ``sum_series``).  theta2 near the imaginary axis
+    at |q| -> 1 (the cusp tau = 1/2) is a sum of terms of size ~1 that cancel
+    to ~1e-4 at 0.95i, so there it is bounded by one unit roundoff of the sum
+    of the terms' magnitudes, theta2(|q|); at 0.95i its relative error is
+    1.8e-12 (1.4e-12 summed by ``sum_series``, in another order)."""
+    for q in _disk_nomes():
+        err = _null_error(n, q)
+        if n == 2:
+            with mp.workdps(40):
+                spread = float(abs(theta2(abs(q))) / abs(_null_reference(2, q)))
+            assert err <= 1.5e-14 + _U * spread, q
+        else:
+            assert err <= 1.5e-14, q
+
+
+def test_theta_nulls_at_tiny_and_dual_subnormal_nomes():
+    # R_1- = q^(a - b) = 1 as one power: formed as q * q^-1 it overflowed
+    assert theta3_two(1, 1, 1e-310) == 2.0
+    # theta2 = q^(1/4) theta3_two(1, 1, q); the quarter power exp(log(q) / 4)
+    # carries the rounding of log q (-744 at 5e-324)
+    for q in (1e-310, 5e-324):
+        assert _null_error(2, q) <= 1e-14 + _U * abs(math.log(q)), q
+    # theta4's dual nome exp(-pi^2 / L) is subnormal here; the summed dual
+    # sum forms q'^(1 - 1) = 1, where q' * q'^-1 overflowed
+    for q in (0.9862, 0.9866, 0.9868):
+        exponent = math.pi**2 / (4.0 * -math.log(q))
+        assert _null_error(4, q) <= 1e-14 + 4.0 * _U * exponent, q
+        assert _null_error(3, -q) <= 1e-14 + 4.0 * _U * exponent, q
