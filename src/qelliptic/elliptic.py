@@ -2,10 +2,10 @@
 integrals they induce, AGM evaluation of ``K(k)``, ``E(k)``, singular values.
 
 The theta nulls are special cases of :mod:`qelliptic.thetagen`'s bilateral
-kernel, which stops on its exact geometric tail bound: ``theta3(q)`` is
-``theta3_two(1, 0, q)``, ``theta4(q)`` is ``theta4_two(1, 0, q)`` or, where
-Jacobi's imaginary transformation shrinks the nome, ``theta2`` at the dual
-nome, and ``theta2(q)`` is ``q^{1/4} theta3_two(1, 1, q)``.
+kernel, which carries the nome into the fundamental domain by Jacobi's
+imaginary transformation and stops on its exact geometric tail bound:
+``theta3(q)`` is ``theta3_two(1, 0, q)``, ``theta4(q)`` is
+``theta4_two(1, 0, q)`` and ``theta2(q)`` is ``q^{1/4} theta3_two(1, 1, q)``.
 
 A context bundles everything the series evaluators need at one nome:
 ``q``, the half-period ratio ``z`` (``q = exp(2 pi i z)``), modulus ``k``,
@@ -41,13 +41,14 @@ __all__ = [
 
 _AGM_TOL = 1e-15
 _AGM_MAX_ITER = 64
-_SELF_DUAL = math.exp(-math.pi)  # only beyond this |q| can the S step shrink q
 
 
 def theta2(q: complex) -> complex:
     """Theta null ``2 q^{1/4} sum_{n>=0} q^{n(n+1)}`` (principal ``q^{1/4}``),
     summed as ``q^{1/4} theta3_two(1, 1, q)``: the bilateral sum
-    ``sum_{n in Z} q^{n^2 + n}`` counts each term twice.
+    ``sum_{n in Z} q^{n^2 + n}`` counts each term twice.  Near the cusp
+    ``tau = 1/2`` (the imaginary axis as ``|q| -> 1``), where the terms cancel,
+    the kernel's reduction takes ``S T^2 S`` to a sum of a few terms.
 
     Raises ``ValueError`` where ``|q| >= 1``.
     """
@@ -56,38 +57,24 @@ def theta2(q: complex) -> complex:
 
 
 def theta3(q: complex) -> complex:
-    """Theta null ``1 + 2 sum_{n>=1} q^{n^2}``, summed as ``theta3_two(1, 0, q)``,
-    or as ``theta4(-q)`` where ``Re q < 0``.
+    """Theta null ``1 + 2 sum_{n>=1} q^{n^2}``, summed as ``theta3_two(1, 0, q)``:
+    directly at ``|q| <= e^(-pi/2)``, elsewhere as at most five terms at the
+    nome that Jacobi's imaginary transformation carries into the fundamental
+    domain (so the sum near ``q = -1``, which cancels, is never summed).
 
     Raises ``ValueError`` where ``|q| >= 1``.
     """
-    q = complex(q)
-    if q.real < 0.0:
-        return theta4(-q)
-    return theta3_two(1, 0, q)
+    return theta3_two(1, 0, complex(q))
 
 
 def theta4(q: complex) -> complex:
     """Theta null ``1 + 2 sum_{n>=1} (-1)^n q^{n^2}``, summed as
-    ``theta4_two(1, 0, q)``, a sum that cancels near the positive real axis.
-    Where Jacobi's imaginary transformation shrinks the nome (``|tau| < 1``,
-    ``q = exp(i pi tau)``) the S step is summed instead,
-    ``theta4(q) = (-i tau)^{-1/2} theta2(exp(-i pi / tau))`` (DLMF 20.7(viii)),
-    with ``theta2`` as ``q'^{1/4} theta3_two(1, 1, q')`` at the dual nome ``q'``.
+    ``theta4_two(1, 0, q)``, which reduces the nome as :func:`theta3` does
+    (the sum near ``q = 1``, which cancels, is never summed).
 
     Raises ``ValueError`` where ``|q| >= 1``.
     """
-    q = complex(q)
-    if not abs(q) < 1.0:  # tau = 0 at q = 1
-        raise ValueError(f"theta4 requires |q| < 1, got q = {q}")
-    if abs(q) > _SELF_DUAL:
-        tau = cmath.log(q) / (1j * math.pi)
-        if abs(tau) < 1.0:
-            dual = -1.0 / tau
-            qd = cmath.exp(1j * math.pi * dual)
-            # the dual nome's quarter power, formed directly: ``qd`` underflows first
-            return cmath.exp(0.25j * math.pi * dual) * theta3_two(1, 1, qd) / cmath.sqrt(-1j * tau)
-    return theta4_two(1, 0, q)
+    return theta4_two(1, 0, complex(q))
 
 
 def modulus_from_nome(q: complex) -> complex:

@@ -22,6 +22,7 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Iterable, Sequence
 
@@ -64,47 +65,72 @@ __all__ = [
 # Bilateral two-parameter theta sums
 # ---------------------------------------------------------------------------
 
-def _theta_two(a, b, q, alternating: bool) -> complex:
-    """Folded sum ``1 + sum_{n>=1} s^n (q^(a n^2 + b n) + q^(a n^2 - b n))``
-    with ``s = -1`` when ``alternating``, else ``s = 1``.
+_PI = math.pi
+_TWO_PI = 2.0 * math.pi
 
-    Term ``n`` is built from term ``n - 1`` by running products: with
-    ``R_1 = s q^(a +- b)``, each formed as one power, ``T_n = T_(n-1) R_n``
-    and ``R_(n+1) = R_n q^(2a)``, so a call takes three powers and each term
-    four complex multiplies.  (Formed as ``q^a q^(-b)``, ``R_1-`` would
-    overflow at a tiny nome even where ``q^(a-b) = 1``.)  Once both next
-    ratios have ``rho = |R_(n+1)| < 1``, every later ratio is smaller
-    (``|q^(2a)| < 1``), so the terms left out sum to at most
-    ``|T_n+| rho+ / (1 - rho+) + |T_n-| rho- / (1 - rho-)``.  The sum stops
-    at the first partial sum where that bound is at most the active policy's
-    ``rel_tail_cutoff`` times ``max(1, |partial sum|)``.  The terms
-    ``n >= 1`` are summed on their own and the ``n = 0`` term is added once,
-    to the scale and to the result; the terms consumed, ``n = 0`` included,
-    are charged to :func:`~qelliptic.numutil.term_counter`.
+
+def _mod_2pi_i(B: complex) -> complex:
+    """``B`` modulo ``2 pi i``, with imaginary part in ``[-pi, pi]``."""
+    return complex(B.real, B.imag - _TWO_PI * round(B.imag / _TWO_PI))
+
+
+def _reduce(A: complex, B: complex) -> tuple[complex, complex, complex]:
+    """``(A', B', log f)`` with ``sum_n e^(A n^2 + B n) = f sum_n e^(A' n^2 + B' n)``
+    (``Re A < 0``), where ``tau' = A' / (i pi)`` lies in the fundamental
+    domain (``|Re tau'| <= 1/2``, ``|tau'| >= 1``, so ``|e^A'| <= e^(-pi sqrt(3)/2)``),
+    ``|Re B'| <= |Re A'|`` and ``|Im B'| <= pi``.
+
+    * T step: ``(A, B) -> (A - i pi m, B + i pi m)``, since
+      ``e^(i pi m n^2) = e^(i pi m n)``.
+    * z-reduction: ``B`` modulo ``2 pi i`` (``e^(2 pi i k n) = 1``), before
+      and after the shift ``n -> n + m``, which turns ``B`` into ``B + 2 A m``
+      and multiplies the sum by ``e^(A m^2 + B m)``.
+    * S step (Poisson summation, DLMF 20.7.32):
+      ``sum e^(A n^2 + B n) = sqrt(-pi/A) e^(-B^2/(4A)) sum e^((pi^2/A) n^2 - (i pi B/A) n)``.
+
+    The factors' logarithms are summed, so ``f`` is formed once, by the caller.
+    """
+    log_f = 0j
+    while True:
+        if abs(A.imag) > 0.5 * _PI:
+            m = round(A.imag / _PI)
+            A = complex(A.real, A.imag - _PI * m)
+            B = complex(B.real, B.imag + _PI * m)
+        if abs(B.imag) > _PI:
+            B = _mod_2pi_i(B)
+        if abs(B.real) > -A.real:
+            m = round(-B.real / (2.0 * A.real))
+            log_f += (A * m + B) * m
+            B = _mod_2pi_i(B + 2.0 * m * A)
+        # |tau| >= 1 up to rounding; the margin stops S steps that would
+        # only swap tau with -1/tau on the unit circle
+        if abs(A) >= 0.999 * _PI:
+            return A, B, log_f
+        log_f += 0.5 * cmath.log(-_PI / A) - B * B / (4.0 * A)
+        A, B = _PI * _PI / A, -1j * _PI * B / A
+
+
+def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str) -> complex:
+    """Folded sum ``1 + sum_{n>=1} (T_n+ + T_n-)`` with ``T_0+- = 1``,
+    ``T_n+- = T_(n-1)+- R_n+-``, ``R_1+- = r_plus, r_minus`` and
+    ``R_(n+1)+- = R_n+- x2`` (``|x2| < 1``).
+
+    Once both next ratios have ``rho = |R_(n+1)| < 1``, every later ratio is
+    smaller, so the terms left out sum to at most
+    ``|T_n+| rho+ / (1 - rho+) + |T_n-| rho- / (1 - rho-)``.  The sum stops at
+    the first partial sum where that bound is at most the active policy's
+    ``rel_tail_cutoff`` times ``max(1, |partial sum|)``.  The terms ``n >= 1``
+    are summed on their own and the ``n = 0`` term is added once, to the
+    scale and to the result; the terms consumed, ``n = 0`` included, are
+    charged to :func:`~qelliptic.numutil.term_counter`.
 
     Raises :class:`~qelliptic.numutil.NonConvergenceError` after the
     policy's ``max_terms`` terms, or at the first partial sum that is not
     finite.
     """
-    name = "theta4_two" if alternating else "theta3_two"
-    x = principal_power(q, a)
-    if abs(x) >= 1.0:
-        raise ValueError(f"{name} requires |q^a| < 1 for convergence")
-    if q == 0:
-        # Every term but n = 0 is 0^(n (a n + b)): 0 when each exponent has a
-        # positive real part, 1 when it is 0 (b = a at n = -1, b = -a at n = 1).
-        if complex(a).real > abs(complex(b).real):
-            return 1.0 + 0.0j
-        if b == a or b == -a:
-            return 0j if alternating else 2.0 + 0.0j
-        raise PoleError(f"{name}: q^(a n^2 + b n) has a pole at q = 0 when a < |b|")
     pol = _POLICY.get()
     cutoff = pol.rel_tail_cutoff
     max_terms = pol.max_terms
-    x2 = x * x
-    sign = -1.0 if alternating else 1.0
-    r_plus = sign * principal_power(q, a + b)
-    r_minus = sign * principal_power(q, a - b)
     t_plus = t_minus = 1.0 + 0.0j
     total = 0j  # the terms n >= 1
     used = 1
@@ -129,6 +155,96 @@ def _theta_two(a, b, q, alternating: bool) -> complex:
         if not abs(total) < math.inf:
             _bump_terms(used)
             raise NonConvergenceError(f"{name} partial sum is {1.0 + total} after {used} terms")
+
+
+def _exponents(a, b, q, log_q: complex, alternating: bool) -> tuple[complex, complex]:
+    """``(A, B)`` with ``sum_n s^n q^(a n^2 + b n) = sum_n e^(A n^2 + B n)``:
+    ``A = a L`` and ``B = b L (+ i pi when alternating)``, ``L = log_q = Log q``.
+
+    Where ``Re q < 0``, ``L = Log(-q) + i pi s`` (``s = +-1``), and the
+    multiple of ``i pi`` is split off as a T step by ``m = round(s Re a)``:
+    ``A = a Log(-q) + i pi (s a - m)``, ``B = b Log(-q) + i pi (s b + m)``.
+    Near the negative axis what is left of ``Im A`` then keeps the relative
+    accuracy of ``Log(-q)``, where ``Im L`` carries an absolute error of
+    ``u pi`` (theta3 at ``-0.8645 - 0.028i``: 3.4e-15 off, 3.5e-14 from ``L``).
+    """
+    if q.real < 0.0:
+        s = 1.0 if log_q.imag > 0.0 else -1.0
+        log_p = cmath.log(-q)
+        m = round(s * a.real)
+        A = a * log_p + 1j * _PI * (s * a - m)
+        B = b * log_p + 1j * _PI * (s * b + m)
+    else:
+        A, B = a * log_q, b * log_q
+    if alternating:
+        B += 1j * _PI
+    return A, B
+
+
+def _theta_two(a, b, q, alternating: bool) -> complex:
+    """Bilateral sum ``sum_n s^n q^(a n^2 + b n)`` with ``s = -1`` when
+    ``alternating``, else ``s = 1``, folded by :func:`_fold`.
+
+    The sum is written as ``sum_n e^(A n^2 + B n)`` with ``L = Log q``,
+    ``A = a L`` and ``B = b L (+ i pi when alternating)``, so that
+    ``|q^a| = e^(Re A)``.  Where ``|q^a| <= e^(-pi/2)`` (``Im tau >= 1/2`` for
+    ``tau = A / (i pi)``) it is summed directly: its ratios
+    ``R_1+- = s q^(a +- b)`` and ``x2 = q^(2a)`` take three powers.  (Formed as
+    ``q^a q^(-b)``, ``R_1-`` would overflow at a tiny nome even where
+    ``q^(a-b) = 1``.)  Elsewhere :func:`_reduce` carries ``tau`` into the
+    fundamental domain by Jacobi's imaginary transformation, and the reduced
+    sum, at a nome of at most ``e^(-pi sqrt(3)/2) ~ 0.066``, takes at most
+    five terms, with ratios ``e^(A' +- B')`` and ``e^(2A')``; it is multiplied
+    by the transformation's factor.  Where every term is real (real ``a``,
+    ``b`` and ``q > 0``, or ``q < 0`` with ``a +- b`` integers) the reduced
+    sum's result is returned with imaginary part 0.
+
+    Raises ``ValueError`` where ``|q^a| >= 1``, and
+    :class:`~qelliptic.numutil.NonConvergenceError` where :func:`_fold` does
+    or where the value overflows.
+    """
+    name = "theta4_two" if alternating else "theta3_two"
+    if q == 0:
+        if abs(principal_power(q, a)) >= 1.0:
+            raise ValueError(f"{name} requires |q^a| < 1 for convergence")
+        # Every term but n = 0 is 0^(n (a n + b)): 0 when each exponent has a
+        # positive real part, 1 when it is 0 (b = a at n = -1, b = -a at n = 1).
+        if complex(a).real > abs(complex(b).real):
+            return 1.0 + 0.0j
+        if b == a or b == -a:
+            return 0j if alternating else 2.0 + 0.0j
+        raise PoleError(f"{name}: q^(a n^2 + b n) has a pole at q = 0 when a < |b|")
+    log_q = cmath.log(q)
+    A = a * log_q
+    if A.real >= 0.0:
+        raise ValueError(f"{name} requires |q^a| < 1 for convergence")
+    if not A.real > -0.5 * _PI:
+        x = principal_power(q, a)
+        sign = -1.0 if alternating else 1.0
+        return _fold(x * x, sign * principal_power(q, a + b), sign * principal_power(q, a - b), name)
+    A, B = _exponents(a, b, q, log_q, alternating)
+    if not cmath.isfinite(B):
+        raise NonConvergenceError(f"{name}: b Log q = {B} is not finite")
+    try:
+        A, B, log_f = _reduce(A, B)
+        factor = cmath.exp(log_f)
+    except OverflowError:
+        raise NonConvergenceError(f"{name}({a}, {b}; {q}) overflows") from None
+    value = factor * _fold(cmath.exp(2.0 * A), cmath.exp(A + B), cmath.exp(A - B), name)
+    if not cmath.isfinite(value):
+        raise NonConvergenceError(f"{name}({a}, {b}; {q}) overflows")
+    if value.imag and _real_sum(q, a, b):
+        return complex(value.real, 0.0)
+    return value
+
+
+def _real_sum(q, a, b) -> bool:
+    """Whether every term ``q^(a n^2 + b n)`` is real: real ``a``, ``b`` and
+    ``q > 0``, or ``q < 0`` with ``a + b`` and ``a - b`` integers."""
+    q, a, b = complex(q), complex(a), complex(b)
+    return q.imag == a.imag == b.imag == 0.0 and (
+        q.real > 0.0 or (a.real + b.real).is_integer() and (a.real - b.real).is_integer()
+    )
 
 
 def theta3_two(a, b, q) -> complex:

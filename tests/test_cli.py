@@ -332,7 +332,10 @@ def test_verify_tol_override_can_fail_gate(capsys):
 
 
 CAPPED_EVALS = [
-    (("theta3", "--q", "0.5"), 3),
+    # theta3(0.2) is summed directly in 5 terms; theta3(0.5), reduced by
+    # Jacobi's imaginary transformation, in 2, and the cap reaches that sum too
+    (("theta3", "--q", "0.2"), 3),
+    (("theta3", "--q", "0.5"), 1),
     # products, elliptic contexts and agile brackets must see the cap too
     (("f", "--q", "0.3"), 5),
     (("K", "--r", "2"), 4),
@@ -356,7 +359,7 @@ def test_max_terms_flag_caps_series(capsys):
 
 def test_env_cap_honored(capsys, monkeypatch):
     monkeypatch.setenv("QELLIPTIC_MAX_TERMS", "3")
-    rc, _, err = run_cli(capsys, "eval", "theta3", "--q", "0.5")
+    rc, _, err = run_cli(capsys, "eval", "theta3", "--q", "0.2")
     assert rc == 1
     assert "evaluation failed" in err
 

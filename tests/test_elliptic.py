@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import mpmath
 import pytest
@@ -192,12 +193,27 @@ def test_theta_nulls_refuse_nomes_off_the_disk(null, q):
 
 @pytest.mark.parametrize("null, q", [(theta4, 0.9), (theta3, -0.9)])
 def test_cancelling_null_near_one_takes_a_short_dual_sum(null, q):
-    # the S step's dual nome is ~1e-41 here: its sum ends after the terms
-    # n = 0, 1 (the summed theta3(1, 1, q') counts its leading term twice);
+    # Jacobi's imaginary transformation leaves a sum at the nome ~1e-41 here:
+    # it ends after the terms n = 0, -1 (the sum is centred between them);
     # summed as a lone leading term it ran on to 64 exact zeros, 67 terms
     with term_counter() as used:
         null(q)
     assert used() <= 3
+
+
+def test_theta_nulls_take_few_terms_at_any_depth():
+    # theta3(0.9) took 15 terms summed directly; reduced into the fundamental
+    # domain, every null sums at a nome of at most e^(-pi sqrt(3)/2) ~ 0.066
+    with term_counter() as used:
+        theta3(0.9)
+    assert used() <= 4
+    rng = random.Random(2033)
+    for _ in range(100):
+        q = rng.uniform(0.25, 0.999) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        for null in (theta2, theta3, theta4):
+            with term_counter() as used:
+                null(q)
+            assert used() <= 5, (null, q)
 
 
 def test_jacobi_quartic_identity():

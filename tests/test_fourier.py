@@ -302,6 +302,19 @@ def test_outside_strip_raises():
         eval_fourier("sn", c, 1.1j * c.Kprime.real)
 
 
+def test_sn_routes_split_at_modulus_100():
+    # the sine expansion up to |k| = 100, the theta quotient beyond; both
+    # keep the strip's refusal
+    for q, theta_route in ((0.08, False), (-0.3, False), (0.9, False), (-0.6, True), (-0.9, True)):
+        c = EllipticContext.from_nome(q)
+        assert (abs(c.k) > 100) is theta_route, q
+        u = 0.4 * c.K
+        if not theta_route:
+            assert jacobi_sn(c, u) == eval_fourier("sn", c, u)
+        with pytest.raises(ValueError, match="strip"):
+            jacobi_sn(c, 1.1j * c.Kprime)
+
+
 # ---------------------------------------------------------------------------
 # continuation beyond the strip
 # ---------------------------------------------------------------------------

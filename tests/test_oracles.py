@@ -1,7 +1,8 @@
 """mpmath oracles over 330 seeded points of the disk |q| <= 0.9, the
 elliptic context over the real segment [-0.98, 0.98] and the disk |q| <= 0.95,
-and the theta nulls over the real segments +-[0.001, 0.999] and the disk
-|q| <= 0.95 (bounds and their reasons in each test's docstring).
+the theta nulls over the real segments +-[0.001, 0.999] and the disk
+|q| <= 0.95, and sn where its theta-quotient route runs (bounds and their
+reasons in each test's docstring).
 
 The continued fractions are checked against their product forms evaluated
 by mpmath; the products, the angle sum and theta3 directly against mpmath.
@@ -23,6 +24,7 @@ import pytest
 
 from qelliptic.angle import angle_sum
 from qelliptic.elliptic import EllipticContext, theta2, theta3, theta4
+from qelliptic.fourier import jacobi_sn
 from qelliptic.qseries import euler_product, qpochhammer
 from qelliptic.thetagen import rr_cf, theta3_two, u0_cf, u_cf
 
@@ -294,21 +296,22 @@ def test_theta_null_on_the_real_segments(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_theta_null_over_the_disk(n):
-    """1.5e-14 relative: theta4 by the S step at |tau| ~ 0.8, where the dual
-    nome is hardly smaller, reaches 1.4e-14 (-0.774 + 0.548i, 1.43e-14 when
-    the nulls were summed by ``sum_series``).  theta2 near the imaginary axis
-    at |q| -> 1 (the cusp tau = 1/2) is a sum of terms of size ~1 that cancel
-    to ~1e-4 at 0.95i, so there it is bounded by one unit roundoff of the sum
-    of the terms' magnitudes, theta2(|q|); at 0.95i its relative error is
-    1.8e-12 (1.4e-12 summed by ``sum_series``, in another order)."""
+    """1.5e-14 relative.  The alternating null summed through Jacobi's
+    imaginary transformation near the real axis reaches 1.1e-14 (theta3 at
+    -0.873 + 0.050i; theta4 by a lone S step at -0.774 + 0.548i was 1.4e-14).
+    theta2 near the imaginary axis at |q| -> 1 (the cusp tau = 1/2), a sum of
+    terms of size ~1 that cancel to ~1e-4 at 0.95i when summed directly, is
+    reduced by S T^2 S to a short sum; at 0.95i it is 9.9e-15 off (1.8e-12
+    summed directly, which had a bound of one unit roundoff of theta2(|q|))."""
     for q in _disk_nomes():
-        err = _null_error(n, q)
-        if n == 2:
-            with mp.workdps(40):
-                spread = float(abs(theta2(abs(q))) / abs(_null_reference(2, q)))
-            assert err <= 1.5e-14 + _U * spread, q
-        else:
-            assert err <= 1.5e-14, q
+        assert _null_error(n, q) <= 1.5e-14, q
+
+
+@pytest.mark.parametrize("n, q, bound", [(2, 0.95j, 1e-13), (2, 0.999, 1e-15), (3, 0.999, 1e-15)])
+def test_theta_null_regressions(n, q, bound):
+    # theta2 at the cusp was 1.8e-12 off; near q = 1 the direct sum's
+    # running products drifted, to 7.4e-15 (theta2) and 4.5e-15 (theta3)
+    assert _null_error(n, q) <= bound
 
 
 def test_theta_nulls_at_tiny_and_dual_subnormal_nomes():
@@ -324,3 +327,57 @@ def test_theta_nulls_at_tiny_and_dual_subnormal_nomes():
         exponent = math.pi**2 / (4.0 * -math.log(q))
         assert _null_error(4, q) <= 1e-14 + 4.0 * _U * exponent, q
         assert _null_error(3, -q) <= 1e-14 + 4.0 * _U * exponent, q
+
+
+# ---------------------------------------------------------------------------
+# sn where its sine expansion cancels: the theta quotient of reduced sums
+# ---------------------------------------------------------------------------
+
+
+def _sn_reference(q: complex, u: complex):
+    """``ellipfun`` at 40 digits where 80 digits confirm it to 1e-25, else None."""
+    refs = []
+    for dps in (40, 80):
+        with mp.workdps(dps):
+            refs.append(mp.ellipfun("sn", mp.mpc(u), q=mp.mpc(q)))
+    with mp.workdps(80):
+        if abs(refs[0] - refs[1]) > mp.mpf(10) ** -25 * abs(refs[1]):
+            return None
+    return refs[1]
+
+
+@pytest.mark.parametrize("q", [-0.8, -0.86, -0.9, -0.95])
+def test_sn_at_negative_nomes(q):
+    # summed as the sine expansion, whose terms cancel to sn ~ 1/|k|, sn was
+    # off by 2e-10 (-0.8) to 4e12 (-0.95) at u = 0.3K and by 2e-8 to 2e24 at
+    # u = 0.01K
+    c = EllipticContext.from_nome(q)
+    for share in (0.3, 0.01):
+        u = share * c.K
+        want = _sn_reference(q, u)
+        with mp.workdps(80):
+            assert abs(mp.mpc(jacobi_sn(c, u)) - want) <= 1e-12 * abs(want), share
+
+
+def test_sn_over_the_negative_half_disk():
+    """2e-12 relative where |k| > 100, at seeded real and complex nomes within
+    0.5 rad of the negative axis and u in [0.1, 0.9]K.  The worst, 5.0e-13 at
+    q = -0.931, is the context's K error carried by sn's slope in w = pi u/(2K):
+    given the library's w, sn is within 6e-14 (at -0.8645 - 0.028i)."""
+    rng = random.Random(2034)
+    checked = 0
+    for i in range(60):
+        r = rng.uniform(0.45, 0.95)
+        q = -r if i % 2 else r * cmath.exp(1j * (math.pi + rng.uniform(-0.5, 0.5)))
+        c = EllipticContext.from_nome(q)
+        if abs(c.k) <= 100:
+            continue
+        u = rng.uniform(0.1, 0.9) * c.K
+        want = _sn_reference(q, u)
+        if want is None:
+            continue
+        checked += 1
+        with mp.workdps(80):
+            assert abs(mp.mpc(jacobi_sn(c, u)) - want) <= 2e-12 * abs(want), q
+    assert checked >= 40
+

@@ -3,6 +3,7 @@ restricted divisor-sum logarithms."""
 
 import cmath
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -139,12 +140,12 @@ def _bilateral_mp(a, b, q, alternating):
                    for n in range(-60, 61))
 
 
-def _tail_bound_stop(a, b, q, alternating, cutoff=1e-16):
+def _tail_bound_stop(power, a, b, alternating, cutoff=1e-16):
     """Terms to the first partial sum ``S_m`` (``n = 0 .. m``) at which both
-    next ratios ``rho = |q^(a (2m + 1) +- b)|`` are below 1 and
+    next ratios ``rho = |power(a (2m + 1) +- b)|`` are below 1 and
     ``|T_m+| rho+ / (1 - rho+) + |T_m-| rho- / (1 - rho-)`` is at most
-    ``cutoff * max(1, |S_m|)``, every quantity from the per-term powers."""
-    power = _per_term_power(q)
+    ``cutoff * max(1, |S_m|)``, with ``T_m+- = s^m power(a m^2 +- b m)`` and
+    every quantity from its own power."""
     total = 0.0
     for m in range(10_000):
         sign = -1.0 if alternating and m % 2 else 1.0
@@ -158,6 +159,26 @@ def _tail_bound_stop(a, b, q, alternating, cutoff=1e-16):
             if tail <= cutoff * max(1.0, abs(total)):
                 return m + 1
     raise AssertionError("no stop within 10,000 terms")
+
+
+def _reduced(a, b, q, alternating):
+    """``(A', B', log f)``: the kernel's reduction of ``sum s^n q^(a n^2 + b n)
+    = sum e^(A n^2 + B n)``."""
+    return thetagen._reduce(*thetagen._exponents(a, b, q, cmath.log(q), alternating))
+
+
+def _direct(a, q):
+    """Whether the kernel sums ``q^(a n^2 + b n)`` directly: ``|q^a| <= e^(-pi/2)``."""
+    return abs(principal_power(q, a)) <= math.exp(-math.pi / 2)
+
+
+def _kernel_stop(a, b, q, alternating, cutoff=1e-16):
+    """The kernel's term count: the tail-bound stop of the direct sum, or of
+    the reduced sum ``sum e^(A' n^2 + B' n)`` where the kernel reduces."""
+    if _direct(a, q):
+        return _tail_bound_stop(_per_term_power(q), a, b, alternating, cutoff)
+    A, B, _ = _reduced(a, b, q, alternating)
+    return _tail_bound_stop(cmath.exp, A, B, False, cutoff)
 
 
 _AB = [(1, 0), (1, 0.4), (2.5, 1.5), (2.5, 0.5), (0.5, 0.25), (1, 0.4j), (1.5, 0.3 + 0.2j), (0.7, -1.1)]
@@ -197,36 +218,39 @@ def test_theta_two_stops_at_its_first_negligible_tail_bound(alternating):
         for a, b in _AB:
             with term_counter() as used:
                 f(a, b, q)
-            assert used() == _tail_bound_stop(a, b, q, alternating), (q, a, b)
+            assert used() == _kernel_stop(a, b, q, alternating), (q, a, b)
 
 
 def test_theta_two_obeys_the_truncation_policy():
-    a, b, q = 2.5, 1.5, 0.9
-    with term_counter() as used:
-        want = theta3_two(a, b, q)
-    needed = used()
-    with truncation(max_terms=needed):
-        assert theta3_two(a, b, q) == want
-    with term_counter() as used:
-        with truncation(max_terms=needed - 1):
-            with pytest.raises(NonConvergenceError):
-                theta3_two(a, b, q)
-    assert used() == needed - 1
-    with term_counter() as used:
-        with truncation(rel_tail_cutoff=1e-12):
-            coarse = theta3_two(a, b, q)
-    assert used() == _tail_bound_stop(a, b, q, False, cutoff=1e-12) < needed
-    assert abs(coarse - want) <= 1e-12 * max(1.0, abs(want))
+    # a direct sum and a reduced one: the cap reaches both
+    for a, b, q in ((1, 0.5, 0.2), (2.5, 1.5, 0.9)):
+        with term_counter() as used:
+            want = theta3_two(a, b, q)
+        needed = used()
+        with truncation(max_terms=needed):
+            assert theta3_two(a, b, q) == want
+        with term_counter() as used:
+            with truncation(max_terms=needed - 1):
+                with pytest.raises(NonConvergenceError):
+                    theta3_two(a, b, q)
+        assert used() == needed - 1
+        with term_counter() as used:
+            with truncation(rel_tail_cutoff=1e-12):
+                coarse = theta3_two(a, b, q)
+        assert used() == _kernel_stop(a, b, q, False, cutoff=1e-12) < needed
+        assert abs(coarse - want) <= 1e-12 * max(1.0, abs(want))
 
 
-def _oracle_theta_two(a, b, q, alternating):
-    """Bilateral sum and sum of |terms| at 30 digits, q^s = exp(s Log q)."""
-    with mp.workdps(30):
+def _oracle_theta_two(a, b, q, alternating, dps=30):
+    """Bilateral sum, sum of |terms| and the terms' sensitivity to the
+    rounding of their exponents, ``sum |t_m| (|a Log q| m^2 + |b Log q| |m|)``,
+    at ``dps`` digits, q^s = exp(s Log q)."""
+    with mp.workdps(dps):
         log_q = mp.log(mp.mpc(q))
         a, b = mp.mpc(a), mp.mpc(b)
         # |term m| = exp(Re(a log q) m^2 + Re(b log q) m) falls for |m| past the vertex
         vertex = abs(mp.re(b * log_q) / (2 * mp.re(a * log_q)))
-        total, abs_total, n = mp.mpc(0), mp.mpf(0), 0
+        total, abs_total, sensitivity, n = mp.mpc(0), mp.mpf(0), mp.mpf(0), 0
         while True:
             largest = mp.mpf(0)
             for m in (n, -n) if n else (0,):
@@ -235,10 +259,21 @@ def _oracle_theta_two(a, b, q, alternating):
                     t = -t
                 total += t
                 abs_total += abs(t)
+                sensitivity += abs(t) * (abs(a * log_q) * m * m + abs(b * log_q) * abs(m))
                 largest = max(largest, abs(t))
-            if n > vertex and largest < mp.mpf(10) ** -34 * abs_total:
-                return complex(total), float(abs_total)
+            if n > vertex and largest < mp.mpf(10) ** -(dps + 4) * abs_total:
+                return complex(total), float(abs_total), float(sensitivity)
             n += 1
+
+
+def _agreed_theta_two(a, b, q, alternating):
+    """``_oracle_theta_two`` at 40 digits where 80 digits confirm it to
+    1e-25 relative, else ``None``."""
+    lo = _oracle_theta_two(a, b, q, alternating, dps=40)
+    hi = _oracle_theta_two(a, b, q, alternating, dps=80)
+    if abs(lo[0] - hi[0]) > 1e-25 * abs(hi[0]):
+        return None
+    return hi
 
 
 def test_theta_two_against_mpmath_over_the_disk():
@@ -247,12 +282,65 @@ def test_theta_two_against_mpmath_over_the_disk():
     for q in _SHALLOW_NOMES + _DEEP_NOMES:
         for a, b in _AB:
             for f, alternating in ((theta3_two, False), (theta4_two, True)):
-                want, abs_total = _oracle_theta_two(a, b, q, alternating)
+                want, abs_total, _ = _oracle_theta_two(a, b, q, alternating)
                 assert abs(f(a, b, q) - want) <= 1e-14 * (1.0 + abs_total), (q, a, b, alternating)
+
+
+def test_reduced_theta_two_against_mpmath_over_seeded_points():
+    # the reduced path (|q^a| > e^(-pi/2)) at seeded real and complex nomes up
+    # to |q| = 0.95, with real, complex and Fourier-argument b = 2 i t / Log q;
+    # references where 40 and 80 digits agree (mpmath's own sums can cancel).
+    # The bound above plus one unit roundoff of the terms' sensitivity to
+    # their exponents a Log q and b Log q, whose rounding no summation undoes:
+    # at q = -0.944, a = 1.38, b = -0.92 + 0.47i the terms peak near n = -9
+    # and theta3_two is 1.8e-14 (1 + sum |T|) off (2.1e-14 summed directly)
+    rng = random.Random(2032)
+    checked = 0
+    for i in range(120):
+        r = rng.uniform(0.25, 0.95)
+        q = (r, -r, r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))[i % 3]
+        a = rng.uniform(0.5, 2.0)
+        b = (rng.uniform(-2.0, 2.0) * a, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+             2j * rng.uniform(0.0, 1.0) / cmath.log(q), 0.0)[i % 4]
+        if _direct(a, q):
+            continue
+        for f, alternating in ((theta3_two, False), (theta4_two, True)):
+            ref = _agreed_theta_two(a, b, q, alternating)
+            if ref is None:
+                continue
+            checked += 1
+            want, abs_total, sensitivity = ref
+            bound = 1e-14 * (1.0 + abs_total) + 2.0**-53 * sensitivity
+            assert abs(f(a, b, q) - want) <= bound, (q, a, b, alternating)
+    assert checked >= 200
+
+
+@pytest.mark.parametrize("a, b", [(1, 0), (0.5, 0.25)])
+def test_deep_alternating_sums_are_relatively_accurate(a, b):
+    # summed directly, theta4_two(1, 0, 0.9) = 7.4e-10 was 4.0e-7 off and
+    # theta4_two(0.5, 0.25, 0.9) = 5.0e-20 came out as 0
+    want = _agreed_theta_two(a, b, 0.9, True)[0]
+    assert abs(theta4_two(a, b, 0.9) - want) <= 1e-14 * abs(want)
+
+
+def test_real_sums_are_exactly_real():
+    # real a, b and q > 0, or q < 0 with a +- b integers: every term is real,
+    # and so is the result, on the direct and on the reduced path
+    for q in (0.05, 0.3, 0.5, 0.9, 0.99):
+        for a, b in ((1, 0), (1, 0.4), (2.5, -1.5), (0.5, 0.25)):
+            for f in (theta3_two, theta4_two):
+                assert f(a, b, q).imag == 0.0, (f, a, b, q)
+    for q in (-0.05, -0.5, -0.9):
+        for a, b in ((1, 0), (1, 1), (2, -1), (3, 2)):
+            for f in (theta3_two, theta4_two):
+                assert f(a, b, q).imag == 0.0, (f, a, b, q)
 
 
 @pytest.mark.parametrize("q", [0.05, 0.9])
 def test_theta_two_takes_three_powers_per_call(monkeypatch, q):
+    # the direct sum, which runs where |q^a| <= e^(-pi/2): 0.9^16 = 0.185
+    a = 2.5 if q < 0.5 else 16.0
+    assert _direct(a, q)
     calls = []
 
     def counting_power(w, s):
@@ -262,8 +350,76 @@ def test_theta_two_takes_three_powers_per_call(monkeypatch, q):
     monkeypatch.setattr(thetagen, "principal_power", counting_power)
     for f in (theta3_two, theta4_two):
         calls.clear()
-        f(2.5, 1.5, q)
+        f(a, 1.5, q)
         assert len(calls) == 3
+
+
+class _CountingCmath:
+    """``cmath`` with its ``exp`` calls counted."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(cmath, name)
+
+    def exp(self, z):
+        self.exp_calls += 1
+        return cmath.exp(z)
+
+
+@pytest.mark.parametrize("q", [0.9, 0.5, -0.7, 0.6 + 0.3j, 0.95j])
+def test_reduced_theta_two_forms_no_per_term_power(monkeypatch, q):
+    # the reduced sum takes its ratios e^(A' +- B') and e^(2 A') and the
+    # transformation's factor as four exponentials, however many terms it sums
+    calls = []
+
+    def counting_power(w, s):
+        calls.append(s)
+        return principal_power(w, s)
+
+    counting_cmath = _CountingCmath()
+    monkeypatch.setattr(thetagen, "principal_power", counting_power)
+    monkeypatch.setattr(thetagen, "cmath", counting_cmath)
+    for f in (theta3_two, theta4_two):
+        for a, b in ((1, 0), (1, 0.4), (0.7, -1.1), (1, 0.4j)):
+            assert not _direct(a, q)
+            counting_cmath.exp_calls = 0
+            f(a, b, q)
+            assert calls == [] and counting_cmath.exp_calls == 4, (f, a, b)
+
+
+def _gaussian_sum_mp(A, B):
+    """``sum_n e^(A n^2 + B n)`` at the working precision, with its condition
+    number ``sum |t_n| (|A| n^2 + |B| |n|) / |sum t_n|`` under relative
+    perturbations of ``A`` and ``B``."""
+    A, B = mp.mpc(A), mp.mpc(B)
+    vertex = int(abs(mp.re(B) / (2 * mp.re(A)))) + 1
+    width = vertex + int(mp.sqrt(100 / -mp.re(A))) + 2
+    ns = range(-width, width + 1)
+    terms = [mp.exp(A * n * n + B * n) for n in ns]
+    total = mp.fsum(terms)
+    kappa = mp.fsum(abs(t) * (abs(A) * n * n + abs(B) * abs(n)) for t, n in zip(terms, ns))
+    return total, float(kappa / abs(total))
+
+
+def test_reduction_lands_in_the_fundamental_domain_and_keeps_the_sum():
+    # sum e^(A n^2 + B n) = f sum e^(A' n^2 + B' n), |Re tau'| <= 1/2,
+    # |tau'| >= 1 (to the kernel's margin), |Re B'| <= |Re A'|, |Im B'| <= pi;
+    # the identity holds to 4 units of roundoff times the sum's condition
+    # number plus the size of log f (over 400 draws the worst was 0.58)
+    rng = random.Random(2031)
+    for _ in range(60):
+        A = complex(rng.uniform(-1.5, -0.01), rng.uniform(-20.0, 20.0))
+        B = complex(rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0))
+        A2, B2, log_f = thetagen._reduce(A, B)
+        tau = A2 / (1j * math.pi)
+        assert abs(tau.real) <= 0.5 and abs(tau) >= 0.999 and tau.imag > 0.8, (A, B)
+        assert abs(B2.real) <= abs(A2.real) and abs(B2.imag) <= math.pi, (A, B)
+        with mp.workdps(40):
+            want, kappa = _gaussian_sum_mp(A, B)
+            got = mp.exp(mp.mpc(log_f)) * _gaussian_sum_mp(A2, B2)[0]
+            assert abs(got - want) <= 4 * 2.0**-53 * (1 + abs(log_f) + kappa) * abs(want), (A, B)
 
 
 # ---------------------------------------------------------------------------
