@@ -328,8 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, *, params: bool = True) -> None:
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--max-terms", type=int, default=None,
-                       help="cap on series terms, product factors and continued-fraction "
-                            "depth (overrides QELLIPTIC_MAX_TERMS)")
+                       help="cap on series terms, product factors, continued-fraction "
+                            "depth and AGM steps (overrides QELLIPTIC_MAX_TERMS)")
         if params:
             for name in PARAM_FLAGS:
                 p.add_argument(f"--{name}", type=float, default=None)

@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .numutil import NonConvergenceError, PoleError, principal_power
+from .numutil import _POLICY, NonConvergenceError, PoleError, _bump_terms, principal_power
 from .qseries import lambert_sum
 from .thetagen import theta3_two, theta4_two
 
@@ -39,8 +39,8 @@ __all__ = [
     "dk_dq",
 ]
 
+# The AGM chain has settled once its two means agree to this relative distance.
 _AGM_TOL = 1e-15
-_AGM_MAX_ITER = 64
 
 
 def theta2(q: complex) -> complex:
@@ -87,31 +87,50 @@ def _agm(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
     # sum_{n>=0} 2^{n-1} c_n^2 with c_0 = c, c_{n+1} = (a_n - b_n)/2.  Each
     # square root takes the branch with |a_{n+1} - b_{n+1}| <= |a_{n+1} + b_{n+1}|.
     # A zero element makes every later geometric mean 0, so the mean is 0.
+    # At most the policy's max_terms steps are taken; the steps taken are
+    # charged to term_counter.
+    max_terms = _POLICY.get().max_terms
     csum = 0.5 * c * c
     power = 0.5
-    for _ in range(_AGM_MAX_ITER):
-        if a == 0 or b == 0:
-            return 0j, csum
-        if abs(a - b) <= _AGM_TOL * abs(a):
-            return (a + b) / 2.0, csum
-        a, b, c = (a + b) / 2.0, cmath.sqrt(a * b), (a - b) / 2.0
-        if abs(a - b) > abs(a + b):
-            b = -b
-        power *= 2.0
-        csum += power * c * c
-    raise NonConvergenceError(f"AGM chain did not settle in {_AGM_MAX_ITER} steps (at {a}, {b})")
+    steps = 0
+    try:
+        while True:
+            if not (cmath.isfinite(a) and cmath.isfinite(b)):
+                raise NonConvergenceError(
+                    f"AGM chain element is not finite after {steps} steps ({a}, {b})"
+                )
+            if a == 0 or b == 0:
+                return 0j, csum
+            if abs(a - b) <= _AGM_TOL * abs(a):
+                return (a + b) / 2.0, csum
+            if steps == max_terms:
+                raise NonConvergenceError(
+                    f"AGM chain did not settle in {max_terms} steps (at {a}, {b})"
+                )
+            a, b, c = (a + b) / 2.0, cmath.sqrt(a * b), (a - b) / 2.0
+            if abs(a - b) > abs(a + b):
+                b = -b
+            power *= 2.0
+            csum += power * c * c
+            steps += 1
+    finally:
+        _bump_terms(steps)
 
 
 def agm(a: complex, b: complex) -> complex:
     """Arithmetic-geometric mean with the branch of each square root chosen
     so that ``|a_{n+1} - b_{n+1}| <= |a_{n+1} + b_{n+1}|`` (the convergent chain).
 
-    A chain that reaches a zero element has mean exactly 0.
+    A chain that reaches a zero element has mean exactly 0.  The chain stops
+    once its two means agree to 1e-15 relative; its steps are charged to
+    :func:`~qelliptic.numutil.term_counter`.
 
     Raises
     ------
     NonConvergenceError
-        If the chain has not settled to 1e-15 relative after 64 steps.
+        At the first chain element that is not finite (NaN or infinite), or
+        if the chain has not settled within the active truncation policy's
+        ``max_terms`` steps.
     OverflowError
         Where ``|a|`` and ``|b|`` are too far apart for any common scaling.
     """

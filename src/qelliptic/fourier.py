@@ -118,6 +118,18 @@ def eval_fourier(
     return pref * total
 
 
+def _theta_argument(name: str, ctx: EllipticContext, u: complex) -> tuple[complex, complex]:
+    """``w = pi u/(2K)`` and ``b = 2 i w / Log q``, so that ``q^(b n) = e^(2 i w n)``
+    and ``theta3(w) = theta3_two(1, b, q)``, ``theta4(w) = theta4_two(1, b, q)``.
+
+    Raises ``ValueError`` outside the strip ``|Im w| < pi Im z``.
+    """
+    u = complex(u)
+    _require_strip(name, ctx, u)
+    w = ctx.half_period_w * u
+    return w, 2j * w / cmath.log(ctx.q)
+
+
 def jacobi_sn(ctx: EllipticContext, u: complex) -> complex:
     """Jacobi sn via its sine expansion where ``|k| <= 100``.
 
@@ -134,11 +146,8 @@ def jacobi_sn(ctx: EllipticContext, u: complex) -> complex:
     """
     if abs(ctx.k) <= 100.0:
         return eval_fourier("sn", ctx, u)
-    u = complex(u)
-    _require_strip("sn", ctx, u)
+    w, b = _theta_argument("sn", ctx, u)
     q = ctx.q
-    w = ctx.half_period_w * u
-    b = 2j * w / cmath.log(q)  # q^(b n) = e^(2 i w n)
     theta1_over_theta2 = -1j * cmath.exp(1j * w) * theta4_two(1, 1 + b, q) / theta3_two(1, 1, q)
     return theta3_two(1, 0, q) * theta1_over_theta2 / theta4_two(1, b, q)
 
@@ -159,8 +168,20 @@ def jacobi_sd(ctx: EllipticContext, u: complex) -> complex:
 
 
 def jacobi_dn(ctx: EllipticContext, u: complex) -> complex:
-    """Jacobi dn as the ratio of the cn and cd expansions."""
-    return eval_fourier("cn", ctx, u) / eval_fourier("cd", ctx, u)
+    """Jacobi dn as the ratio of the cn and cd expansions where ``|k| <= 100``.
+
+    Beyond, where that ratio cancels as sn's sine expansion does (2e-5
+    relative off at ``q = -0.95``), dn is the theta quotient
+    ``theta4 theta3(w) / (theta3 theta4(w))`` of four reduced sums, with
+    :func:`jacobi_sn`'s ``w`` and ``b``.
+
+    Raises ``ValueError`` outside the strip ``|Im w| < pi Im z``.
+    """
+    if abs(ctx.k) <= 100.0:
+        return eval_fourier("cn", ctx, u) / eval_fourier("cd", ctx, u)
+    _, b = _theta_argument("dn", ctx, u)
+    q = ctx.q
+    return theta4_two(1, 0, q) * theta3_two(1, b, q) / (theta3_two(1, 0, q) * theta4_two(1, b, q))
 
 
 def jacobi_nd(ctx: EllipticContext, u: complex) -> complex:

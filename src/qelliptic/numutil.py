@@ -1,17 +1,19 @@
 """Shared numerical machinery.
 
-Truncated series summation with geometric tail estimates, continued-fraction
-evaluation by the forward modified Lentz recurrence, Richardson-extrapolated
-numerical derivatives, and complex line-segment quadrature by adaptive
+Truncated series summation from ``n = 0`` with geometric tail estimates,
+continued-fraction evaluation by the forward modified Lentz recurrence,
+numerical derivatives by one Richardson rule (central differences at three
+steps, extrapolated twice), and complex line-segment quadrature by adaptive
 bisection on one Gauss-Kronrod pair, G12/K25, which stops once the pair's
 disagreement summed over the intervals is below 1e-13 relative and refuses
 what 1,475 integrand calls do not resolve.
 Only the standard library is used.  Most series in this package are summed by
 :func:`sum_series`; the infinite q-Pochhammer products and the two-parameter
 theta sums, the theta nulls among them, stop on their own exact tail bounds
-instead.  All of them read the one truncation policy, scoped with
-:func:`truncation` and read at call time, and charge their work to
-:func:`term_counter`.
+instead.  All of them, and :mod:`qelliptic.elliptic`'s AGM chain, read the
+one truncation policy, scoped with :func:`truncation` and read at call time,
+and charge their work to :func:`term_counter`.  No primitive takes a
+per-call option.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ class TruncationPolicy:
         fraction of the partial sum's scale (see :func:`sum_series`); an
         infinite product once its geometric tail bound is below it.
     max_terms : int
-        Hard cap on the terms of a series, the factors of a product and the
-        depth of a continued fraction; exceeding it raises
-        :class:`NonConvergenceError`.
+        Hard cap on the terms of a series, the factors of a product, the
+        depth of a continued fraction and the steps of an AGM chain;
+        exceeding it raises :class:`NonConvergenceError`.
     """
 
     rel_tail_cutoff: float = 1e-16
@@ -99,8 +101,8 @@ _WORK: ContextVar[list[int] | None] = ContextVar("qelliptic_work", default=None)
 
 @contextmanager
 def term_counter() -> Iterator[Callable[[], int]]:
-    """Count the series terms, fraction depth and product factors evaluated
-    in this context.
+    """Count the series terms, fraction depth, product factors and AGM steps
+    evaluated in this context.
 
     Yields a zero-argument callable returning the running count; read after
     the block, it returns the block's final count.  Nested counters stack:
@@ -134,12 +136,8 @@ _WINDOW = 2
 _RUN = 64
 
 
-def sum_series(
-    term: Callable[[int], complex],
-    *,
-    start: int = 0,
-) -> complex:
-    """Sum ``term(n)`` for ``n = start, start+1, ...`` until the tail is negligible.
+def sum_series(term: Callable[[int], complex]) -> complex:
+    """Sum ``term(n)`` for ``n = 0, 1, ...`` until the tail is negligible.
 
     A term is negligible when its magnitude is at most ``rel_tail_cutoff``
     times ``max(1, |partial sum|)``.  The sum stops at the second
@@ -178,15 +176,15 @@ def sum_series(
     last = before = 0.0  # magnitudes of the last two nonzero terms
     peak = 0.0  # largest term so far, at index peak_n
     big = 0.0  # last non-negligible term, at index big_n
-    peak_n = big_n = start - 1
+    peak_n = big_n = -1
     small = zeros = 0
-    for n in range(start, start + max_terms):
+    for n in range(max_terms):
         t = complex(term(n))
         mag = abs(t)
         if mag == 0.0:
             zeros += 1
             if zeros >= _RUN:
-                _bump_terms(n - start + 1)
+                _bump_terms(n + 1)
                 return total
             continue
         zeros = 0
@@ -196,7 +194,7 @@ def sum_series(
         if scale <= 1.0:  # scale = max(1.0, |total|)
             scale = 1.0
         elif not scale < math.inf:  # NaN or infinite partial sum
-            used = n - start + 1
+            used = n + 1
             _bump_terms(used)
             raise NonConvergenceError(f"series partial sum is {total} after {used} terms")
         bound = cutoff * scale
@@ -213,7 +211,7 @@ def sum_series(
             else small >= _RUN
         ):
             if _geometric_tail(last, before) <= bound:
-                _bump_terms(n - start + 1)
+                _bump_terms(n + 1)
                 return total
     _bump_terms(max(max_terms, 0))
     raise NonConvergenceError(
@@ -323,35 +321,27 @@ def continued_fraction(
     raise NonConvergenceError(f"continued fraction did not stabilize by depth {max_terms}")
 
 
-def numeric_derivative(
-    f: Callable[[complex], complex],
-    a: complex,
-    *,
-    h: float | None = None,
-    steps: int = 1,
-) -> complex:
+# numeric_derivative's first step, scaled by max(1, |a|): it balances the
+# O(h^6) error left after two extrapolations against the O(eps/h) roundoff
+# of the differences, h = eps^(1/7) with eps = 1e-16.
+_DIFF_STEP = 10.0 ** (-16.0 / 7)
+
+
+def numeric_derivative(f: Callable[[complex], complex], a: complex) -> complex:
     """Richardson-extrapolated central difference of ``f`` at ``a``.
 
-    Builds the central-difference triangle over step sizes ``h, h/2, ...``
-    and extrapolates ``steps`` times, cancelling error terms through
-    O(h^(2*steps+2)) for smooth ``f``.
+    One rule (Numerical Recipes section 5.7): central differences over the
+    steps ``h, h/2, h/4`` with ``h = 10^(-16/7) max(1, |a|)``, extrapolated
+    twice, which cancels the error terms through O(h^4) and leaves O(h^6)
+    for smooth ``f``.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if h is not None:
-        step = h
-    else:
-        # balance h^(2*steps+2) truncation against eps/h roundoff
-        step = 10.0 ** (-16.0 / (2 * steps + 3)) * max(1.0, abs(a))
-        if steps == 1:
-            step = 1e-5 * max(1.0, abs(a))
+    step = _DIFF_STEP * max(1.0, abs(a))
     row = []
-    for i in range(steps + 1):
+    for i in range(3):
         s = step / (2.0**i)
         row.append((complex(f(a + s)) - complex(f(a - s))) / (2.0 * s))
     # Richardson triangle: column j cancels the O(h^(2j)) term.
-    for j in range(1, steps + 1):
-        factor = 4.0**j
+    for factor in (4.0, 16.0):
         row = [
             (factor * row[i + 1] - row[i]) / (factor - 1.0)
             for i in range(len(row) - 1)

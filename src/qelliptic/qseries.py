@@ -84,9 +84,9 @@ def lambert_sum(q: complex, weight: Callable[[int], complex]) -> complex:
     def term(n: int) -> complex:
         nonlocal qn
         qn *= q
-        return complex(weight(n)) * qn / (1.0 - qn)
+        return complex(weight(n + 1)) * qn / (1.0 - qn)
 
-    return sum_series(term, start=1)
+    return sum_series(term)
 
 
 def divisor_expand(q: complex, weight: Callable[[int], complex]) -> complex:
@@ -101,11 +101,12 @@ def divisor_expand(q: complex, weight: Callable[[int], complex]) -> complex:
     if abs(q) >= 1.0:
         raise ValueError("divisor expansion requires |q| < 1")
 
-    def term(m: int) -> complex:
+    def term(n: int) -> complex:
+        m = n + 1
         coeff = sum(complex(weight(d)) for d in divisors(m))
         return coeff * q**m
 
-    return sum_series(term, start=1)
+    return sum_series(term)
 
 
 def divisors(n: int) -> list[int]:

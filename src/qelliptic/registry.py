@@ -241,7 +241,7 @@ def _eq10_1_rhs(x, fn):
 def _eq11_lhs(q):
     return numeric_derivative(
         lambda t: sum_series(lambda n: t ** (n + 1) / ((n + 1) * (1.0 - t ** (n + 1)))),
-        q, steps=2)
+        q)
 
 
 def _eq11_rhs(q):
@@ -258,7 +258,7 @@ def _neg_nome(q: complex) -> complex:
 
 
 def _eq11_1_lhs(q):
-    return numeric_derivative(lambda t: modulus_from_nome(t), q, steps=2)
+    return numeric_derivative(lambda t: modulus_from_nome(t), q)
 
 
 def _eq11_1_rhs(q):
@@ -272,7 +272,7 @@ def _eq12_lhs(x):
 def _eq12_rhs(x):
     q = math.exp(-2.0 * x)
     return -4.0 * q * numeric_derivative(
-        lambda t: cmath.log(euler_product(t)), q, steps=2)
+        lambda t: cmath.log(euler_product(t)), q)
 
 
 def _eq13_lhs(r):
@@ -418,7 +418,7 @@ def _t7_lhs(x):
 
 def _t7_rhs(x):
     return -2.0 * numeric_derivative(
-        lambda t: sum_series(lambda n: 1.0 / (math.exp(2 * (n + 1) * t) - 1.0)), x, steps=2)
+        lambda t: sum_series(lambda n: 1.0 / (math.exp(2 * (n + 1) * t) - 1.0)), x)
 
 
 def _eq32_1_lhs(r, u):
@@ -589,7 +589,7 @@ def _t11_rhs(r, nu):
 
 def _cor2_lhs(r):
     c = _cr(r)
-    return numeric_derivative(lambda v: eval_fourier("cd1", c, v), c.K.real, steps=2)
+    return numeric_derivative(lambda v: eval_fourier("cd1", c, v), c.K.real)
 
 
 def _cor2_rhs(r):
@@ -729,7 +729,7 @@ def _eq68_lhs(r, x):
     q = c.q.real
     return numeric_derivative(
         lambda t: cmath.log(cayley_u0_product(_odd_frame_A(c, t), q)),
-        x * c.K.real, steps=2)
+        x * c.K.real)
 
 
 def _eq68_rhs(r, x):
@@ -812,7 +812,7 @@ def _t15b_lhs(r, x):
 def _t15b_rhs(r, x):
     c = _cr(r)
     u = x * c.K.real
-    dlog = numeric_derivative(lambda t: _log_poch_ratio(c, t), u, steps=2)
+    dlog = numeric_derivative(lambda t: _log_poch_ratio(c, t), u)
     return (jacobi_cd(c, u) * math.cos(pi * u / c.K.real)
             + 2.0 / c.k.real * math.sin(pi * u / c.K.real) * dlog.imag)
 
@@ -827,14 +827,14 @@ def _t16a_rhs(r, x):
     u = x * c.K.real
     dlog = numeric_derivative(
         lambda t: cmath.log(-1.0 + 2.0 / (1.0 - u0_cf(_odd_frame_A(c, t), c.q.real))),
-        u, steps=2)
+        u)
     return _t16_base(c, u) - 1j / c.k * math.sin(pi * u / c.K.real) * dlog
 
 
 def _t16b_rhs(r, x):
     c = _cr(r)
     u = x * c.K.real
-    dlog = numeric_derivative(lambda t: _log_poch_ratio(c, t), u, steps=2)
+    dlog = numeric_derivative(lambda t: _log_poch_ratio(c, t), u)
     return _t16_base(c, u) - 2j / c.k * math.sin(pi * u / c.K.real) * dlog
 
 
@@ -1023,7 +1023,7 @@ def _t20_lhs(r, a):
 def _t20_rhs(r, a):
     c = _cr(r)
     th0 = frame_offset(c, a)
-    dth = numeric_derivative(lambda t: angle_sum(c.q.real, t), a, steps=2)
+    dth = numeric_derivative(lambda t: angle_sum(c.q.real, t), a)
     return -dth - 2.0 * c.z * c.K * c.k * jacobi_cd(c, th0)
 
 
@@ -1271,7 +1271,7 @@ def _eq112_rhs(y):
 
 def _eq113_lhs(y):
     c = _cy(y)
-    return numeric_derivative(lambda v: eval_fourier("cd1", c, v), c.K.real, steps=2)
+    return numeric_derivative(lambda v: eval_fourier("cd1", c, v), c.K.real)
 
 
 def _eq113_rhs(y):
@@ -1324,7 +1324,7 @@ def _odd_quotient_count(n: int, a: float) -> int:
 
 
 def _eq122_lhs(q, a):
-    return numeric_derivative(lambda t: angle_sum(q, t), a, steps=2)
+    return numeric_derivative(lambda t: angle_sum(q, t), a)
 
 
 def _eq122_rhs(q, a):
@@ -1800,7 +1800,7 @@ def _build() -> tuple[IdentityCase, ...]:
           ({"r": 1.0}, {"r": 2.0}, {"r": 3.0}, {"r": 4.0})),
         C("EQ11", "nome-derivative of the averaged Lambert sum equals a csch^2 series",
           "qelliptic.qseries.euler_product", _eq11_lhs, _eq11_rhs,
-          ({"q": 0.1},), compare="derivative"),
+          ({"q": 0.1},), compare="derivative", tol=1e-12),
         C("EQ11.1", "modulus grows with the nome at rate 2 k k'^2 K^2/(q pi^2)",
           "qelliptic.elliptic.dk_dq", _eq11_1_lhs, _eq11_1_rhs,
           ({"q": 0.05}, {"q": 0.1}), compare="derivative"),
@@ -1810,7 +1810,7 @@ def _build() -> tuple[IdentityCase, ...]:
           ({"q": 0.05}, {"q": 0.1}), compare="derivative", status="QUARANTINED"),
         C("EQ12", "csch^2 series equals the logarithmic nome-derivative of the Euler product",
           "qelliptic.qseries.euler_product", _eq12_lhs, _eq12_rhs,
-          ({"x": 0.9},), compare="derivative"),
+          ({"x": 0.9},), compare="derivative", tol=1e-12),
         C("EQ13", "alternating weight-n Lambert sum in terms of K and E",
           "qelliptic.elliptic.EllipticContext.from_r", _eq13_lhs, _eq13_rhs,
           ({"r": 1.0}, {"r": 2.0}, {"r": 4.0})),
@@ -1883,7 +1883,7 @@ def _build() -> tuple[IdentityCase, ...]:
            {"r": 1.0, "form": "res4"}, {"r": 2.0, "form": "res4"})),
         C("T7", "n csch^2 series equals the rate-derivative of the Fermi-free sum",
           "qelliptic.numutil.numeric_derivative", _t7_lhs, _t7_rhs,
-          ({"x": 0.8},), compare="derivative"),
+          ({"x": 0.8},), compare="derivative", tol=1e-11),
         C("EQ32.1", "negated-nome sn as a rescaled sd",
           "qelliptic.fourier.jacobi_sn", _eq32_1_lhs, _eq32_1_rhs,
           ({"r": 2.0, "u": 0.3}, {"r": 1.0, "u": 0.5})),
@@ -1961,7 +1961,7 @@ def _build() -> tuple[IdentityCase, ...]:
           param_domain="nu > 2 with 2/nu not an integer"),
         C("COR2", "slope of cd1 at the quarter period",
           "qelliptic.fourier.eval_fourier", _cor2_lhs, _cor2_rhs,
-          ({"r": 2.0},), compare="limit"),
+          ({"r": 2.0},), compare="limit", tol=1e-11),
         C("T12", "cd1 at the imaginary quarter period",
           "qelliptic.fourier.cd1_halfplane", _t12_lhs, _t12_rhs,
           ({"r": 1.0}, {"r": 2.0})),
@@ -2012,10 +2012,10 @@ def _build() -> tuple[IdentityCase, ...]:
           ({"a": 0.32, "q": 0.15}, {"a": 0.5, "q": 0.25})),
         C("EQ68", "frame derivative of the log-Cayley u0 equals the odd ratio sum",
           "qelliptic.thetagen.odd_ratio_sum", _eq68_lhs, _eq68_rhs,
-          ({"r": 2.0, "x": 0.3},), compare="derivative"),
+          ({"r": 2.0, "x": 0.3},), compare="derivative", tol=1e-10),
         C("EQ69", "frame derivative of the log-Cayley u0 equals -k cd - i k ss(-q)",
           "qelliptic.fourier.eval_fourier", _eq68_lhs, _eq69_rhs,
-          ({"r": 2.0, "x": 0.3},), compare="derivative"),
+          ({"r": 2.0, "x": 0.3},), compare="derivative", tol=1e-10),
         C("T14", "log-Cayley u0 splits into -log(nd + k sd) plus an odd cosine series",
           "qelliptic.thetagen.cayley_u0_product", _t14_lhs, _t14_rhs,
           ({"r": 2.0, "x": 0.35}, {"r": 1.0, "x": 0.3}), compare="exponentiated"),
@@ -2033,7 +2033,7 @@ def _build() -> tuple[IdentityCase, ...]:
           ({"r": 2.0, "x": 0.35}, {"r": 1.0, "x": 0.3})),
         C("T15b", "cd1 recovered from the imaginary part of the product-ratio log-derivative",
           "qelliptic.fourier.eval_fourier", _t15b_lhs, _t15b_rhs,
-          ({"r": 2.0, "x": 0.3},), compare="derivative"),
+          ({"r": 2.0, "x": 0.3},), compare="derivative", tol=1e-10),
         C("EQ75", "one-variable continued fraction equals its product form",
           "qelliptic.thetagen.u0_cf",
           lambda a, q: u0_cf(a, q),
@@ -2043,10 +2043,10 @@ def _build() -> tuple[IdentityCase, ...]:
           tol=1e-10),
         C("T16a", "cd1 from the continued-fraction route of the Moebius log-derivative",
           "qelliptic.thetagen.u0_cf", _t15b_lhs, _t16a_rhs,
-          ({"r": 2.0, "x": 0.3},), compare="derivative"),
+          ({"r": 2.0, "x": 0.3},), compare="derivative", tol=1e-10),
         C("T16b", "cd1 from the product-ratio route of the Moebius log-derivative",
           "qelliptic.thetagen.u0_product", _t15b_lhs, _t16b_rhs,
-          ({"r": 2.0, "x": 0.3},), compare="derivative"),
+          ({"r": 2.0, "x": 0.3},), compare="derivative", tol=1e-9),
         C("T17a", "cd1 at even lattice translates of the imaginary quarter period",
           "qelliptic.fourier.cd1_halfplane", _t17a_lhs, _t17a_rhs,
           ({"r": 1.0, "m": 2, "j": 1}, {"r": 1.0, "m": 2, "j": 2},
@@ -2113,7 +2113,7 @@ def _build() -> tuple[IdentityCase, ...]:
         C("T20", "weighted sine series at the frame offset equals minus the angle slope",
           "qelliptic.angle.angle_sum", _t20_lhs, _t20_rhs,
           ({"r": 2.0, "a": 0.7}, {"r": 1.0, "a": 0.6}),
-          compare="derivative", param_domain="0 < a < 1"),
+          compare="derivative", tol=1e-11, param_domain="0 < a < 1"),
         C("EQ94", "star-frame counterpart of T20 with the shifted half period",
           "qelliptic.angle.angle_derivative", _eq94_lhs, _eq94_rhs,
           ({"r": 2.0, "a": 0.7},), param_domain="0 < a < 1", tol=1e-9),
@@ -2126,7 +2126,7 @@ def _build() -> tuple[IdentityCase, ...]:
           ({"r": 2.0, "a": 0.7},)),
         C("EQ97", "frame offset moves at rate 2 i K' in the angle parameter",
           "qelliptic.angle.frame_offset", _eq97_lhs, _eq97_rhs,
-          ({"r": 2.0, "a": 0.5},), compare="derivative"),
+          ({"r": 2.0, "a": 0.5},), compare="derivative", tol=1e-12),
         C("EQ98", "fractional Lambert sum equals the angle slope over 4 pi i z",
           "qelliptic.angle.angle_derivative", _eq98_lhs, _eq98_rhs,
           ({"r": 2.0, "a": 0.7}, {"r": 2.0, "a": 0.4})),
@@ -2167,7 +2167,7 @@ def _build() -> tuple[IdentityCase, ...]:
           ({"r": 2.0, "a": 0.7}, {"r": 1.0, "a": 0.2})),
         C("EQ109", "star frame offset moves at rate 2K* + 4zK*",
           "qelliptic.angle.frame_offset_star", _eq109_lhs, _eq109_rhs,
-          ({"r": 2.0, "a": 0.5},), compare="derivative"),
+          ({"r": 2.0, "a": 0.5},), compare="derivative", tol=1e-11),
         C("EQ110", "twisted fractional sum equals its principal-power negated-nome form",
           "qelliptic.numutil.principal_power", _eq110_lhs, _eq110_rhs,
           ({"y": 0.35, "a": 0.7},)),
@@ -2189,7 +2189,7 @@ def _build() -> tuple[IdentityCase, ...]:
           ({"y": 0.35},)),
         C("EQ113", "slope of cd1 at the quarter period via the angle slope at one half",
           "qelliptic.angle.angle_derivative", _eq113_lhs, _eq113_rhs,
-          ({"y": 0.35},), compare="limit"),
+          ({"y": 0.35},), compare="limit", tol=1e-12),
         C("EQ114", "odd exponential sum equals minus the angle slope at one",
           "qelliptic.angle.angle_derivative", _eq114_lhs, _eq114_rhs,
           ({"y": 0.35},)),
@@ -2205,7 +2205,7 @@ def _build() -> tuple[IdentityCase, ...]:
         C("EQ122", "angle slope at integer argument via restricted divisor counts",
           "qelliptic.angle.angle_sum", _eq122_lhs, _eq122_rhs,
           ({"q": 0.3, "a": 2}, {"q": 0.15, "a": 3}),
-          compare="derivative", param_domain="a positive integer"),
+          compare="derivative", tol=1e-11, param_domain="a positive integer"),
         C("EQ123", "odd exponential sum via restricted divisor counts",
           "qelliptic.qseries.divisors", _eq123_lhs, _eq123_rhs,
           ({"y": 0.35},), tol=1e-10),

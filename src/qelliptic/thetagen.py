@@ -191,7 +191,10 @@ def _theta_two(a, b, q, alternating: bool) -> complex:
     ``tau = A / (i pi)``) it is summed directly: its ratios
     ``R_1+- = s q^(a +- b)`` and ``x2 = q^(2a)`` take three powers.  (Formed as
     ``q^a q^(-b)``, ``R_1-`` would overflow at a tiny nome even where
-    ``q^(a-b) = 1``.)  Elsewhere :func:`_reduce` carries ``tau`` into the
+    ``q^(a-b) = 1``.)  The direct sum stays although the reduction would
+    apply there too: at ``(a, b, q) = (0.5, 0.25, 0.01)`` the reduced sum is
+    1.6e-16 (theta3) and 1.9e-16 (theta4) from mpmath, the direct one exact
+    to the double.  Elsewhere :func:`_reduce` carries ``tau`` into the
     fundamental domain by Jacobi's imaginary transformation, and the reduced
     sum, at a nome of at most ``e^(-pi sqrt(3)/2) ~ 0.066``, takes at most
     five terms, with ratios ``e^(A' +- B')`` and ``e^(2A')``; it is multiplied

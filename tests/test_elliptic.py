@@ -23,7 +23,7 @@ from qelliptic.elliptic import (
     theta3,
     theta4,
 )
-from qelliptic.numutil import NonConvergenceError, PoleError, numeric_derivative, term_counter
+from qelliptic.numutil import NonConvergenceError, PoleError, numeric_derivative, term_counter, truncation
 from qelliptic.qseries import qpochhammer, euler_product
 from qelliptic.registry import _eq10_1_rhs
 
@@ -134,10 +134,25 @@ def test_agm_zero_element_gives_a_pole_of_K():
 
 
 def test_agm_refuses_a_chain_that_does_not_settle():
-    with pytest.raises(NonConvergenceError, match="did not settle in 64 steps"):
-        agm(math.nan, 1.0)
-    with pytest.raises(NonConvergenceError):
+    # a NaN element is refused where it appears, before any step is taken
+    with term_counter() as used:
+        with pytest.raises(NonConvergenceError, match="not finite after 0 steps"):
+            agm(math.nan, 1.0)
+    assert used() == 0
+    with pytest.raises(NonConvergenceError, match="not finite"):
         ellint_K(complex(0.5, math.nan))
+
+
+@pytest.mark.parametrize("max_terms", [0, 1, 7])
+def test_agm_obeys_the_truncation_policy(max_terms):
+    # agm(2, 1e-8) settles in 8 steps: fewer raise, and charge what they took
+    with truncation(max_terms=max_terms), term_counter() as used:
+        with pytest.raises(NonConvergenceError, match=f"did not settle in {max_terms} steps"):
+            agm(2.0, 1e-8)
+    assert used() == max_terms
+    with truncation(max_terms=8), term_counter() as used:
+        assert repr(agm(2.0, 1e-8)) == "(0.15324750798153153+0j)"
+    assert used() == 8
 
 
 def test_legendre_relation():
@@ -401,13 +416,13 @@ def test_modulus_weighted_period_rotation():
 
 
 def test_dk_dq_matches_central_difference():
+    # the reference is mpmath's difference of k = theta2^2/theta3^2 at 50
+    # digits: numeric_derivative's stencil would cross 0 at q = e^{-2 pi}
     for q in (math.exp(-PI), math.exp(-2.0 * PI)):
         c = EllipticContext.from_nome(q)
-        # keep the stencil well inside (0, 1): the default step exceeds
-        # q itself at q = e^{-2 pi}
-        numeric = numeric_derivative(
-            lambda t: modulus_from_nome(t), q, h=q / 8.0, steps=2
-        )
+        with mpmath.workdps(50):
+            numeric = complex(mpmath.diff(
+                lambda t: (mpmath.jtheta(2, 0, t) / mpmath.jtheta(3, 0, t)) ** 2, mpmath.mpf(q)))
         assert abs(dk_dq(c) - numeric) / abs(numeric) <= 1e-6
 
 
@@ -422,8 +437,8 @@ def test_k_squared_slope_at_origin():
 
 def test_dK_dk_and_dE_dk_match_central_differences():
     c = EllipticContext.from_modulus(0.4)
-    dK = numeric_derivative(lambda k: ellint_K(k), 0.4, steps=2)
-    dE = numeric_derivative(lambda k: ellint_E(k), 0.4, steps=2)
+    dK = numeric_derivative(lambda k: ellint_K(k), 0.4)
+    dE = numeric_derivative(lambda k: ellint_E(k), 0.4)
     assert abs(dK_dk(c) - dK) <= 1e-8
     assert abs(dE_dk(c) - dE) <= 1e-8
 

@@ -31,10 +31,10 @@ from qelliptic.numutil import (
 # ---------------------------------------------------------------------------
 
 
-def _terms_used(term, start=0):
+def _terms_used(term):
     """The work :func:`sum_series` charges to :func:`term_counter`."""
     with term_counter() as count:
-        sum_series(term, start=start)
+        sum_series(term)
     return count()
 
 
@@ -46,8 +46,8 @@ def test_sum_series_geometric_value():
 
 
 def test_sum_series_start_offset():
-    # sum_{n>=1} 0.5^n = 1
-    out = sum_series(lambda n: 0.5**n, start=1)
+    # sum_{n>=1} 0.5^n = 1: a sum from n = 1 shifts its own index
+    out = sum_series(lambda n: 0.5 ** (n + 1))
     assert_close(out, 1.0, rtol=1e-14)
 
 
@@ -95,7 +95,7 @@ def test_sum_series_refuses_non_finite_partial_sums(term, used):
         assert count() == used
 
 
-def _reference_sum_series(term, start=0, trend_guard=True):
+def _reference_sum_series(term, trend_guard=True):
     """The stopping rule written out over the list of every term seen: a
     bit-for-bit oracle of the sum and its term count.  ``trend_guard=False``
     gives the plain rule (two negligible nonzero terms and a negligible
@@ -104,17 +104,17 @@ def _reference_sum_series(term, start=0, trend_guard=True):
     total = 0.0 + 0.0j
     seen = []  # (index, |term|, negligible) of every nonzero term
     zeros = 0
-    for n in range(start, start + pol.max_terms):
+    for n in range(pol.max_terms):
         t = complex(term(n))
         if t == 0:
             zeros += 1
             if zeros == 64:
-                return (total, n - start + 1)
+                return (total, n + 1)
             continue
         zeros = 0
         total += t
         if not math.isfinite(abs(total)):
-            raise NonConvergenceError(f"series partial sum is {total} after {n - start + 1} terms")
+            raise NonConvergenceError(f"series partial sum is {total} after {n + 1} terms")
         bound = pol.rel_tail_cutoff * max(1.0, abs(total))
         seen.append((n, abs(t), abs(t) <= bound))
         if len(seen) < 2 or not (seen[-1][2] and seen[-2][2]):
@@ -135,7 +135,7 @@ def _reference_sum_series(term, start=0, trend_guard=True):
             elif last_big * (last_big / peak) ** ((n + 1 - big_n) / (big_n - peak_n)) > bound:
                 continue
         if _reference_tail(seen) <= bound:
-            return (total, n - start + 1)
+            return (total, n + 1)
     raise NonConvergenceError(
         f"series did not converge within {pol.max_terms} terms (est_tail={_reference_tail(seen):.3g})"
     )
@@ -163,42 +163,42 @@ def _noise_gap_sum(q):
 
 
 _REFERENCE_SERIES = [
-    ("real geometric", lambda n: 0.5**n, 0),
-    ("slow real geometric", lambda n: 0.97**n, 0),
-    ("complex geometric", lambda n: (0.2 + 0.3j) ** n, 0),
-    ("lacunary, squares only", lambda m: 0.9**m if math.isqrt(m) ** 2 == m else 0.0, 0),
-    ("all zero", lambda n: 0.0, 0),
-    ("alternating", lambda n: (-0.7) ** n, 0),
-    ("start=1", lambda n: 0.3**n / n, 1),
-    ("noise gaps, q = 0.3", _noise_gap_term(0.3), 0),
-    ("noise gaps, q = 0.5", _noise_gap_term(0.5), 0),
-    ("noise gaps, q = 0.8", _noise_gap_term(0.8), 0),
-    ("one dominant term", lambda n: 1e6 if n == 5 else 0.5**n, 0),
-    ("finite support", lambda n: [3.0, -1.0, 0.5][n] if n < 3 else 0.0, 0),
-    ("all negligible, slow", lambda n: 1e-17 * 0.995**n, 0),
-    ("all negligible, fast", lambda n: 1e-17 * 0.9**n, 0),
-    ("lone first term", lambda n: 1.0 if n == 0 else 1e-17 / n**2, 0),
+    ("real geometric", lambda n: 0.5**n),
+    ("slow real geometric", lambda n: 0.97**n),
+    ("complex geometric", lambda n: (0.2 + 0.3j) ** n),
+    ("lacunary, squares only", lambda m: 0.9**m if math.isqrt(m) ** 2 == m else 0.0),
+    ("all zero", lambda n: 0.0),
+    ("alternating", lambda n: (-0.7) ** n),
+    ("from n = 1, shifted", lambda n: 0.3 ** (n + 1) / (n + 1)),
+    ("noise gaps, q = 0.3", _noise_gap_term(0.3)),
+    ("noise gaps, q = 0.5", _noise_gap_term(0.5)),
+    ("noise gaps, q = 0.8", _noise_gap_term(0.8)),
+    ("one dominant term", lambda n: 1e6 if n == 5 else 0.5**n),
+    ("finite support", lambda n: [3.0, -1.0, 0.5][n] if n < 3 else 0.0),
+    ("all negligible, slow", lambda n: 1e-17 * 0.995**n),
+    ("all negligible, fast", lambda n: 1e-17 * 0.9**n),
+    ("lone first term", lambda n: 1.0 if n == 0 else 1e-17 / n**2),
 ]
 
 
 @pytest.mark.parametrize("overrides", [{}, {"rel_tail_cutoff": 1e-8}, {"rel_tail_cutoff": 1e-12}])
 def test_sum_series_matches_reference_loop_bit_for_bit(overrides):
     with truncation(**overrides):
-        for label, term, start in _REFERENCE_SERIES:
+        for label, term in _REFERENCE_SERIES:
             with term_counter() as count:
-                out = sum_series(term, start=start)
-            assert (out, count()) == _reference_sum_series(term, start=start), label
+                out = sum_series(term)
+            assert (out, count()) == _reference_sum_series(term), label
 
 
 @pytest.mark.parametrize("max_terms", [0, 1, 50])
 def test_sum_series_refusal_matches_reference_loop(max_terms):
     with truncation(max_terms=max_terms):
-        for _, term, start in _REFERENCE_SERIES[:2]:
+        for _, term in _REFERENCE_SERIES[:2]:
             with pytest.raises(NonConvergenceError) as expected:
-                _reference_sum_series(term, start=start)
+                _reference_sum_series(term)
             with term_counter() as count:
                 with pytest.raises(NonConvergenceError) as got:
-                    sum_series(term, start=start)
+                    sum_series(term)
                 assert count() == max_terms
             assert str(got.value) == str(expected.value)
 
@@ -325,16 +325,20 @@ def test_derivative_of_exp_at_zero():
     assert_close(numeric_derivative(cmath.exp, 0.0), 1.0, rtol=1e-10)
 
 
-def test_derivative_richardson_steps_sharpen():
-    f = cmath.cos
-    coarse = abs(numeric_derivative(f, 1.0, h=1e-2, steps=1) + math.sin(1.0))
-    fine = abs(numeric_derivative(f, 1.0, h=1e-2, steps=3) + math.sin(1.0))
-    assert fine < coarse
-
-
-def test_derivative_rejects_bad_steps():
-    with pytest.raises(ValueError):
-        numeric_derivative(cmath.exp, 0.0, steps=0)
+@pytest.mark.parametrize("f, df, a", [
+    (cmath.sin, cmath.cos, 1.0),
+    (cmath.sin, cmath.cos, 0.0),
+    (cmath.sin, cmath.cos, 2.5),
+    (cmath.exp, cmath.exp, 1.0),
+    (cmath.exp, cmath.exp, 0.0),
+    (cmath.exp, cmath.exp, 2.5),
+    (cmath.log, lambda a: 1.0 / a, 1.0),
+    (cmath.log, lambda a: 1.0 / a, 2.5),
+])
+def test_derivative_one_rule_is_accurate(f, df, a):
+    # steps h, h/2, h/4 with h = 10^(-16/7) max(1, |a|), extrapolated twice
+    want = df(a)
+    assert abs(numeric_derivative(f, a) - want) <= 1e-13 * abs(want)
 
 
 def test_derivative_log_euler_product():
@@ -343,7 +347,7 @@ def test_derivative_log_euler_product():
     from qelliptic.qseries import euler_product
 
     q = math.exp(-2.0 * math.pi)
-    lhs = numeric_derivative(lambda t: cmath.log(euler_product(t)), q, steps=2)
+    lhs = numeric_derivative(lambda t: cmath.log(euler_product(t)), q)
     rhs = -1.0 / (4.0 * q) * sum_series(
         lambda n: 1.0 / math.sinh((n + 1) * math.pi) ** 2
     )

@@ -1,7 +1,7 @@
 """mpmath oracles over 330 seeded points of the disk |q| <= 0.9, the
 elliptic context over the real segment [-0.98, 0.98] and the disk |q| <= 0.95,
 the theta nulls over the real segments +-[0.001, 0.999] and the disk
-|q| <= 0.95, and sn where its theta-quotient route runs (bounds and their
+|q| <= 0.95, and sn and dn where their theta-quotient routes run (bounds and their
 reasons in each test's docstring).
 
 The continued fractions are checked against their product forms evaluated
@@ -24,7 +24,7 @@ import pytest
 
 from qelliptic.angle import angle_sum
 from qelliptic.elliptic import EllipticContext, theta2, theta3, theta4
-from qelliptic.fourier import jacobi_sn
+from qelliptic.fourier import jacobi_dn, jacobi_sn
 from qelliptic.qseries import euler_product, qpochhammer
 from qelliptic.thetagen import rr_cf, theta3_two, u0_cf, u_cf
 
@@ -330,16 +330,16 @@ def test_theta_nulls_at_tiny_and_dual_subnormal_nomes():
 
 
 # ---------------------------------------------------------------------------
-# sn where its sine expansion cancels: the theta quotient of reduced sums
+# sn and dn where their expansions cancel: theta quotients of reduced sums
 # ---------------------------------------------------------------------------
 
 
-def _sn_reference(q: complex, u: complex):
+def _ellipfun_reference(name: str, q: complex, u: complex):
     """``ellipfun`` at 40 digits where 80 digits confirm it to 1e-25, else None."""
     refs = []
     for dps in (40, 80):
         with mp.workdps(dps):
-            refs.append(mp.ellipfun("sn", mp.mpc(u), q=mp.mpc(q)))
+            refs.append(mp.ellipfun(name, mp.mpc(u), q=mp.mpc(q)))
     with mp.workdps(80):
         if abs(refs[0] - refs[1]) > mp.mpf(10) ** -25 * abs(refs[1]):
             return None
@@ -354,9 +354,21 @@ def test_sn_at_negative_nomes(q):
     c = EllipticContext.from_nome(q)
     for share in (0.3, 0.01):
         u = share * c.K
-        want = _sn_reference(q, u)
+        want = _ellipfun_reference("sn", q, u)
         with mp.workdps(80):
             assert abs(mp.mpc(jacobi_sn(c, u)) - want) <= 1e-12 * abs(want), share
+
+
+@pytest.mark.parametrize("q", [-0.8, -0.9, -0.95])
+def test_dn_at_negative_nomes(q):
+    # as the quotient of the cn and cd cosine expansions, dn at u = 0.3K was
+    # off by 4.2e-14 (-0.8), 3.1e-11 (-0.9) and 2.4e-5 (-0.95)
+    c = EllipticContext.from_nome(q)
+    for share in (0.3, 0.01):
+        u = share * c.K
+        want = _ellipfun_reference("dn", q, u)
+        with mp.workdps(80):
+            assert abs(mp.mpc(jacobi_dn(c, u)) - want) <= 1e-12 * abs(want), share
 
 
 def test_sn_over_the_negative_half_disk():
@@ -373,7 +385,7 @@ def test_sn_over_the_negative_half_disk():
         if abs(c.k) <= 100:
             continue
         u = rng.uniform(0.1, 0.9) * c.K
-        want = _sn_reference(q, u)
+        want = _ellipfun_reference("sn", q, u)
         if want is None:
             continue
         checked += 1

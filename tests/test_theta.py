@@ -121,12 +121,13 @@ def _reference_theta_two(a, b, q, alternating):
     if abs(power(a)) >= 1.0:
         raise ValueError("|q^a| >= 1")
 
-    def term(n):
+    def term(i):
+        n = i + 1
         sign = -1.0 if alternating and n % 2 else 1.0
         return sign * (power(a * n * n + b * n) + power(a * n * n - b * n))
 
     with term_counter() as used:
-        value = sum_series(term, start=1)
+        value = sum_series(term)
     return 1.0 + value, used() + 1
 
 
