@@ -38,7 +38,6 @@ from .fourier import (
     eval_fourier,
     in_strip,
     jacobi_cd,
-    jacobi_cd_continued,
     jacobi_cn,
     jacobi_dn,
     jacobi_nd,
@@ -92,6 +91,7 @@ from .thetagen import (
     rr_cf,
     rr_product,
     rr_sum,
+    theta1_two,
     theta3_two,
     theta4_two,
     u0_cf,

@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .numutil import _POLICY, NonConvergenceError, PoleError, _bump_terms, principal_power
+from .numutil import NonConvergenceError, PoleError, _bump_terms, current_policy, principal_power
 from .qseries import lambert_sum
 from .thetagen import theta3_two, theta4_two
 
@@ -89,7 +89,7 @@ def _agm(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
     # A zero element makes every later geometric mean 0, so the mean is 0.
     # At most the policy's max_terms steps are taken; the steps taken are
     # charged to term_counter.
-    max_terms = _POLICY.get().max_terms
+    max_terms = current_policy().max_terms
     csum = 0.5 * c * c
     power = 0.5
     steps = 0
@@ -180,6 +180,8 @@ class EllipticContext:
     ``q = exp(2 pi i z)``; ``E = (K/3)(2 - k^2 + (pi/(2K))^2 P(q^2))`` is
     Ramanujan's Eisenstein form, ``P(q) = 1 - 24 sum n q^n/(1 - q^n)``
     (Borwein & Borwein, *Pi and the AGM*, ch. 2-4).  No AGM runs, no branch is chosen.
+    The Jacobi functions' theta quotients read the nulls ``theta3``, ``theta4``
+    and ``theta2_scaled = theta2 / q^(1/4) = theta3_two(1, 1, q)`` off the context.
     """
 
     q: complex
@@ -189,6 +191,9 @@ class EllipticContext:
     K: complex
     Kprime: complex
     E: complex
+    theta2_scaled: complex
+    theta3: complex
+    theta4: complex
 
     @classmethod
     def from_nome(cls, q: complex, z: complex | None = None) -> "EllipticContext":
@@ -212,7 +217,8 @@ class EllipticContext:
             raise ValueError("nome must satisfy 0 < |q| < 1")
         if z is None:
             z = cmath.log(q) / (2.0j * math.pi)
-        t2, t3, t4 = theta2(q), theta3(q), theta4(q)
+        s2, t3, t4 = theta3_two(1, 1, q), theta3(q), theta4(q)
+        t2 = principal_power(q, 0.25) * s2  # theta2(q)
         t3_4 = t3**4
         # theta3 -> 0 as q -> -1: k^2 leaves the double range from q = -0.987
         # on, and theta3^4 underflows to 0 from q = -0.988 on
@@ -225,7 +231,7 @@ class EllipticContext:
         # (pi/(2K))^2 P(q^2) with pi/(2K) = theta3^-2
         E = K / 3.0 * (2.0 - k * k + (1.0 - 24.0 * lambert_sum(q * q, float)) / t3_4)
         return cls(q=q, z=complex(z), k=k, kprime=(t4 / t3) ** 2, K=K,
-                   Kprime=-2.0j * z * K, E=E)
+                   Kprime=-2.0j * z * K, E=E, theta2_scaled=s2, theta3=t3, theta4=t4)
 
     @classmethod
     def from_r(cls, r: float) -> "EllipticContext":

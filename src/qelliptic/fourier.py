@@ -1,17 +1,20 @@
 """Trigonometric (Fourier-type) expansions of the Jacobi elliptic functions
-and their companion series.
+and their companion series, and the Jacobi functions themselves.
 
-Every entry has the shape
+Every entry of :data:`FOURIER_TABLE` has the shape
 
     prefactor(ctx) * sum_{n>=0} sign^n q^{n+1/2} trig((2n + offset) w) / (1 +- q^{2n +- 1})
 
 with ``w = pi u / (2K)``.  The expansions converge in the horizontal strip
-``|Im w| < pi Im z``; :func:`jacobi_cd_continued` extends the ``cd`` ratio to
-the whole plane through its quasi-periods, and :func:`cd1_halfplane` extends
-the ``cd1`` companion to the one-sided region where its auxiliary variable
-``A = i q^{1/2} e^{i w}`` satisfies ``|A| < 1``.  Where ``|k| > 100`` the
-sine expansion of ``sn`` cancels, and :func:`jacobi_sn` takes the theta
-quotient of :mod:`qelliptic.thetagen`'s reduced sums instead.
+``|Im w| < pi Im z``; :func:`cd1_halfplane` extends ``cd1`` to the region
+``|A| < 1``, ``A = i q^{1/2} e^{i w}``.  The registry checks each row of this,
+the paper's table, against a route that does not sum it.
+
+The Jacobi functions ``sn, cn, dn, cd, sd, nd`` take one route: each is a
+quotient of theta nulls, kept on the context, and of two of ``theta1(w) ...
+theta4(w)`` (DLMF 22.2), which :mod:`qelliptic.thetagen`'s kernel sums in the
+fundamental domain.  The quotients are entire in ``w``, and ``theta1``'s odd
+fold keeps them accurate as ``u -> 0``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 from .elliptic import EllipticContext
 from .numutil import PoleError, principal_power, sum_series
-from .thetagen import theta3_two, theta4_two
+from .thetagen import theta1_two, theta3_two, theta4_two
 
 __all__ = [
     "FOURIER_TABLE",
@@ -34,7 +37,6 @@ __all__ = [
     "jacobi_cd",
     "jacobi_sd",
     "jacobi_nd",
-    "jacobi_cd_continued",
     "cd1_halfplane",
 ]
 
@@ -72,29 +74,15 @@ def in_strip(ctx: EllipticContext, u: complex) -> bool:
     return abs(w.imag) < math.pi * ctx.z.imag
 
 
-def _require_strip(name: str, ctx: EllipticContext, u: complex) -> None:
-    if not in_strip(ctx, u):
-        raise ValueError(
-            f"{name}: argument outside the convergence strip "
-            f"|Im(pi u/(2K))| < pi Im z; use the continued evaluators"
-        )
-
-
-def eval_fourier(
-    name: str,
-    ctx: EllipticContext,
-    u: complex,
-) -> complex:
+def eval_fourier(name: str, ctx: EllipticContext, u: complex) -> complex:
     """Evaluate one expansion from :data:`FOURIER_TABLE` at argument ``u``.
 
-    Raises
-    ------
-    ValueError
-        If ``u`` is outside the convergence strip.
+    Raises ``ValueError`` if ``u`` is outside the convergence strip.
     """
     spec = FOURIER_TABLE[name]
     u = complex(u)
-    _require_strip(name, ctx, u)
+    if not in_strip(ctx, u):
+        raise ValueError(f"{name}: argument outside the convergence strip |Im(pi u/(2K))| < pi Im z")
     q = ctx.q
     w = ctx.half_period_w * u
     qh = principal_power(q, 0.5)
@@ -118,109 +106,71 @@ def eval_fourier(
     return pref * total
 
 
-def _theta_argument(name: str, ctx: EllipticContext, u: complex) -> tuple[complex, complex]:
-    """``w = pi u/(2K)`` and ``b = 2 i w / Log q``, so that ``q^(b n) = e^(2 i w n)``
-    and ``theta3(w) = theta3_two(1, b, q)``, ``theta4(w) = theta4_two(1, b, q)``.
+def _theta_w(j: int, b: complex, q: complex, log_q: complex) -> complex:
+    """``theta_j(w)`` for ``j = 3, 4``, ``q^(-1/4) theta_j(w)`` for ``j = 1, 2``, at
+    ``b = 2 i w / Log q``: ``theta2(w) = theta1(w + pi/2)``, so the odd fold keeps
+    the zero of ``theta2`` at ``w = pi/2`` as accurate as that of ``theta1`` at 0."""
+    if j <= 2:
+        return -1j * theta1_two(1, b if j == 1 else b + 1j * math.pi / log_q, q)
+    return (theta3_two if j == 3 else theta4_two)(1, b, q)
 
-    Raises ``ValueError`` outside the strip ``|Im w| < pi Im z``.
+
+def _theta_quotient(name: str, ctx: EllipticContext, u: complex, nulls: complex,
+                    top: int, bottom: int) -> complex:
+    """``nulls * theta_top(w) / theta_bottom(w)``, ``w = pi u/(2K)``, with the
+    ``q^(1/4)`` of ``theta1(w)``, ``theta2(w)`` carried by ``nulls`` (DLMF 22.2).
+    Real where ``q`` and ``u`` are.
+
+    Raises :class:`~qelliptic.numutil.PoleError` where ``u/K = 2w/pi =
+    alpha + beta tau`` (``q = e^(i pi tau)``, real ``alpha``, ``beta``) is within
+    ``1e-12 max(1, |u/K|)`` of a zero of ``theta_bottom(w)``: ``theta4(w)``
+    vanishes at even ``alpha`` and odd ``beta``, ``theta3(w)`` where both are odd.
     """
     u = complex(u)
-    _require_strip(name, ctx, u)
+    q = ctx.q
+    log_q = cmath.log(q)
     w = ctx.half_period_w * u
-    return w, 2j * w / cmath.log(ctx.q)
+    t, tau = 2.0 * w / math.pi, log_q / (1j * math.pi)
+    beta = t.imag / tau.imag
+    alpha = t.real - beta * tau.real - (bottom == 3)
+    off = alpha - 2.0 * round(alpha / 2.0) + (beta - 1.0 - 2.0 * round((beta - 1.0) / 2.0)) * tau
+    if abs(off) <= 1e-12 * max(1.0, abs(t)):
+        raise PoleError(f"{name}: u = {u} is within 1e-12 |u/K| of a pole")
+    b = 2j * w / log_q
+    value = nulls * _theta_w(top, b, q, log_q) / _theta_w(bottom, b, q, log_q)
+    if q.imag == 0.0 and u.imag == 0.0:
+        return complex(value.real, 0.0)
+    return value
 
 
 def jacobi_sn(ctx: EllipticContext, u: complex) -> complex:
-    """Jacobi sn via its sine expansion where ``|k| <= 100``.
-
-    Beyond, sn is the theta quotient ``theta3 theta1(w) / (theta2 theta4(w))``,
-    ``w = pi u/(2K)``, with
-    ``theta1(w)/theta2 = -i e^(i w) theta4_two(1, 1 + b, q) / theta3_two(1, 1, q)``
-    and ``theta4(w) = theta4_two(1, b, q)``, ``b = 2 i w / Log q``: four sums
-    that thetagen's kernel takes into the fundamental domain.  The sine
-    expansion's terms are of size ~1 while sn ~ 1/|k|, so they cancel
-    (``|k| > 100`` from ``q ~ -0.45`` on along the negative axis; at
-    ``q = -0.95`` the sum was 1e13 relative off).
-
-    Raises ``ValueError`` outside the strip ``|Im w| < pi Im z``.
-    """
-    if abs(ctx.k) <= 100.0:
-        return eval_fourier("sn", ctx, u)
-    w, b = _theta_argument("sn", ctx, u)
-    q = ctx.q
-    theta1_over_theta2 = -1j * cmath.exp(1j * w) * theta4_two(1, 1 + b, q) / theta3_two(1, 1, q)
-    return theta3_two(1, 0, q) * theta1_over_theta2 / theta4_two(1, b, q)
+    """Jacobi sn = theta3 theta1(w) / (theta2 theta4(w)); PoleError at iK' (mod 2K, 2iK')."""
+    return _theta_quotient("sn", ctx, u, ctx.theta3 / ctx.theta2_scaled, 1, 4)
 
 
 def jacobi_cn(ctx: EllipticContext, u: complex) -> complex:
-    """Jacobi cn via its cosine expansion."""
-    return eval_fourier("cn", ctx, u)
-
-
-def jacobi_cd(ctx: EllipticContext, u: complex) -> complex:
-    """Jacobi cd = cn/dn via its own cosine expansion."""
-    return eval_fourier("cd", ctx, u)
-
-
-def jacobi_sd(ctx: EllipticContext, u: complex) -> complex:
-    """Jacobi sd = sn/dn via its own sine expansion."""
-    return eval_fourier("sd", ctx, u)
+    """Jacobi cn = theta4 theta2(w) / (theta2 theta4(w)); poles as sn's."""
+    return _theta_quotient("cn", ctx, u, ctx.theta4 / ctx.theta2_scaled, 2, 4)
 
 
 def jacobi_dn(ctx: EllipticContext, u: complex) -> complex:
-    """Jacobi dn as the ratio of the cn and cd expansions where ``|k| <= 100``.
+    """Jacobi dn = theta4 theta3(w) / (theta3 theta4(w)); poles as sn's."""
+    return _theta_quotient("dn", ctx, u, ctx.theta4 / ctx.theta3, 3, 4)
 
-    Beyond, where that ratio cancels as sn's sine expansion does (2e-5
-    relative off at ``q = -0.95``), dn is the theta quotient
-    ``theta4 theta3(w) / (theta3 theta4(w))`` of four reduced sums, with
-    :func:`jacobi_sn`'s ``w`` and ``b``.
 
-    Raises ``ValueError`` outside the strip ``|Im w| < pi Im z``.
-    """
-    if abs(ctx.k) <= 100.0:
-        return eval_fourier("cn", ctx, u) / eval_fourier("cd", ctx, u)
-    _, b = _theta_argument("dn", ctx, u)
-    q = ctx.q
-    return theta4_two(1, 0, q) * theta3_two(1, b, q) / (theta3_two(1, 0, q) * theta4_two(1, b, q))
+def jacobi_cd(ctx: EllipticContext, u: complex) -> complex:
+    """Jacobi cd = cn/dn = theta3 theta2(w) / (theta2 theta3(w)); PoleError at K + iK'."""
+    return _theta_quotient("cd", ctx, u, ctx.theta3 / ctx.theta2_scaled, 2, 3)
+
+
+def jacobi_sd(ctx: EllipticContext, u: complex) -> complex:
+    """Jacobi sd = sn/dn = theta3^2 theta1(w) / (theta2 theta4 theta3(w)); poles as cd's."""
+    return _theta_quotient("sd", ctx, u, ctx.theta3**2 / (ctx.theta2_scaled * ctx.theta4), 1, 3)
 
 
 def jacobi_nd(ctx: EllipticContext, u: complex) -> complex:
-    """Reciprocal dn as the ratio of the cd and cn expansions."""
-    return eval_fourier("cd", ctx, u) / eval_fourier("cn", ctx, u)
-
-
-def jacobi_cd_continued(ctx: EllipticContext, u: complex) -> complex:
-    """cd at arbitrary ``u`` by quasi-period reduction into the strip.
-
-    Decomposes ``u = alpha K + beta iK'`` over the reals, pulls out
-    ``cd(u + 2K) = -cd(u)`` and ``cd(u + iK') = 1/(k cd(u))``, and evaluates
-    the series at the reduced argument.
-
-    Raises
-    ------
-    PoleError
-        If the reduced point sits at a zero of cd that an odd ``iK'`` shift
-        would turn into a pole.
-    """
-    u = complex(u)
-    K = ctx.K
-    iKp = 1j * ctx.Kprime
-    det = K.real * iKp.imag - K.imag * iKp.real
-    if det == 0:
-        raise ValueError("degenerate period lattice")
-    alpha = (u.real * iKp.imag - u.imag * iKp.real) / det
-    beta = (K.real * u.imag - K.imag * u.real) / det
-    m = round(alpha / 2.0)
-    n = round(beta)
-    u0 = u - 2.0 * m * K - n * iKp
-    val = eval_fourier("cd", ctx, u0)
-    if n % 2:
-        if abs(val) < 1e-12:
-            raise PoleError("cd pole: odd iK' shift of a cd zero")
-        val = 1.0 / (ctx.k * val)
-    if m % 2:
-        val = -val
-    return val
+    """Jacobi nd = 1/dn = theta3 theta4(w) / (theta4 theta3(w)); poles as cd's."""
+    return _theta_quotient("nd", ctx, u, ctx.theta3 / ctx.theta4, 4, 3)
 
 
 def cd1_halfplane(ctx: EllipticContext, u: complex) -> complex:
@@ -246,7 +196,7 @@ def cd1_halfplane(ctx: EllipticContext, u: complex) -> complex:
         return qn * (1.0 / (1.0 + A * qn) + 1.0 / (1.0 - A * qn))
 
     D = (1j * math.pi * A / (2.0 * ctx.K)) * sum_series(term)
-    c = jacobi_cd_continued(ctx, u)
+    c = jacobi_cd(ctx, u)
     two_w = 2.0 * w
     return (
         c * cmath.cos(two_w)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .numutil import _POLICY, NonConvergenceError, _bump_terms, sum_series
+from .numutil import NonConvergenceError, _bump_terms, current_policy, sum_series
 
 __all__ = [
     "qpochhammer",
@@ -53,7 +53,7 @@ def qpochhammer(a: complex, q: complex, n: int | None = None) -> complex:
     rho = abs(q)
     if rho >= 1.0:
         raise ValueError("infinite q-Pochhammer requires |q| < 1")
-    pol = _POLICY.get()
+    pol = current_policy()
     # a factor |a q^k| at most this leaves a tail of at most rel_tail_cutoff
     negligible = pol.rel_tail_cutoff * (1.0 - rho) / rho if rho > 0.0 else math.inf
     prod = 1.0 + 0.0j

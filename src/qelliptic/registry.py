@@ -41,7 +41,6 @@ from .fourier import (
     cd1_halfplane,
     eval_fourier,
     jacobi_cd,
-    jacobi_cd_continued,
     jacobi_cn,
     jacobi_dn,
     jacobi_nd,
@@ -49,7 +48,7 @@ from .fourier import (
     jacobi_sn,
 )
 from .harness import IdentityCase
-from .numutil import _POLICY, complex_quad, numeric_derivative, principal_power, sum_series
+from .numutil import complex_quad, current_policy, numeric_derivative, principal_power, sum_series
 from .qseries import (
     bernoulli,
     dirichlet_chi8,
@@ -95,7 +94,7 @@ def _per_policy(build):
     """Cache ``build(x)`` keyed by ``x`` and the active truncation policy, so
     a context built under one ``truncation`` scope is never reused in another."""
     cached = lru_cache(maxsize=None)(lambda x, _policy: build(x))
-    return wraps(build)(lambda x: cached(x, _POLICY.get()))
+    return wraps(build)(lambda x: cached(x, current_policy()))
 
 
 @_per_policy
@@ -400,7 +399,7 @@ def _p2_lhs(r, x):
 def _p2_rhs(r, x):
     c = _cr(r)
     u = x * c.K.real
-    phi = cmath.asin(jacobi_sn(c, u))  # amplitude angle
+    phi = cmath.asin(eval_fourier("sn", c, u))  # amplitude angle
     return (2.0 * c.K / pi) / cmath.cos(phi) * cmath.sqrt(1.0 - c.k ** 2 * cmath.sin(phi) ** 2)
 
 
@@ -464,9 +463,10 @@ def _p4_rhs(r, x):
 
 
 def _shift_lhs(r, x, fn):
+    # the cn and cd expansions against the theta quotients on the right
     c = _cr(r)
     u = x * c.K.real + c.K.real
-    return {"cn": jacobi_cn, "dn": jacobi_dn, "cd": jacobi_cd}[fn](c, u)
+    return jacobi_dn(c, u) if fn == "dn" else eval_fourier(fn, c, u)
 
 
 def _shift_rhs(r, x, fn):
@@ -868,7 +868,7 @@ def _eq79_rhs(r, l):
 
 def _eq80_lhs(r, m, n):
     c = _cr(r)
-    return jacobi_cd_continued(c, m * c.K.real + n * 1j * c.Kprime.real)
+    return jacobi_cd(c, m * c.K.real + n * 1j * c.Kprime.real)
 
 
 def _eq82_lhs(q, x):
@@ -1873,7 +1873,7 @@ def _build() -> tuple[IdentityCase, ...]:
           lambda x: divisor_expand(math.exp(-x), lambda n: 1.0),
           ({"x": pi},)),
         C("P2", "secant-cosine expansion equals the amplitude-angle elliptic form",
-          "qelliptic.fourier.jacobi_sn", _p2_lhs, _p2_rhs,
+          "qelliptic.fourier.eval_fourier", _p2_lhs, _p2_rhs,
           ({"r": 1.0, "x": 0.3}, {"r": 2.0, "x": 0.55}),
           param_domain="0 < x < 1 (u = x K)"),
         C("COR1", "two exponential-sum routes to 2K/pi",
@@ -1897,9 +1897,9 @@ def _build() -> tuple[IdentityCase, ...]:
           lambda r: _cr(r).kprime,
           ({"r": 1.0}, {"r": 2.0})),
         C("P3", "negated-nome sn equals k' times an argument-scaled sd",
-          "qelliptic.fourier.jacobi_sd",
+          "qelliptic.fourier.eval_fourier",
           lambda r, u: jacobi_sn(_cneg(r), u),
-          lambda r, u: _cr(r).kprime * jacobi_sd(_cr(r), u / _cr(r).kprime.real),
+          lambda r, u: _cr(r).kprime * eval_fourier("sd", _cr(r), u / _cr(r).kprime.real),
           ({"r": 2.0, "u": 0.3}, {"r": 1.0, "u": 0.45})),
         C("EQ36", "half-nome odd Lambert sum equals K k/pi",
           "qelliptic.elliptic.EllipticContext.from_r", _eq36_lhs, _kk_over_pi,
@@ -1922,13 +1922,13 @@ def _build() -> tuple[IdentityCase, ...]:
           lambda r: 1.0,
           ({"r": 1.0}, {"r": 2.0})),
         C("EQ48", "quarter-period shift of cn",
-          "qelliptic.fourier.jacobi_cn", _shift_lhs, _shift_rhs,
+          "qelliptic.fourier.eval_fourier", _shift_lhs, _shift_rhs,
           ({"r": 2.0, "x": 0.3, "fn": "cn"}, {"r": 1.0, "x": 0.4, "fn": "cn"})),
         C("EQ49", "quarter-period shift of dn",
           "qelliptic.fourier.jacobi_dn", _shift_lhs, _shift_rhs,
           ({"r": 2.0, "x": 0.3, "fn": "dn"}, {"r": 1.0, "x": 0.4, "fn": "dn"})),
         C("EQ50", "quarter-period shift of cd",
-          "qelliptic.fourier.jacobi_cd", _shift_lhs, _shift_rhs,
+          "qelliptic.fourier.eval_fourier", _shift_lhs, _shift_rhs,
           ({"r": 2.0, "x": 0.3, "fn": "cd"}, {"r": 1.0, "x": 0.4, "fn": "cd"})),
         C("CC-SPLIT", "the auxiliary cosine series splits into its first term plus q cn1",
           "qelliptic.fourier.eval_fourier", _cc_split_lhs, _cc_split_rhs,
@@ -2056,7 +2056,7 @@ def _build() -> tuple[IdentityCase, ...]:
           "qelliptic.elliptic.EllipticContext.from_r", _eq79_lhs, _eq79_rhs,
           ({"r": 2.0, "l": 1}, {"r": 2.0, "l": 2}, {"r": 2.0, "l": 3})),
         C("EQ80", "cd at even lattice points is a sign",
-          "qelliptic.fourier.jacobi_cd_continued", _eq80_lhs,
+          "qelliptic.fourier.jacobi_cd", _eq80_lhs,
           lambda r, m, n: (-1.0) ** (m // 2),
           ({"r": 2.0, "m": 2, "n": 2}, {"r": 2.0, "m": 4, "n": 6})),
         C("EQ82", "arctanh series for the angle equals the log product ratio",

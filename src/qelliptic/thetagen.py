@@ -27,17 +27,18 @@ import math
 from typing import Iterable, Sequence
 
 from .numutil import (
-    _POLICY,
     NonConvergenceError,
     PoleError,
     _bump_terms,
     continued_fraction,
+    current_policy,
     principal_power,
     sum_series,
 )
 from .qseries import divisors, qpochhammer
 
 __all__ = [
+    "theta1_two",
     "theta3_two",
     "theta4_two",
     "agile_minus",
@@ -69,12 +70,13 @@ _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
 
-def _mod_2pi_i(B: complex) -> complex:
-    """``B`` modulo ``2 pi i``, with imaginary part in ``[-pi, pi]``."""
-    return complex(B.real, B.imag - _TWO_PI * round(B.imag / _TWO_PI))
+def _mod_2pi_i(B: complex) -> tuple[complex, int]:
+    """``(B - 2 pi i k, k)`` with the imaginary part of ``B - 2 pi i k`` in ``[-pi, pi]``."""
+    k = round(B.imag / _TWO_PI)
+    return complex(B.real, B.imag - _TWO_PI * k), k
 
 
-def _reduce(A: complex, B: complex) -> tuple[complex, complex, complex]:
+def _reduce(A: complex, B: complex, odd: bool = False) -> tuple[complex, complex, complex]:
     """``(A', B', log f)`` with ``sum_n e^(A n^2 + B n) = f sum_n e^(A' n^2 + B' n)``
     (``Re A < 0``), where ``tau' = A' / (i pi)`` lies in the fundamental
     domain (``|Re tau'| <= 1/2``, ``|tau'| >= 1``, so ``|e^A'| <= e^(-pi sqrt(3)/2)``),
@@ -88,6 +90,11 @@ def _reduce(A: complex, B: complex) -> tuple[complex, complex, complex]:
     * S step (Poisson summation, DLMF 20.7.32):
       ``sum e^(A n^2 + B n) = sqrt(-pi/A) e^(-B^2/(4A)) sum e^((pi^2/A) n^2 - (i pi B/A) n)``.
 
+    With ``odd`` the sum is theta1's, ``sum_n (-1)^n e^(A n(n+1) + B(n + 1/2))``,
+    which the same steps map to itself (DLMF 20.7.30) up to a constant: the T
+    step leaves ``B`` alone, ``B - 2 pi i k`` gives ``(-1)^k``, the shift
+    ``(-1)^m`` more, the S step ``-i e^((A' - A)/4)`` more.
+
     The factors' logarithms are summed, so ``f`` is formed once, by the caller.
     """
     log_f = 0j
@@ -95,43 +102,59 @@ def _reduce(A: complex, B: complex) -> tuple[complex, complex, complex]:
         if abs(A.imag) > 0.5 * _PI:
             m = round(A.imag / _PI)
             A = complex(A.real, A.imag - _PI * m)
-            B = complex(B.real, B.imag + _PI * m)
+            if not odd:
+                B = complex(B.real, B.imag + _PI * m)
+        # the bool odd switches on the odd sum's signs (-1)^k and (-1)^m
         if abs(B.imag) > _PI:
-            B = _mod_2pi_i(B)
+            B, k = _mod_2pi_i(B)
+            log_f += 1j * _PI * k * odd
         if abs(B.real) > -A.real:
             m = round(-B.real / (2.0 * A.real))
             log_f += (A * m + B) * m
-            B = _mod_2pi_i(B + 2.0 * m * A)
+            B, k = _mod_2pi_i(B + 2.0 * m * A)
+            log_f += 1j * _PI * (m + k) * odd
         # |tau| >= 1 up to rounding; the margin stops S steps that would
         # only swap tau with -1/tau on the unit circle
         if abs(A) >= 0.999 * _PI:
             return A, B, log_f
         log_f += 0.5 * cmath.log(-_PI / A) - B * B / (4.0 * A)
-        A, B = _PI * _PI / A, -1j * _PI * B / A
+        A, B, A_old = _PI * _PI / A, -1j * _PI * B / A, A
+        if odd:
+            log_f += 0.25 * (A - A_old) - 0.5j * _PI
 
 
-def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str) -> complex:
-    """Folded sum ``1 + sum_{n>=1} (T_n+ + T_n-)`` with ``T_0+- = 1``,
-    ``T_n+- = T_(n-1)+- R_n+-``, ``R_1+- = r_plus, r_minus`` and
-    ``R_(n+1)+- = R_n+- x2`` (``|x2| < 1``).
+def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
+          odd_B: complex | None = None) -> complex:
+    """Folded sum ``P_0 + sum_{n>=1} P_n`` with ``T_n+- = T_(n-1)+- R_n+-``,
+    ``R_1+- = r_plus, r_minus``, ``R_(n+1)+- = R_n+- x2`` (``|x2| < 1``).  The
+    even fold pairs the terms ``n`` and ``-n``: ``P_0 = 1``, ``T_0+- = 1`` and
+    ``P_n = T_n+ + T_n-``.  The odd fold (``odd_B = B``, ``x2 = e^(2A)``,
+    ``r_plus, r_minus = e^(2A +- B)``, ``T_0+- = e^(+-B/2)``) pairs the terms
+    ``n`` and ``-1-n`` of theta1's sum into ``P_n = 2 (-1)^n e^(A n(n+1))
+    sinh(B(n + 1/2))``, which does not cancel as ``B -> 0``; ``|P_n| <= |T_n+| + |T_n-|``.
 
-    Once both next ratios have ``rho = |R_(n+1)| < 1``, every later ratio is
-    smaller, so the terms left out sum to at most
-    ``|T_n+| rho+ / (1 - rho+) + |T_n-| rho- / (1 - rho-)``.  The sum stops at
-    the first partial sum where that bound is at most the active policy's
-    ``rel_tail_cutoff`` times ``max(1, |partial sum|)``.  The terms ``n >= 1``
-    are summed on their own and the ``n = 0`` term is added once, to the
-    scale and to the result; the terms consumed, ``n = 0`` included, are
-    charged to :func:`~qelliptic.numutil.term_counter`.
+    Once both next ratios have ``rho = |R_(n+1)| < 1``, the terms left out sum
+    to at most ``|T_n+| rho+ / (1 - rho+) + |T_n-| rho- / (1 - rho-)``.  The sum
+    stops at the first partial sum where that bound is at most the policy's
+    ``rel_tail_cutoff`` times ``max(|partial sum|, 2^-52 max_n |P_n|)``, a scale
+    that a power-of-two factor on every term does not move.  ``P_0`` is added
+    to the terms ``n >= 1`` once; the terms consumed are charged to
+    :func:`~qelliptic.numutil.term_counter`.
 
     Raises :class:`~qelliptic.numutil.NonConvergenceError` after the
     policy's ``max_terms`` terms, or at the first partial sum that is not
     finite.
     """
-    pol = _POLICY.get()
+    pol = current_policy()
     cutoff = pol.rel_tail_cutoff
     max_terms = pol.max_terms
-    t_plus = t_minus = 1.0 + 0.0j
+    if odd_B is None:
+        head = t_plus = t_minus = 1.0 + 0.0j
+    else:
+        head = 2.0 * cmath.sinh(0.5 * odd_B)
+        t_plus, t_minus = cmath.exp(0.5 * odd_B), cmath.exp(-0.5 * odd_B)
+        weight, step = 2.0 + 0.0j, x2  # 2 (-1)^n e^(A n(n+1)) and e^(2 A (n+1))
+    largest = abs(head)
     total = 0j  # the terms n >= 1
     used = 1
     while True:
@@ -139,10 +162,9 @@ def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str) -> complex:
         rho_minus = abs(r_minus)
         if rho_plus < 1.0 and rho_minus < 1.0:
             tail = abs(t_plus) * rho_plus / (1.0 - rho_plus) + abs(t_minus) * rho_minus / (1.0 - rho_minus)
-            scale = abs(1.0 + total)
-            if tail <= cutoff * (scale if scale > 1.0 else 1.0):
+            if tail <= cutoff * max(abs(head + total), 2.0**-52 * largest):
                 _bump_terms(used)
-                return 1.0 + total
+                return head + total
         if used >= max_terms:
             _bump_terms(used)
             raise NonConvergenceError(f"{name} did not converge within {max_terms} terms")
@@ -150,20 +172,30 @@ def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str) -> complex:
         t_minus *= r_minus
         r_plus *= x2
         r_minus *= x2
-        total += t_plus + t_minus
+        if odd_B is None:
+            term = t_plus + t_minus
+        else:
+            weight *= -step
+            step *= x2
+            term = weight * cmath.sinh((used + 0.5) * odd_B)
+        total += term
+        largest = max(largest, abs(term))
         used += 1
         if not abs(total) < math.inf:
             _bump_terms(used)
-            raise NonConvergenceError(f"{name} partial sum is {1.0 + total} after {used} terms")
+            raise NonConvergenceError(f"{name} partial sum is {head + total} after {used} terms")
 
 
-def _exponents(a, b, q, log_q: complex, alternating: bool) -> tuple[complex, complex]:
-    """``(A, B)`` with ``sum_n s^n q^(a n^2 + b n) = sum_n e^(A n^2 + B n)``:
-    ``A = a L`` and ``B = b L (+ i pi when alternating)``, ``L = log_q = Log q``.
+def _exponents(a, b, q, log_q: complex, alternating: bool,
+               odd: bool = False) -> tuple[complex, complex]:
+    """``(A, B)`` with ``sum_n s^n q^(a n^2 + b n) = sum_n e^(A n^2 + B n)``
+    (with ``odd``, theta1's sum of :func:`_reduce`): ``A = a L`` and
+    ``B = b L (+ i pi when alternating)``, ``L = log_q = Log q``.
 
     Where ``Re q < 0``, ``L = Log(-q) + i pi s`` (``s = +-1``), and the
     multiple of ``i pi`` is split off as a T step by ``m = round(s Re a)``:
-    ``A = a Log(-q) + i pi (s a - m)``, ``B = b Log(-q) + i pi (s b + m)``.
+    ``A = a Log(-q) + i pi (s a - m)``, ``B = b Log(-q) + i pi (s b + m)``
+    (``i pi s b`` for the odd sum, whose T step leaves ``B`` alone).
     Near the negative axis what is left of ``Im A`` then keeps the relative
     accuracy of ``Log(-q)``, where ``Im L`` carries an absolute error of
     ``u pi`` (theta3 at ``-0.8645 - 0.028i``: 3.4e-15 off, 3.5e-14 from ``L``).
@@ -173,7 +205,7 @@ def _exponents(a, b, q, log_q: complex, alternating: bool) -> tuple[complex, com
         log_p = cmath.log(-q)
         m = round(s * a.real)
         A = a * log_p + 1j * _PI * (s * a - m)
-        B = b * log_p + 1j * _PI * (s * b + m)
+        B = b * log_p + 1j * _PI * (s * b + (0 if odd else m))
     else:
         A, B = a * log_q, b * log_q
     if alternating:
@@ -181,9 +213,10 @@ def _exponents(a, b, q, log_q: complex, alternating: bool) -> tuple[complex, com
     return A, B
 
 
-def _theta_two(a, b, q, alternating: bool) -> complex:
+def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
     """Bilateral sum ``sum_n s^n q^(a n^2 + b n)`` with ``s = -1`` when
-    ``alternating``, else ``s = 1``, folded by :func:`_fold`.
+    ``alternating``, else ``s = 1``, folded by :func:`_fold`; with ``odd``,
+    :func:`theta1_two`'s sum, always reduced.
 
     The sum is written as ``sum_n e^(A n^2 + B n)`` with ``L = Log q``,
     ``A = a L`` and ``B = b L (+ i pi when alternating)``, so that
@@ -206,8 +239,8 @@ def _theta_two(a, b, q, alternating: bool) -> complex:
     :class:`~qelliptic.numutil.NonConvergenceError` where :func:`_fold` does
     or where the value overflows.
     """
-    name = "theta4_two" if alternating else "theta3_two"
-    if q == 0:
+    name = "theta1_two" if odd else "theta4_two" if alternating else "theta3_two"
+    if q == 0 and not odd:  # at q = 0 the odd sum's cmath.log(q) raises ValueError
         if abs(principal_power(q, a)) >= 1.0:
             raise ValueError(f"{name} requires |q^a| < 1 for convergence")
         # Every term but n = 0 is 0^(n (a n + b)): 0 when each exponent has a
@@ -221,22 +254,24 @@ def _theta_two(a, b, q, alternating: bool) -> complex:
     A = a * log_q
     if A.real >= 0.0:
         raise ValueError(f"{name} requires |q^a| < 1 for convergence")
-    if not A.real > -0.5 * _PI:
+    if not (odd or A.real > -0.5 * _PI):
         x = principal_power(q, a)
         sign = -1.0 if alternating else 1.0
         return _fold(x * x, sign * principal_power(q, a + b), sign * principal_power(q, a - b), name)
-    A, B = _exponents(a, b, q, log_q, alternating)
+    A, B = _exponents(a, b, q, log_q, alternating, odd)
     if not cmath.isfinite(B):
         raise NonConvergenceError(f"{name}: b Log q = {B} is not finite")
     try:
-        A, B, log_f = _reduce(A, B)
+        A, B, log_f = _reduce(A, B, odd)
         factor = cmath.exp(log_f)
+        r = 2.0 * A if odd else A  # log of the ratio of term 1 to term 0, less B
+        folded = _fold(cmath.exp(2.0 * A), cmath.exp(r + B), cmath.exp(r - B), name, B if odd else None)
     except OverflowError:
         raise NonConvergenceError(f"{name}({a}, {b}; {q}) overflows") from None
-    value = factor * _fold(cmath.exp(2.0 * A), cmath.exp(A + B), cmath.exp(A - B), name)
+    value = factor * folded
     if not cmath.isfinite(value):
         raise NonConvergenceError(f"{name}({a}, {b}; {q}) overflows")
-    if value.imag and _real_sum(q, a, b):
+    if value.imag and not odd and _real_sum(q, a, b):
         return complex(value.real, 0.0)
     return value
 
@@ -248,6 +283,14 @@ def _real_sum(q, a, b) -> bool:
     return q.imag == a.imag == b.imag == 0.0 and (
         q.real > 0.0 or (a.real + b.real).is_integer() and (a.real - b.real).is_integer()
     )
+
+
+def theta1_two(a, b, q) -> complex:
+    """Odd bilateral sum ``sum_{n in Z} (-1)^n q^(a n(n+1) + b(n + 1/2))``, so
+    that ``theta1(w | q) = -i q^(1/4) theta1_two(1, 2 i w / Log q, q)``; the
+    terms ``n`` and ``-1-n`` are summed as one, so the sum keeps its relative
+    accuracy as ``b -> 0``.  Requires ``0 < |q^a| < 1``."""
+    return _theta_two(a, b, q, alternating=False, odd=True)
 
 
 def theta3_two(a, b, q) -> complex:

@@ -17,7 +17,6 @@ from qelliptic.fourier import (
     eval_fourier,
     in_strip,
     jacobi_cd,
-    jacobi_cd_continued,
     jacobi_cn,
     jacobi_dn,
     jacobi_nd,
@@ -302,43 +301,30 @@ def test_outside_strip_raises():
         eval_fourier("sn", c, 1.1j * c.Kprime.real)
 
 
-def test_sn_routes_split_at_modulus_100():
-    # the sine expansion up to |k| = 100, the theta quotient beyond; both
-    # keep the strip's refusal
-    for q, theta_route in ((0.08, False), (-0.3, False), (0.9, False), (-0.6, True), (-0.9, True)):
-        c = EllipticContext.from_nome(q)
-        assert (abs(c.k) > 100) is theta_route, q
-        u = 0.4 * c.K
-        if not theta_route:
-            assert jacobi_sn(c, u) == eval_fourier("sn", c, u)
-        with pytest.raises(ValueError, match="strip"):
-            jacobi_sn(c, 1.1j * c.Kprime)
-
-
 # ---------------------------------------------------------------------------
-# continuation beyond the strip
+# beyond the strip: the theta quotients are entire in w
 # ---------------------------------------------------------------------------
 
 
-def test_cd_continued_agrees_inside():
+def test_cd_agrees_with_its_expansion_inside_the_strip():
     c = ctx(0.08)
-    for u in u_points(c):
-        assert abs(jacobi_cd_continued(c, u) - jacobi_cd(c, u)) <= 1e-12
+    for u in u_points(c) + [0.3 * c.K.real + 0.6j * c.Kprime.real]:
+        assert abs(jacobi_cd(c, u) - eval_fourier("cd", c, u)) <= 1e-12
 
 
-def test_cd_continued_lattice_maps():
+def test_cd_lattice_maps():
     c = ctx(0.08)
     u = 0.37 * c.K.real
     base = jacobi_cd(c, u)
-    assert abs(jacobi_cd_continued(c, u + 2.0 * c.K.real) + base) <= 1e-9
-    shifted = jacobi_cd_continued(c, u + 1j * c.Kprime.real)
+    assert abs(jacobi_cd(c, u + 2.0 * c.K.real) + base) <= 1e-9
+    shifted = jacobi_cd(c, u + 1j * c.Kprime.real)
     assert abs(shifted - 1.0 / (c.k * base)) <= 1e-9
 
 
-def test_cd_continued_pole():
+def test_cd_pole():
     c = ctx(0.08)
     with pytest.raises(PoleError):
-        jacobi_cd_continued(c, c.K.real + 1j * c.Kprime.real)
+        jacobi_cd(c, c.K.real + 1j * c.Kprime.real)
 
 
 def test_cd1_halfplane_matches_series():

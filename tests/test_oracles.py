@@ -1,7 +1,8 @@
 """mpmath oracles over 330 seeded points of the disk |q| <= 0.9, the
 elliptic context over the real segment [-0.98, 0.98] and the disk |q| <= 0.95,
 the theta nulls over the real segments +-[0.001, 0.999] and the disk
-|q| <= 0.95, and sn and dn where their theta-quotient routes run (bounds and their
+|q| <= 0.95, and the six Jacobi functions sn, cn, dn, cd, sd, nd over real
+and complex nomes up to |q| = 0.95, on and off the strip (bounds and their
 reasons in each test's docstring).
 
 The continued fractions are checked against their product forms evaluated
@@ -24,7 +25,8 @@ import pytest
 
 from qelliptic.angle import angle_sum
 from qelliptic.elliptic import EllipticContext, theta2, theta3, theta4
-from qelliptic.fourier import jacobi_dn, jacobi_sn
+from qelliptic.fourier import jacobi_cd, jacobi_cn, jacobi_dn, jacobi_nd, jacobi_sd, jacobi_sn
+from qelliptic.numutil import PoleError
 from qelliptic.qseries import euler_product, qpochhammer
 from qelliptic.thetagen import rr_cf, theta3_two, u0_cf, u_cf
 
@@ -393,3 +395,85 @@ def test_sn_over_the_negative_half_disk():
             assert abs(mp.mpc(jacobi_sn(c, u)) - want) <= 2e-12 * abs(want), q
     assert checked >= 40
 
+
+
+# ---------------------------------------------------------------------------
+# the six Jacobi functions: one theta-quotient route
+# ---------------------------------------------------------------------------
+
+_JACOBI = {"sn": jacobi_sn, "cn": jacobi_cn, "dn": jacobi_dn,
+           "cd": jacobi_cd, "sd": jacobi_sd, "nd": jacobi_nd}
+_SWEEP_NOMES = [0.05, 0.5, 0.9, 0.95, -0.05, -0.5, -0.9, -0.95,
+                0.5j, 0.85 * cmath.exp(1j * math.pi / 3), -0.85 + 0.08j]
+# u = alpha K + beta iK': on the real axis, then off the strip |beta| < 1
+_ON_AXIS = [(1e-13, 0.0), (1e-6, 0.0), (0.01, 0.0), (0.3, 0.0), (0.9, 0.0)]
+_OFF_STRIP = [(0.3, 1.5), (2.6, -1.5), (0.4, 2.3), (5.3, 3.2), (1.7, -2.6)]
+
+
+def _jacobi_references(q, alpha, beta):
+    """sn, cn, dn at 120 digits and cd, sd, nd from them, at
+    ``u = (alpha + beta tau) K``, ``q = e^(i pi tau)``, ``K = (pi/2) theta3(q)^2``:
+    the same shares of the periods that the library's ``alpha K + beta iK'``
+    takes of its own (its ``iK'/K`` is ``tau`` to rounding).  At 40 digits
+    ``m = (theta2/theta3)^4`` loses ``1 - m ~ 4e-40`` at q = 0.9 and the
+    reference itself is 6e-6 off."""
+    with mp.workdps(120):
+        qm = mp.mpc(q)
+        tau = mp.log(qm) / (1j * mp.pi)
+        u = (alpha + beta * tau) * mp.pi / 2 * mp.jtheta(3, 0, qm) ** 2
+        sn, cn, dn = (mp.ellipfun(kind, u, q=qm) for kind in ("sn", "cn", "dn"))
+        return {"sn": sn, "cn": cn, "dn": dn, "cd": cn / dn, "sd": sn / dn, "nd": 1 / dn}
+
+
+def _jacobi_errors(q, alpha, beta):
+    c = EllipticContext.from_nome(q)
+    u = alpha * c.K + beta * 1j * c.Kprime
+    refs = _jacobi_references(q, alpha, beta)
+    with mp.workdps(120):
+        return {name: float(abs(mp.mpc(f(c, u)) - refs[name]) / abs(refs[name]))
+                for name, f in _JACOBI.items()}
+
+
+@pytest.mark.parametrize("q", _SWEEP_NOMES)
+def test_jacobi_functions_over_the_disk(q):
+    """1e-12 relative for sn, cn, dn, cd, sd, nd at u in {1e-13, 1e-6, 0.01,
+    0.3, 0.9}K and at five points off the strip (|Im u| up to 3.2K', Re u up
+    to 5.3K).  The worst was 1.7e-13 (dn at q = -0.95, u = 5.3K + 3.2iK')."""
+    for alpha, beta in _ON_AXIS + _OFF_STRIP:
+        for name, err in _jacobi_errors(q, alpha, beta).items():
+            assert err <= 1e-12, (name, alpha, beta, err)
+
+
+@pytest.mark.parametrize("name, q, share, parent_error", [
+    ("cn", 0.95, 0.9, 3.4e21),
+    ("dn", 0.95, 0.9, 3.4e21),
+    ("sd", 0.95, 0.01, 1.1e24),
+    ("sd", 0.9, 0.01, 1.6e2),
+    ("nd", 0.9, 0.9, 1.0),
+    ("cd", -0.9, 0.9, 2.0e2),
+    ("nd", -0.9, 0.9, 2.0e2),
+])
+def test_jacobi_regressions(name, q, share, parent_error):
+    # summed as Fourier expansions (and cn/cd, cd/cn), these were off by
+    # parent_error relative: the terms, of size ~1, cancel to a small value
+    assert _jacobi_errors(q, share, 0.0)[name] <= 1e-12
+
+
+@pytest.mark.parametrize("q", [0.05, 0.9, -0.9])
+def test_jacobi_functions_are_real_on_the_real_axis(q):
+    # every value at real q and real u has imaginary part exactly 0
+    c = EllipticContext.from_nome(q)
+    for alpha, _ in _ON_AXIS:
+        for name, f in _JACOBI.items():
+            assert f(c, alpha * c.K.real).imag == 0.0, (name, alpha)
+
+
+@pytest.mark.parametrize("q", [0.08, 0.9, -0.9, 0.5j])
+def test_jacobi_lattice_poles_raise(q):
+    # sn, cn, dn have poles at iK', cd, sd, nd at K + iK' (modulo 2K, 2iK')
+    c = EllipticContext.from_nome(q)
+    for names, pole in (("sn cn dn", 1j * c.Kprime), ("cd sd nd", c.K + 1j * c.Kprime)):
+        for u in (pole, pole + 2.0 * c.K - 2j * c.Kprime):
+            for name in names.split():
+                with pytest.raises(PoleError):
+                    _JACOBI[name](c, u)

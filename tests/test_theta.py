@@ -145,19 +145,25 @@ def _tail_bound_stop(power, a, b, alternating, cutoff=1e-16):
     """Terms to the first partial sum ``S_m`` (``n = 0 .. m``) at which both
     next ratios ``rho = |power(a (2m + 1) +- b)|`` are below 1 and
     ``|T_m+| rho+ / (1 - rho+) + |T_m-| rho- / (1 - rho-)`` is at most
-    ``cutoff * max(1, |S_m|)``, with ``T_m+- = s^m power(a m^2 +- b m)`` and
+    ``cutoff * max(|S_m|, 2^-52 max_n |P_n|)``, with
+    ``T_m+- = s^m power(a m^2 +- b m)``, ``P_0 = 1``, ``P_n = T_n+ + T_n-`` and
     every quantity from its own power."""
     total = 0.0
+    largest = 1.0
     for m in range(10_000):
         sign = -1.0 if alternating and m % 2 else 1.0
         t_plus = sign * power(a * m * m + b * m)
         t_minus = sign * power(a * m * m - b * m)
-        total += 1.0 if m == 0 else t_plus + t_minus
+        if m:
+            total += t_plus + t_minus
+            largest = max(largest, abs(t_plus + t_minus))
+        else:
+            total += 1.0
         rho_plus = abs(power(a * (2 * m + 1) + b))
         rho_minus = abs(power(a * (2 * m + 1) - b))
         if rho_plus < 1.0 and rho_minus < 1.0:
             tail = abs(t_plus) * rho_plus / (1.0 - rho_plus) + abs(t_minus) * rho_minus / (1.0 - rho_minus)
-            if tail <= cutoff * max(1.0, abs(total)):
+            if tail <= cutoff * max(abs(total), 2.0**-52 * largest):
                 return m + 1
     raise AssertionError("no stop within 10,000 terms")
 
@@ -748,3 +754,30 @@ def test_unrestricted_odd_lambert_form():
         lhs = cmath.log(cayley(u_product(x * q, y * q, q)))
         rhs = 2.0 * odd_lambert(x * q, q) - 2.0 * odd_lambert(y * q, q)
         assert abs(lhs - rhs) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the odd sum: theta1's fold
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", _SHALLOW_NOMES + _DEEP_NOMES)
+def test_theta1_two_matches_jtheta(q):
+    # theta1(w | q) = -i q^(1/4) theta1_two(1, 2 i w / Log q, q); the odd fold
+    # keeps the relative accuracy down to w = 1e-13, where the pair n, -1-n
+    # of the bilateral sum cancels to ~w
+    log_q = cmath.log(q)
+    for w in (1e-13, 1e-6, 0.3, 1.2, 0.3 + 0.4j, 2.0 - 1.1j):
+        got = -1j * cmath.exp(log_q / 4) * thetagen.theta1_two(1, 2j * w / log_q, q)
+        with mp.workdps(120):
+            want = mp.jtheta(1, mp.mpc(w), mp.mpc(q))
+            assert abs(mp.mpc(got) - want) <= 1e-13 * abs(want), w
+
+
+def test_theta1_two_is_odd_in_b():
+    for q in (0.05, 0.5, -0.9, 0.3j):
+        for b in (0.4, 0.3 + 0.2j, 1e-9j):
+            assert thetagen.theta1_two(1, -b, q) == pytest.approx(-thetagen.theta1_two(1, b, q), rel=1e-14)
+        assert thetagen.theta1_two(1, 0, q) == 0
+    with pytest.raises(ValueError):
+        thetagen.theta1_two(1, 0.5, 0)
