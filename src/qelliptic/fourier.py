@@ -115,16 +115,20 @@ def _theta_w(j: int, b: complex, q: complex, log_q: complex) -> complex:
     return (theta3_two if j == 3 else theta4_two)(1, b, q)
 
 
-def _theta_quotient(name: str, ctx: EllipticContext, u: complex, nulls: complex,
-                    top: int, bottom: int) -> complex:
-    """``nulls * theta_top(w) / theta_bottom(w)``, ``w = pi u/(2K)``, with the
-    ``q^(1/4)`` of ``theta1(w)``, ``theta2(w)`` carried by ``nulls`` (DLMF 22.2).
-    Real where ``q`` and ``u`` are.
+def _theta_quotient(name: str, ctx: EllipticContext, u: complex, null_top: complex,
+                    null_bottom: complex, top: int, bottom: int) -> complex:
+    """``(null_top / null_bottom) theta_top(w) / theta_bottom(w)``, ``w = pi u/(2K)``,
+    with the ``q^(1/4)`` of ``theta1(w)``, ``theta2(w)`` carried by the nulls
+    (DLMF 22.2).  Real where ``q`` and ``u`` are.
 
     Raises :class:`~qelliptic.numutil.PoleError` where ``u/K = 2w/pi =
     alpha + beta tau`` (``q = e^(i pi tau)``, real ``alpha``, ``beta``) is within
     ``1e-12 max(1, |u/K|)`` of a zero of ``theta_bottom(w)``: ``theta4(w)``
     vanishes at even ``alpha`` and odd ``beta``, ``theta3(w)`` where both are odd.
+    Raises ``OverflowError`` where the nulls' ratio, ``theta_bottom(w)`` or the
+    value leaves the double range: the nulls have no zeros in the disk and the
+    zeros of ``theta_bottom(w)`` are refused as poles, so a 0 there has
+    underflowed (``theta4(0.999)`` is about 1e-1069).
     """
     u = complex(u)
     q = ctx.q
@@ -137,7 +141,12 @@ def _theta_quotient(name: str, ctx: EllipticContext, u: complex, nulls: complex,
     if abs(off) <= 1e-12 * max(1.0, abs(t)):
         raise PoleError(f"{name}: u = {u} is within 1e-12 |u/K| of a pole")
     b = 2j * w / log_q
-    value = nulls * _theta_w(top, b, q, log_q) / _theta_w(bottom, b, q, log_q)
+    # a zero null or denominator sum is read as an infinite value
+    nulls = null_top / null_bottom if null_bottom else 0j
+    denom = _theta_w(bottom, b, q, log_q)
+    value = nulls * _theta_w(top, b, q, log_q) / denom if nulls and denom else math.inf
+    if not cmath.isfinite(value):
+        raise OverflowError(f"{name}: theta quotient leaves the double range at q = {q}, u = {u}")
     if q.imag == 0.0 and u.imag == 0.0:
         return complex(value.real, 0.0)
     return value
@@ -145,32 +154,32 @@ def _theta_quotient(name: str, ctx: EllipticContext, u: complex, nulls: complex,
 
 def jacobi_sn(ctx: EllipticContext, u: complex) -> complex:
     """Jacobi sn = theta3 theta1(w) / (theta2 theta4(w)); PoleError at iK' (mod 2K, 2iK')."""
-    return _theta_quotient("sn", ctx, u, ctx.theta3 / ctx.theta2_scaled, 1, 4)
+    return _theta_quotient("sn", ctx, u, ctx.theta3, ctx.theta2_scaled, 1, 4)
 
 
 def jacobi_cn(ctx: EllipticContext, u: complex) -> complex:
     """Jacobi cn = theta4 theta2(w) / (theta2 theta4(w)); poles as sn's."""
-    return _theta_quotient("cn", ctx, u, ctx.theta4 / ctx.theta2_scaled, 2, 4)
+    return _theta_quotient("cn", ctx, u, ctx.theta4, ctx.theta2_scaled, 2, 4)
 
 
 def jacobi_dn(ctx: EllipticContext, u: complex) -> complex:
     """Jacobi dn = theta4 theta3(w) / (theta3 theta4(w)); poles as sn's."""
-    return _theta_quotient("dn", ctx, u, ctx.theta4 / ctx.theta3, 3, 4)
+    return _theta_quotient("dn", ctx, u, ctx.theta4, ctx.theta3, 3, 4)
 
 
 def jacobi_cd(ctx: EllipticContext, u: complex) -> complex:
     """Jacobi cd = cn/dn = theta3 theta2(w) / (theta2 theta3(w)); PoleError at K + iK'."""
-    return _theta_quotient("cd", ctx, u, ctx.theta3 / ctx.theta2_scaled, 2, 3)
+    return _theta_quotient("cd", ctx, u, ctx.theta3, ctx.theta2_scaled, 2, 3)
 
 
 def jacobi_sd(ctx: EllipticContext, u: complex) -> complex:
     """Jacobi sd = sn/dn = theta3^2 theta1(w) / (theta2 theta4 theta3(w)); poles as cd's."""
-    return _theta_quotient("sd", ctx, u, ctx.theta3**2 / (ctx.theta2_scaled * ctx.theta4), 1, 3)
+    return _theta_quotient("sd", ctx, u, ctx.theta3**2, ctx.theta2_scaled * ctx.theta4, 1, 3)
 
 
 def jacobi_nd(ctx: EllipticContext, u: complex) -> complex:
     """Jacobi nd = 1/dn = theta3 theta4(w) / (theta4 theta3(w)); poles as cd's."""
-    return _theta_quotient("nd", ctx, u, ctx.theta3 / ctx.theta4, 4, 3)
+    return _theta_quotient("nd", ctx, u, ctx.theta3, ctx.theta4, 4, 3)
 
 
 def cd1_halfplane(ctx: EllipticContext, u: complex) -> complex:

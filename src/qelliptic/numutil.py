@@ -8,12 +8,12 @@ bisection on one Gauss-Kronrod pair, G12/K25, which stops once the pair's
 disagreement summed over the intervals is below 1e-13 relative and refuses
 what 1,475 integrand calls do not resolve.
 Only the standard library is used.  Most series in this package are summed by
-:func:`sum_series`; the infinite q-Pochhammer products and the two-parameter
-theta sums, the theta nulls among them, stop on their own exact tail bounds
-instead.  All of them, and :mod:`qelliptic.elliptic`'s AGM chain, read the
-one truncation policy, scoped with :func:`truncation` and read at call time,
-and charge their work to :func:`term_counter`.  No primitive takes a
-per-call option.
+:func:`sum_series`; the infinite q-Pochhammer products stop on their own tail
+bound, the two-parameter theta sums on an exact tail bound held to the scale
+of :func:`sum_series`.  All of them, and :mod:`qelliptic.elliptic`'s AGM
+chain, read the one truncation policy, scoped with :func:`truncation` and read
+at call time, and charge their work to :func:`term_counter`.  No primitive
+takes a per-call option.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ class TruncationPolicy:
     Attributes
     ----------
     rel_tail_cutoff : float
-        A series stops once its terms and estimated tail are below this
-        fraction of the partial sum's scale (see :func:`sum_series`); an
-        infinite product once its geometric tail bound is below it.
+        A series stops once its terms and tail are at most this fraction of
+        ``max(|partial sum|, 2^-52 max |term|)`` (see :func:`sum_series`); an
+        infinite product once its geometric tail bound is at most it.
     max_terms : int
         Hard cap on the terms of a series, the factors of a product, the
         depth of a continued fraction and the steps of an AGM chain;
@@ -128,10 +128,12 @@ def _bump_terms(n: int) -> None:
         cell[0] += n
 
 
-# sum_series: the consecutive negligible nonzero terms that allow a stop; the
-# run of exact zeros that ends a sum on its own (finite support), which is also
-# the run of negligible terms that stands in for the trend guard when no
+# sum_series (and thetagen's folds): the floor of a series' scale as a share of
+# its largest term; the consecutive negligible nonzero terms that allow a stop;
+# the run of exact zeros that ends a sum on its own (finite support), which is
+# also the run of negligible terms that stands in for the trend guard when no
 # non-negligible term has followed the largest one.
+_SCALE_FLOOR = 2.0**-52
 _WINDOW = 2
 _RUN = 64
 
@@ -140,8 +142,8 @@ def sum_series(term: Callable[[int], complex]) -> complex:
     """Sum ``term(n)`` for ``n = 0, 1, ...`` until the tail is negligible.
 
     A term is negligible when its magnitude is at most ``rel_tail_cutoff``
-    times ``max(1, |partial sum|)``.  The sum stops at the second
-    consecutive negligible nonzero term if also
+    times ``max(|partial sum|, 2^-52 max |term|)``, a scale no factor 2^k moves.
+    The sum stops at the second consecutive negligible nonzero term if also
 
     * the geometric tail estimated from the last two nonzero terms is
       negligible, and
@@ -149,9 +151,8 @@ def sum_series(term: Callable[[int], complex]) -> complex:
       geometric trend from the largest term to the last non-negligible one,
       extrapolated to the next index, is negligible.  Two float-noise
       "zeros" in a row (``sin(k pi)``) therefore cannot end a sum whose
-      decay has not set in.  Where no non-negligible term has followed the
-      largest one (a lone leading term, or no non-negligible term at all),
-      64 consecutive negligible terms take the place of this trend.
+      decay has not set in.  Where none follows the largest term (a lone
+      leading term), 64 consecutive negligible terms stand in for the trend.
 
     Exact-zero terms neither count toward the run of negligible terms nor
     break it, so lacunary series run on through their gaps; 64 exact zeros
@@ -174,7 +175,7 @@ def sum_series(term: Callable[[int], complex]) -> complex:
     max_terms = pol.max_terms
     total = 0.0 + 0.0j
     last = before = 0.0  # magnitudes of the last two nonzero terms
-    peak = 0.0  # largest term so far, at index peak_n
+    peak = floor = 0.0  # largest term so far, at index peak_n, and _SCALE_FLOOR * peak
     big = 0.0  # last non-negligible term, at index big_n
     peak_n = big_n = -1
     small = zeros = 0
@@ -190,19 +191,18 @@ def sum_series(term: Callable[[int], complex]) -> complex:
         zeros = 0
         total += t
         before, last = last, mag
+        if mag > peak:
+            peak, peak_n = mag, n
+            floor = _SCALE_FLOOR * peak
         scale = abs(total)
-        if scale <= 1.0:  # scale = max(1.0, |total|)
-            scale = 1.0
-        elif not scale < math.inf:  # NaN or infinite partial sum
+        if not scale < math.inf:  # NaN or infinite partial sum
             used = n + 1
             _bump_terms(used)
             raise NonConvergenceError(f"series partial sum is {total} after {used} terms")
-        bound = cutoff * scale
+        bound = cutoff * (scale if scale > floor else floor)
         if mag > bound:
             small = 0
             big, big_n = mag, n
-            if mag > peak:
-                peak, peak_n = mag, n
             continue
         small += 1
         if small >= _WINDOW and (

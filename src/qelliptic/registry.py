@@ -138,6 +138,14 @@ _K2_KNOWN = {
 }
 
 
+def _tabulated(table: dict[float, float], r) -> float:
+    """``table[r]``; ValueError naming the tabulated r where r is not one of them."""
+    try:
+        return table[float(r)]
+    except KeyError:
+        raise ValueError(f"closed form tabulated only at r in {sorted(table)}, not {r}") from None
+
+
 def _odd_frame_A(ctx: EllipticContext, u: complex) -> complex:
     """Half-nome rotation ``A = i sqrt(q) e^{i pi u / (2K)}``."""
     return 1j * cmath.sqrt(ctx.q) * cmath.exp(1j * pi * u / (2.0 * ctx.K))
@@ -244,8 +252,8 @@ def _eq11_lhs(q):
 
 
 def _eq11_rhs(q):
-    x = -math.log(q) / 2.0
-    return math.exp(2 * x) / 4.0 * sum_series(lambda n: 1.0 / math.sinh((n + 1) * x) ** 2)
+    x = -cmath.log(q) / 2.0
+    return cmath.exp(2 * x) / 4.0 * sum_series(lambda n: 1.0 / cmath.sinh((n + 1) * x) ** 2)
 
 
 def _neg_nome(q: complex) -> complex:
@@ -287,7 +295,7 @@ def _eq13_rhs(r):
 def _eq15_rhs(r):
     c = _cr(r)
     rt = math.sqrt(r)
-    return pi / (4 * rt * c.K) + c.K * (1.0 - _ALPHA_KNOWN[float(r)] / rt)
+    return pi / (4 * rt * c.K) + c.K * (1.0 - _tabulated(_ALPHA_KNOWN, r) / rt)
 
 
 def _eq16_lhs(r):
@@ -941,7 +949,7 @@ def _eq88_lhs(r):
 
 
 def _eq88_rhs(r):
-    return _K2_KNOWN[float(r)]
+    return _tabulated(_K2_KNOWN, r)
 
 
 def _eq89_1_lhs(r):
@@ -1328,7 +1336,7 @@ def _eq122_lhs(q, a):
 
 
 def _eq122_rhs(q, a):
-    lg = math.log(q)
+    lg = cmath.log(q)
     return (2.0 * q ** a * lg / (1.0 - q ** (2 * a))
             + 2.0 * lg * sum_series(lambda n: q ** (n + 1) * _odd_quotient_count(n + 1, a)))
 
@@ -1348,7 +1356,7 @@ def _eq124_lhs(q, a):
 
 
 def _eq124_rhs(q, a):
-    return -2.0 * q ** a * math.log(q) / (1.0 - q ** (2 * a))
+    return -2.0 * q ** a * cmath.log(q) / (1.0 - q ** (2 * a))
 
 
 def _eq125_lhs(q, a):
@@ -1356,7 +1364,7 @@ def _eq125_lhs(q, a):
 
 
 def _eq125_rhs(q, a):
-    lg = math.log(q)
+    lg = cmath.log(q)
     head = sum(q ** n / (1.0 - q ** (2 * n)) for n in range(1, int(a)))
     return -2.0 * lg * head + 2.0 * lg * sum_series(
         lambda n: q ** (n + 1) / (1.0 - q ** (2 * (n + 1))))
@@ -1800,7 +1808,8 @@ def _build() -> tuple[IdentityCase, ...]:
           ({"r": 1.0}, {"r": 2.0}, {"r": 3.0}, {"r": 4.0})),
         C("EQ11", "nome-derivative of the averaged Lambert sum equals a csch^2 series",
           "qelliptic.qseries.euler_product", _eq11_lhs, _eq11_rhs,
-          ({"q": 0.1},), compare="derivative", tol=1e-12),
+          ({"q": 0.1},), compare="derivative", tol=1e-12,
+          param_domain="0 < |q| < 1, principal Log q"),
         C("EQ11.1", "modulus grows with the nome at rate 2 k k'^2 K^2/(q pi^2)",
           "qelliptic.elliptic.dk_dq", _eq11_1_lhs, _eq11_1_rhs,
           ({"q": 0.05}, {"q": 0.1}), compare="derivative"),
@@ -1817,12 +1826,14 @@ def _build() -> tuple[IdentityCase, ...]:
         C("EQ14", "singular alpha values at r = 1, 2, 4 match their algebraic closed forms",
           "qelliptic.elliptic.singular_alpha",
           lambda r: singular_alpha(r),
-          lambda r: _ALPHA_KNOWN[float(r)],
-          ({"r": 1.0}, {"r": 2.0}, {"r": 4.0}), tol=1e-9),
+          lambda r: _tabulated(_ALPHA_KNOWN, r),
+          ({"r": 1.0}, {"r": 2.0}, {"r": 4.0}), tol=1e-9,
+          param_domain="r in {1, 2, 4} (the tabulated closed forms)"),
         C("EQ15", "second complete integral in terms of K and the alpha value",
           "qelliptic.elliptic.EllipticContext.from_r",
           lambda r: _cr(r).E, _eq15_rhs,
-          ({"r": 1.0}, {"r": 2.0}, {"r": 4.0})),
+          ({"r": 1.0}, {"r": 2.0}, {"r": 4.0}),
+          param_domain="r in {1, 2, 4} (the tabulated alpha values)"),
         C("EQ16", "even/odd Lambert combination in terms of alpha and K",
           "qelliptic.elliptic.singular_alpha", _eq16_lhs, _eq16_rhs,
           ({"r": 1.0}, {"r": 4.0})),
@@ -2088,7 +2099,8 @@ def _build() -> tuple[IdentityCase, ...]:
           param_domain="0 < a < 1 (strip)"),
         C("EQ88", "squared singular moduli match their algebraic values",
           "qelliptic.elliptic.modulus_from_nome", _eq88_lhs, _eq88_rhs,
-          ({"r": 1.0}, {"r": 2.0}, {"r": 3.0}, {"r": 4.0})),
+          ({"r": 1.0}, {"r": 2.0}, {"r": 3.0}, {"r": 4.0}),
+          param_domain="r in {1, 2, 3, 4} (the tabulated closed forms)"),
         C("EQ89.1", "modulus at the negated nome is i k/k'",
           "qelliptic.elliptic.modulus_from_nome", _eq89_1_lhs, _eq89_1_rhs,
           ({"r": 1.0}, {"r": 2.0})),
@@ -2205,17 +2217,19 @@ def _build() -> tuple[IdentityCase, ...]:
         C("EQ122", "angle slope at integer argument via restricted divisor counts",
           "qelliptic.angle.angle_sum", _eq122_lhs, _eq122_rhs,
           ({"q": 0.3, "a": 2}, {"q": 0.15, "a": 3}),
-          compare="derivative", tol=1e-11, param_domain="a positive integer"),
+          compare="derivative", tol=1e-11,
+          param_domain="a positive integer, 0 < |q| < 1, principal Log q"),
         C("EQ123", "odd exponential sum via restricted divisor counts",
           "qelliptic.qseries.divisors", _eq123_lhs, _eq123_rhs,
           ({"y": 0.35},), tol=1e-10),
         C("EQ124", "unit shift of the angle slope",
           "qelliptic.angle.angle_derivative", _eq124_lhs, _eq124_rhs,
-          ({"q": 0.3, "a": 1.0}, {"q": 0.3, "a": 0.6}, {"q": 0.15, "a": 2.0})),
+          ({"q": 0.3, "a": 1.0}, {"q": 0.3, "a": 0.6}, {"q": 0.15, "a": 2.0}),
+          param_domain="0 < |q| < 1, |q^a| < 1, principal powers and Log q"),
         C("EQ125", "angle slope at integer argument telescopes to a finite sum plus a tail",
           "qelliptic.angle.angle_derivative", _eq125_lhs, _eq125_rhs,
           ({"q": 0.2, "a": 3}, {"q": 0.3, "a": 2}),
-          param_domain="a positive integer"),
+          param_domain="a positive integer, 0 < |q| < 1, principal Log q"),
         C("EQ126", "angle slope as csch head minus both exponential tails",
           "qelliptic.angle.angle_derivative", _eq126_lhs, _eq126_rhs,
           ({"y": 0.3, "a": 3},), param_domain="a positive integer"),

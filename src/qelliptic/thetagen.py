@@ -27,6 +27,7 @@ import math
 from typing import Iterable, Sequence
 
 from .numutil import (
+    _SCALE_FLOOR,
     NonConvergenceError,
     PoleError,
     _bump_terms,
@@ -136,10 +137,11 @@ def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
     Once both next ratios have ``rho = |R_(n+1)| < 1``, the terms left out sum
     to at most ``|T_n+| rho+ / (1 - rho+) + |T_n-| rho- / (1 - rho-)``.  The sum
     stops at the first partial sum where that bound is at most the policy's
-    ``rel_tail_cutoff`` times ``max(|partial sum|, 2^-52 max_n |P_n|)``, a scale
-    that a power-of-two factor on every term does not move.  ``P_0`` is added
-    to the terms ``n >= 1`` once; the terms consumed are charged to
-    :func:`~qelliptic.numutil.term_counter`.
+    ``rel_tail_cutoff`` times ``max(|partial sum|, 2^-52 max_n |P_n|)``, the
+    scale of :func:`~qelliptic.numutil.sum_series` (one floor,
+    ``numutil._SCALE_FLOOR``), which a power-of-two factor on every term does
+    not move.  ``P_0`` is added to the terms ``n >= 1`` once; the terms
+    consumed are charged to :func:`~qelliptic.numutil.term_counter`.
 
     Raises :class:`~qelliptic.numutil.NonConvergenceError` after the
     policy's ``max_terms`` terms, or at the first partial sum that is not
@@ -162,7 +164,7 @@ def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
         rho_minus = abs(r_minus)
         if rho_plus < 1.0 and rho_minus < 1.0:
             tail = abs(t_plus) * rho_plus / (1.0 - rho_plus) + abs(t_minus) * rho_minus / (1.0 - rho_minus)
-            if tail <= cutoff * max(abs(head + total), 2.0**-52 * largest):
+            if tail <= cutoff * max(abs(head + total), _SCALE_FLOOR * largest):
                 _bump_terms(used)
                 return head + total
         if used >= max_terms:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -313,6 +314,15 @@ def test_verify_sample_override(capsys):
     doc = json.loads(out)
     assert doc["records"]
     assert all(rec["params"]["q"] == 0.3 for rec in doc["records"])
+
+
+def test_verify_all_under_an_r_override_prints_its_report(capsys):
+    # the tabulated closed forms of EQ14, EQ15 and EQ88 refuse r = 0.05 with a
+    # typed error, which the report counts, instead of a KeyError traceback
+    rc, out, _ = run_cli(capsys, "verify", "--all", "--r", "0.05")
+    assert isinstance(rc, int)
+    assert re.search(r"^-- \d+ active pass-gated, \d+ quarantined, \d+ auto-quarantined; gate=",
+                     out, re.MULTILINE)
 
 
 def test_verify_no_match(capsys):

@@ -247,6 +247,27 @@ def test_sample_override_replaces_only_matching_keys():
     assert report.results[0].passed_all
 
 
+_TYPED_ERRORS = ("PoleError", "NonConvergenceError", "ValueError", "ZeroDivisionError",
+                 "OverflowError")
+
+
+@pytest.mark.parametrize("override", [
+    {"r": 0.05}, {"r": 0.002}, {"r": 9}, {"q": 0.95}, {"q": -0.9}, {"q": 0.5j}, {"q": 0.9j},
+    {"x": 0.1}, {"y": 0.1}, {"a": 0.3},
+], ids=str)
+def test_sample_overrides_give_a_report_of_typed_failures(override):
+    # EQ14, EQ15 and EQ88 raised a bare KeyError under any r override, and
+    # EQ11, EQ122, EQ124 and EQ125 a TypeError from math.log at complex q
+    report = run_registry(registry(), sample_override=override)
+    for result in report.results:
+        for rec in result.records:
+            assert not rec.error or rec.error.startswith(_TYPED_ERRORS), (rec.case_id, rec.error)
+            if rec.case_id in ("EQ14", "EQ15", "EQ88") and "r" in override:
+                assert rec.error.startswith("ValueError: closed form tabulated only at r in"), rec.error
+            if rec.case_id in ("EQ11", "EQ122", "EQ124", "EQ125"):
+                assert not rec.error, rec.error
+
+
 def test_id_filter_glob():
     appendix = run_registry(registry(), id_filter="A*")
     assert appendix.results

@@ -4,6 +4,7 @@ import asyncio
 import cmath
 import dataclasses
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -103,6 +104,8 @@ def _reference_sum_series(term, trend_guard=True):
     pol = current_policy()
     total = 0.0 + 0.0j
     seen = []  # (index, |term|, negligible) of every nonzero term
+    peak_n = peak = None  # the first index of the largest term seen, negligible or not
+    last_big = None  # position in seen of the last non-negligible term
     zeros = 0
     for n in range(pol.max_terms):
         t = complex(term(n))
@@ -115,24 +118,23 @@ def _reference_sum_series(term, trend_guard=True):
         total += t
         if not math.isfinite(abs(total)):
             raise NonConvergenceError(f"series partial sum is {total} after {n + 1} terms")
-        bound = pol.rel_tail_cutoff * max(1.0, abs(total))
+        if peak is None or abs(t) > peak:
+            peak_n, peak = n, abs(t)
+        bound = pol.rel_tail_cutoff * max(abs(total), 2.0**-52 * peak)
         seen.append((n, abs(t), abs(t) <= bound))
+        if not seen[-1][2]:
+            last_big = len(seen) - 1
         if len(seen) < 2 or not (seen[-1][2] and seen[-2][2]):
             continue
         if trend_guard:
-            big = [(m, mag) for m, mag, negligible in seen if not negligible]
-            peak_n = big_n = None
-            if big:
-                peak_n, peak = max(big, key=lambda item: (item[1], -item[0]))
-                big_n, last_big = big[-1]
+            big_n, big = seen[last_big][:2] if last_big is not None else (None, None)
             if big_n is None or big_n <= peak_n:
                 # no big term after the peak: a run of 64 negligible terms stands in
-                run = len(seen) if not big else len(seen) - 1 - max(
-                    i for i, item in enumerate(seen) if not item[2])
+                run = len(seen) - 1 - (last_big if last_big is not None else -1)
                 if run < 64:
                     continue
             # the trend from the peak to the last big term, one index ahead
-            elif last_big * (last_big / peak) ** ((n + 1 - big_n) / (big_n - peak_n)) > bound:
+            elif big * (big / peak) ** ((n + 1 - big_n) / (big_n - peak_n)) > bound:
                 continue
         if _reference_tail(seen) <= bound:
             return (total, n + 1)
@@ -175,8 +177,8 @@ _REFERENCE_SERIES = [
     ("noise gaps, q = 0.8", _noise_gap_term(0.8)),
     ("one dominant term", lambda n: 1e6 if n == 5 else 0.5**n),
     ("finite support", lambda n: [3.0, -1.0, 0.5][n] if n < 3 else 0.0),
-    ("all negligible, slow", lambda n: 1e-17 * 0.995**n),
-    ("all negligible, fast", lambda n: 1e-17 * 0.9**n),
+    ("tiny, slow", lambda n: 1e-17 * 0.995**n),
+    ("tiny, fast", lambda n: 1e-17 * 0.9**n),
     ("lone first term", lambda n: 1.0 if n == 0 else 1e-17 / n**2),
 ]
 
@@ -227,10 +229,35 @@ def test_sum_series_zero_run_ends_the_sum():
 def test_sum_series_stops_after_a_run_without_a_trend():
     # no non-negligible term follows the largest one, so there is no decay
     # trend: 64 negligible terms in a row and a negligible tail end the sum
-    assert _terms_used(lambda n: 1e-17 * 0.9**n) == 64
     assert _terms_used(lambda n: 1.0 if n == 0 else 1e-17 / n**2) == 65
-    # here the tail estimate is the later condition
-    assert _terms_used(lambda n: 1e-17 * 0.995**n) == 598
+
+
+# the series of the scale-invariance check and the terms each takes at any
+# scale; under the old floor max(1, |partial sum|) the counts moved with the
+# scale 2^k, k in {-600, -60, -10, 0, 10, 60, 600}: 46-64, 64-109, 31-335,
+# 64-65 and 64-350
+_SCALED_SERIES = [
+    ("geometric", lambda n: 0.5**n, 55),
+    ("alternating", lambda n: (-0.7) ** n, 109),
+    ("lacunary", lambda n: 0.3**n if n % 5 == 0 else 0.0, 41),
+    ("lone leading term", lambda n: 1.0 if n == 0 else 1e-17 / n**2, 65),
+    ("tiny geometric", lambda n: 1e-17 * 0.9**n, 350),
+]
+
+
+@pytest.mark.parametrize("term, used", [s[1:] for s in _SCALED_SERIES],
+                         ids=[s[0] for s in _SCALED_SERIES])
+def test_sum_series_stop_is_invariant_under_power_of_two_scaling(term, used):
+    # 2^k c f(n) stops at the index where c f(n) does, and since scaling by a
+    # power of two is exact in these ranges, the sum is the scaled sum
+    base = sum_series(term)
+    rng = random.Random(2026)
+    for k in [-600, -60, -10, 0, 10, 60, 600] + [rng.randint(-600, 600) for _ in range(8)]:
+        scale = math.ldexp(1.0, k)
+        with term_counter() as count:
+            out = sum_series(lambda n: scale * term(n))
+        assert count() == used, k
+        assert out == scale * base, k
 
 
 def test_truncation_nests_and_restores():

@@ -25,8 +25,10 @@ import pytest
 
 from qelliptic.angle import angle_sum
 from qelliptic.elliptic import EllipticContext, theta2, theta3, theta4
-from qelliptic.fourier import jacobi_cd, jacobi_cn, jacobi_dn, jacobi_nd, jacobi_sd, jacobi_sn
-from qelliptic.numutil import PoleError
+from qelliptic.fourier import (
+    eval_fourier, jacobi_cd, jacobi_cn, jacobi_dn, jacobi_nd, jacobi_sd, jacobi_sn,
+)
+from qelliptic.numutil import NonConvergenceError, PoleError
 from qelliptic.qseries import euler_product, qpochhammer
 from qelliptic.thetagen import rr_cf, theta3_two, u0_cf, u_cf
 
@@ -457,6 +459,49 @@ def test_jacobi_regressions(name, q, share, parent_error):
     # summed as Fourier expansions (and cn/cd, cd/cn), these were off by
     # parent_error relative: the terms, of size ~1, cancel to a small value
     assert _jacobi_errors(q, share, 0.0)[name] <= 1e-12
+
+
+@pytest.mark.parametrize("name, q, share", [
+    ("nd", 0.995, 0.9),
+    ("dn", 0.999, 0.3),
+    ("cd", 0.999, 0.9),
+    ("sd", 0.999, 0.3),
+    ("sd", 0.999, 0.9),
+    ("nd", 0.999, 0.3),
+    ("nd", 0.999, 0.9),
+])
+def test_jacobi_quotients_past_the_double_range_raise_overflow(name, q, share):
+    # theta4(q) (about 8e-213 at 0.995 and 1e-1069 at 0.999) or a denominator
+    # sum underflows to 0: nd at 0.995 returned inf, the others raised a bare
+    # ZeroDivisionError
+    c = EllipticContext.from_nome(q)
+    with pytest.raises(OverflowError, match=f"{name}: .* q = .*u = "):
+        _JACOBI[name](c, share * c.K)
+
+
+@pytest.mark.parametrize("q", [0.995, 0.999])
+def test_jacobi_functions_near_one_are_finite_or_refused(q):
+    # NonConvergenceError is the odd fold's head overflowing (an open defect)
+    c = EllipticContext.from_nome(q)
+    for share in (0.3, 0.9):
+        for name, f in _JACOBI.items():
+            try:
+                value = f(c, share * c.K)
+            except (OverflowError, NonConvergenceError):
+                continue
+            assert cmath.isfinite(value), (name, share, value)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.5j])
+def test_sine_expansion_at_tiny_u(q):
+    # sn's sine expansion at u = 1e-13 K sums to ~1e-13; while sum_series cut
+    # every sum below 1 at an absolute 1e-16 it was off by 3.0e-6 (0.05),
+    # 4.1e-5 (0.5), 2.8e-6 (0.9) and 1.0e-4 (0.5i); worst now 1.0e-15 (0.9)
+    c = EllipticContext.from_nome(q)
+    u = 1e-13 * c.K
+    with mp.workdps(60):
+        want = mp.ellipfun("sn", mp.mpc(u), q=mp.mpc(q))
+        assert abs(mp.mpc(eval_fourier("sn", c, u)) - want) <= 2e-15 * abs(want)
 
 
 @pytest.mark.parametrize("q", [0.05, 0.9, -0.9])
