@@ -33,7 +33,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .numutil import NonConvergenceError, PoleError, term_counter
 
@@ -90,9 +90,9 @@ class IdentityCase:
         return self.tol if self.tol is not None else DEFAULT_TOLERANCES[self.compare]
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """Residuals of one case at one sample point."""
+class SampleRecord(NamedTuple):
+    """Residuals of one case at one sample point (an immutable named tuple:
+    one is built per sample, so it must be cheap)."""
 
     case_id: str
     params: Mapping[str, Any]
@@ -108,8 +108,7 @@ class SampleRecord:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case: IdentityCase
     records: tuple[SampleRecord, ...]
 
@@ -167,16 +166,20 @@ def run_case(
     """Evaluate both sides at each sample; mathematical failures become
     fail records rather than exceptions."""
     tol = tol_override if tol_override is not None else case.tolerance
+    case_id, compare, lhs, rhs = case.id, case.compare, case.lhs, case.rhs
+    clock = time.perf_counter
     records: list[SampleRecord] = []
     for params in samples if samples is not None else case.samples:
-        t0 = time.perf_counter()
+        t0 = clock()
         lhs_v: complex | None = None
         rhs_v: complex | None = None
         err = ""
+        # term_counter is looked up in this module's namespace on every
+        # sample, so that a wrapper bound there sees each sample
         with term_counter() as used:
             try:
-                lhs_v = complex(case.lhs(**params))
-                rhs_v = complex(case.rhs(**params))
+                lhs_v = complex(lhs(**params))
+                rhs_v = complex(rhs(**params))
             except (
                 PoleError,
                 NonConvergenceError,
@@ -185,35 +188,24 @@ def run_case(
                 OverflowError,
             ) as exc:
                 err = f"{type(exc).__name__}: {exc}"
-        wall = (time.perf_counter() - t0) * 1000.0
+        wall = (clock() - t0) * 1000.0
         if err:
             abs_res = rel_res = math.inf
             passed = False
         else:
-            if case.compare == "exponentiated":
+            if compare == "exponentiated":
                 cmp_l, cmp_r = cmath.exp(lhs_v), cmath.exp(rhs_v)
             else:
                 cmp_l, cmp_r = lhs_v, rhs_v
             abs_res = abs(cmp_l - cmp_r)
             rel_res = abs_res / max(abs(cmp_l), abs(cmp_r), 1e-300)
             passed = abs_res <= tol or rel_res <= tol
-        records.append(
-            SampleRecord(
-                case_id=case.id,
-                params=dict(params),
-                lhs=lhs_v,
-                rhs=rhs_v,
-                abs_residual=abs_res,
-                rel_residual=rel_res,
-                passed=passed,
-                tolerance=tol,
-                compare=case.compare,
-                terms_used=used(),
-                wall_time_ms=wall,
-                error=err,
-            )
-        )
-    return CaseResult(case=case, records=tuple(records))
+        # positional, in field order: one record per sample
+        records.append(SampleRecord(
+            case_id, dict(params), lhs_v, rhs_v, abs_res, rel_res, passed,
+            tol, compare, used(), wall, err,
+        ))
+    return CaseResult(case, tuple(records))
 
 
 def run_registry(
@@ -285,18 +277,30 @@ def _record_row(rec: SampleRecord, effective_status: str) -> dict[str, Any]:
     }
 
 
+def _json_value(value: Any) -> Any:
+    """``value`` with every non-finite float in it, also inside a dict,
+    replaced by ``None``: JSON (RFC 8259) has no Infinity or NaN."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    return value
+
+
 def report_to_json(report: RegistryReport) -> str:
+    """The report as strict JSON.  A non-finite residual (an error record's,
+    whose ``error`` field gives the reason) is written as ``null``."""
     rows = []
     for result in report.results:
         for rec in result.records:
-            rows.append(_record_row(rec, result.effective_status))
+            rows.append(_json_value(_record_row(rec, result.effective_status)))
     payload = {
         "records": rows,
         "counts": report.counts,
         "gate_passed": report.gate_passed,
         "wall_time_ms": round(report.wall_time_ms, 3),
     }
-    return json.dumps(payload, indent=2, sort_keys=False, allow_nan=True)
+    return json.dumps(payload, indent=2, sort_keys=False, allow_nan=False)
 
 
 _CSV_COLUMNS = [

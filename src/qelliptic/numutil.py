@@ -99,27 +99,31 @@ def truncation(**overrides) -> Iterator[TruncationPolicy]:
 _WORK: ContextVar[list[int] | None] = ContextVar("qelliptic_work", default=None)
 
 
-@contextmanager
-def term_counter() -> Iterator[Callable[[], int]]:
+class term_counter:
     """Count the series terms, fraction depth, product factors and AGM steps
     evaluated in this context.
 
-    Yields a zero-argument callable returning the running count; read after
-    the block, it returns the block's final count.  Nested counters stack:
-    each level sees only the work done inside it plus its nested levels
-    (inner work bubbles up to the outer count on exit).  The count lives in
-    a :class:`~contextvars.ContextVar`, so concurrent asyncio tasks keep
+    Used as ``with term_counter() as used:``, it yields a zero-argument
+    callable returning the running count; read after the block, it returns
+    the block's final count.  Nested counters stack: each level sees only
+    the work done inside it plus its nested levels (inner work bubbles up to
+    the outer count on exit, also when the block raises).  The count lives
+    in a :class:`~contextvars.ContextVar`, so concurrent asyncio tasks keep
     separate counts.
     """
-    cell = [0]
-    token = _WORK.set(cell)
-    try:
-        yield lambda: cell[0]
-    finally:
-        _WORK.reset(token)
+
+    __slots__ = ("_cell", "_token")
+
+    def __enter__(self) -> Callable[[], int]:
+        cell = self._cell = [0]
+        self._token = _WORK.set(cell)
+        return lambda: cell[0]
+
+    def __exit__(self, *exc_info) -> None:
+        _WORK.reset(self._token)
         outer = _WORK.get()
         if outer is not None:
-            outer[0] += cell[0]
+            outer[0] += self._cell[0]
 
 
 def _bump_terms(n: int) -> None:
@@ -179,8 +183,11 @@ def sum_series(term: Callable[[int], complex]) -> complex:
     big = 0.0  # last non-negligible term, at index big_n
     peak_n = big_n = -1
     small = zeros = 0
+    inf = math.inf
     for n in range(max_terms):
-        t = complex(term(n))
+        t = term(n)
+        if type(t) is not complex:  # the test costs less than complex(t) does
+            t = complex(t)
         mag = abs(t)
         if mag == 0.0:
             zeros += 1
@@ -195,7 +202,7 @@ def sum_series(term: Callable[[int], complex]) -> complex:
             peak, peak_n = mag, n
             floor = _SCALE_FLOOR * peak
         scale = abs(total)
-        if not scale < math.inf:  # NaN or infinite partial sum
+        if not scale < inf:  # NaN or infinite partial sum
             used = n + 1
             _bump_terms(used)
             raise NonConvergenceError(f"series partial sum is {total} after {used} terms")
@@ -459,7 +466,7 @@ def principal_power(w: complex, s: complex) -> complex:
     keep real inputs exactly real.
     """
     sc = complex(s)
-    if sc.imag == 0.0 and float(sc.real).is_integer():
+    if sc.imag == 0.0 and sc.real.is_integer():
         n = int(sc.real)
         if w == 0 and n < 0:
             raise PoleError("0 raised to a negative power")

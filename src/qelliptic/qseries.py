@@ -113,6 +113,14 @@ def divisors(n: int) -> list[int]:
     """Sorted positive divisors of ``n >= 1``."""
     if n < 1:
         raise ValueError("divisors defined for n >= 1")
+    return list(_divisors(n))
+
+
+# the divisor sums ask for the same few n over and over (a registry pass
+# makes about a thousand calls for n <= 39), so each n is divided out once;
+# typed, so that a float n keeps its own (float) large divisors
+@lru_cache(maxsize=1024, typed=True)
+def _divisors(n: int) -> tuple[int, ...]:
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -121,7 +129,7 @@ def divisors(n: int) -> list[int]:
             if d != n // d:
                 large.append(n // d)
         d += 1
-    return small + large[::-1]
+    return tuple(small + large[::-1])
 
 
 def divisor_count(n: int) -> int:

@@ -69,12 +69,7 @@ __all__ = [
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
-
-
-def _mod_2pi_i(B: complex) -> tuple[complex, int]:
-    """``(B - 2 pi i k, k)`` with the imaginary part of ``B - 2 pi i k`` in ``[-pi, pi]``."""
-    k = round(B.imag / _TWO_PI)
-    return complex(B.real, B.imag - _TWO_PI * k), k
+_HALF_PI = 0.5 * math.pi
 
 
 def _reduce(A: complex, B: complex, odd: bool = False) -> tuple[complex, complex, complex]:
@@ -100,20 +95,30 @@ def _reduce(A: complex, B: complex, odd: bool = False) -> tuple[complex, complex
     """
     log_f = 0j
     while True:
-        if abs(A.imag) > 0.5 * _PI:
-            m = round(A.imag / _PI)
-            A = complex(A.real, A.imag - _PI * m)
+        # bounds tested by comparison, not abs(), on this hot path; B is
+        # reduced modulo 2 pi i inline, and the odd sum's signs (-1)^k and
+        # (-1)^m are charged to log_f only when odd
+        a_imag = A.imag
+        if a_imag > _HALF_PI or a_imag < -_HALF_PI:
+            m = round(a_imag / _PI)
+            A = complex(A.real, a_imag - _PI * m)
             if not odd:
                 B = complex(B.real, B.imag + _PI * m)
-        # the bool odd switches on the odd sum's signs (-1)^k and (-1)^m
-        if abs(B.imag) > _PI:
-            B, k = _mod_2pi_i(B)
-            log_f += 1j * _PI * k * odd
-        if abs(B.real) > -A.real:
-            m = round(-B.real / (2.0 * A.real))
+        b_imag = B.imag
+        if b_imag > _PI or b_imag < -_PI:
+            k = round(b_imag / _TWO_PI)
+            B = complex(B.real, b_imag - _TWO_PI * k)
+            if odd:
+                log_f += 1j * _PI * k
+        a_real = A.real
+        if B.real > -a_real or B.real < a_real:
+            m = round(-B.real / (2.0 * a_real))
             log_f += (A * m + B) * m
-            B, k = _mod_2pi_i(B + 2.0 * m * A)
-            log_f += 1j * _PI * (m + k) * odd
+            B += 2.0 * m * A
+            k = round(B.imag / _TWO_PI)
+            B = complex(B.real, B.imag - _TWO_PI * k)
+            if odd:
+                log_f += 1j * _PI * (m + k)
         # |tau| >= 1 up to rounding; the margin stops S steps that would
         # only swap tau with -1/tau on the unit circle
         if abs(A) >= 0.999 * _PI:
@@ -159,14 +164,18 @@ def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
     largest = abs(head)
     total = 0j  # the terms n >= 1
     used = 1
+    inf = math.inf
     while True:
         rho_plus = abs(r_plus)
         rho_minus = abs(r_minus)
         if rho_plus < 1.0 and rho_minus < 1.0:
             tail = abs(t_plus) * rho_plus / (1.0 - rho_plus) + abs(t_minus) * rho_minus / (1.0 - rho_minus)
-            if tail <= cutoff * max(abs(head + total), _SCALE_FLOOR * largest):
+            value = head + total
+            scale = abs(value)
+            floor = _SCALE_FLOOR * largest
+            if tail <= cutoff * (floor if floor > scale else scale):
                 _bump_terms(used)
-                return head + total
+                return value
         if used >= max_terms:
             _bump_terms(used)
             raise NonConvergenceError(f"{name} did not converge within {max_terms} terms")
@@ -181,9 +190,11 @@ def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
             step *= x2
             term = weight * cmath.sinh((used + 0.5) * odd_B)
         total += term
-        largest = max(largest, abs(term))
+        mag = abs(term)
+        if mag > largest:
+            largest = mag
         used += 1
-        if not abs(total) < math.inf:
+        if not abs(total) < inf:
             _bump_terms(used)
             raise NonConvergenceError(f"{name} partial sum is {head + total} after {used} terms")
 

@@ -325,6 +325,25 @@ def test_verify_all_under_an_r_override_prints_its_report(capsys):
                      out, re.MULTILINE)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("r, printed", [("0.05", 0.05), ("inf", None)])
+def test_verify_json_writes_non_finite_floats_as_null(capsys, r, printed):
+    # EQ14's tabulated closed form refuses r = 0.05 (and r = inf): error
+    # records, whose infinite residuals RFC 8259 cannot carry
+    rc, out, _ = run_cli(capsys, "verify", "--id", "EQ14", "--r", r, "--format", "json")
+    assert rc == 1
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["records"]
+    for rec in doc["records"]:
+        assert rec["error"]
+        assert rec["abs_residual"] is None and rec["rel_residual"] is None
+        assert rec["pass"] is False
+        assert rec["params"]["r"] == printed
+
+
 def test_verify_no_match(capsys):
     rc, _, err = run_cli(capsys, "verify", "--id", "NOPE-*")
     assert rc == 2

@@ -10,7 +10,9 @@ import sys
 import pytest
 
 from qelliptic.harness import (
+    CaseResult,
     IdentityCase,
+    SampleRecord,
     format_complex,
     report_to_csv,
     report_to_json,
@@ -193,6 +195,42 @@ def test_partial_failure_is_not_auto_quarantined():
     result = run_case(flaky)
     assert not result.passed_all and not result.failed_all
     assert result.effective_status == "ACTIVE"
+
+
+def test_records_are_immutable():
+    result = run_case(make_case())
+    with pytest.raises(AttributeError):
+        result.records[0].passed = False
+    with pytest.raises(AttributeError):
+        result.records = ()
+
+
+def test_sample_record_fields():
+    assert SampleRecord._fields == (
+        "case_id", "params", "lhs", "rhs", "abs_residual", "rel_residual",
+        "passed", "tolerance", "compare", "terms_used", "wall_time_ms", "error",
+    )
+    assert SampleRecord._field_defaults == {"error": ""}
+    assert CaseResult._fields == ("case", "records")
+
+
+def test_case_result_properties_on_a_mixed_case():
+    mixed = make_case(
+        lhs=lambda v: 1.0 + v,
+        rhs=lambda v: 1.0,
+        samples=({"v": 0.0}, {"v": 0.5}, {"v": 0.25}),
+    )
+    result = run_case(mixed)
+    assert [r.passed for r in result.records] == [True, False, False]
+    assert (result.passed_all, result.failed_all) == (False, False)
+    assert result.effective_status == "ACTIVE"
+    # |1.5 - 1| / 1.5
+    assert result.worst_rel_residual == 0.5 / 1.5
+    quarantined = run_case(make_case(
+        lhs=lambda v: 1.0 + v, rhs=lambda v: 1.0, samples=mixed.samples,
+        status="QUARANTINED"))
+    assert quarantined.effective_status == "QUARANTINED"
+    assert CaseResult(mixed, ()).worst_rel_residual == math.inf
 
 
 def test_exponentiated_mode_forgives_period_shifts():

@@ -321,6 +321,33 @@ def test_term_counter_reads_its_block_after_exit():
     assert outer() == 110
 
 
+def test_term_counter_charges_a_raising_block_to_the_outer_scope():
+    with term_counter() as outer:
+        with pytest.raises(RuntimeError):
+            with term_counter() as count:
+                sum_series(lambda n: 0.5**n)
+                raise RuntimeError("block fails")
+        assert count() == 55
+        assert outer() == 55
+        # the outer scope's counter is the active one again
+        sum_series(lambda n: 0.5**n)
+        assert outer() == 110
+        assert count() == 55
+
+
+def test_term_counter_nested_in_a_raising_block():
+    with term_counter() as outer:
+        with pytest.raises(RuntimeError):
+            with term_counter() as middle:
+                with term_counter() as inner:
+                    sum_series(lambda n: 0.5**n)
+                sum_series(lambda n: 0.5**n)
+                raise RuntimeError("block fails")
+    assert (inner(), middle(), outer()) == (55, 110, 110)
+    # no counter is left active
+    assert numutil._WORK.get() is None
+
+
 def test_term_counter_is_per_task():
     async def sums(k):
         with term_counter() as count:

@@ -190,6 +190,19 @@ def test_divisors_sorted_complete():
         divisors(0)
 
 
+def test_divisors_returns_a_fresh_list_per_call():
+    first = divisors(12)
+    first.append(99)
+    first[0] = -1
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(12) is not divisors(12)
+
+
+def test_divisors_match_trial_division():
+    for n in range(1, 501):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
 def test_divisor_count_values():
     assert divisor_count(1) == 1
     assert divisor_count(4) == 3
