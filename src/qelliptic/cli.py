@@ -14,7 +14,6 @@ wins over it.  All output is deterministic and locale-independent.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -206,6 +205,12 @@ def _diagnostic_eval(fn: Callable[[], complex]) -> tuple[complex, int, float]:
     return value, count(), abs(value - coarse_value)
 
 
+def _print_json(value: object, indent: int | None = None) -> None:
+    import json  # imported on first use: only --format json needs it
+
+    print(json.dumps(value, indent=indent))
+
+
 def _sample_override(args: argparse.Namespace) -> dict[str, float]:
     return {name: getattr(args, name) for name in PARAM_FLAGS
             if getattr(args, name) is not None}
@@ -237,7 +242,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     row = {"fn": args.fn, "value": format_complex(value),
            "terms_used": used, "est_tail": est_tail}
     if args.format == "json":
-        print(json.dumps(row, sort_keys=False))
+        _print_json(row)
     elif args.format == "csv":
         print(",".join(row))
         print(",".join(str(v) for v in row.values()))
@@ -280,7 +285,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                      "value": format_complex(value),
                      "terms_used": count()})
     if args.format == "json":
-        print(json.dumps(rows, sort_keys=False))
+        _print_json(rows)
     elif args.format == "csv":
         print(f"{param},value,terms_used")
         for row in rows:
@@ -298,14 +303,14 @@ def cmd_list(args: argparse.Namespace) -> int:
     id_filter = args.id or "*"
     cases = [c for c in registry() if fnmatch.fnmatchcase(c.id, id_filter)]
     if args.format == "json":
-        print(json.dumps([{
+        _print_json([{
             "id": c.id,
             "status": c.status,
             "compare": c.compare,
             "samples": len(c.samples),
             "tolerance": c.tolerance,
             "description": c.description,
-        } for c in cases], indent=2, sort_keys=False))
+        } for c in cases], indent=2)
     elif args.format == "csv":
         print("id,status,compare,samples,tolerance,description")
         for c in cases:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numutil import NonConvergenceError, PoleError, _bump_terms, current_policy, principal_power
 from .qseries import lambert_sum
@@ -171,9 +171,9 @@ def ellint_E(k: complex) -> complex:
     return math.pi / (2.0 * m) * (1.0 - csum)
 
 
-@dataclass(frozen=True)
-class EllipticContext:
-    """All elliptic quantities attached to one nome, from its theta nulls.
+class EllipticContext(NamedTuple):
+    """All elliptic quantities attached to one nome, from its theta nulls
+    (an immutable named tuple).
 
     ``k = theta2^2/theta3^2``, ``k' = theta4^2/theta3^2``,
     ``K = (pi/2) theta3^2`` and ``K' = -2 i z K``, where ``z`` satisfies

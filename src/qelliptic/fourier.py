@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .elliptic import EllipticContext
 from .numutil import PoleError, principal_power, sum_series
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _SeriesSpec:
+class _SeriesSpec(NamedTuple):
     """One row of the expansion table."""
 
     use_cos: bool  # cos((2n+offset) w) if True, else sin

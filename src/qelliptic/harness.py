@@ -26,13 +26,10 @@ run and report but are excluded from the pass/fail gate.
 from __future__ import annotations
 
 import cmath
-import csv
 import fnmatch
 import io
-import json
 import math
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .numutil import NonConvergenceError, PoleError, term_counter
@@ -60,10 +57,7 @@ DEFAULT_TOLERANCES: Mapping[str, float] = {
 _COMPARE_MODES = frozenset(DEFAULT_TOLERANCES)
 
 
-@dataclass(frozen=True)
-class IdentityCase:
-    """One verifiable identity: two independent evaluators plus sample points."""
-
+class _CaseFields(NamedTuple):
     id: str
     description: str
     anchor: str  # dotted path of the primary evaluator under test
@@ -75,7 +69,15 @@ class IdentityCase:
     status: str = "ACTIVE"
     param_domain: str = ""
 
-    def __post_init__(self) -> None:
+
+class IdentityCase(_CaseFields):
+    """One verifiable identity: two independent evaluators plus sample points
+    (an immutable named tuple, checked when it is built)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> IdentityCase:
+        self = super().__new__(cls, *args, **kwargs)
         if self.compare not in _COMPARE_MODES:
             raise ValueError(f"unknown compare mode {self.compare!r}")
         if self.status not in ("ACTIVE", "QUARANTINED"):
@@ -84,6 +86,12 @@ class IdentityCase:
             raise ValueError(f"case {self.id}: needs at least one sample")
         if self.tol is not None and self.tol <= 0:
             raise ValueError(f"case {self.id}: tolerance must be positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> IdentityCase:
+        # through __new__, so that _replace runs the checks too
+        return cls(*iterable)
 
     @property
     def tolerance(self) -> float:
@@ -134,8 +142,7 @@ class CaseResult(NamedTuple):
         return max((r.rel_residual for r in self.records), default=math.inf)
 
 
-@dataclass(frozen=True)
-class RegistryReport:
+class RegistryReport(NamedTuple):
     results: tuple[CaseResult, ...]
     wall_time_ms: float
 
@@ -290,6 +297,8 @@ def _json_value(value: Any) -> Any:
 def report_to_json(report: RegistryReport) -> str:
     """The report as strict JSON.  A non-finite residual (an error record's,
     whose ``error`` field gives the reason) is written as ``null``."""
+    import json  # imported on first use: a verify run in text form never needs it
+
     rows = []
     for result in report.results:
         for rec in result.records:
@@ -321,6 +330,8 @@ _CSV_COLUMNS = [
 
 
 def report_to_csv(report: RegistryReport) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()

@@ -22,8 +22,7 @@ import cmath
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 __all__ = [
     "TruncationPolicy",
@@ -49,10 +48,9 @@ class PoleError(ZeroDivisionError):
     """Raised when an evaluation point sits on (or numerically at) a pole."""
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(NamedTuple):
     """Stopping rules for adaptive series, infinite products and continued
-    fractions.
+    fractions (an immutable named tuple).
 
     Attributes
     ----------
@@ -87,9 +85,13 @@ def truncation(**overrides) -> Iterator[TruncationPolicy]:
     Inside the ``with`` block every series, infinite product and continued
     fraction sees the active policy with ``overrides`` applied (field names
     of :class:`TruncationPolicy`); the previous policy is restored on exit,
-    also when the block raises.  Scopes nest.
+    also when the block raises.  Scopes nest.  An override that names no
+    field raises ``TypeError``.
     """
-    token = _POLICY.set(replace(_POLICY.get(), **overrides))
+    for name in overrides:
+        if name not in TruncationPolicy._fields:
+            raise TypeError(f"truncation() got an unexpected keyword argument {name!r}")
+    token = _POLICY.set(_POLICY.get()._replace(**overrides))
     try:
         yield _POLICY.get()
     finally:

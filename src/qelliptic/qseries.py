@@ -8,11 +8,13 @@ theta layers are built on top of these primitives.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .numutil import NonConvergenceError, _bump_terms, current_policy, sum_series
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "qpochhammer",
@@ -149,6 +151,8 @@ def bernoulli(n: int) -> Fraction:
     Computed by the defining recurrence
     ``sum_{j=0}^{n} C(n+1, j) B_j = 0`` for ``n >= 1``.
     """
+    from fractions import Fraction  # imported here: most processes never need it
+
     if n < 0:
         raise ValueError("Bernoulli numbers defined for n >= 0")
     if n == 0:
@@ -206,7 +210,8 @@ def fermi_derivative_constant(nu: int) -> Fraction:
     """
     if nu < 0:
         raise ValueError("derivative order must be >= 0")
-    return 2 * (1 - Fraction(2) ** (nu + 1)) * bernoulli(nu + 1) / (nu + 1)
+    # exact: bernoulli returns a Fraction, and every other factor is an int
+    return 2 * (1 - 2 ** (nu + 1)) * bernoulli(nu + 1) / (nu + 1)
 
 
 def kronecker_symbol(a: int, n: int) -> int:

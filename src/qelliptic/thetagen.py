@@ -248,12 +248,14 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
     ``b`` and ``q > 0``, or ``q < 0`` with ``a +- b`` integers) the reduced
     sum's result is returned with imaginary part 0.
 
-    Raises ``ValueError`` where ``|q^a| >= 1``, and
-    :class:`~qelliptic.numutil.NonConvergenceError` where :func:`_fold` does
+    Raises ``ValueError`` where ``|q^a| >= 1`` (with ``odd``, also at
+    ``q = 0``), and :class:`~qelliptic.numutil.NonConvergenceError` where :func:`_fold` does
     or where the value overflows.
     """
     name = "theta1_two" if odd else "theta4_two" if alternating else "theta3_two"
-    if q == 0 and not odd:  # at q = 0 the odd sum's cmath.log(q) raises ValueError
+    if q == 0:
+        if odd:
+            raise ValueError(f"{name} requires 0 < |q^a| < 1; q = 0 is outside it")
         if abs(principal_power(q, a)) >= 1.0:
             raise ValueError(f"{name} requires |q^a| < 1 for convergence")
         # Every term but n = 0 is 0^(n (a n + b)): 0 when each exponent has a

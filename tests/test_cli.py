@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, golden values, truncation cap."""
 
+import ast
 import json
 import math
 import os
@@ -79,6 +80,45 @@ def test_eval_imports_neither_scipy_nor_numpy():
         assert run.returncode == 0, run.stderr
         if first is not None:
             assert run.stdout.splitlines()[0] == first
+
+
+# stdlib modules a cold CLI process must not import: each costs milliseconds per
+# process, and only JSON/CSV output and exact Bernoulli numbers need any of them
+COLD_START_FREE = ("dataclasses", "inspect", "fractions", "decimal", "json", "csv")
+QELLIPTIC_MODULES = ("numutil", "qseries", "elliptic", "fourier", "angle", "thetagen",
+                     "harness", "registry", "cli")
+
+
+def _run_bare(*argv: str) -> subprocess.CompletedProcess:
+    """``python -S *argv`` with this checkout's package and nothing else on the path."""
+    src = str(Path(qelliptic.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-S", *argv], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run
+
+
+def _modules_after(code: str) -> set[str]:
+    out = _run_bare("-c", f"{code}\nimport sys\nprint(sorted(sys.modules))").stdout
+    return set(ast.literal_eval(out.splitlines()[-1]))
+
+
+def _imported(*argv: str) -> set[str]:
+    """The modules ``python -S -X importtime *argv`` reports importing."""
+    err = _run_bare("-X", "importtime", *argv).stderr
+    return {line.rpartition("|")[2].strip() for line in err.splitlines()
+            if line.startswith("import time:") and "self [us]" not in line}
+
+
+def test_cold_start_imports_only_what_it_uses():
+    added = _modules_after("import qelliptic.cli") - _modules_after("pass")
+    assert sorted(added.intersection(COLD_START_FREE)) == []
+    assert {f"qelliptic.{m}" for m in QELLIPTIC_MODULES} <= added
+    # the whole `eval` command, run as a user runs it
+    eval_added = (_imported("-m", "qelliptic", "eval", "sn", "--q", "0.05", "--u", "0.4")
+                  - _imported("-c", "pass"))
+    assert sorted(eval_added.intersection(COLD_START_FREE)) == []
+    assert "qelliptic.registry" in eval_added
 
 
 def test_eval_singular_value(capsys):

@@ -20,7 +20,8 @@ from qelliptic.harness import (
     run_case,
     run_registry,
 )
-from qelliptic.numutil import NonConvergenceError, PoleError, truncation
+from qelliptic.elliptic import EllipticContext
+from qelliptic.numutil import DEFAULT_POLICY, NonConvergenceError, PoleError, truncation
 from qelliptic.registry import UNREGISTERED, registry
 
 
@@ -203,6 +204,42 @@ def test_records_are_immutable():
         result.records[0].passed = False
     with pytest.raises(AttributeError):
         result.records = ()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"compare": "sideways"}, "unknown compare mode 'sideways'"),
+    ({"status": "RETIRED"}, "unknown status 'RETIRED'"),
+    ({"samples": ()}, "case SYN: needs at least one sample"),
+    ({"tol": 0.0}, "case SYN: tolerance must be positive"),
+    ({"tol": -1e-9}, "case SYN: tolerance must be positive"),
+])
+def test_identity_case_is_checked_when_built(bad, message):
+    with pytest.raises(ValueError, match=message):
+        make_case(**bad)
+    with pytest.raises(ValueError, match=message):
+        make_case()._replace(**bad)
+
+
+def _records():
+    report = run_registry([make_case()])
+    return {
+        "TruncationPolicy": (DEFAULT_POLICY, "max_terms", 17),
+        "EllipticContext": (EllipticContext.from_nome(0.1), "k", 0.5),
+        "IdentityCase": (report.results[0].case, "status", "QUARANTINED"),
+        "RegistryReport": (report, "wall_time_ms", 0.0),
+    }
+
+
+@pytest.mark.parametrize("name", ["TruncationPolicy", "EllipticContext", "IdentityCase",
+                                  "RegistryReport"])
+def test_records_refuse_assignment(name):
+    record, field, value = _records()[name]
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    assert getattr(record, field) == before
+    with pytest.raises(AttributeError):
+        record.extra = 1
 
 
 def test_sample_record_fields():

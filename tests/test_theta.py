@@ -779,5 +779,5 @@ def test_theta1_two_is_odd_in_b():
         for b in (0.4, 0.3 + 0.2j, 1e-9j):
             assert thetagen.theta1_two(1, -b, q) == pytest.approx(-thetagen.theta1_two(1, b, q), rel=1e-14)
         assert thetagen.theta1_two(1, 0, q) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"theta1_two requires 0 < \|q\^a\| < 1"):
         thetagen.theta1_two(1, 0.5, 0)
