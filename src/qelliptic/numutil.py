@@ -86,14 +86,21 @@ def truncation(**overrides) -> Iterator[TruncationPolicy]:
     fraction sees the active policy with ``overrides`` applied (field names
     of :class:`TruncationPolicy`); the previous policy is restored on exit,
     also when the block raises.  Scopes nest.  An override that names no
-    field raises ``TypeError``.
+    field raises ``TypeError``; one whose value is not a finite
+    ``rel_tail_cutoff > 0`` or an int ``max_terms >= 0`` raises
+    ``ValueError`` naming the field, before the scope opens.
     """
     for name in overrides:
         if name not in TruncationPolicy._fields:
             raise TypeError(f"truncation() got an unexpected keyword argument {name!r}")
-    token = _POLICY.set(_POLICY.get()._replace(**overrides))
+    cutoff, cap = policy = _POLICY.get()._replace(**overrides)
+    if not (isinstance(cutoff, (int, float)) and 0 < cutoff < math.inf):
+        raise ValueError(f"truncation() needs a finite rel_tail_cutoff > 0, got {cutoff!r}")
+    if not (isinstance(cap, int) and not isinstance(cap, bool) and cap >= 0):
+        raise ValueError(f"truncation() needs an int max_terms >= 0, got {cap!r}")
+    token = _POLICY.set(policy)
     try:
-        yield _POLICY.get()
+        yield policy
     finally:
         _POLICY.reset(token)
 

@@ -118,7 +118,10 @@ def test_cold_start_imports_only_what_it_uses():
     eval_added = (_imported("-m", "qelliptic", "eval", "sn", "--q", "0.05", "--u", "0.4")
                   - _imported("-c", "pass"))
     assert sorted(eval_added.intersection(COLD_START_FREE)) == []
+    # the registry front loads, its case definitions do not: `eval` never reads them
     assert "qelliptic.registry" in eval_added
+    assert "qelliptic._cases" not in eval_added
+    assert "qelliptic._cases" in _imported("-m", "qelliptic", "list")
 
 
 def test_eval_singular_value(capsys):

@@ -25,7 +25,7 @@ from qelliptic.elliptic import (
 )
 from qelliptic.numutil import NonConvergenceError, PoleError, numeric_derivative, term_counter, truncation
 from qelliptic.qseries import qpochhammer, euler_product
-from qelliptic.registry import _eq10_1_rhs
+from qelliptic._cases import _eq10_1_rhs
 
 PI = math.pi
 

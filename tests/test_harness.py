@@ -5,10 +5,10 @@ import importlib
 import io
 import json
 import math
-import sys
 
 import pytest
 
+from qelliptic import _cases
 from qelliptic.harness import (
     CaseResult,
     IdentityCase,
@@ -63,6 +63,16 @@ def test_registry_anchors_resolve():
 
 def test_registry_is_memoized():
     assert registry() is registry()
+
+
+def test_registry_never_caches_duplicate_ids(monkeypatch):
+    # a refused case list is refused again on the next call, not returned
+    monkeypatch.setattr(importlib.import_module("qelliptic.registry"), "_REGISTRY", None)
+    duplicate = make_case(id="DUP")
+    monkeypatch.setattr(_cases, "_build", lambda: (duplicate, duplicate))
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="registry ids must be unique"):
+            registry()
 
 
 def test_unregistered_entries_documented():
@@ -151,7 +161,7 @@ def test_scoped_policy_does_not_leak_into_cached_contexts():
 
 def test_cached_contexts_are_keyed_by_policy():
     # a context cached under the default policy must not answer a capped call
-    cached_context = sys.modules["qelliptic.registry"]._cr
+    cached_context = _cases._cr
     default = cached_context(2.0)
     with truncation(max_terms=3), pytest.raises(NonConvergenceError):
         cached_context(2.0)

@@ -24,6 +24,7 @@ from qelliptic.numutil import (
     term_counter,
     truncation,
 )
+from qelliptic.qseries import euler_product
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +293,32 @@ def test_truncation_refuses_an_unknown_field():
     with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
         with truncation(max_terms=50, bogus=1):
             pass
+    assert current_policy() is DEFAULT_POLICY
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rel_tail_cutoff", -1.0), ("rel_tail_cutoff", 0.0), ("rel_tail_cutoff", math.nan),
+    ("rel_tail_cutoff", math.inf), ("rel_tail_cutoff", "1e-12"),
+    ("max_terms", 2.5), ("max_terms", -1), ("max_terms", True), ("max_terms", None),
+])
+def test_truncation_refuses_an_invalid_value(field, value):
+    # refused when the scope opens, before any loop runs: no factor of
+    # euler_product(0.3) passes a negative or nan cutoff, so it would take all
+    # 100,000, and a float cap would fail inside qpochhammer's range()
+    with term_counter() as count, pytest.raises(ValueError, match=f"{field} .*got {value!r}"):
+        with truncation(**{field: value}):
+            euler_product(0.3)
+    assert count() == 0
+    assert current_policy() is DEFAULT_POLICY
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rel_tail_cutoff", 1e-300), ("rel_tail_cutoff", 1e-12), ("rel_tail_cutoff", 1),
+    ("max_terms", 0), ("max_terms", 1), ("max_terms", 10**9),
+])
+def test_truncation_accepts_a_valid_value(field, value):
+    with truncation(**{field: value}) as policy:
+        assert policy == DEFAULT_POLICY._replace(**{field: value})
     assert current_policy() is DEFAULT_POLICY
 
 
