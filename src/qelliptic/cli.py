@@ -344,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true", help="run every registry case")
     group.add_argument("--id", default=None, help="shell glob over case ids")
     p_verify.add_argument("--tol", type=float, default=None,
-                          help="override every selected case's tolerance")
+                          help="override every selected case's relative tolerance")
     add_common(p_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate one library function")

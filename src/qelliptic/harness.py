@@ -4,10 +4,15 @@ report serialization.
 Each :class:`IdentityCase` names one numerically checkable identity.  Both
 sides are evaluated through *independent* routes (different series, products,
 or continued fractions — never the same code path), and the runner records
-absolute and relative residuals per sample point.
+absolute and relative residuals per sample point.  A sample passes exactly
+when its relative residual ``|lhs - rhs| / max(|lhs|, |rhs|)`` is at most the
+case's tolerance; a zero residual counts as relative 0, so two exact zeros
+pass.  The absolute residual is reported, never judged.
 
 Compare modes
 -------------
+Each mode has its default relative tolerance in :data:`DEFAULT_TOLERANCES`.
+
 ``direct``
     residual on the raw values.
 ``exponentiated``
@@ -205,8 +210,9 @@ def run_case(
             else:
                 cmp_l, cmp_r = lhs_v, rhs_v
             abs_res = abs(cmp_l - cmp_r)
-            rel_res = abs_res / max(abs(cmp_l), abs(cmp_r), 1e-300)
-            passed = abs_res <= tol or rel_res <= tol
+            # a zero residual is relative 0, also where both sides are 0
+            rel_res = abs_res / max(abs(cmp_l), abs(cmp_r)) if abs_res else 0.0
+            passed = rel_res <= tol
         # positional, in field order: one record per sample
         records.append(SampleRecord(
             case_id, dict(params), lhs_v, rhs_v, abs_res, rel_res, passed,
@@ -347,13 +353,15 @@ def report_to_text(report: RegistryReport) -> str:
     """Human-readable per-case summary plus the quarantine listing."""
     lines: list[str] = []
     for result in report.results:
-        case = result.case
+        case, records = result.case, result.records
         worst = result.worst_rel_residual
         mark = "PASS" if result.passed_all else "FAIL"
+        # the tolerance the records were judged against (verify --tol overrides it)
+        tol = records[0].tolerance if records else case.tolerance
         lines.append(
             f"{case.id:22s} {mark:4s} {result.effective_status:17s} "
-            f"worst-rel={worst:.3e} samples={len(result.records)} "
-            f"tol={case.tolerance:g} [{case.compare}]"
+            f"worst-rel={worst:.3e} samples={len(records)} "
+            f"tol={tol:g} [{case.compare}]"
         )
     counts = report.counts
     lines.append(

@@ -398,6 +398,14 @@ def test_verify_tol_override_can_fail_gate(capsys):
     assert rc == 1
 
 
+def test_verify_text_prints_the_tolerance_it_judged_against(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "--id", "EQ7", "--tol", "1e-20")
+    assert rc == 1
+    assert re.search(r"^EQ7 .* tol=1e-20 \[direct\]$", out, re.MULTILINE), out
+    rc, out, _ = run_cli(capsys, "verify", "--id", "EQ7")
+    assert re.search(r"^EQ7 .* tol=1e-10 \[direct\]$", out, re.MULTILINE), out
+
+
 # ---------------------------------------------------------------------------
 # truncation cap
 # ---------------------------------------------------------------------------

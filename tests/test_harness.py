@@ -208,6 +208,23 @@ def test_partial_failure_is_not_auto_quarantined():
     assert result.effective_status == "ACTIVE"
 
 
+@pytest.mark.parametrize("lhs, rhs, rel, passed", [
+    # small sides: a relative error of 1e-8 fails at tol 1e-10, however
+    # small the absolute residual
+    (1e-3, 1e-3 * (1.0 + 1e-8), 1e-8, False),
+    (1e-20, 2e-20, 0.5, False),
+    (0.0, 1e-300, 1.0, False),
+    # a zero residual is relative 0, also between two zeros
+    (0.0, 0.0, 0.0, True),
+    (1e-3, 1e-3, 0.0, True),
+])
+def test_a_sample_passes_on_its_relative_residual_only(lhs, rhs, rel, passed):
+    rec = run_case(make_case(lhs=lambda: lhs, rhs=lambda: rhs, tol=1e-10)).records[0]
+    assert rec.rel_residual == pytest.approx(rel, rel=1e-6)
+    assert rec.abs_residual == abs(lhs - rhs)
+    assert rec.passed is passed
+
+
 def test_records_are_immutable():
     result = run_case(make_case())
     with pytest.raises(AttributeError):
