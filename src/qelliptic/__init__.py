@@ -68,7 +68,6 @@ from .qseries import (
     dirichlet_chi8,
     divisor_count,
     divisor_expand,
-    divisor_sigma,
     divisors,
     euler_product,
     fermi_derivative_constant,

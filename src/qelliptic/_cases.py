@@ -69,6 +69,7 @@ from .thetagen import (
     rr_H,
     rr_cf,
     rr_product,
+    rr_sum,
     u0_cf,
     u0_product,
     u_cf,
@@ -1548,7 +1549,7 @@ def _a147_lhs(q, form):
 
 def _a147_rhs(q, form):
     if form == "quotient":
-        return q ** 0.2 * rr_H(q) / rr_G(q)
+        return rr_sum(q)
     return rr_product(q)
 
 

@@ -4,9 +4,9 @@ The central object is
 
     angle(q, x) = 2 sum_{n>=0} atanh(q^{n+x}),      |q^x| < 1,
 
-together with its Lambert-type rewriting, its exact x-derivative, and the
-affine frame functions that tie a power ``q^a`` to a shifted argument of the
-elliptic expansions.  Powers of complex ``q`` are principal throughout.
+together with its exact x-derivative and the affine frame functions that tie
+a power ``q^a`` to a shifted argument of the elliptic expansions.  Powers of
+complex ``q`` are principal throughout.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import cmath
 
 from .elliptic import EllipticContext
 from .numutil import principal_power, sum_series
-from .thetagen import odd_lambert, odd_ratio_sum
+from .thetagen import odd_ratio_sum
 
 __all__ = [
     "angle_sum",
-    "angle_sum_lambert",
     "angle_derivative",
     "frame_offset",
     "frame_offset_star",
@@ -38,22 +37,6 @@ def angle_sum(q: complex, x: complex) -> complex:
     if abs(qx) >= 1.0:
         raise ValueError("angle sum needs |q^x| < 1")
     return 2.0 * sum_series(lambda n: cmath.atanh(qx * q**n))
-
-
-def angle_sum_lambert(q: complex, x: complex) -> complex:
-    """Same angle as a Lambert-type sum over odd indices:
-
-    ``2 sum_{m>=0} q^{x(2m+1)} / ((2m+1)(1 - q^{2m+1}))``.
-
-    Obtained by expanding each atanh into its odd power series and summing
-    the geometric n-direction first; agrees with :func:`angle_sum` wherever
-    both converge.
-    """
-    q = complex(q)
-    qx = principal_power(q, x)
-    if abs(qx) >= 1.0:
-        raise ValueError("angle sum needs |q^x| < 1")
-    return 2.0 * odd_lambert(qx, q)
 
 
 def angle_derivative(q: complex, a: complex) -> complex:

@@ -80,20 +80,18 @@ def _param(args: argparse.Namespace, name: str) -> float:
 
 def _context(args: argparse.Namespace) -> EllipticContext:
     if args.q is not None:
-        _require(0.0 < abs(args.q) < 1.0, "nome must satisfy 0 < |q| < 1")
         return EllipticContext.from_nome(args.q)
     if args.r is not None:
-        _require(args.r > 0.0, "r must be positive")
         return EllipticContext.from_r(args.r)
     raise PreconditionError("provide --q or --r to fix the elliptic context")
 
 
 def _nome(args: argparse.Namespace) -> float:
     if args.q is not None:
+        # the library's theta nulls accept q = 0; the CLI does not
         _require(0.0 < abs(args.q) < 1.0, "nome must satisfy 0 < |q| < 1")
         return args.q
     if args.r is not None:
-        _require(args.r > 0.0, "r must be positive")
         return nome_from_r(args.r)
     raise PreconditionError("provide --q or --r to fix the nome")
 

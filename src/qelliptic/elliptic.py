@@ -34,8 +34,6 @@ __all__ = [
     "EllipticContext",
     "nome_from_r",
     "singular_alpha",
-    "dK_dk",
-    "dE_dk",
     "dk_dq",
 ]
 
@@ -256,7 +254,7 @@ class EllipticContext(NamedTuple):
 
 def nome_from_r(r: float) -> float:
     """``q = exp(-pi sqrt(r))`` for ``r > 0``."""
-    if r <= 0:
+    if not r > 0:  # also refuses NaN
         raise ValueError("r must be positive")
     return math.exp(-math.pi * math.sqrt(r))
 
@@ -267,16 +265,6 @@ def singular_alpha(r: float) -> float:
     ctx = EllipticContext.from_r(r)
     val = math.pi / (4.0 * ctx.K**2) - math.sqrt(r) * (ctx.E / ctx.K - 1.0)
     return complex(val).real
-
-
-def dK_dk(ctx: EllipticContext) -> complex:
-    """``dK/dk = (E - k'^2 K) / (k k'^2)``."""
-    return (ctx.E - ctx.kprime**2 * ctx.K) / (ctx.k * ctx.kprime**2)
-
-
-def dE_dk(ctx: EllipticContext) -> complex:
-    """``dE/dk = (E - K) / k``."""
-    return (ctx.E - ctx.K) / ctx.k
 
 
 def dk_dq(ctx: EllipticContext) -> complex:

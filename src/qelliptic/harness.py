@@ -62,6 +62,15 @@ DEFAULT_TOLERANCES: Mapping[str, float] = {
 _COMPARE_MODES = frozenset(DEFAULT_TOLERANCES)
 
 
+def _check_tol(tol: float, what: str) -> float:
+    """``tol`` itself if it is a finite number > 0, else ``ValueError``: a
+    NaN, negative or zero tolerance fails every sample that is not exact, and
+    an infinite one passes every sample."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {tol!r}")
+    return tol
+
+
 class _CaseFields(NamedTuple):
     id: str
     description: str
@@ -89,8 +98,8 @@ class IdentityCase(_CaseFields):
             raise ValueError(f"unknown status {self.status!r}")
         if not self.samples:
             raise ValueError(f"case {self.id}: needs at least one sample")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError(f"case {self.id}: tolerance must be positive")
+        if self.tol is not None:
+            _check_tol(self.tol, f"case {self.id}: tolerance")
         return self
 
     @classmethod
@@ -177,7 +186,7 @@ def run_case(
 ) -> CaseResult:
     """Evaluate both sides at each sample; mathematical failures become
     fail records rather than exceptions."""
-    tol = tol_override if tol_override is not None else case.tolerance
+    tol = case.tolerance if tol_override is None else _check_tol(tol_override, "tolerance")
     case_id, compare, lhs, rhs = case.id, case.compare, case.lhs, case.rhs
     clock = time.perf_counter
     records: list[SampleRecord] = []

@@ -87,14 +87,15 @@ def truncation(**overrides) -> Iterator[TruncationPolicy]:
     of :class:`TruncationPolicy`); the previous policy is restored on exit,
     also when the block raises.  Scopes nest.  An override that names no
     field raises ``TypeError``; one whose value is not a finite
-    ``rel_tail_cutoff > 0`` or an int ``max_terms >= 0`` raises
-    ``ValueError`` naming the field, before the scope opens.
+    ``rel_tail_cutoff > 0`` or an int ``max_terms >= 0`` (a bool is
+    neither) raises ``ValueError`` naming the field, before the scope opens.
     """
     for name in overrides:
         if name not in TruncationPolicy._fields:
             raise TypeError(f"truncation() got an unexpected keyword argument {name!r}")
     cutoff, cap = policy = _POLICY.get()._replace(**overrides)
-    if not (isinstance(cutoff, (int, float)) and 0 < cutoff < math.inf):
+    if not (isinstance(cutoff, (int, float)) and not isinstance(cutoff, bool)
+            and 0 < cutoff < math.inf):
         raise ValueError(f"truncation() needs a finite rel_tail_cutoff > 0, got {cutoff!r}")
     if not (isinstance(cap, int) and not isinstance(cap, bool) and cap >= 0):
         raise ValueError(f"truncation() needs an int max_terms >= 0, got {cap!r}")

@@ -23,11 +23,9 @@ __all__ = [
     "divisor_expand",
     "divisors",
     "divisor_count",
-    "divisor_sigma",
     "bernoulli",
     "zeta_value",
     "fermi_derivative_constant",
-    "kronecker_symbol",
     "dirichlet_chi8",
 ]
 
@@ -139,11 +137,6 @@ def divisor_count(n: int) -> int:
     return len(divisors(n))
 
 
-def divisor_sigma(n: int, k: int = 1) -> int:
-    """Divisor power sum ``sigma_k(n) = sum_{d | n} d^k``."""
-    return sum(d**k for d in divisors(n))
-
-
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number ``B_n`` (convention ``B_1 = -1/2``) as an exact fraction.
@@ -214,38 +207,7 @@ def fermi_derivative_constant(nu: int) -> Fraction:
     return 2 * (1 - 2 ** (nu + 1)) * bernoulli(nu + 1) / (nu + 1)
 
 
-def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol ``(a / n)`` by the reciprocity recursion.
-
-    Extends the Jacobi symbol to arbitrary ``n`` via the supplements
-    ``(a / 2) = 0, 1, -1`` for ``a`` even, ``a = +-1 (mod 8)``,
-    ``a = +-3 (mod 8)`` and ``(a / -1) = sign``.
-    """
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            result = -result
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        # quadratic reciprocity for odd coprime pair
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+_CHI8 = (0, -1, 0, -1, 0, 1, 0, 1)
 
 
 def dirichlet_chi8(n: int) -> int:
@@ -253,4 +215,4 @@ def dirichlet_chi8(n: int) -> int:
 
     Equals the Kronecker symbol ``((n + 2) / 8)``.
     """
-    return kronecker_symbol(n + 2, 8)
+    return _CHI8[n % 8]

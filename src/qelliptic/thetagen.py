@@ -53,7 +53,6 @@ __all__ = [
     "cayley",
     "u_cf",
     "u_product",
-    "cayley_u_product",
     "u0_cf",
     "u0_product",
     "cayley_u0_product",
@@ -441,15 +440,6 @@ def u_product(a, b, q) -> complex:
     if abs(s) < 1e-300:
         raise PoleError("u_product: vanishing denominator N + D")
     return (num - den) / s
-
-
-def cayley_u_product(a, b, q) -> complex:
-    """Quotient ``(-a; q) (b; q) / ((a; q) (-b; q))``, the cayley image of
-    the product form of ``U(a, b; q)`` computed without cancellation."""
-    den = qpochhammer(a, q) * qpochhammer(-b, q)
-    if abs(den) < 1e-300:
-        raise PoleError("cayley_u_product: vanishing denominator")
-    return qpochhammer(-a, q) * qpochhammer(b, q) / den
 
 
 def u0_cf(a, q) -> complex:

@@ -8,7 +8,6 @@ import pytest
 from qelliptic.angle import (
     angle_derivative,
     angle_sum,
-    angle_sum_lambert,
     frame_offset,
     frame_offset_star,
     frame_offset_star_scaled,
@@ -26,7 +25,7 @@ from qelliptic.qseries import qpochhammer
 from qelliptic.thetagen import (
     cayley,
     cayley_u0_product,
-    cayley_u_product,
+    odd_lambert,
     u0_cf,
     u0_product,
     u_cf,
@@ -53,11 +52,12 @@ def test_angle_monotone_decay():
     assert all(a > b > 0.0 for a, b in zip(values, values[1:]))
 
 
-# repr of angle_sum_lambert and angle_derivative at negative, complex and deep
-# nomes, from the bodies they had before they called thetagen's kernels.  The
-# lambert value at (-0.6, 0.3) and the slope at (-0.6, 0.5) moved by about an
-# ulp when sum_series took its scale-invariant stop; they are 7.4e-17 and
-# 2.1e-16 relative from 50-digit mpmath (4.5e-17 and 6.3e-17 before).
+# repr of the angle's odd Lambert form (below) and of angle_derivative at
+# negative, complex and deep nomes, from the bodies they had before they called
+# thetagen's kernels.  The lambert value at (-0.6, 0.3) and the slope at
+# (-0.6, 0.5) moved by about an ulp when sum_series took its scale-invariant
+# stop; they are 7.4e-17 and 2.1e-16 relative from 50-digit mpmath (4.5e-17 and
+# 6.3e-17 before).
 _ANGLE_LITERALS = [
     (-0.6, 0.3, (0.35465267461167854+0.8514541132647058j), (-2.0985667380347817-0.4889438739206031j)),
     (-0.6, 0.5, (3.181866621588628e-17+0.7852706509495067j), (-1.6324917209374816-0.2654445351747986j)),
@@ -74,14 +74,20 @@ _ANGLE_LITERALS = [
 ]
 
 
+def _angle_lambert(q, x):
+    """The angle as ``2 sum_{m>=0} q^{x(2m+1)} / ((2m+1)(1 - q^{2m+1}))``."""
+    q = complex(q)
+    return 2.0 * odd_lambert(principal_power(q, x), q)
+
+
 @pytest.mark.parametrize("q, x, lambert, slope", _ANGLE_LITERALS)
 def test_angle_lambert_and_slope_are_bit_identical_to_literals(q, x, lambert, slope):
-    assert angle_sum_lambert(q, x) == lambert
+    assert _angle_lambert(q, x) == lambert
     assert angle_derivative(q, x) == slope
 
 
 def test_angle_sum_equals_lambert_form():
-    assert abs(angle_sum(0.2, 0.7) - angle_sum_lambert(0.2, 0.7)) <= 1e-12
+    assert abs(angle_sum(0.2, 0.7) - _angle_lambert(0.2, 0.7)) <= 1e-12
 
 
 def test_angle_log_product_form():
@@ -242,7 +248,7 @@ def test_angle_difference_is_log_cayley_U():
     # theta(q, a) - theta(q, b) = log(-1 + 2/(1 - U(q^a, q^b; q)))
     q, a, b = 0.2, 0.6, 1.3
     lhs = angle_sum(q, a) - angle_sum(q, b)
-    rhs = cmath.log(cayley_u_product(q**a, q**b, q))
+    rhs = cmath.log(cayley(u_product(q**a, q**b, q)))
     assert abs(lhs - rhs) <= 1e-11
 
 

@@ -193,6 +193,23 @@ def test_eval_domain_error(capsys):
     assert "precondition violated" in err
 
 
+@pytest.mark.parametrize("fn", ["sn", "theta3"])
+@pytest.mark.parametrize("q", ["0", "1.5", "nan"])
+def test_eval_nome_off_the_disk_is_precondition_error(capsys, fn, q):
+    # the context refuses it itself; theta3 is refused by the CLI, as the
+    # library's theta nulls accept q = 0
+    rc, _, err = run_cli(capsys, "eval", fn, "--q", q, "--u", "0.4")
+    assert rc == 2
+    assert "precondition violated: nome must satisfy 0 < |q| < 1" in err
+
+
+@pytest.mark.parametrize("fn", ["alpha", "sn", "theta3"])
+def test_eval_nan_r_blames_r(capsys, fn):
+    rc, _, err = run_cli(capsys, "eval", fn, "--r", "nan", "--u", "0.4")
+    assert rc == 2
+    assert "precondition violated: r must be positive" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -396,6 +413,15 @@ def test_verify_no_match(capsys):
 def test_verify_tol_override_can_fail_gate(capsys):
     rc, _, _ = run_cli(capsys, "verify", "--id", "EQ7", "--tol", "1e-30")
     assert rc == 1
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_verify_refuses_a_tol_that_is_not_positive_and_finite(capsys, tol):
+    # zero, negative and NaN would fail every inexact sample; inf would pass all
+    rc, out, err = run_cli(capsys, "verify", "--all", "--tol", tol)
+    assert rc == 2
+    assert out == ""
+    assert "precondition violated: tolerance must be positive and finite" in err
 
 
 def test_verify_text_prints_the_tolerance_it_judged_against(capsys):

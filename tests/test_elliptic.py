@@ -11,8 +11,6 @@ from assertions import assert_close
 from qelliptic.elliptic import (
     EllipticContext,
     agm,
-    dE_dk,
-    dK_dk,
     dk_dq,
     ellint_E,
     ellint_K,
@@ -332,6 +330,12 @@ def test_nome_from_r():
     assert_close(nome_from_r(2.0), math.exp(-PI * math.sqrt(2.0)), rtol=1e-15)
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+def test_nome_from_r_refuses_r_that_is_not_positive(r):
+    with pytest.raises(ValueError, match="r must be positive"):
+        nome_from_r(r)
+
+
 # ---------------------------------------------------------------------------
 # singular values
 # ---------------------------------------------------------------------------
@@ -433,14 +437,6 @@ def test_k_squared_slope_at_origin():
         modulus_from_nome(q + h) ** 2 - modulus_from_nome(q - h) ** 2
     ) / (2.0 * h)
     assert_close(slope, 16.0, rtol=1e-3)
-
-
-def test_dK_dk_and_dE_dk_match_central_differences():
-    c = EllipticContext.from_modulus(0.4)
-    dK = numeric_derivative(lambda k: ellint_K(k), 0.4)
-    dE = numeric_derivative(lambda k: ellint_E(k), 0.4)
-    assert abs(dK_dk(c) - dK) <= 1e-8
-    assert abs(dE_dk(c) - dE) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

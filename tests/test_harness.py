@@ -239,6 +239,8 @@ def test_records_are_immutable():
     ({"samples": ()}, "case SYN: needs at least one sample"),
     ({"tol": 0.0}, "case SYN: tolerance must be positive"),
     ({"tol": -1e-9}, "case SYN: tolerance must be positive"),
+    ({"tol": math.nan}, "case SYN: tolerance must be positive and finite, got nan"),
+    ({"tol": math.inf}, "case SYN: tolerance must be positive and finite, got inf"),
 ])
 def test_identity_case_is_checked_when_built(bad, message):
     with pytest.raises(ValueError, match=message):

@@ -298,7 +298,7 @@ def test_truncation_refuses_an_unknown_field():
 
 @pytest.mark.parametrize("field, value", [
     ("rel_tail_cutoff", -1.0), ("rel_tail_cutoff", 0.0), ("rel_tail_cutoff", math.nan),
-    ("rel_tail_cutoff", math.inf), ("rel_tail_cutoff", "1e-12"),
+    ("rel_tail_cutoff", math.inf), ("rel_tail_cutoff", "1e-12"), ("rel_tail_cutoff", True),
     ("max_terms", 2.5), ("max_terms", -1), ("max_terms", True), ("max_terms", None),
 ])
 def test_truncation_refuses_an_invalid_value(field, value):

@@ -15,11 +15,9 @@ from qelliptic.qseries import (
     dirichlet_chi8,
     divisor_count,
     divisor_expand,
-    divisor_sigma,
     divisors,
     euler_product,
     fermi_derivative_constant,
-    kronecker_symbol,
     lambert_sum,
     qpochhammer,
     zeta_value,
@@ -209,13 +207,6 @@ def test_divisor_count_values():
     assert divisor_count(12) == 6
 
 
-def test_divisor_sigma_values():
-    assert divisor_sigma(1) == 1
-    assert divisor_sigma(6) == 12
-    assert divisor_sigma(10) == 18
-    assert divisor_sigma(4, 2) == 1 + 4 + 16
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli, zeta, Fermi derivative constants
 # ---------------------------------------------------------------------------
@@ -282,33 +273,7 @@ def test_chi8_character_table():
 
 
 def test_chi8_period():
-    for n in range(1, 40):
+    # negative n included: -1 = 7 (mod 8), so chi8(-1) = chi8(7) = 1
+    assert [dirichlet_chi8(n) for n in range(-8, 0)] == [0, -1, 0, -1, 0, 1, 0, 1]
+    for n in range(-40, 40):
         assert dirichlet_chi8(n) == dirichlet_chi8(n + 8)
-
-
-def _jacobi_by_euler(a, n):
-    """Jacobi symbol (a/n), odd n: the product over the prime factors p of n
-    (with multiplicity) of Euler's criterion a^((p-1)/2) mod p."""
-    out, p = 1, 3
-    while n > 1:
-        while n % p == 0:
-            r = pow(a % p, (p - 1) // 2, p)
-            out *= -1 if r == p - 1 else r
-            n //= p
-        p += 2
-    return out
-
-
-def test_kronecker_agrees_with_euler_criterion():
-    for a in range(-12, 13):
-        for n in range(1, 16, 2):
-            assert kronecker_symbol(a, n) == _jacobi_by_euler(a, n)
-
-
-def test_kronecker_two_supplement():
-    # (a/2) = 0 for even a, +1 for a = +-1 (mod 8), -1 for a = +-3 (mod 8)
-    assert kronecker_symbol(4, 2) == 0
-    assert kronecker_symbol(1, 2) == 1
-    assert kronecker_symbol(7, 2) == 1
-    assert kronecker_symbol(3, 2) == -1
-    assert kronecker_symbol(5, 2) == -1

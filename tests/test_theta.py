@@ -25,7 +25,6 @@ from qelliptic.thetagen import (
     agile_plus,
     cayley,
     cayley_u0_product,
-    cayley_u_product,
     odd_lambert,
     ramanujan_quantity,
     restricted_divisor_log,
