@@ -14,6 +14,7 @@ wins over it.  All output is deterministic and locale-independent.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import sys
@@ -39,6 +40,8 @@ from .fourier import (
     jacobi_sn,
 )
 from .harness import (
+    _to_csv,
+    _to_json,
     format_complex,
     report_to_csv,
     report_to_json,
@@ -203,10 +206,25 @@ def _diagnostic_eval(fn: Callable[[], complex]) -> tuple[complex, int, float]:
     return value, count(), abs(value - coarse_value)
 
 
-def _print_json(value: object, indent: int | None = None) -> None:
-    import json  # imported on first use: only --format json needs it
+def _evaluate(fn: Callable[[argparse.Namespace], complex], args: argparse.Namespace) -> complex:
+    """``fn(args)`` as a complex number.  A non-finite value (say a product
+    of two finite factors that overflows) is a failed evaluation."""
+    value = complex(fn(args))
+    if not cmath.isfinite(value):
+        raise OverflowError(f"value is not finite: {format_complex(value)}")
+    return value
 
-    print(json.dumps(value, indent=indent))
+
+def _emit(args: argparse.Namespace, doc: object, rows: list[dict], lines: list[str]) -> None:
+    """Print ``doc`` as JSON, ``rows`` as CSV or ``lines`` as text, as
+    ``--format`` asks."""
+    if args.format == "json":
+        print(_to_json(doc))
+    elif args.format == "csv":
+        print(_to_csv(rows), end="")
+    else:
+        for line in lines:
+            print(line)
 
 
 def _sample_override(args: argparse.Namespace) -> dict[str, float]:
@@ -236,18 +254,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     fn = EVAL_FUNCTIONS[args.fn]
-    value, used, est_tail = _diagnostic_eval(lambda: complex(fn(args)))
+    value, used, est_tail = _diagnostic_eval(lambda: _evaluate(fn, args))
     row = {"fn": args.fn, "value": format_complex(value),
            "terms_used": used, "est_tail": est_tail}
-    if args.format == "json":
-        _print_json(row)
-    elif args.format == "csv":
-        print(",".join(row))
-        print(",".join(str(v) for v in row.values()))
-    else:
-        print(f"value={format_complex(value)}")
-        print(f"terms_used={used}")
-        print(f"est_tail={est_tail:.3e}")
+    _emit(args, row, [row], [f"value={row['value']}", f"terms_used={used}",
+                             f"est_tail={est_tail:.3e}"])
     return 0
 
 
@@ -278,20 +289,12 @@ def cmd_table(args: argparse.Namespace) -> int:
     for v in values:
         setattr(args, param, v)
         with term_counter() as count:
-            value = complex(fn(args))
+            value = _evaluate(fn, args)
         rows.append({param: format_complex(complex(v)),
                      "value": format_complex(value),
                      "terms_used": count()})
-    if args.format == "json":
-        _print_json(rows)
-    elif args.format == "csv":
-        print(f"{param},value,terms_used")
-        for row in rows:
-            print(f"{row[param]},{row['value']},{row['terms_used']}")
-    else:
-        for row in rows:
-            print(f"{param}={row[param]}  value={row['value']}  "
-                  f"terms_used={row['terms_used']}")
+    _emit(args, rows, rows, [f"{param}={row[param]}  value={row['value']}  "
+                             f"terms_used={row['terms_used']}" for row in rows])
     return 0
 
 
@@ -300,24 +303,12 @@ def cmd_list(args: argparse.Namespace) -> int:
 
     id_filter = args.id or "*"
     cases = [c for c in registry() if fnmatch.fnmatchcase(c.id, id_filter)]
-    if args.format == "json":
-        _print_json([{
-            "id": c.id,
-            "status": c.status,
-            "compare": c.compare,
-            "samples": len(c.samples),
-            "tolerance": c.tolerance,
-            "description": c.description,
-        } for c in cases], indent=2)
-    elif args.format == "csv":
-        print("id,status,compare,samples,tolerance,description")
-        for c in cases:
-            desc = c.description.replace('"', '""')
-            print(f'{c.id},{c.status},{c.compare},{len(c.samples)},{c.tolerance:g},"{desc}"')
-    else:
-        for c in cases:
-            print(f"{c.id:22s} {c.status:12s} {c.compare:13s} "
-                  f"samples={len(c.samples)} tol={c.tolerance:g}  {c.description}")
+    rows = [{"id": c.id, "status": c.status, "compare": c.compare,
+             "samples": len(c.samples), "tolerance": c.tolerance,
+             "description": c.description} for c in cases]
+    _emit(args, rows, rows, [
+        f"{c.id:22s} {c.status:12s} {c.compare:13s} "
+        f"samples={len(c.samples)} tol={c.tolerance:g}  {c.description}" for c in cases])
     return 0
 
 

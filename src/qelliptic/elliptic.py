@@ -253,9 +253,9 @@ class EllipticContext(NamedTuple):
 
 
 def nome_from_r(r: float) -> float:
-    """``q = exp(-pi sqrt(r))`` for ``r > 0``."""
-    if not r > 0:  # also refuses NaN
-        raise ValueError("r must be positive")
+    """``q = exp(-pi sqrt(r))`` for finite ``r > 0``."""
+    if not 0.0 < r < math.inf:  # also refuses NaN; r = inf would give q = 0
+        raise ValueError(f"r must be positive and finite, got {r!r}")
     return math.exp(-math.pi * math.sqrt(r))
 
 

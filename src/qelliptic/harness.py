@@ -26,6 +26,9 @@ Each mode has its default relative tolerance in :data:`DEFAULT_TOLERANCES`.
 A case whose residual exceeds tolerance at **every** sample is auto-flagged
 as quarantined in the report (never silently patched); pre-quarantined cases
 run and report but are excluded from the pass/fail gate.
+
+A :class:`SampleRecord` holds what differs per sample; its :class:`CaseResult`
+holds the case (and so its compare mode) and the tolerance judged against.
 """
 
 from __future__ import annotations
@@ -114,7 +117,8 @@ class IdentityCase(_CaseFields):
 
 class SampleRecord(NamedTuple):
     """Residuals of one case at one sample point (an immutable named tuple:
-    one is built per sample, so it must be cheap)."""
+    one is built per sample, so it must be cheap).  Its tolerance and compare
+    mode are per case, on its :class:`CaseResult`."""
 
     case_id: str
     params: Mapping[str, Any]
@@ -123,16 +127,18 @@ class SampleRecord(NamedTuple):
     abs_residual: float
     rel_residual: float
     passed: bool
-    tolerance: float
-    compare: str
     terms_used: int
     wall_time_ms: float
     error: str = ""
 
 
 class CaseResult(NamedTuple):
+    """One case's records and the relative tolerance they were judged
+    against: the case's own, or a run's override (``verify --tol``)."""
+
     case: IdentityCase
     records: tuple[SampleRecord, ...]
+    tolerance: float
 
     @property
     def passed_all(self) -> bool:
@@ -225,9 +231,9 @@ def run_case(
         # positional, in field order: one record per sample
         records.append(SampleRecord(
             case_id, dict(params), lhs_v, rhs_v, abs_res, rel_res, passed,
-            tol, compare, used(), wall, err,
+            used(), wall, err,
         ))
-    return CaseResult(case, tuple(records))
+    return CaseResult(case, tuple(records), tol)
 
 
 def run_registry(
@@ -280,7 +286,7 @@ def format_complex(z: complex | None) -> str:
     return "%.16g%s%.16gj" % (z.real, sign, abs(z.imag))
 
 
-def _record_row(rec: SampleRecord, effective_status: str) -> dict[str, Any]:
+def _record_row(rec: SampleRecord, result: CaseResult) -> dict[str, Any]:
     return {
         "id": rec.case_id,
         "params": {k: format_complex(complex(v)) if isinstance(v, complex) else v
@@ -290,87 +296,82 @@ def _record_row(rec: SampleRecord, effective_status: str) -> dict[str, Any]:
         "abs_residual": rec.abs_residual,
         "rel_residual": rec.rel_residual,
         "pass": rec.passed,
-        "tolerance": rec.tolerance,
-        "compare": rec.compare,
-        "status": effective_status,
+        "tolerance": result.tolerance,
+        "compare": result.case.compare,
+        "status": result.effective_status,
         "terms_used": rec.terms_used,
         "wall_time_ms": round(rec.wall_time_ms, 3),
         "error": rec.error,
     }
 
 
+def _record_rows(report: RegistryReport) -> list[dict[str, Any]]:
+    return [_record_row(rec, result) for result in report.results for rec in result.records]
+
+
 def _json_value(value: Any) -> Any:
-    """``value`` with every non-finite float in it, also inside a dict,
-    replaced by ``None``: JSON (RFC 8259) has no Infinity or NaN."""
+    """``value`` with every non-finite float in it, also inside a dict or a
+    list, replaced by ``None``: JSON (RFC 8259) has no Infinity or NaN."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
     return value
+
+
+def _to_json(value: Any) -> str:
+    """``value`` as strict, compact JSON (no indent), a non-finite float as
+    ``null``: the one JSON writer of reports and of the command line."""
+    import json  # imported on first use: text output never needs it
+
+    return json.dumps(_json_value(value), allow_nan=False)
+
+
+def _to_csv(rows: Sequence[Mapping[str, Any]]) -> str:
+    """``rows`` as CSV with minimal quoting and bare newline line ends,
+    under a header of the first row's keys (no rows, no header): the one CSV
+    writer of reports and of the command line."""
+    import csv  # imported on first use: text output never needs it
+
+    buf = io.StringIO()
+    if rows:
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return buf.getvalue()
 
 
 def report_to_json(report: RegistryReport) -> str:
     """The report as strict JSON.  A non-finite residual (an error record's,
     whose ``error`` field gives the reason) is written as ``null``."""
-    import json  # imported on first use: a verify run in text form never needs it
-
-    rows = []
-    for result in report.results:
-        for rec in result.records:
-            rows.append(_json_value(_record_row(rec, result.effective_status)))
-    payload = {
-        "records": rows,
+    return _to_json({
+        "records": _record_rows(report),
         "counts": report.counts,
         "gate_passed": report.gate_passed,
         "wall_time_ms": round(report.wall_time_ms, 3),
-    }
-    return json.dumps(payload, indent=2, sort_keys=False, allow_nan=False)
-
-
-_CSV_COLUMNS = [
-    "id",
-    "params",
-    "lhs",
-    "rhs",
-    "abs_residual",
-    "rel_residual",
-    "pass",
-    "tolerance",
-    "compare",
-    "status",
-    "terms_used",
-    "wall_time_ms",
-    "error",
-]
+    })
 
 
 def report_to_csv(report: RegistryReport) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for result in report.results:
-        for rec in result.records:
-            row = _record_row(rec, result.effective_status)
-            row["params"] = ";".join(f"{k}={v}" for k, v in row["params"].items())
-            writer.writerow(row)
-    return buf.getvalue()
+    """One CSV row per sample record, its parameters joined as ``k=v;...``."""
+    rows = _record_rows(report)
+    for row in rows:
+        row["params"] = ";".join(f"{k}={v}" for k, v in row["params"].items())
+    return _to_csv(rows)
 
 
 def report_to_text(report: RegistryReport) -> str:
     """Human-readable per-case summary plus the quarantine listing."""
     lines: list[str] = []
     for result in report.results:
-        case, records = result.case, result.records
-        worst = result.worst_rel_residual
+        case = result.case
         mark = "PASS" if result.passed_all else "FAIL"
-        # the tolerance the records were judged against (verify --tol overrides it)
-        tol = records[0].tolerance if records else case.tolerance
         lines.append(
             f"{case.id:22s} {mark:4s} {result.effective_status:17s} "
-            f"worst-rel={worst:.3e} samples={len(records)} "
-            f"tol={tol:g} [{case.compare}]"
+            f"worst-rel={result.worst_rel_residual:.3e} samples={len(result.records)} "
+            f"tol={result.tolerance:g} [{case.compare}]"
         )
     counts = report.counts
     lines.append(

@@ -7,6 +7,7 @@ theta layers are built on top of these primitives.
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
@@ -36,7 +37,9 @@ def qpochhammer(a: complex, q: complex, n: int | None = None) -> complex:
     ``n=None`` gives the infinite product, which converges for ``|q| < 1``.
     It stops at the first factor with ``|a q^k| |q| / (1 - |q|)`` at most
     the active policy's ``rel_tail_cutoff``: that geometric series bounds the
-    relative effect of every factor left out.
+    relative effect of every factor left out.  A product that is not finite
+    there (it overflowed on the way, which no later factor undoes) raises
+    :class:`NonConvergenceError`, as a non-finite partial sum does.
     """
     a = complex(a)
     q = complex(q)
@@ -63,6 +66,8 @@ def qpochhammer(a: complex, q: complex, n: int | None = None) -> complex:
         prod *= 1.0 - factor_dev
         if abs(factor_dev) <= negligible:
             _bump_terms(used)
+            if not cmath.isfinite(prod):
+                raise NonConvergenceError(f"q-Pochhammer product is {prod} after {used} factors")
             return prod
         qk *= q
     raise NonConvergenceError(f"q-Pochhammer product did not converge in {pol.max_terms} factors")

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, formats, golden values, truncation cap."""
 
 import ast
+import csv
+import io
 import json
 import math
 import os
@@ -171,14 +173,50 @@ def test_eval_json_format(capsys):
     assert abs(float(doc["value"]) - 0.5231861892435733) < 1e-12
 
 
-def test_eval_csv_format_is_one_row_of_the_json_fields(capsys):
-    rc, out, _ = run_cli(capsys, "eval", "sn", "--q", "0.05", "--u", "0.4", "--format", "csv")
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _csv_cell(value) -> str:
+    """A JSON value as the CSV writer writes it."""
+    return "" if value is None else str(value)
+
+
+FORMAT_COMMANDS = [
+    (("verify", "--id", "EQ7"),
+     "id,params,lhs,rhs,abs_residual,rel_residual,pass,tolerance,compare,status,"
+     "terms_used,wall_time_ms,error",
+     {"id": "EQ7", "pass": "True", "status": "ACTIVE"}),
+    (("eval", "sn", "--q", "0.05", "--u", "0.4"),
+     "fn,value,terms_used,est_tail",
+     {"fn": "sn", "value": "0.3841811341538737"}),
+    (("table", "k"), "r,value,terms_used", {"r": "1", "value": "0.7071067811865475"}),
+    (("list", "--id", "T5"),
+     "id,status,compare,samples,tolerance,description",
+     {"id": "T5", "status": "ACTIVE"}),
+]
+
+
+@pytest.mark.parametrize("argv, header, first", FORMAT_COMMANDS,
+                         ids=[argv[0] for argv, _, _ in FORMAT_COMMANDS])
+def test_csv_format_is_the_json_rows(capsys, argv, header, first):
+    rc, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert rc == 0
-    _, doc_out, _ = run_cli(capsys, "eval", "sn", "--q", "0.05", "--u", "0.4", "--format", "json")
-    doc = json.loads(doc_out)
-    header, row = out.splitlines()
-    assert header == "fn,value,terms_used,est_tail"
-    assert row.split(",") == ["sn", "0.3841811341538737", str(doc["terms_used"]), str(doc["est_tail"])]
+    doc = json.loads(out, parse_constant=_reject_constant)
+    rc, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert rc == 0
+    assert out.splitlines()[0] == header
+    if argv[0] == "verify":
+        want = [{**rec, "params": ";".join(f"{k}={v}" for k, v in rec["params"].items())}
+                for rec in doc["records"]]
+    else:
+        want = [doc] if argv[0] == "eval" else doc
+    got = list(csv.DictReader(io.StringIO(out)))
+    assert got[0].items() >= first.items()
+    # a record's wall time differs from run to run
+    assert ([{k: v for k, v in row.items() if k != "wall_time_ms"} for row in got]
+            == [{k: _csv_cell(v) for k, v in row.items() if k != "wall_time_ms"}
+                for row in want])
 
 
 def test_eval_missing_parameter_is_precondition_error(capsys):
@@ -226,6 +264,36 @@ def test_eval_arithmetic_failure_is_evaluation_failure(capsys, argv):
     # the OverflowError's own message follows the prefix
     assert err in ("evaluation failed: math range error\n",
                    "evaluation failed: complex exponentiation\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # (-0.99; 0.999)_inf and (-0.5; 0.999)_inf overflow to nan
+    ("U", "--a", "0.99", "--b", "0", "--q", "0.999"),
+    ("agile-plus", "--a", "0.5", "--p", "1", "--q", "0.999"),
+])
+def test_eval_overflowing_product_is_evaluation_failure(capsys, argv):
+    rc, out, err = run_cli(capsys, "eval", *argv, "--format", "json")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("evaluation failed: q-Pochhammer product is (nan+nanj)")
+
+
+@pytest.mark.parametrize("command", ["eval", "table"])
+def test_non_finite_value_is_evaluation_failure(capsys, monkeypatch, command):
+    # the backstop behind the library's own checks
+    monkeypatch.setattr(cli, "_ghost_sum", lambda x: complex(math.inf))
+    rc, out, err = run_cli(capsys, command, "ghost-sum", "--x", "1.0")
+    assert rc == 1
+    assert out == ""
+    assert err == "evaluation failed: value is not finite: inf\n"
+
+
+@pytest.mark.parametrize("fn", ["sn", "theta3"])
+def test_eval_infinite_r_blames_r(capsys, fn):
+    rc, out, err = run_cli(capsys, "eval", fn, "--r", "inf", "--u", "0.4")
+    assert rc == 2
+    assert out == ""
+    assert err == "precondition violated: r must be positive and finite, got inf\n"
 
 
 def test_eval_zero_division_is_evaluation_failure(capsys, monkeypatch):
@@ -383,10 +451,6 @@ def test_verify_all_under_an_r_override_prints_its_report(capsys):
     assert isinstance(rc, int)
     assert re.search(r"^-- \d+ active pass-gated, \d+ quarantined, \d+ auto-quarantined; gate=",
                      out, re.MULTILINE)
-
-
-def _reject_constant(name):
-    raise ValueError(f"non-standard JSON constant {name}")
 
 
 @pytest.mark.parametrize("r, printed", [("0.05", 0.05), ("inf", None)])

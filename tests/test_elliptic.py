@@ -336,6 +336,12 @@ def test_nome_from_r_refuses_r_that_is_not_positive(r):
         nome_from_r(r)
 
 
+def test_nome_from_r_refuses_infinite_r():
+    # exp(-inf) = 0 is no nome: every theta null would read its q = 0 value
+    with pytest.raises(ValueError, match="r must be positive and finite, got inf"):
+        nome_from_r(math.inf)
+
+
 # ---------------------------------------------------------------------------
 # singular values
 # ---------------------------------------------------------------------------

@@ -274,10 +274,10 @@ def test_records_refuse_assignment(name):
 def test_sample_record_fields():
     assert SampleRecord._fields == (
         "case_id", "params", "lhs", "rhs", "abs_residual", "rel_residual",
-        "passed", "tolerance", "compare", "terms_used", "wall_time_ms", "error",
+        "passed", "terms_used", "wall_time_ms", "error",
     )
     assert SampleRecord._field_defaults == {"error": ""}
-    assert CaseResult._fields == ("case", "records")
+    assert CaseResult._fields == ("case", "records", "tolerance")
 
 
 def test_case_result_properties_on_a_mixed_case():
@@ -296,7 +296,7 @@ def test_case_result_properties_on_a_mixed_case():
         lhs=lambda v: 1.0 + v, rhs=lambda v: 1.0, samples=mixed.samples,
         status="QUARANTINED"))
     assert quarantined.effective_status == "QUARANTINED"
-    assert CaseResult(mixed, ()).worst_rel_residual == math.inf
+    assert CaseResult(mixed, (), mixed.tolerance).worst_rel_residual == math.inf
 
 
 def test_exponentiated_mode_forgives_period_shifts():

@@ -75,6 +75,13 @@ def test_qpochhammer_rejects_big_nome():
         qpochhammer(0.5, 1.0)
 
 
+def test_qpochhammer_refuses_a_product_that_overflows():
+    # (-0.99; 0.999)_inf grows past the double range (inf * complex -> nan)
+    # long before its factors reach 1, and no later factor brings it back
+    with pytest.raises(NonConvergenceError, match=r"q-Pochhammer product is \(nan\+nanj\)"):
+        qpochhammer(-0.99, 0.999)
+
+
 def _draws(rng, count, *ranges):
     """``count`` seeded uniform draws over the box ``ranges``, after every
     corner-or-zero point of it."""
