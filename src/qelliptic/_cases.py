@@ -22,6 +22,7 @@ from .angle import (
 )
 from .elliptic import (
     EllipticContext,
+    agm,
     dk_dq,
     ellint_E,
     ellint_K,
@@ -109,6 +110,13 @@ def _cy(y: float) -> EllipticContext:
 @_per_policy
 def _cnegy(y: float) -> EllipticContext:
     return EllipticContext.from_nome(-math.exp(-2.0 * pi * y))
+
+
+def _agm_K(ctx: EllipticContext) -> complex:
+    """K by the AGM from the context's own k', ``pi / (2 agm(1, k'))``: the
+    route ``ellint_K(ctx.k)`` forms ``sqrt(1 - k^2)`` again, which cancels as
+    k -> 1 and is 0, a pole, once k rounds to 1."""
+    return pi / (2.0 * agm(1.0, ctx.kprime))
 
 
 def _weight(kind: str):
@@ -1650,7 +1658,7 @@ def _a161_lhs(a, p, q):
 def _a161_rhs(a, p, q):
     return (cmath.log(euler_product(q ** p))
             - restricted_divisor_log(q, p, [a, p - a], odd_only=False,
-                                     alternating=True, multiset=True))
+                                     x=-1.0, multiset=True))
 
 
 def _a161_printed_rhs(a, p, q):
@@ -1670,7 +1678,7 @@ def _a163_lhs(a, p, q):
 
 
 def _a163_rhs(a, p, q):
-    return -restricted_divisor_log(q, p, [a, p - a], odd_only=False, alternating=True)
+    return -restricted_divisor_log(q, p, [a, p - a], odd_only=False, x=-1.0)
 
 
 def _a164_lhs(a, p, q):
@@ -1689,7 +1697,7 @@ def _a165_lhs(a, p, q, eps):
 def _a165_rhs(a, p, q, eps):
     if eps > 0:
         return -restricted_divisor_log(q, p, [a], odd_only=False)
-    return -restricted_divisor_log(q, p, [a], odd_only=False, alternating=True)
+    return -restricted_divisor_log(q, p, [a], odd_only=False, x=-1.0)
 
 
 def _a166_lhs(a, b, p, q, eps):
@@ -1798,7 +1806,7 @@ def _build() -> tuple[IdentityCase, ...]:
            {"x": 0.8, "fn": "K"}, {"x": 0.8, "fn": "E"})),
         C("EQ10.2", "quarter-period ratio at the nome e^{-pi sqrt(r)} is sqrt(r)",
           "qelliptic.elliptic.EllipticContext.from_r",
-          lambda r: ellint_K(_cr(r).kprime) / ellint_K(_cr(r).k),
+          lambda r: ellint_K(_cr(r).kprime) / _agm_K(_cr(r)),
           lambda r: math.sqrt(r),
           ({"r": 1.0}, {"r": 2.0}, {"r": 3.0}, {"r": 4.0})),
         C("EQ11", "nome-derivative of the averaged Lambert sum equals a csch^2 series",
@@ -1899,7 +1907,7 @@ def _build() -> tuple[IdentityCase, ...]:
           ({"x": 0.3}, {"x": 0.62})),
         C("EQ34", "quarter-period ratio between negated and plain nome is k'",
           "qelliptic.elliptic.EllipticContext.from_nome",
-          lambda r: ellint_K(_cneg(r).k) / ellint_K(_cr(r).k),
+          lambda r: _agm_K(_cneg(r)) / _agm_K(_cr(r)),
           lambda r: _cr(r).kprime,
           ({"r": 1.0}, {"r": 2.0})),
         C("P3", "negated-nome sn equals k' times an argument-scaled sd",

@@ -5,10 +5,13 @@ Four commands: ``verify`` runs the identity registry and reports residuals,
 convergence diagnostics, ``table`` sweeps one parameter and emits a value
 table, and ``list`` enumerates the registry.
 
-Exit codes: 0 success, 1 verification or evaluation failure, 2 malformed
-configuration or a violated precondition (the message names it).  The only
-environment override is ``QELLIPTIC_MAX_TERMS``; the ``--max-terms`` flag
-wins over it.  All output is deterministic and locale-independent.
+Exit codes: 0 success; 1 a failed verification gate or a failed evaluation
+(a ``NonConvergenceError``, or an ``ArithmeticError`` such as an overflow);
+2 malformed configuration, a violated precondition or a pole (a
+``ValueError`` or a ``PoleError``; the message names it).  The exception's
+type alone decides the code.  The only environment override is
+``QELLIPTIC_MAX_TERMS``; the ``--max-terms`` flag wins over it.  All output
+is deterministic and locale-independent.
 """
 
 from __future__ import annotations
@@ -66,13 +69,9 @@ __all__ = ["main", "EVAL_FUNCTIONS"]
 PARAM_FLAGS = ("q", "r", "u", "a", "b", "p", "x", "y")
 
 
-class PreconditionError(Exception):
-    """A CLI-level domain violation; the message names the precondition."""
-
-
 def _require(cond: bool, text: str) -> None:
     if not cond:
-        raise PreconditionError(text)
+        raise ValueError(text)
 
 
 def _param(args: argparse.Namespace, name: str) -> float:
@@ -86,7 +85,7 @@ def _context(args: argparse.Namespace) -> EllipticContext:
         return EllipticContext.from_nome(args.q)
     if args.r is not None:
         return EllipticContext.from_r(args.r)
-    raise PreconditionError("provide --q or --r to fix the elliptic context")
+    raise ValueError("provide --q or --r to fix the elliptic context")
 
 
 def _nome(args: argparse.Namespace) -> float:
@@ -96,7 +95,7 @@ def _nome(args: argparse.Namespace) -> float:
         return args.q
     if args.r is not None:
         return nome_from_r(args.r)
-    raise PreconditionError("provide --q or --r to fix the nome")
+    raise ValueError("provide --q or --r to fix the nome")
 
 
 def _ghost_sum(x: float) -> complex:
@@ -266,13 +265,13 @@ def _parse_sweep(text: str) -> tuple[str, tuple[float, ...]]:
     name, sep, rest = text.partition("=")
     name = name.strip()
     if not sep or name not in PARAM_FLAGS or not rest:
-        raise PreconditionError(
+        raise ValueError(
             f"malformed range {text!r}: expected <param>=v1,v2,... "
             f"with param in {'/'.join(PARAM_FLAGS)}")
     try:
         values = tuple(float(v) for v in rest.split(","))
     except ValueError:
-        raise PreconditionError(f"malformed range {text!r}: values must be numbers")
+        raise ValueError(f"malformed range {text!r}: values must be numbers") from None
     return name, values
 
 
@@ -283,7 +282,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     elif args.fn in DEFAULT_SWEEPS:
         param, values = DEFAULT_SWEEPS[args.fn]
     else:
-        raise PreconditionError(
+        raise ValueError(
             f"malformed range: {args.fn} has no default sweep; pass --sweep param=v1,v2,...")
     rows = []
     for v in values:
@@ -365,7 +364,7 @@ def _max_terms(args: argparse.Namespace) -> dict[str, int]:
         try:
             cap = int(env)
         except ValueError:
-            raise PreconditionError(f"{source} must be an integer, got {env!r}")
+            raise ValueError(f"{source} must be an integer, got {env!r}") from None
     _require(cap > 0, f"{source} must be positive, got {cap}")
     return {"max_terms": cap}
 
@@ -382,10 +381,10 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "table":
                 return cmd_table(args)
             return cmd_list(args)
-    except (PreconditionError, ValueError, PoleError) as exc:
+    except (ValueError, PoleError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergenceError, ZeroDivisionError, OverflowError) as exc:
+    except (ArithmeticError, NonConvergenceError) as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return 1
 

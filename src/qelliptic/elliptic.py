@@ -241,10 +241,9 @@ class EllipticContext(NamedTuple):
         """Context from a real modulus ``0 < k < 1`` via ``q = exp(-pi K'/K)``."""
         if not 0.0 < k < 1.0:
             raise ValueError("modulus must lie in (0, 1)")
-        kp = math.sqrt(1.0 - k * k)
-        K = ellint_K(k).real
-        Kp = ellint_K(kp).real
-        return cls.from_nome(math.exp(-math.pi * Kp / K), z=0.5j * Kp / K)
+        # K'/K = agm(1, k') / agm(1, k), with k' formed once
+        ratio = (agm(1.0, math.sqrt(1.0 - k * k)) / agm(1.0, k)).real
+        return cls.from_nome(math.exp(-math.pi * ratio), z=0.5j * ratio)
 
     @property
     def half_period_w(self) -> complex:

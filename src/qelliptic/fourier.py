@@ -120,20 +120,24 @@ def _theta_quotient(name: str, ctx: EllipticContext, u: complex, null_top: compl
     with the ``q^(1/4)`` of ``theta1(w)``, ``theta2(w)`` carried by the nulls
     (DLMF 22.2).  Real where ``q`` and ``u`` are.
 
-    Raises :class:`~qelliptic.numutil.PoleError` where ``u/K = 2w/pi =
-    alpha + beta tau`` (``q = e^(i pi tau)``, real ``alpha``, ``beta``) is within
-    ``1e-12 max(1, |u/K|)`` of a zero of ``theta_bottom(w)``: ``theta4(w)``
-    vanishes at even ``alpha`` and odd ``beta``, ``theta3(w)`` where both are odd.
-    Raises ``OverflowError`` where the nulls' ratio, ``theta_bottom(w)`` or the
-    value leaves the double range: the nulls have no zeros in the disk and the
-    zeros of ``theta_bottom(w)`` are refused as poles, so a 0 there has
-    underflowed (``theta4(0.999)`` is about 1e-1069).
+    Raises ``OverflowError`` where ``|u/K| >= 1e12``: a double does not
+    resolve ``u/K`` modulo the periods there, so no value and no pole can be
+    told apart.  Raises :class:`~qelliptic.numutil.PoleError` where ``u/K =
+    2w/pi = alpha + beta tau`` (``q = e^(i pi tau)``, real ``alpha``, ``beta``)
+    is within ``1e-12 max(1, |u/K|)`` of a zero of ``theta_bottom(w)``:
+    ``theta4(w)`` vanishes at even ``alpha`` and odd ``beta``, ``theta3(w)``
+    where both are odd.  Raises ``OverflowError`` where the nulls' ratio,
+    ``theta_bottom(w)`` or the value leaves the double range: the nulls have no
+    zeros in the disk and the zeros of ``theta_bottom(w)`` are refused as
+    poles, so a 0 there has underflowed (``theta4(0.999)`` is about 1e-1069).
     """
     u = complex(u)
     q = ctx.q
     log_q = cmath.log(q)
     w = ctx.half_period_w * u
     t, tau = 2.0 * w / math.pi, log_q / (1j * math.pi)
+    if not abs(t) < 1e12:
+        raise OverflowError(f"{name}: u/K = {t} is not resolved in double precision")
     beta = t.imag / tau.imag
     alpha = t.real - beta * tau.real - (bottom == 3)
     off = alpha - 2.0 * round(alpha / 2.0) + (beta - 1.0 - 2.0 * round((beta - 1.0) / 2.0)) * tau

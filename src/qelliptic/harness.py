@@ -40,7 +40,7 @@ import math
 import time
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .numutil import NonConvergenceError, PoleError, term_counter
+from .numutil import NonConvergenceError, term_counter
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -190,8 +190,9 @@ def run_case(
     samples: Sequence[Mapping[str, Any]] | None = None,
     tol_override: float | None = None,
 ) -> CaseResult:
-    """Evaluate both sides at each sample; mathematical failures become
-    fail records rather than exceptions."""
+    """Evaluate both sides at each sample; a mathematical failure (an
+    ``ArithmeticError``, a ``NonConvergenceError`` or a ``ValueError``)
+    becomes a fail record naming the exception's type, not an exception."""
     tol = case.tolerance if tol_override is None else _check_tol(tol_override, "tolerance")
     case_id, compare, lhs, rhs = case.id, case.compare, case.lhs, case.rhs
     clock = time.perf_counter
@@ -207,13 +208,7 @@ def run_case(
             try:
                 lhs_v = complex(lhs(**params))
                 rhs_v = complex(rhs(**params))
-            except (
-                PoleError,
-                NonConvergenceError,
-                ValueError,
-                ZeroDivisionError,
-                OverflowError,
-            ) as exc:
+            except (ArithmeticError, NonConvergenceError, ValueError) as exc:
                 err = f"{type(exc).__name__}: {exc}"
         wall = (clock() - t0) * 1000.0
         if err:

@@ -31,10 +31,10 @@ __all__ = [
 ]
 
 
-def qpochhammer(a: complex, q: complex, n: int | None = None) -> complex:
-    """q-shifted factorial ``(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k)``.
+def qpochhammer(a: complex, q: complex) -> complex:
+    """Infinite q-shifted factorial ``(a; q)_inf = prod_{k>=0} (1 - a q^k)``,
+    which converges for ``|q| < 1``.
 
-    ``n=None`` gives the infinite product, which converges for ``|q| < 1``.
     It stops at the first factor with ``|a q^k| |q| / (1 - |q|)`` at most
     the active policy's ``rel_tail_cutoff``: that geometric series bounds the
     relative effect of every factor left out.  A product that is not finite
@@ -43,16 +43,6 @@ def qpochhammer(a: complex, q: complex, n: int | None = None) -> complex:
     """
     a = complex(a)
     q = complex(q)
-    if n is not None:
-        if n < 0:
-            raise ValueError("finite q-Pochhammer needs n >= 0")
-        prod = 1.0 + 0.0j
-        qk = 1.0 + 0.0j
-        for _ in range(n):
-            prod *= 1.0 - a * qk
-            qk *= q
-        _bump_terms(n)
-        return prod
     rho = abs(q)
     if rho >= 1.0:
         raise ValueError("infinite q-Pochhammer requires |q| < 1")

@@ -248,8 +248,8 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
     sum's result is returned with imaginary part 0.
 
     Raises ``ValueError`` where ``|q^a| >= 1`` (with ``odd``, also at
-    ``q = 0``), and :class:`~qelliptic.numutil.NonConvergenceError` where :func:`_fold` does
-    or where the value overflows.
+    ``q = 0``), :class:`~qelliptic.numutil.NonConvergenceError` where :func:`_fold` does,
+    and ``OverflowError`` where a factor, a ratio or the value overflows.
     """
     name = "theta1_two" if odd else "theta4_two" if alternating else "theta3_two"
     if q == 0:
@@ -275,16 +275,13 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
     A, B = _exponents(a, b, q, log_q, alternating, odd)
     if not cmath.isfinite(B):
         raise NonConvergenceError(f"{name}: b Log q = {B} is not finite")
-    try:
-        A, B, log_f = _reduce(A, B, odd)
-        factor = cmath.exp(log_f)
-        r = 2.0 * A if odd else A  # log of the ratio of term 1 to term 0, less B
-        folded = _fold(cmath.exp(2.0 * A), cmath.exp(r + B), cmath.exp(r - B), name, B if odd else None)
-    except OverflowError:
-        raise NonConvergenceError(f"{name}({a}, {b}; {q}) overflows") from None
+    A, B, log_f = _reduce(A, B, odd)
+    factor = cmath.exp(log_f)
+    r = 2.0 * A if odd else A  # log of the ratio of term 1 to term 0, less B
+    folded = _fold(cmath.exp(2.0 * A), cmath.exp(r + B), cmath.exp(r - B), name, B if odd else None)
     value = factor * folded
     if not cmath.isfinite(value):
-        raise NonConvergenceError(f"{name}({a}, {b}; {q}) overflows")
+        raise OverflowError(f"{name}({a}, {b}; {q}) leaves the double range")
     if value.imag and not odd and _real_sum(q, a, b):
         return complex(value.real, 0.0)
     return value
@@ -512,7 +509,6 @@ def restricted_divisor_log(
     residues: Sequence[int] | Iterable[int],
     *,
     odd_only: bool = True,
-    alternating: bool = False,
     x: complex = 1.0,
     multiset: bool = False,
 ) -> complex:
@@ -520,15 +516,12 @@ def restricted_divisor_log(
 
     The inner sum runs over factorizations ``A * B = n`` with ``A`` odd when
     ``odd_only`` and ``B mod p`` lying in ``residues``.  The weight is
-    ``w(A) = (-1)^A / A`` when ``alternating`` (and then ``x`` must stay 1),
-    otherwise ``w(A) = x^A / A``.
+    ``w(A) = x^A / A``; ``x = -1`` gives the alternating ``(-1)^A / A``.
 
     With ``multiset=True`` a divisor pair is counted once per residue class
     it matches, so repeated classes in ``residues`` accumulate; the default
     counts each matching pair once regardless of how many classes agree.
     """
-    if alternating and x != 1.0:
-        raise ValueError("alternating weight does not take a power argument")
     res_list = [r % p for r in residues]
     res_set = frozenset(res_list)
 
@@ -544,11 +537,7 @@ def restricted_divisor_log(
                 count = 1 if bmod in res_set else 0
             if not count:
                 continue
-            if alternating:
-                w = (-1.0 if A % 2 else 1.0) / A
-            else:
-                w = x**A / A
-            total += count * w
+            total += count * x**A / A
         return total
 
     def term(n_index: int) -> complex:

@@ -305,6 +305,24 @@ def test_eval_zero_division_is_evaluation_failure(capsys, monkeypatch):
     assert err == "evaluation failed: float division by zero\n"
 
 
+def test_eval_unresolved_u_over_K_is_evaluation_failure(capsys):
+    # K ~ 6e-40 at q = -0.95, so u/K ~ 1.6e38, which a double does not resolve
+    # modulo the periods: no value and no pole can be told apart there
+    rc, out, err = run_cli(capsys, "eval", "sn", "--q", "-0.95", "--u", "0.1")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("evaluation failed: sn: u/K = ")
+    assert err.endswith("is not resolved in double precision\n")
+
+
+def test_eval_overflowing_theta_sum_is_evaluation_failure(capsys):
+    # theta1's odd sum overflows: an OverflowError, so a failed evaluation
+    rc, out, err = run_cli(capsys, "eval", "cn", "--q", "0.995", "--u", "100")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("evaluation failed: ")
+
+
 def test_ghost_sum_at_tiny_x_is_refused_by_max_terms(capsys):
     # 1/expm1((n+1) x) ~ 1/((n+1) x): no division by zero, but ~1/x terms
     rc, out, err = run_cli(capsys, "eval", "ghost-sum", "--x", "1e-300")
