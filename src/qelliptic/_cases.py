@@ -837,7 +837,7 @@ def _t16a_rhs(r, x):
     c = _cr(r)
     u = x * c.K.real
     dlog = numeric_derivative(
-        lambda t: cmath.log(-1.0 + 2.0 / (1.0 - u0_cf(_odd_frame_A(c, t), c.q.real))),
+        lambda t: cmath.log(cayley(u0_cf(_odd_frame_A(c, t), c.q.real))),
         u)
     return _t16_base(c, u) - 1j / c.k * math.sin(pi * u / c.K.real) * dlog
 
@@ -960,9 +960,9 @@ def _eq89_1_lhs(r):
 
 
 def _eq89_1_rhs(r):
-    # k' through Jacobi's quartic k'^2 = 1 - k^2, not the context's theta4^2/theta3^2
-    c = _cr(r)
-    return 1j * c.k / cmath.sqrt(1.0 - c.k * c.k)
+    # k' by Jacobi's product ((q; q^2)/(-q; q^2))^4 (DLMF 20.5): no 1 - k^2, no theta4
+    q = _cr(r).q
+    return 1j * _cr(r).k / (qpochhammer(q, q * q) / qpochhammer(-q, q * q)) ** 4
 
 
 def _eq89_2_lhs(x, y):

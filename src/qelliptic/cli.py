@@ -6,10 +6,11 @@ convergence diagnostics, ``table`` sweeps one parameter and emits a value
 table, and ``list`` enumerates the registry.
 
 Exit codes: 0 success; 1 a failed verification gate or a failed evaluation
-(a ``NonConvergenceError``, or an ``ArithmeticError`` such as an overflow);
-2 malformed configuration, a violated precondition or a pole (a
-``ValueError`` or a ``PoleError``; the message names it).  The exception's
-type alone decides the code.  The only environment override is
+(a ``NonConvergenceError``, a cap spent, or an ``ArithmeticError`` such as an
+``OverflowError``, a value that is not a finite double); 2 malformed
+configuration, a violated precondition or a pole (a ``ValueError`` or a
+``PoleError``, a denominator that is exactly 0; the message names it).  The
+exception's type alone decides the code.  The only environment override is
 ``QELLIPTIC_MAX_TERMS``; the ``--max-terms`` flag wins over it.  All output
 is deterministic and locale-independent.
 """

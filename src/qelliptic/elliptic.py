@@ -94,7 +94,7 @@ def _agm(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
     try:
         while True:
             if not (cmath.isfinite(a) and cmath.isfinite(b)):
-                raise NonConvergenceError(
+                raise OverflowError(
                     f"AGM chain element is not finite after {steps} steps ({a}, {b})"
                 )
             if a == 0 or b == 0:
@@ -126,16 +126,18 @@ def agm(a: complex, b: complex) -> complex:
     Raises
     ------
     NonConvergenceError
-        At the first chain element that is not finite (NaN or infinite), or
-        if the chain has not settled within the active truncation policy's
+        If the chain has not settled within the active truncation policy's
         ``max_terms`` steps.
     OverflowError
-        Where ``|a|`` and ``|b|`` are too far apart for any common scaling.
+        Where ``a`` or ``b`` is not finite (a finite pair keeps its chain
+        finite), or ``|a|`` and ``|b|`` are too far apart to scale.
     """
     a, b = complex(a), complex(b)
     # The mean is homogeneous: the chain runs on (a, b) / 2^e, with the larger
-    # near 2^511 so that no a_n b_n (between a b and max^2) leaves the range.
-    e = math.frexp(max(abs(a), abs(b)))[1] - 511
+    # near 2^511 so that no a_n b_n (between a b and max^2) leaves the range;
+    # a pair that is not finite goes unscaled, so the refusal names it.
+    finite = cmath.isfinite(a) and cmath.isfinite(b)
+    e = math.frexp(max(abs(a), abs(b)))[1] - 511 if finite else 0
     sa, sb = (complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e)) for w in (a, b))
     if (sa == 0 or sb == 0) and a != 0 and b != 0:
         raise OverflowError(f"agm: {a} and {b} are too far apart to scale")
@@ -150,9 +152,11 @@ def ellint_K(k: complex) -> complex:
     ------
     PoleError
         Where the mean is 0: at ``k^2 = 1``, K's logarithmic singularity.
+    OverflowError
+        Where ``k^2`` is not finite, by the check :func:`ellint_E` shares.
     """
-    kp = cmath.sqrt(1.0 - complex(k) ** 2)
-    m = agm(1.0, kp)
+    k = complex(k)
+    m = _agm(1.0 + 0.0j, cmath.sqrt(1.0 - k * k), 0j)[0]
     if m == 0:
         raise PoleError(f"K(k) is singular at k = {k}")
     return math.pi / (2.0 * m)

@@ -41,11 +41,12 @@ __all__ = [
 
 
 class NonConvergenceError(RuntimeError):
-    """Raised when a series or continued fraction fails to stabilize."""
+    """Raised when the policy's ``max_terms``, or :func:`complex_quad`'s
+    1,475-call budget, is spent; a non-finite value is an ``OverflowError``."""
 
 
 class PoleError(ZeroDivisionError):
-    """Raised when an evaluation point sits on (or numerically at) a pole."""
+    """Raised when a denominator is exactly 0: the evaluation point sits on a pole."""
 
 
 class TruncationPolicy(NamedTuple):
@@ -181,8 +182,9 @@ def sum_series(term: Callable[[int], complex]) -> complex:
     Raises
     ------
     NonConvergenceError
-        If the active policy's ``max_terms`` terms do not suffice, or at the
-        first partial sum that is not finite (NaN or infinite).
+        If the active policy's ``max_terms`` terms do not suffice.
+    OverflowError
+        At the first partial sum that is not finite (NaN or infinite).
     """
     pol = _POLICY.get()
     cutoff = pol.rel_tail_cutoff
@@ -215,7 +217,7 @@ def sum_series(term: Callable[[int], complex]) -> complex:
         if not scale < inf:  # NaN or infinite partial sum
             used = n + 1
             _bump_terms(used)
-            raise NonConvergenceError(f"series partial sum is {total} after {used} terms")
+            raise OverflowError(f"series partial sum is {total} after {used} terms")
         bound = cutoff * (scale if scale > floor else floor)
         if mag > bound:
             small = 0
@@ -283,6 +285,9 @@ def continued_fraction(
     ------
     NonConvergenceError
         If the relative change is still above 1e-14 at depth ``max_terms``.
+    OverflowError
+        At the first depth, past any exact zero, whose convergent is not
+        finite; that depth is charged.
     PoleError
         If the fraction ends on an infinite convergent, or if it has not
         settled by depth ``max_terms`` after an exact zero.
@@ -326,6 +331,9 @@ def continued_fraction(
         d = 1.0 / den
         delta = c * d
         f *= delta
+        if not cmath.isfinite(f):  # a NaN or infinite ratio or convergent stays so
+            _bump_terms(k)
+            raise OverflowError(f"continued fraction convergent is {f} at depth {k}")
         if abs(delta - 1.0) <= _CF_TOL:
             _bump_terms(k)
             return f
@@ -350,7 +358,10 @@ def numeric_derivative(f: Callable[[complex], complex], a: complex) -> complex:
     One rule (Numerical Recipes section 5.7): central differences over the
     steps ``h, h/2, h/4`` with ``h = 10^(-16/7) max(1, |a|)``, extrapolated
     twice, which cancels the error terms through O(h^4) and leaves O(h^6)
-    for smooth ``f``.
+    for smooth ``f``.  The rule does not see the domain of ``f``: ``f`` must
+    be analytic on the disk ``|t - a| <= h``, or a stencil that crosses a
+    branch point gives a wrong value without an error.  A derivative that is
+    not finite raises ``OverflowError``.
     """
     step = _DIFF_STEP * max(1.0, abs(a))
     row = []
@@ -363,6 +374,8 @@ def numeric_derivative(f: Callable[[complex], complex], a: complex) -> complex:
             (factor * row[i + 1] - row[i]) / (factor - 1.0)
             for i in range(len(row) - 1)
         ]
+    if not cmath.isfinite(row[0]):
+        raise OverflowError(f"numeric derivative at {a} is {row[0]}")
     return row[0]
 
 
@@ -408,7 +421,7 @@ def _kronrod_pair(f: Callable[[complex], complex], a: complex, delta: complex) -
     gauss = delta * sum(w * v for w, v in zip(_QUAD_GAUSS, values[1::2]))
     kronrod = delta * sum(w * v for w, v in zip(_QUAD_KRONROD, values))
     if not (cmath.isfinite(gauss) and cmath.isfinite(kronrod)):
-        raise NonConvergenceError(
+        raise OverflowError(
             f"Gauss-Kronrod pair G12/K25 sum is not finite on [{a}, {a + delta}] "
             f"(G={gauss}, K={kronrod})"
         )
@@ -440,9 +453,10 @@ def complex_quad(f: Callable[[complex], complex], a: complex, b: complex) -> com
     Raises
     ------
     NonConvergenceError
-        At the first interval whose Gauss or Kronrod sum is not finite (NaN
-        or infinite), or when the call budget is spent before the summed
-        differences are small enough.
+        When the call budget is spent before the summed differences are
+        small enough.
+    OverflowError
+        At the first interval whose Gauss or Kronrod sum is not finite.
     """
     a = complex(a)
     delta = complex(b) - a

@@ -39,7 +39,8 @@ def qpochhammer(a: complex, q: complex) -> complex:
     the active policy's ``rel_tail_cutoff``: that geometric series bounds the
     relative effect of every factor left out.  A product that is not finite
     there (it overflowed on the way, which no later factor undoes) raises
-    :class:`NonConvergenceError`, as a non-finite partial sum does.
+    ``OverflowError``, as a non-finite partial sum does; more than the
+    policy's ``max_terms`` factors raise :class:`NonConvergenceError`.
     """
     a = complex(a)
     q = complex(q)
@@ -57,7 +58,7 @@ def qpochhammer(a: complex, q: complex) -> complex:
         if abs(factor_dev) <= negligible:
             _bump_terms(used)
             if not cmath.isfinite(prod):
-                raise NonConvergenceError(f"q-Pochhammer product is {prod} after {used} factors")
+                raise OverflowError(f"q-Pochhammer product is {prod} after {used} factors")
             return prod
         qk *= q
     raise NonConvergenceError(f"q-Pochhammer product did not converge in {pol.max_terms} factors")

@@ -148,8 +148,8 @@ def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
     consumed are charged to :func:`~qelliptic.numutil.term_counter`.
 
     Raises :class:`~qelliptic.numutil.NonConvergenceError` after the
-    policy's ``max_terms`` terms, or at the first partial sum that is not
-    finite.
+    policy's ``max_terms`` terms, and ``OverflowError`` at the first partial
+    sum that is not finite.
     """
     pol = current_policy()
     cutoff = pol.rel_tail_cutoff
@@ -195,7 +195,7 @@ def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
         used += 1
         if not abs(total) < inf:
             _bump_terms(used)
-            raise NonConvergenceError(f"{name} partial sum is {head + total} after {used} terms")
+            raise OverflowError(f"{name} partial sum is {head + total} after {used} terms")
 
 
 def _exponents(a, b, q, log_q: complex, alternating: bool,
@@ -248,8 +248,9 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
     sum's result is returned with imaginary part 0.
 
     Raises ``ValueError`` where ``|q^a| >= 1`` (with ``odd``, also at
-    ``q = 0``), :class:`~qelliptic.numutil.NonConvergenceError` where :func:`_fold` does,
-    and ``OverflowError`` where a factor, a ratio or the value overflows.
+    ``q = 0``), :class:`~qelliptic.numutil.NonConvergenceError` where
+    :func:`_fold` spends its cap, and ``OverflowError`` where ``b Log q``, a
+    factor, a ratio, a partial sum or the value is not finite.
     """
     name = "theta1_two" if odd else "theta4_two" if alternating else "theta3_two"
     if q == 0:
@@ -274,7 +275,7 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
         return _fold(x * x, sign * principal_power(q, a + b), sign * principal_power(q, a - b), name)
     A, B = _exponents(a, b, q, log_q, alternating, odd)
     if not cmath.isfinite(B):
-        raise NonConvergenceError(f"{name}: b Log q = {B} is not finite")
+        raise OverflowError(f"{name}: b Log q = {B} is not finite")
     A, B, log_f = _reduce(A, B, odd)
     factor = cmath.exp(log_f)
     r = 2.0 * A if odd else A  # log of the ratio of term 1 to term 0, less B
@@ -404,11 +405,15 @@ def rr_cf(q) -> complex:
 # ---------------------------------------------------------------------------
 
 def cayley(v) -> complex:
-    """Map ``v -> -1 + 2/(1 - v)``; raises near the pole ``v = 1``."""
+    """Map ``v -> -1 + 2/(1 - v)``; ``PoleError`` only where ``1 - v`` is exactly 0,
+    ``OverflowError`` where the image is not finite."""
     d = 1.0 - v
-    if abs(d) < 1e-14:
+    if d == 0:
         raise PoleError("cayley transform evaluated at v = 1")
-    return -1.0 + 2.0 / d
+    w = -1.0 + 2.0 / d
+    if not cmath.isfinite(w):
+        raise OverflowError(f"cayley transform at v = {v} is {w}")
+    return w
 
 
 def u_cf(a, b, q) -> complex:
@@ -423,35 +428,31 @@ def u_cf(a, b, q) -> complex:
     def b_k(k: int) -> complex:
         if k == 1:
             return a - b
-        return q ** (k - 2) * (a - b * q ** (k - 1)) * (a * q ** (k - 1) - b)
+        qk = q ** (k - 1)
+        return q ** (k - 2) * (a - b * qk) * (a * qk - b)
 
     return continued_fraction(a_k, b_k)
 
 
 def u_product(a, b, q) -> complex:
     """Closed form ``(N - D)/(N + D)`` with ``N = (-a; q) (b; q)`` and
-    ``D = (a; q) (-b; q)``."""
+    ``D = (a; q) (-b; q)``; ``PoleError`` where ``N + D`` is exactly 0,
+    ``OverflowError`` where the quotient is not finite."""
     num = qpochhammer(-a, q) * qpochhammer(b, q)
     den = qpochhammer(a, q) * qpochhammer(-b, q)
     s = num + den
-    if abs(s) < 1e-300:
+    if s == 0:
         raise PoleError("u_product: vanishing denominator N + D")
-    return (num - den) / s
+    u = (num - den) / s
+    if not cmath.isfinite(u):
+        raise OverflowError(f"u_product at a = {a}, b = {b}, q = {q} is {u}")
+    return u
 
 
 def u0_cf(a, q) -> complex:
-    """Continued fraction ``2a/(1 - q +) a^2 (1+q)^2/(1 - q^3 +)
-    a^2 q (1+q^2)^2/(1 - q^5 +) ...``; requires ``|q| < 1`` and ``|q/a| < 1``."""
-
-    def a_k(k: int) -> complex:
-        return 1.0 - q ** (2 * k - 1)
-
-    def b_k(k: int) -> complex:
-        if k == 1:
-            return 2.0 * a
-        return a * a * q ** (k - 2) * (1.0 + q ** (k - 1)) ** 2
-
-    return continued_fraction(a_k, b_k)
+    """Continued fraction ``2a/(1 - q +) a^2 (1+q)^2/(1 - q^3 +) a^2 q (1+q^2)^2/(1 - q^5 +)
+    ...``, :func:`u_cf` at ``b = -a``; requires ``|q| < 1`` and ``|q/a| < 1``."""
+    return u_cf(a, -a, q)
 
 
 def u0_product(a, q) -> complex:
@@ -461,12 +462,17 @@ def u0_product(a, q) -> complex:
 
 
 def cayley_u0_product(a, q) -> complex:
-    """Quotient ``P = ((-a; q)/(a; q))^2``, the cayley image of ``u0(q, a)``."""
+    """Quotient ``P = ((-a; q)/(a; q))^2``, the cayley image of ``u0(q, a)``;
+    ``PoleError`` where ``(a; q)`` is exactly 0, ``OverflowError`` where ``P``
+    is not finite."""
     den = qpochhammer(a, q)
-    if abs(den) < 1e-300:
+    if den == 0:
         raise PoleError("cayley_u0_product: vanishing (a; q) product")
     r = qpochhammer(-a, q) / den
-    return r * r
+    p = r * r
+    if not cmath.isfinite(p):
+        raise OverflowError(f"cayley_u0_product at a = {a}, q = {q} is {p}")
+    return p
 
 
 # ---------------------------------------------------------------------------

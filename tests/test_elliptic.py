@@ -23,7 +23,9 @@ from qelliptic.elliptic import (
 )
 from qelliptic.numutil import NonConvergenceError, PoleError, numeric_derivative, term_counter, truncation
 from qelliptic.qseries import qpochhammer, euler_product
-from qelliptic._cases import _eq10_1_rhs
+from qelliptic._cases import _eq10_1_rhs, _eq89_1_rhs
+from qelliptic.harness import run_case
+from qelliptic.registry import registry
 
 PI = math.pi
 
@@ -132,13 +134,20 @@ def test_agm_zero_element_gives_a_pole_of_K():
 
 
 def test_agm_refuses_a_chain_that_does_not_settle():
-    # a NaN element is refused where it appears, before any step is taken
+    # a NaN element is refused where it appears, before any step is taken,
+    # as an OverflowError that names the arguments the caller passed
     with term_counter() as used:
-        with pytest.raises(NonConvergenceError, match="not finite after 0 steps"):
+        with pytest.raises(OverflowError, match=r"not finite after 0 steps \(\(nan\+0j\), \(1\+0j\)\)"):
             agm(math.nan, 1.0)
     assert used() == 0
-    with pytest.raises(NonConvergenceError, match="not finite"):
+    with pytest.raises(OverflowError, match=r"\(\(1\+0j\), \(nan"):
+        agm(1.0, math.nan)
+    with pytest.raises(OverflowError, match="not finite"):
         ellint_K(complex(0.5, math.nan))
+    # k^2 past the double range: K and E refuse it the same way, by one check
+    for f in (ellint_K, ellint_E):
+        with pytest.raises(OverflowError, match=r"not finite after 0 steps \(\(1\+0j\), infj\)"):
+            f(1e200)
 
 
 @pytest.mark.parametrize("max_terms", [0, 1, 7])
@@ -434,6 +443,19 @@ def test_dk_dq_matches_central_difference():
             numeric = complex(mpmath.diff(
                 lambda t: (mpmath.jtheta(2, 0, t) / mpmath.jtheta(3, 0, t)) ** 2, mpmath.mpf(q)))
         assert abs(dk_dq(c) - numeric) / abs(numeric) <= 1e-6
+
+
+@pytest.mark.parametrize("r", [0.05, 0.01, 0.002])
+def test_eq89_1_holds_at_deep_nomes(r):
+    # k' by Jacobi's product: at these nomes sqrt(1 - k^2) cancels, 1.07e-3
+    # off at r = 0.01 and exactly 0 at r = 0.002
+    case = next(c for c in registry() if c.id == "EQ89.1")
+    assert run_case(case, samples=[{"r": r}]).passed_all
+    with mpmath.workdps(50):
+        q = mpmath.exp(-mpmath.pi * mpmath.sqrt(r))
+        k = (mpmath.jtheta(2, 0, q) / mpmath.jtheta(3, 0, q)) ** 2
+        want = complex(1j * k / mpmath.sqrt(1 - k * k))
+    assert abs(_eq89_1_rhs(r) - want) <= 1e-14 * abs(want)
 
 
 def test_k_squared_slope_at_origin():

@@ -24,7 +24,8 @@ from qelliptic.numutil import (
     term_counter,
     truncation,
 )
-from qelliptic.qseries import euler_product
+from qelliptic.qseries import euler_product, qpochhammer
+from qelliptic.thetagen import cayley, cayley_u0_product, theta3_two, u_product
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +92,7 @@ def test_sum_series_honors_max_terms():
 )
 def test_sum_series_refuses_non_finite_partial_sums(term, used):
     with term_counter() as count:
-        with pytest.raises(NonConvergenceError, match="partial sum"):
+        with pytest.raises(OverflowError, match="partial sum"):
             sum_series(term)
         assert count() == used
 
@@ -117,7 +118,7 @@ def _reference_sum_series(term, trend_guard=True):
         zeros = 0
         total += t
         if not math.isfinite(abs(total)):
-            raise NonConvergenceError(f"series partial sum is {total} after {n + 1} terms")
+            raise OverflowError(f"series partial sum is {total} after {n + 1} terms")
         if peak is None or abs(t) > peak:
             peak_n, peak = n, abs(t)
         bound = pol.rel_tail_cutoff * max(abs(total), 2.0**-52 * peak)
@@ -421,6 +422,9 @@ def test_derivative_of_exp_at_zero():
     (cmath.exp, cmath.exp, 1.0),
     (cmath.exp, cmath.exp, 0.0),
     (cmath.exp, cmath.exp, 2.5),
+    # near the origin the step stays h, so a smooth f keeps its accuracy
+    (cmath.exp, cmath.exp, 1e-10),
+    (cmath.exp, cmath.exp, 1e-300),
     (cmath.log, lambda a: 1.0 / a, 1.0),
     (cmath.log, lambda a: 1.0 / a, 2.5),
 ])
@@ -484,7 +488,7 @@ def _counting(f):
 @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
 def test_quad_refuses_a_non_finite_rule_sum_at_the_first_pair(value):
     f, calls = _counting(lambda t: value)
-    with pytest.raises(NonConvergenceError, match="G12/K25"):
+    with pytest.raises(OverflowError, match="G12/K25"):
         complex_quad(f, 0.0, 1.0)
     assert len(calls) <= 25
 
@@ -766,3 +770,62 @@ def test_error_taxonomy():
     # PoleError participates in ZeroDivisionError handling paths
     assert issubclass(PoleError, ZeroDivisionError)
     assert issubclass(NonConvergenceError, RuntimeError)
+
+
+# ---------------------------------------------------------------------------
+# one cause per exception type
+# ---------------------------------------------------------------------------
+
+
+def _capped(f, max_terms=3):
+    def run():
+        with truncation(max_terms=max_terms):
+            return f()
+
+    return run
+
+
+_REFUSALS = [
+    # a value that is not a finite double: OverflowError, where it appears
+    ("continued_fraction, NaN b(1)",
+     lambda: continued_fraction(lambda k: 1.0, lambda k: math.nan if k == 1 else 1.0), OverflowError),
+    ("numeric_derivative, infinite f", lambda: numeric_derivative(lambda t: math.inf, 1.0), OverflowError),
+    ("theta3_two, overflowing fold", lambda: theta3_two(1, 150.5, 0.01), OverflowError),
+    ("theta3_two, infinite b", lambda: theta3_two(1, math.inf, 0.5), OverflowError),
+    ("cayley, subnormal 1 - v", lambda: cayley(1 + 1e-320j), OverflowError),
+    ("u_product, N - D and N + D infinite", lambda: u_product(1e200, -1e200, 0.0), OverflowError),
+    ("cayley_u0_product, P past the double range", lambda: cayley_u0_product(0.9, 0.995), OverflowError),
+    # a spent cap: NonConvergenceError
+    ("qpochhammer, capped", _capped(lambda: qpochhammer(0.5, 0.5)), NonConvergenceError),
+    ("theta3_two, capped", _capped(lambda: theta3_two(1, 0.5, 0.2), max_terms=1), NonConvergenceError),
+    # a denominator that is exactly 0: PoleError
+    ("cayley, v = 1", lambda: cayley(1.0), PoleError),
+    ("u_product, N + D = 0", lambda: u_product(2.0, 0.5, 0.0), PoleError),
+    ("cayley_u0_product, (a; q) = 0", lambda: cayley_u0_product(1.0, 0.5), PoleError),
+]
+
+
+@pytest.mark.parametrize("call, exc", [row[1:] for row in _REFUSALS], ids=[row[0] for row in _REFUSALS])
+def test_each_exception_type_has_one_cause(call, exc):
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is exc
+
+
+def test_a_near_pole_is_a_large_finite_value():
+    # PoleError at an exact 0 only: 1 - v = 2^-52 gives 2^53 - 1
+    assert cayley(1.0 - 2.0**-52) == 2.0**53 - 1.0
+
+
+@pytest.mark.parametrize("a, b", [
+    (lambda k: 1.0, lambda k: 1e308 * (k + 1)),
+    (lambda k: math.nan if k == 3 else 1.0, lambda k: 1.0),
+], ids=["overflowing numerators", "NaN a(3)"])
+def test_cf_refuses_a_non_finite_convergent_where_it_appears(a, b):
+    # refused at the depth where the convergent stops being finite, not
+    # after max_terms depths as a fraction that did not stabilize
+    with term_counter() as count:
+        with pytest.raises(OverflowError, match="continued fraction convergent is") as info:
+            continued_fraction(a, b)
+        depth = int(str(info.value).rsplit(" ", 1)[1])
+        assert depth <= 3 and count() == depth
