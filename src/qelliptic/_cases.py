@@ -724,7 +724,7 @@ def _eq63_rhs(a, b, q):
 
 
 def _eq66_lhs(a, q):
-    return -1.0 + 2.0 / (1.0 - u0_product(a, q))
+    return cayley(u0_product(a, q))
 
 
 def _eq67_lhs(a, q):

@@ -30,12 +30,13 @@ def angle_sum(q: complex, x: complex) -> complex:
     """``2 sum_{n>=0} atanh(q^{n+x})`` with principal powers.
 
     Requires ``|q^x| < 1`` so every atanh argument stays inside the unit
-    disk (terms then decay like ``q^n``).
+    disk (terms then decay like ``q^n``); raises ``ValueError`` where that
+    does not hold, a NaN ``q`` or ``x`` included.
     """
     q = complex(q)
     qx = principal_power(q, x)
-    if abs(qx) >= 1.0:
-        raise ValueError("angle sum needs |q^x| < 1")
+    if not abs(qx) < 1.0:
+        raise ValueError(f"angle sum needs |q^x| < 1, got q^x = {qx}")
     return 2.0 * sum_series(lambda n: cmath.atanh(qx * q**n))
 
 

@@ -5,14 +5,19 @@ Four commands: ``verify`` runs the identity registry and reports residuals,
 convergence diagnostics, ``table`` sweeps one parameter and emits a value
 table, and ``list`` enumerates the registry.
 
+The flags go to the library unchanged, and each library function refuses
+what lies outside its own domain; the CLI checks only the command line (a
+missing flag, neither ``--q`` nor ``--r``, a malformed ``--sweep``) and
+``ghost-sum``, its own evaluator.  ``--max-terms N`` runs the command under
+``truncation(max_terms=N)``, which checks ``N``.
+
 Exit codes: 0 success; 1 a failed verification gate or a failed evaluation
 (a ``NonConvergenceError``, a cap spent, or an ``ArithmeticError`` such as an
 ``OverflowError``, a value that is not a finite double); 2 malformed
-configuration, a violated precondition or a pole (a ``ValueError`` or a
-``PoleError``, a denominator that is exactly 0; the message names it).  The
-exception's type alone decides the code.  The only environment override is
-``QELLIPTIC_MAX_TERMS``; the ``--max-terms`` flag wins over it.  All output
-is deterministic and locale-independent.
+configuration, a violated precondition (an argument outside the domain, NaN
+included) or a pole (a ``ValueError`` or a ``PoleError``, a denominator that
+is exactly 0; the message names it).  The exception's type alone decides the
+code.  All output is deterministic and locale-independent.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
-import os
 import sys
 from math import pi
 from typing import Callable
@@ -70,14 +74,10 @@ __all__ = ["main", "EVAL_FUNCTIONS"]
 PARAM_FLAGS = ("q", "r", "u", "a", "b", "p", "x", "y")
 
 
-def _require(cond: bool, text: str) -> None:
-    if not cond:
-        raise ValueError(text)
-
-
 def _param(args: argparse.Namespace, name: str) -> float:
     value = getattr(args, name)
-    _require(value is not None, f"--{name} is required for this function")
+    if value is None:
+        raise ValueError(f"--{name} is required for this function")
     return value
 
 
@@ -91,8 +91,6 @@ def _context(args: argparse.Namespace) -> EllipticContext:
 
 def _nome(args: argparse.Namespace) -> float:
     if args.q is not None:
-        # the library's theta nulls accept q = 0; the CLI does not
-        _require(0.0 < abs(args.q) < 1.0, "nome must satisfy 0 < |q| < 1")
         return args.q
     if args.r is not None:
         return nome_from_r(args.r)
@@ -100,70 +98,40 @@ def _nome(args: argparse.Namespace) -> float:
 
 
 def _ghost_sum(x: float) -> complex:
-    _require(x > 0.0, "ghost-sum requires x > 0")
+    if not x > 0.0:
+        raise ValueError("ghost-sum requires x > 0")
     return sum_series(lambda n: 1.0 / math.expm1((n + 1) * x))
 
 
-def _jacobi(fn: Callable[..., complex]) -> Callable[[argparse.Namespace], complex]:
+def _at_u(fn: Callable[..., complex], *lead: str) -> Callable[[argparse.Namespace], complex]:
+    """``fn(*lead, context, u)``, the context from ``--q`` or ``--r``."""
     def run(args: argparse.Namespace) -> complex:
-        return fn(_context(args), _param(args, "u"))
+        return fn(*lead, _context(args), _param(args, "u"))
 
     return run
 
 
-def _series(name: str) -> Callable[[argparse.Namespace], complex]:
+def _flags(fn: Callable[..., complex], *names: str) -> Callable[[argparse.Namespace], complex]:
+    """``fn`` called with the named flags, each required, in order."""
     def run(args: argparse.Namespace) -> complex:
-        return eval_fourier(name, _context(args), _param(args, "u"))
-
-    return run
-
-
-def _small_q(args: argparse.Namespace) -> float:
-    q = _param(args, "q")
-    _require(0.0 < abs(q) < 1.0, "requires 0 < |q| < 1")
-    return q
-
-
-def _theta_angle(args: argparse.Namespace) -> complex:
-    q, x = _small_q(args), _param(args, "x")
-    _require(x > 0.0, "theta-angle requires x > 0 so that |q^x| < 1")
-    return angle_sum(q, x)
-
-
-def _u_full(args: argparse.Namespace) -> complex:
-    a, b, q = _param(args, "a"), _param(args, "b"), _small_q(args)
-    _require(abs(a) < 1.0 and abs(b) < 1.0, "requires |a| < 1 and |b| < 1")
-    return u_product(a, b, q)
-
-
-def _u_zero(args: argparse.Namespace) -> complex:
-    a, q = _param(args, "a"), _small_q(args)
-    _require(abs(a) < 1.0, "requires |a| < 1")
-    return u0_product(a, q)
-
-
-def _agile(fn: Callable[..., complex]) -> Callable[[argparse.Namespace], complex]:
-    def run(args: argparse.Namespace) -> complex:
-        a, p, q = _param(args, "a"), _param(args, "p"), _small_q(args)
-        _require(p > 0.0, "requires p > 0")
-        return fn(a, p, q)
+        return fn(*(_param(args, name) for name in names))
 
     return run
 
 
 # name -> evaluator.  Every entry returns a complex value.
 EVAL_FUNCTIONS: dict[str, Callable[[argparse.Namespace], complex]] = {
-    "sn": _jacobi(jacobi_sn),
-    "cn": _jacobi(jacobi_cn),
-    "dn": _jacobi(jacobi_dn),
-    "cd": _jacobi(jacobi_cd),
-    "sd": _jacobi(jacobi_sd),
-    "nd": _jacobi(jacobi_nd),
-    "ss": _series("ss"),
-    "cc": _series("cc"),
-    "dd": _series("dd"),
-    "cd1": _series("cd1"),
-    "cn1": _series("cn1"),
+    "sn": _at_u(jacobi_sn),
+    "cn": _at_u(jacobi_cn),
+    "dn": _at_u(jacobi_dn),
+    "cd": _at_u(jacobi_cd),
+    "sd": _at_u(jacobi_sd),
+    "nd": _at_u(jacobi_nd),
+    "ss": _at_u(eval_fourier, "ss"),
+    "cc": _at_u(eval_fourier, "cc"),
+    "dd": _at_u(eval_fourier, "dd"),
+    "cd1": _at_u(eval_fourier, "cd1"),
+    "cn1": _at_u(eval_fourier, "cn1"),
     "theta2": lambda a: theta2(_nome(a)),
     "theta3": lambda a: theta3(_nome(a)),
     "theta4": lambda a: theta4(_nome(a)),
@@ -171,17 +139,17 @@ EVAL_FUNCTIONS: dict[str, Callable[[argparse.Namespace], complex]] = {
     "kprime": lambda a: _context(a).kprime,
     "K": lambda a: _context(a).K,
     "E": lambda a: _context(a).E,
-    "alpha": lambda a: singular_alpha(_param(a, "r")),
-    "theta-angle": _theta_angle,
+    "alpha": _flags(singular_alpha, "r"),
+    "theta-angle": _flags(angle_sum, "q", "x"),
     "ghost-sum": lambda a: _ghost_sum(_param(a, "x")),
-    "G": lambda a: rr_G(_small_q(a)),
-    "H": lambda a: rr_H(_small_q(a)),
-    "R": lambda a: rr_cf(_small_q(a)),
-    "U": _u_full,
-    "u0": _u_zero,
-    "agile-minus": _agile(agile_minus),
-    "agile-plus": _agile(agile_plus),
-    "f": lambda a: euler_product(_small_q(a)),
+    "G": _flags(rr_G, "q"),
+    "H": _flags(rr_H, "q"),
+    "R": _flags(rr_cf, "q"),
+    "U": _flags(u_product, "a", "b", "q"),
+    "u0": _flags(u0_product, "a", "q"),
+    "agile-minus": _flags(agile_minus, "a", "p", "q"),
+    "agile-plus": _flags(agile_plus, "a", "p", "q"),
+    "f": _flags(euler_product, "q"),
 }
 
 # built-in sweeps: function name -> (swept parameter, values)
@@ -322,8 +290,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, *, params: bool = True) -> None:
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--max-terms", type=int, default=None,
-                       help="cap on series terms, product factors, continued-fraction "
-                            "depth and AGM steps (overrides QELLIPTIC_MAX_TERMS)")
+                       help="cap N >= 0 on series terms, product factors, continued-fraction "
+                            "depth and AGM steps: the command runs under "
+                            "truncation(max_terms=N)")
         if params:
             for name in PARAM_FLAGS:
                 p.add_argument(f"--{name}", type=float, default=None)
@@ -354,20 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _max_terms(args: argparse.Namespace) -> dict[str, int]:
-    """Truncation overrides from ``--max-terms`` or ``QELLIPTIC_MAX_TERMS``."""
-    cap = getattr(args, "max_terms", None)
-    source = "--max-terms"
-    if cap is None:
-        env = os.environ.get("QELLIPTIC_MAX_TERMS")
-        if env is None:
-            return {}
-        source = "QELLIPTIC_MAX_TERMS"
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"{source} must be an integer, got {env!r}") from None
-    _require(cap > 0, f"{source} must be positive, got {cap}")
-    return {"max_terms": cap}
+    """Truncation overrides from ``--max-terms``, which :func:`truncation` checks."""
+    return {} if args.max_terms is None else {"max_terms": args.max_terms}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -73,17 +73,33 @@ def in_strip(ctx: EllipticContext, u: complex) -> bool:
     return abs(w.imag) < math.pi * ctx.z.imag
 
 
+def _u_to_w(name: str, ctx: EllipticContext, u: complex) -> complex:
+    """``w = pi u/(2K)``; ``ValueError`` where ``u`` is not finite and
+    ``OverflowError`` where ``|u/K| = |2w/pi| >= 1e12``: a double does not
+    resolve ``u/K`` modulo the periods there, so no value and no pole can be
+    told apart."""
+    if not cmath.isfinite(u):
+        raise ValueError(f"{name}: u = {u} is not finite")
+    w = ctx.half_period_w * u
+    t = 2.0 * w / math.pi
+    if not abs(t) < 1e12:
+        raise OverflowError(f"{name}: u/K = {t} is not resolved in double precision")
+    return w
+
+
 def eval_fourier(name: str, ctx: EllipticContext, u: complex) -> complex:
     """Evaluate one expansion from :data:`FOURIER_TABLE` at argument ``u``.
 
-    Raises ``ValueError`` if ``u`` is outside the convergence strip.
+    Raises ``ValueError`` where ``u`` is not finite or lies outside the
+    convergence strip, and ``OverflowError`` where ``|u/K| >= 1e12``
+    (:func:`_u_to_w`).
     """
     spec = FOURIER_TABLE[name]
     u = complex(u)
+    w = _u_to_w(name, ctx, u)
     if not in_strip(ctx, u):
         raise ValueError(f"{name}: argument outside the convergence strip |Im(pi u/(2K))| < pi Im z")
     q = ctx.q
-    w = ctx.half_period_w * u
     qh = principal_power(q, 0.5)
     trig = cmath.cos if spec.use_cos else cmath.sin
     offset, alternating = spec.offset, spec.alternating
@@ -120,24 +136,23 @@ def _theta_quotient(name: str, ctx: EllipticContext, u: complex, null_top: compl
     with the ``q^(1/4)`` of ``theta1(w)``, ``theta2(w)`` carried by the nulls
     (DLMF 22.2).  Real where ``q`` and ``u`` are.
 
-    Raises ``OverflowError`` where ``|u/K| >= 1e12``: a double does not
-    resolve ``u/K`` modulo the periods there, so no value and no pole can be
-    told apart.  Raises :class:`~qelliptic.numutil.PoleError` where ``u/K =
-    2w/pi = alpha + beta tau`` (``q = e^(i pi tau)``, real ``alpha``, ``beta``)
-    is within ``1e-12 max(1, |u/K|)`` of a zero of ``theta_bottom(w)``:
-    ``theta4(w)`` vanishes at even ``alpha`` and odd ``beta``, ``theta3(w)``
-    where both are odd.  Raises ``OverflowError`` where the nulls' ratio,
-    ``theta_bottom(w)`` or the value leaves the double range: the nulls have no
-    zeros in the disk and the zeros of ``theta_bottom(w)`` are refused as
-    poles, so a 0 there has underflowed (``theta4(0.999)`` is about 1e-1069).
+    Raises ``ValueError`` where ``u`` is not finite and ``OverflowError``
+    where ``|u/K| >= 1e12``, by :func:`_u_to_w`, the rule
+    :func:`eval_fourier` shares.  Raises :class:`~qelliptic.numutil.PoleError`
+    where ``u/K = 2w/pi = alpha + beta tau`` (``q = e^(i pi tau)``, real
+    ``alpha``, ``beta``) is within ``1e-12 max(1, |u/K|)`` of a zero of
+    ``theta_bottom(w)``: ``theta4(w)`` vanishes at even ``alpha`` and odd
+    ``beta``, ``theta3(w)`` where both are odd.  Raises ``OverflowError``
+    where the nulls' ratio, ``theta_bottom(w)`` or the value leaves the double
+    range: the nulls have no zeros in the disk and the zeros of
+    ``theta_bottom(w)`` are refused as poles, so a 0 there has underflowed
+    (``theta4(0.999)`` is about 1e-1069).
     """
     u = complex(u)
+    w = _u_to_w(name, ctx, u)
     q = ctx.q
     log_q = cmath.log(q)
-    w = ctx.half_period_w * u
     t, tau = 2.0 * w / math.pi, log_q / (1j * math.pi)
-    if not abs(t) < 1e12:
-        raise OverflowError(f"{name}: u/K = {t} is not resolved in double precision")
     beta = t.imag / tau.imag
     alpha = t.real - beta * tau.real - (bottom == 3)
     off = alpha - 2.0 * round(alpha / 2.0) + (beta - 1.0 - 2.0 * round((beta - 1.0) / 2.0)) * tau
@@ -200,7 +215,7 @@ def cd1_halfplane(ctx: EllipticContext, u: complex) -> complex:
     q = ctx.q
     w = ctx.half_period_w * u
     A = 1j * principal_power(q, 0.5) * cmath.exp(1j * w)
-    if abs(A) >= 1.0:
+    if not abs(A) < 1.0:
         raise ValueError("cd1 half-plane form needs |A| < 1")
 
     def term(n: int) -> complex:

@@ -487,14 +487,20 @@ def principal_power(w: complex, s: complex) -> complex:
     """Principal branch of ``w**s``: exp(s Log w), with exact integer powers.
 
     Integer exponents bypass the log to avoid spurious branch noise and to
-    keep real inputs exactly real.
+    keep real inputs exactly real; an integer power that leaves the double
+    range raises ``OverflowError`` naming ``w`` and ``n``.
     """
     sc = complex(s)
     if sc.imag == 0.0 and sc.real.is_integer():
         n = int(sc.real)
         if w == 0 and n < 0:
             raise PoleError("0 raised to a negative power")
-        return complex(w) ** n
+        try:
+            return complex(w) ** n
+        except OverflowError:
+            raise OverflowError(
+                f"principal_power: w**n leaves the double range at w = {w}, n = {sc.real!r}"
+            ) from None
     if w == 0:
         if sc.real > 0:
             return 0.0 + 0.0j

@@ -35,9 +35,11 @@ def qpochhammer(a: complex, q: complex) -> complex:
     """Infinite q-shifted factorial ``(a; q)_inf = prod_{k>=0} (1 - a q^k)``,
     which converges for ``|q| < 1``.
 
-    It stops at the first factor with ``|a q^k| |q| / (1 - |q|)`` at most
-    the active policy's ``rel_tail_cutoff``: that geometric series bounds the
-    relative effect of every factor left out.  A product that is not finite
+    Raises ``ValueError``, before any factor is taken, where ``a`` is not
+    finite or ``|q| < 1`` does not hold (NaN included).  It stops at the
+    first factor with ``|a q^k| |q| / (1 - |q|)`` at most the active policy's
+    ``rel_tail_cutoff``: that geometric series bounds the relative effect of
+    every factor left out.  A product that is not finite
     there (it overflowed on the way, which no later factor undoes) raises
     ``OverflowError``, as a non-finite partial sum does; more than the
     policy's ``max_terms`` factors raise :class:`NonConvergenceError`.
@@ -45,8 +47,10 @@ def qpochhammer(a: complex, q: complex) -> complex:
     a = complex(a)
     q = complex(q)
     rho = abs(q)
-    if rho >= 1.0:
-        raise ValueError("infinite q-Pochhammer requires |q| < 1")
+    if not rho < 1.0:
+        raise ValueError(f"infinite q-Pochhammer requires |q| < 1, got q = {q}")
+    if not cmath.isfinite(a):
+        raise ValueError(f"infinite q-Pochhammer requires a finite a, got a = {a}")
     pol = current_policy()
     # a factor |a q^k| at most this leaves a tail of at most rel_tail_cutoff
     negligible = pol.rel_tail_cutoff * (1.0 - rho) / rho if rho > 0.0 else math.inf
@@ -73,7 +77,7 @@ def lambert_sum(q: complex, weight: Callable[[int], complex]) -> complex:
     """``sum_{n>=1} weight(n) q^n / (1 - q^n)`` for ``|q| < 1``, with ``q^n``
     carried from term to term as a running product."""
     q = complex(q)
-    if abs(q) >= 1.0:
+    if not abs(q) < 1.0:
         raise ValueError("Lambert sum requires |q| < 1")
     qn = 1.0 + 0.0j
 
@@ -94,7 +98,7 @@ def divisor_expand(q: complex, weight: Callable[[int], complex]) -> complex:
     wherever both converge.
     """
     q = complex(q)
-    if abs(q) >= 1.0:
+    if not abs(q) < 1.0:
         raise ValueError("divisor expansion requires |q| < 1")
 
     def term(n: int) -> complex:

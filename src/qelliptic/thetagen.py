@@ -267,7 +267,7 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
         raise PoleError(f"{name}: q^(a n^2 + b n) has a pole at q = 0 when a < |b|")
     log_q = cmath.log(q)
     A = a * log_q
-    if A.real >= 0.0:
+    if not A.real < 0.0:  # NaN fails it too
         raise ValueError(f"{name} requires |q^a| < 1 for convergence")
     if not (odd or A.real > -0.5 * _PI):
         x = principal_power(q, a)
@@ -351,6 +351,8 @@ def _rr_series(q, shift: int) -> complex:
     """Sum ``sum_{n>=0} q^(n^2 + shift n) / (q; q)_n`` with the term carried
     by its ratio ``q^(2n - 1 + shift) / (1 - q^n)``, so that neither the
     numerator nor ``(q; q)_n`` underflows on its own near ``q = 1``."""
+    if not abs(q) < 1.0:  # NaN fails it too
+        raise ValueError(f"Rogers-Ramanujan sum requires |q| < 1, got q = {q}")
     state = [1.0 + 0.0j]
 
     def term(n: int) -> complex:
@@ -362,7 +364,8 @@ def _rr_series(q, shift: int) -> complex:
 
 
 def rr_G(q) -> complex:
-    """Sum ``sum_{n>=0} q^(n^2) / (q; q)_n``."""
+    """Sum ``sum_{n>=0} q^(n^2) / (q; q)_n``; ``ValueError`` unless ``|q| < 1``
+    (NaN included)."""
     return _rr_series(q, 0)
 
 
@@ -370,7 +373,8 @@ def rr_H(q) -> complex:
     """Sum ``sum_{n>=0} q^(n^2 + n) / (q; q)_n``.
 
     The ``n = 0`` term equals 1, so ``rr_H(0) = 1``, consistent with the
-    agile-product form ``1 / agile_minus(2, 5, q)``.
+    agile-product form ``1 / agile_minus(2, 5, q)``.  ``ValueError`` unless
+    ``|q| < 1`` (NaN included).
     """
     return _rr_series(q, 1)
 
@@ -386,7 +390,10 @@ def rr_sum(q) -> complex:
 
 
 def rr_cf(q) -> complex:
-    """Continued fraction ``q^(1/5) / (1 + q/(1 + q^2/(1 + ...)))``."""
+    """Continued fraction ``q^(1/5) / (1 + q/(1 + q^2/(1 + ...)))``;
+    ``ValueError`` unless ``|q| < 1`` (NaN included)."""
+    if not abs(q) < 1.0:
+        raise ValueError(f"Rogers-Ramanujan fraction requires |q| < 1, got q = {q}")
     q15 = principal_power(q, 0.2)
 
     def a_k(k: int) -> complex:
@@ -456,9 +463,16 @@ def u0_cf(a, q) -> complex:
 
 
 def u0_product(a, q) -> complex:
-    """Closed form ``(P - 1)/(P + 1)`` with ``P = ((-a; q)/(a; q))^2``."""
+    """Closed form ``(P - 1)/(P + 1)`` with ``P = ((-a; q)/(a; q))^2``;
+    ``PoleError`` where ``P + 1`` is exactly 0, ``OverflowError`` where the
+    quotient is not finite."""
     p_val = cayley_u0_product(a, q)
-    return (p_val - 1.0) / (p_val + 1.0)
+    if p_val == -1.0:
+        raise PoleError("u0_product: vanishing denominator P + 1")
+    u = (p_val - 1.0) / (p_val + 1.0)
+    if not cmath.isfinite(u):
+        raise OverflowError(f"u0_product at a = {a}, q = {q} is {u}")
+    return u
 
 
 def cayley_u0_product(a, q) -> complex:

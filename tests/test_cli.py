@@ -19,11 +19,6 @@ from qelliptic import cli, numutil
 from qelliptic.registry import registry
 
 
-@pytest.fixture(autouse=True)
-def pristine_policy(monkeypatch):
-    monkeypatch.delenv("QELLIPTIC_MAX_TERMS", raising=False)
-
-
 def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -234,11 +229,62 @@ def test_eval_domain_error(capsys):
 @pytest.mark.parametrize("fn", ["sn", "theta3"])
 @pytest.mark.parametrize("q", ["0", "1.5", "nan"])
 def test_eval_nome_off_the_disk_is_precondition_error(capsys, fn, q):
-    # the context refuses it itself; theta3 is refused by the CLI, as the
-    # library's theta nulls accept q = 0
-    rc, _, err = run_cli(capsys, "eval", fn, "--q", q, "--u", "0.4")
-    assert rc == 2
-    assert "precondition violated: nome must satisfy 0 < |q| < 1" in err
+    # the library refuses the nome itself: the context needs 0 < |q| < 1,
+    # the theta kernel |q| < 1, so theta3(0) = 1 is evaluated
+    rc, out, err = run_cli(capsys, "eval", fn, "--q", q, "--u", "0.4")
+    if fn == "theta3" and q == "0":
+        assert (rc, out.splitlines()[0], err) == (0, "value=1", "")
+        return
+    assert (rc, out) == (2, "")
+    want = "nome must satisfy 0 < |q| < 1" if fn == "sn" else "theta3_two requires |q^a| < 1"
+    assert err.startswith(f"precondition violated: {want}")
+
+
+# one valid point per eval function; each flag in turn is set to nan below
+EVAL_POINTS = {
+    **{fn: {"q": "0.05", "u": "0.4"}
+       for fn in ("sn", "cn", "dn", "cd", "sd", "nd", "ss", "cc", "dd", "cd1", "cn1")},
+    **{fn: {"q": "0.05"}
+       for fn in ("theta2", "theta3", "theta4", "k", "kprime", "K", "E", "G", "H", "R", "f")},
+    "alpha": {"r": "2"},
+    "theta-angle": {"q": "0.2", "x": "0.5"},
+    "ghost-sum": {"x": "1"},
+    "U": {"a": "0.3", "b": "0.2", "q": "0.3"},
+    "u0": {"a": "0.3", "q": "0.3"},
+    "agile-minus": {"a": "0.3", "p": "5", "q": "0.3"},
+    "agile-plus": {"a": "0.3", "p": "5", "q": "0.3"},
+}
+NAN_PAIRS = [(fn, name) for fn, point in EVAL_POINTS.items() for name in point]
+
+
+def test_eval_points_cover_every_function(capsys):
+    assert sorted(EVAL_POINTS) == sorted(cli.EVAL_FUNCTIONS)
+    assert len(NAN_PAIRS) == 48
+    for fn, point in EVAL_POINTS.items():
+        argv = [x for name, value in point.items() for x in (f"--{name}", value)]
+        assert run_cli(capsys, "eval", fn, *argv)[0] == 0, fn
+
+
+@pytest.mark.parametrize("fn, nan_flag", NAN_PAIRS, ids=[f"{fn}-{name}" for fn, name in NAN_PAIRS])
+def test_eval_nan_argument_is_precondition_error(capsys, fn, nan_flag):
+    # refused by the library function's own domain test, not by a copy in the CLI
+    argv = [x for name, value in EVAL_POINTS[fn].items()
+            for x in (f"--{name}", "nan" if name == nan_flag else value)]
+    rc, out, err = run_cli(capsys, "eval", fn, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("precondition violated: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("theta3", "--q", "0"), "1"),
+    (("G", "--q", "0"), "1"),
+    (("R", "--q", "0"), "0"),
+    # u_product's closed form holds at |a| > 1 too
+    (("U", "--a", "2", "--b", "0.5", "--q", "0.3"), "1.594260725604051"),
+])
+def test_eval_accepts_the_library_domain(capsys, argv, value):
+    rc, out, _ = run_cli(capsys, "eval", *argv)
+    assert (rc, out.splitlines()[0]) == (0, f"value={value}")
 
 
 @pytest.mark.parametrize("fn", ["alpha", "sn", "theta3"])
@@ -253,7 +299,7 @@ def test_eval_nan_r_blames_r(capsys, fn):
     [
         # expm1((n+1) x) overflows at the first term
         ("ghost-sum", "--x", "1e308"),
-        # q^a with the integer exponent 1e308: CPython's complex power raises OverflowError
+        # q^(p - a) with the integer exponent 1 - 1e308: principal_power names w and n
         ("agile-plus", "--a", "1e308", "--p", "1", "--q", "0.3"),
     ],
 )
@@ -263,7 +309,8 @@ def test_eval_arithmetic_failure_is_evaluation_failure(capsys, argv):
     assert out == ""
     # the OverflowError's own message follows the prefix
     assert err in ("evaluation failed: math range error\n",
-                   "evaluation failed: complex exponentiation\n")
+                   "evaluation failed: principal_power: w**n leaves the double range "
+                   "at w = 0.3, n = -1e+308\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -545,36 +592,11 @@ def test_max_terms_flag_caps_series(capsys):
         assert numutil.current_policy() is numutil.DEFAULT_POLICY
 
 
-def test_env_cap_honored(capsys, monkeypatch):
-    monkeypatch.setenv("QELLIPTIC_MAX_TERMS", "3")
-    rc, _, err = run_cli(capsys, "eval", "theta3", "--q", "0.2")
-    assert rc == 1
-    assert "evaluation failed" in err
-
-
-def test_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("QELLIPTIC_MAX_TERMS", "3")
-    rc, out, _ = run_cli(capsys, "eval", "theta3", "--q", "0.5",
-                         "--max-terms", "100000")
-    assert rc == 0
-    assert out.startswith("value=")
-
-
-def test_invalid_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("QELLIPTIC_MAX_TERMS", "abc")
-    rc, _, err = run_cli(capsys, "eval", "theta3", "--q", "0.5")
-    assert rc == 2
-    assert "must be an integer" in err
-
-
-def test_nonpositive_cap(capsys, monkeypatch):
-    rc, _, err = run_cli(capsys, "eval", "theta3", "--q", "0.5",
-                         "--max-terms", "-2")
-    assert rc == 2
-    assert "--max-terms must be positive" in err
-    # a bad cap from the environment names the variable, not the unused flag
-    monkeypatch.setenv("QELLIPTIC_MAX_TERMS", "0")
-    rc, _, err = run_cli(capsys, "eval", "theta3", "--q", "0.5")
-    assert rc == 2
-    assert "QELLIPTIC_MAX_TERMS must be positive" in err
-    assert "--max-terms" not in err
+def test_nonpositive_cap(capsys):
+    # truncation() owns the rule: an int N >= 0; 0 refuses every loop at once
+    rc, out, err = run_cli(capsys, "eval", "theta3", "--q", "0.5", "--max-terms", "-2")
+    assert (rc, out) == (2, "")
+    assert err == "precondition violated: truncation() needs an int max_terms >= 0, got -2\n"
+    rc, out, err = run_cli(capsys, "eval", "theta3", "--q", "0.5", "--max-terms", "0")
+    assert (rc, out) == (1, "")
+    assert err == "evaluation failed: theta3_two did not converge within 0 terms\n"

@@ -13,6 +13,7 @@ from assertions import assert_close
 
 from qelliptic.elliptic import EllipticContext
 from qelliptic.fourier import (
+    FOURIER_TABLE,
     cd1_halfplane,
     eval_fourier,
     in_strip,
@@ -299,6 +300,32 @@ def test_outside_strip_raises():
     c = ctx(0.08)
     with pytest.raises(ValueError):
         eval_fourier("sn", c, 1.1j * c.Kprime.real)
+
+
+JACOBI = (jacobi_sn, jacobi_cn, jacobi_dn, jacobi_cd, jacobi_sd, jacobi_nd)
+
+
+@pytest.mark.parametrize("u", [math.nan, complex(0.4, math.nan), math.inf])
+def test_non_finite_u_is_refused_on_both_routes(u):
+    # one rule for u, shared by the expansions and the theta quotients
+    c = ctx(0.05)
+    for name in FOURIER_TABLE:
+        with pytest.raises(ValueError, match=f"^{name}: u = .* is not finite$"):
+            eval_fourier(name, c, u)
+    for fn in JACOBI:
+        with pytest.raises(ValueError, match="is not finite$"):
+            fn(c, u)
+
+
+def test_unresolved_u_over_K_is_refused_on_both_routes():
+    # u/K ~ 5e299: a double does not resolve u modulo the periods, so the
+    # expansion's value would be noise
+    c = ctx(0.05)
+    with pytest.raises(OverflowError, match="^ss: u/K = .* is not resolved in double precision$"):
+        eval_fourier("ss", c, 1e300)
+    for fn in JACOBI:
+        with pytest.raises(OverflowError, match="is not resolved in double precision$"):
+            fn(c, 1e300)
 
 
 # ---------------------------------------------------------------------------

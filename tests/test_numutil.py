@@ -25,7 +25,7 @@ from qelliptic.numutil import (
     truncation,
 )
 from qelliptic.qseries import euler_product, qpochhammer
-from qelliptic.thetagen import cayley, cayley_u0_product, theta3_two, u_product
+from qelliptic.thetagen import cayley, cayley_u0_product, theta3_two, u0_product, u_product
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +758,14 @@ def test_principal_power_principal_branch():
     assert_close([got.real, got.imag], [0.0, math.sqrt(0.2)], atol=1e-15)
 
 
+@pytest.mark.parametrize("w, s", [(0.01, -199), (0.3, -1e300), (1e200, 2)])
+def test_principal_power_integer_overflow_names_w_and_n(w, s):
+    with pytest.raises(OverflowError) as info:
+        principal_power(w, s)
+    assert str(info.value) == (f"principal_power: w**n leaves the double range "
+                               f"at w = {w}, n = {float(s)!r}")
+
+
 def test_principal_power_zero_base():
     assert principal_power(0.0, 0.5) == 0.0
     with pytest.raises(PoleError):
@@ -802,6 +810,7 @@ _REFUSALS = [
     ("cayley, v = 1", lambda: cayley(1.0), PoleError),
     ("u_product, N + D = 0", lambda: u_product(2.0, 0.5, 0.0), PoleError),
     ("cayley_u0_product, (a; q) = 0", lambda: cayley_u0_product(1.0, 0.5), PoleError),
+    ("u0_product, P + 1 = 0", lambda: u0_product(1j, 0.0), PoleError),
 ]
 
 

@@ -70,6 +70,15 @@ def test_qpochhammer_rejects_big_nome():
         qpochhammer(0.5, 1.0)
 
 
+@pytest.mark.parametrize("a, q", [(math.nan, 0.3), (math.inf, 0.3), (complex(0.1, math.nan), 0.3),
+                                  (0.5, math.nan), (0.5, complex(math.nan, 0.0))])
+def test_qpochhammer_refuses_a_non_finite_argument_before_any_factor(a, q):
+    # refused on entry: a NaN a would run through all max_terms factors
+    with term_counter() as count, pytest.raises(ValueError):
+        qpochhammer(a, q)
+    assert count() == 0
+
+
 def test_qpochhammer_refuses_a_product_that_overflows():
     # (-0.99; 0.999)_inf grows past the double range (inf * complex -> nan)
     # long before its factors reach 1, and no later factor brings it back

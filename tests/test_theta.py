@@ -538,6 +538,15 @@ def test_cf_equals_product_equals_sum():
         assert abs(cf - rr_sum(q)) <= 1e-11
 
 
+@pytest.mark.parametrize("fn", [rr_G, rr_H, rr_cf])
+@pytest.mark.parametrize("q", [1.0, -1.0, 1.5, 1.0000001, math.nan])
+def test_rogers_ramanujan_evaluators_refuse_q_off_the_disk(fn, q):
+    # off the disk the sums divide by 1 - q^n = 0 (q = +-1) and the fraction
+    # can settle on a wrong value (0.618 at q = 1.0000001)
+    with pytest.raises(ValueError, match=r"requires \|q\| < 1"):
+        fn(q)
+
+
 def test_cf_golden_point():
     assert_close(rr_cf(0.05), 0.5231861892435733, rtol=1e-12)
 
