@@ -4,8 +4,9 @@ Ramanujan-style continued fractions.
 
 The library layers are: :mod:`~qelliptic.numutil` (adaptive summation,
 differentiation, quadrature), :mod:`~qelliptic.qseries` (q-products,
-Lambert/divisor series, Bernoulli data), :mod:`~qelliptic.elliptic`
-(theta nulls, AGM integrals, elliptic contexts, singular values),
+Lambert/divisor series, the Ghost Sum, Bernoulli data),
+:mod:`~qelliptic.elliptic` (theta nulls, AGM integrals, elliptic
+contexts, singular values),
 :mod:`~qelliptic.fourier` (trigonometric expansions of the Jacobi
 functions and their nonstandard companions), :mod:`~qelliptic.angle`
 (the modular angle and its frames), :mod:`~qelliptic.thetagen`
@@ -71,6 +72,7 @@ from .qseries import (
     divisors,
     euler_product,
     fermi_derivative_constant,
+    ghost_sum,
     lambert_sum,
     qpochhammer,
     zeta_value,

@@ -6,10 +6,11 @@ convergence diagnostics, ``table`` sweeps one parameter and emits a value
 table, and ``list`` enumerates the registry.
 
 The flags go to the library unchanged, and each library function refuses
-what lies outside its own domain; the CLI checks only the command line (a
-missing flag, neither ``--q`` nor ``--r``, a malformed ``--sweep``) and
-``ghost-sum``, its own evaluator.  ``--max-terms N`` runs the command under
-``truncation(max_terms=N)``, which checks ``N``.
+what lies outside its own domain; the CLI holds no evaluator and no domain
+rule of its own and checks only the command line (a missing flag, neither
+``--q`` nor ``--r``, a malformed ``--sweep``).  A parameter flag takes a
+negative value in any float notation (``--u -1e-3``).  ``--max-terms N``
+runs the command under ``truncation(max_terms=N)``, which checks ``N``.
 
 Exit codes: 0 success; 1 a failed verification gate or a failed evaluation
 (a ``NonConvergenceError``, a cap spent, or an ``ArithmeticError`` such as an
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import math
 import sys
 from math import pi
 from typing import Callable
@@ -56,8 +56,8 @@ from .harness import (
     report_to_text,
     run_registry,
 )
-from .numutil import NonConvergenceError, PoleError, sum_series, term_counter, truncation
-from .qseries import euler_product
+from .numutil import NonConvergenceError, PoleError, term_counter, truncation
+from .qseries import euler_product, ghost_sum
 from .registry import registry
 from .thetagen import (
     agile_minus,
@@ -95,12 +95,6 @@ def _nome(args: argparse.Namespace) -> float:
     if args.r is not None:
         return nome_from_r(args.r)
     raise ValueError("provide --q or --r to fix the nome")
-
-
-def _ghost_sum(x: float) -> complex:
-    if not x > 0.0:
-        raise ValueError("ghost-sum requires x > 0")
-    return sum_series(lambda n: 1.0 / math.expm1((n + 1) * x))
 
 
 def _at_u(fn: Callable[..., complex], *lead: str) -> Callable[[argparse.Namespace], complex]:
@@ -141,7 +135,7 @@ EVAL_FUNCTIONS: dict[str, Callable[[argparse.Namespace], complex]] = {
     "E": lambda a: _context(a).E,
     "alpha": _flags(singular_alpha, "r"),
     "theta-angle": _flags(angle_sum, "q", "x"),
-    "ghost-sum": lambda a: _ghost_sum(_param(a, "x")),
+    "ghost-sum": _flags(ghost_sum, "x"),
     "G": _flags(rr_G, "q"),
     "H": _flags(rr_H, "q"),
     "R": _flags(rr_cf, "q"),
@@ -322,6 +316,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``--u -1e-3`` as ``--u=-1e-3``.  argparse takes a token that starts
+    with "-" for an option unless it is a plain negative number
+    (``-digits[.digits]``), so it would refuse ``-1e-3`` or ``-inf`` after a
+    parameter flag; joined to its flag, the value reaches ``float`` and the
+    library."""
+    flags = {f"--{name}" for name in PARAM_FLAGS}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in flags and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def _max_terms(args: argparse.Namespace) -> dict[str, int]:
     """Truncation overrides from ``--max-terms``, which :func:`truncation` checks."""
     return {} if args.max_terms is None else {"max_terms": args.max_terms}
@@ -329,7 +344,7 @@ def _max_terms(args: argparse.Namespace) -> dict[str, int]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         with truncation(**_max_terms(args)):
             if args.command == "verify":

@@ -1,8 +1,12 @@
 """Building blocks on the q-disk: Pochhammer products, Lambert sums,
-divisor arithmetic, Bernoulli numbers, and small exact constants.
+divisor arithmetic, the Ghost Sum, Bernoulli numbers, and small exact
+constants.
 
 Everything here is elementary (no elliptic quantities); the elliptic and
-theta layers are built on top of these primitives.
+theta layers are built on top of these primitives.  The Ghost Sum
+``S(x) = sum_{n>=1} 1/(e^(n x) - 1)``, the divisor Lambert sum at
+``q = e^-x``, is owned here alone: the CLI's ``ghost-sum`` and the registry's
+cases P1 and T7 call :func:`ghost_sum`.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ __all__ = [
     "divisor_count",
     "bernoulli",
     "zeta_value",
+    "ghost_sum",
     "fermi_derivative_constant",
     "dirichlet_chi8",
 ]
@@ -190,6 +195,75 @@ def zeta_value(s: int | float) -> float:
         n = -int(s)
         return float((-1) ** n * bernoulli(n + 1) / (n + 1))
     raise ValueError("zeta_value is defined here for s > 1 and for integers s <= 0")
+
+
+# ghost_sum: Euler's constant; the exponent past which 1/(e^y - 1) is e^-y to
+# the double (and expm1 nears its overflow at 709.78); the number of terms of
+# the asymptotic expansion below x = 1.  Its coefficients shrink up to the
+# 20th and grow from the 21st, so at x = 1 the 20th term is the smallest,
+# and at every x <= 1 it is below 2^-52 of the value.
+_EULER_GAMMA = 0.5772156649015329
+_GHOST_EXP = 709.0
+_GHOST_ORDER = 20
+
+
+@lru_cache(maxsize=1)
+def _ghost_coefficients() -> tuple[float, ...]:
+    """``B_2j^2 / (2j (2j)!)`` for ``j = 1 .. 20``, built on first use."""
+    return tuple(float(bernoulli(2 * j) ** 2 / (2 * j * math.factorial(2 * j)))
+                 for j in range(1, _GHOST_ORDER + 1))
+
+
+def ghost_sum(x: float) -> complex:
+    """The Ghost Sum ``S(x) = sum_{n>=1} 1/(e^(n x) - 1)`` for real ``x > 0``,
+    the divisor Lambert sum at ``q = e^-x``.
+
+    Above ``x = 1`` it is summed directly by :func:`sum_series`, with the term
+    ``1/expm1(n x)``, or ``e^(-n x)`` once ``n x`` passes 709.  At and below
+    ``x = 1``, where the direct sum needs about ``35/x`` terms, it takes the
+    expansion from the poles of the Mellin transform ``Gamma(s) zeta(s)^2``
+    (Flajolet, Gourdon & Dumas, *Theoret. Comput. Sci.* 144, 1995)::
+
+        S(x) = (gamma - log x)/x + 1/4 - sum_{j>=1} B_2j^2 x^(2j-1) / (2j (2j)!)
+
+    whose error is ``O(e^(-4 pi^2 / x))``.  The series is asymptotic: it stops
+    at the first term at most ``rel_tail_cutoff`` times the head, or at the
+    20th, the smallest term at ``x = 1``.  Each rule is the accurate one
+    on its own side of ``x = 1`` (at ``x = 2`` the expansion is 9.2e-9 off).
+    The terms are charged to :func:`~qelliptic.numutil.term_counter`.
+
+    Raises ``ValueError`` unless ``x > 0`` (NaN included),
+    :class:`~qelliptic.numutil.NonConvergenceError` past the policy's
+    ``max_terms`` and ``OverflowError`` where ``S(x)`` is not a finite double
+    (``x`` below about 4e-306).
+    """
+    if not x > 0.0:
+        raise ValueError(f"ghost_sum requires x > 0, got x = {x}")
+    if x > 1.0:
+        def term(n: int) -> float:
+            y = (n + 1) * x
+            return 1.0 / math.expm1(y) if y < _GHOST_EXP else math.exp(-y)
+
+        return sum_series(term)
+    head = (_EULER_GAMMA - math.log(x)) / x + 0.25
+    if not head < math.inf:
+        raise OverflowError(f"ghost_sum: (gamma - log x)/x is not finite at x = {x!r}")
+    pol = current_policy()
+    negligible = pol.rel_tail_cutoff * head
+    x2 = x * x
+    power = x  # x^(2j-1)
+    tail = 0.0
+    for used, c in enumerate(_ghost_coefficients(), 1):
+        if used > pol.max_terms:
+            _bump_terms(pol.max_terms)
+            raise NonConvergenceError(f"ghost_sum did not converge within {pol.max_terms} terms")
+        t = c * power
+        tail += t
+        if t <= negligible:
+            break
+        power *= x2
+    _bump_terms(used)
+    return complex(head - tail)
 
 
 @lru_cache(maxsize=None)

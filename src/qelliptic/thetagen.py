@@ -248,7 +248,9 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
     sum's result is returned with imaginary part 0.
 
     Raises ``ValueError`` where ``|q^a| >= 1`` (with ``odd``, also at
-    ``q = 0``), :class:`~qelliptic.numutil.NonConvergenceError` where
+    ``q = 0``) and where ``a`` or ``b`` is not finite at ``q = 0`` or ``b`` is
+    not finite on the reduced route,
+    :class:`~qelliptic.numutil.NonConvergenceError` where
     :func:`_fold` spends its cap, and ``OverflowError`` where ``b Log q``, a
     factor, a ratio, a partial sum or the value is not finite.
     """
@@ -256,6 +258,8 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
     if q == 0:
         if odd:
             raise ValueError(f"{name} requires 0 < |q^a| < 1; q = 0 is outside it")
+        if not (cmath.isfinite(a) and cmath.isfinite(b)):
+            raise ValueError(f"{name} requires finite a and b, got a = {a}, b = {b}")
         if abs(principal_power(q, a)) >= 1.0:
             raise ValueError(f"{name} requires |q^a| < 1 for convergence")
         # Every term but n = 0 is 0^(n (a n + b)): 0 when each exponent has a
@@ -275,6 +279,8 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
         return _fold(x * x, sign * principal_power(q, a + b), sign * principal_power(q, a - b), name)
     A, B = _exponents(a, b, q, log_q, alternating, odd)
     if not cmath.isfinite(B):
+        if not cmath.isfinite(b):
+            raise ValueError(f"{name} requires a finite b, got b = {b}")
         raise OverflowError(f"{name}: b Log q = {B} is not finite")
     A, B, log_f = _reduce(A, B, odd)
     factor = cmath.exp(log_f)

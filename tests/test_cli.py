@@ -297,8 +297,8 @@ def test_eval_nan_r_blames_r(capsys, fn):
 @pytest.mark.parametrize(
     "argv",
     [
-        # expm1((n+1) x) overflows at the first term
-        ("ghost-sum", "--x", "1e308"),
+        # the expansion's head (gamma - log x)/x leaves the doubles
+        ("ghost-sum", "--x", "1e-308"),
         # q^(p - a) with the integer exponent 1 - 1e308: principal_power names w and n
         ("agile-plus", "--a", "1e308", "--p", "1", "--q", "0.3"),
     ],
@@ -308,7 +308,7 @@ def test_eval_arithmetic_failure_is_evaluation_failure(capsys, argv):
     assert rc == 1
     assert out == ""
     # the OverflowError's own message follows the prefix
-    assert err in ("evaluation failed: math range error\n",
+    assert err in ("evaluation failed: ghost_sum: (gamma - log x)/x is not finite at x = 1e-308\n",
                    "evaluation failed: principal_power: w**n leaves the double range "
                    "at w = 0.3, n = -1e+308\n")
 
@@ -328,7 +328,7 @@ def test_eval_overflowing_product_is_evaluation_failure(capsys, argv):
 @pytest.mark.parametrize("command", ["eval", "table"])
 def test_non_finite_value_is_evaluation_failure(capsys, monkeypatch, command):
     # the backstop behind the library's own checks
-    monkeypatch.setattr(cli, "_ghost_sum", lambda x: complex(math.inf))
+    monkeypatch.setitem(cli.EVAL_FUNCTIONS, "ghost-sum", lambda args: complex(math.inf))
     rc, out, err = run_cli(capsys, command, "ghost-sum", "--x", "1.0")
     assert rc == 1
     assert out == ""
@@ -345,7 +345,7 @@ def test_eval_infinite_r_blames_r(capsys, fn):
 
 def test_eval_zero_division_is_evaluation_failure(capsys, monkeypatch):
     # a plain ZeroDivisionError (not a PoleError) is a failed evaluation
-    monkeypatch.setattr(cli, "_ghost_sum", lambda x: 1.0 / (x - x))
+    monkeypatch.setitem(cli.EVAL_FUNCTIONS, "ghost-sum", lambda args: 1.0 / (args.x - args.x))
     rc, out, err = run_cli(capsys, "eval", "ghost-sum", "--x", "1.0")
     assert rc == 1
     assert out == ""
@@ -370,20 +370,25 @@ def test_eval_overflowing_theta_sum_is_evaluation_failure(capsys):
     assert err.startswith("evaluation failed: ")
 
 
-def test_ghost_sum_at_tiny_x_is_refused_by_max_terms(capsys):
-    # 1/expm1((n+1) x) ~ 1/((n+1) x): no division by zero, but ~1/x terms
+def test_ghost_sum_at_tiny_x_answers_from_the_expansion(capsys):
+    # the direct sum would take ~1/x terms; the expansion's head is finite
     rc, out, err = run_cli(capsys, "eval", "ghost-sum", "--x", "1e-300")
-    assert rc == 1
-    assert out == ""
-    assert err.startswith("evaluation failed: series did not converge within 100000 terms")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[:2] == ["value=6.913527435631152e+302", "terms_used=1"]
 
 
-def test_ghost_sum_matches_mpmath():
-    # sum 1/(e^(n x) - 1) = (gamma - log x)/x + 1/4 - x/144 - x^3/86400 + O(x^5)
-    x = mpmath.mpf("1e-3")
-    want = (mpmath.euler - mpmath.log(x)) / x + mpmath.mpf(1) / 4 - x / 144 - x**3 / 86400
-    got = cli._ghost_sum(1e-3)
-    assert abs(got - complex(want)) <= 1e-13 * abs(want)
+def test_negative_value_in_exponent_notation_reaches_the_library(capsys):
+    # argparse alone takes "-1e-3" for an option and exits 2 before the library
+    rc, out, err = run_cli(capsys, "eval", "sn", "--q", "0.05", "--u", "-1e-3")
+    assert (rc, err) == (0, "")
+    assert out == run_cli(capsys, "eval", "sn", "--q", "0.05", "--u=-1e-3")[1]
+    assert out.startswith("value=-0.000999999741355")
+
+
+def test_negative_ghost_sum_argument_is_refused_by_ghost_sum(capsys):
+    rc, out, err = run_cli(capsys, "eval", "ghost-sum", "--x", "-1e-3")
+    assert (rc, out) == (2, "")
+    assert err == "precondition violated: ghost_sum requires x > 0, got x = -0.001\n"
 
 
 def test_eval_rogers_ramanujan_near_one(capsys):
@@ -579,6 +584,9 @@ CAPPED_EVALS = [
     (("agile-minus", "--a", "0.3", "--p", "1", "--q", "0.3"), 5),
     # and the continued fractions, whose depth is capped by the same policy
     (("R", "--q", "0.05"), 3),
+    # and both rules of the Ghost Sum: its expansion below x = 1, the direct sum above
+    (("ghost-sum", "--x", "0.5"), 3),
+    (("ghost-sum", "--x", "2"), 5),
 ]
 
 

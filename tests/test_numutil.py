@@ -799,7 +799,7 @@ _REFUSALS = [
      lambda: continued_fraction(lambda k: 1.0, lambda k: math.nan if k == 1 else 1.0), OverflowError),
     ("numeric_derivative, infinite f", lambda: numeric_derivative(lambda t: math.inf, 1.0), OverflowError),
     ("theta3_two, overflowing fold", lambda: theta3_two(1, 150.5, 0.01), OverflowError),
-    ("theta3_two, infinite b", lambda: theta3_two(1, math.inf, 0.5), OverflowError),
+    ("theta3_two, b Log q past the double range", lambda: theta3_two(1e-3, 1e308, 1e-300), OverflowError),
     ("cayley, subnormal 1 - v", lambda: cayley(1 + 1e-320j), OverflowError),
     ("u_product, N - D and N + D infinite", lambda: u_product(1e200, -1e200, 0.0), OverflowError),
     ("cayley_u0_product, P past the double range", lambda: cayley_u0_product(0.9, 0.995), OverflowError),
@@ -811,6 +811,12 @@ _REFUSALS = [
     ("u_product, N + D = 0", lambda: u_product(2.0, 0.5, 0.0), PoleError),
     ("cayley_u0_product, (a; q) = 0", lambda: cayley_u0_product(1.0, 0.5), PoleError),
     ("u0_product, P + 1 = 0", lambda: u0_product(1j, 0.0), PoleError),
+    # an argument outside the domain, NaN included: ValueError, not a pole
+    # or an overflow that the argument itself brought in
+    ("theta3_two, NaN a at q = 0", lambda: theta3_two(math.nan, 0, 0.0), ValueError),
+    ("theta3_two, NaN b at q = 0", lambda: theta3_two(1, math.nan, 0.0), ValueError),
+    ("theta3_two, NaN b", lambda: theta3_two(1, math.nan, 0.3), ValueError),
+    ("theta3_two, infinite b", lambda: theta3_two(1, math.inf, 0.5), ValueError),
 ]
 
 

@@ -9,7 +9,7 @@ import mpmath
 import pytest
 from assertions import assert_close
 
-from qelliptic.numutil import term_counter, truncation
+from qelliptic.numutil import NonConvergenceError, sum_series, term_counter, truncation
 from qelliptic.qseries import (
     bernoulli,
     dirichlet_chi8,
@@ -18,6 +18,7 @@ from qelliptic.qseries import (
     divisors,
     euler_product,
     fermi_derivative_constant,
+    ghost_sum,
     lambert_sum,
     qpochhammer,
     zeta_value,
@@ -252,6 +253,88 @@ def test_zeta_nonpositive_integers():
 def test_zeta_pole():
     with pytest.raises(ValueError):
         zeta_value(1)
+
+
+# ---------------------------------------------------------------------------
+# Ghost Sum S(x) = sum_{n>=1} 1/(e^(n x) - 1)
+# ---------------------------------------------------------------------------
+
+
+def _ghost_fsum(x):
+    # every term down to e^-45 of the first, summed exactly rounded
+    return math.fsum(1.0 / math.expm1(n * x) for n in range(1, int(45.0 / x) + 2))
+
+
+def _ghost_direct_rule(x):
+    # the direct sum, the rule above x = 1, at any x
+    return sum_series(lambda n: 1.0 / math.expm1((n + 1) * x)).real
+
+
+@pytest.mark.parametrize("x", [1e-4, 1e-2, 0.5, 1.0, 2 * math.pi])
+def test_ghost_sum_matches_a_direct_fsum(x):
+    want = _ghost_fsum(x)
+    assert abs(ghost_sum(x) - want) <= 2e-16 * want
+
+
+def test_ghost_sum_matches_mpmath():
+    # the expansion's head, S(x) = (gamma - log x)/x + 1/4 - x/144 - x^3/86400
+    # + O(x^5), at 40 digits; mpmath's nsum is itself wrong below x = 0.01
+    with mpmath.workdps(40):
+        for literal in ("1e-3", "1e-6"):
+            x = mpmath.mpf(literal)
+            want = (mpmath.euler - mpmath.log(x)) / x + mpmath.mpf(1) / 4 - x / 144 - x**3 / 86400
+            assert abs(ghost_sum(float(literal)) - complex(want)) <= 2e-16 * abs(want)
+
+
+@pytest.mark.parametrize("x", [40, 100])
+def test_ghost_sum_far_above_the_split_matches_mpmath(x):
+    # past x = 36.85 the parent's 1/expm1(n x) overflowed on its way to the stop
+    with mpmath.workdps(40):
+        want = mpmath.nsum(lambda n: 1 / (mpmath.exp(n * x) - 1), [1, mpmath.inf])
+    assert abs(ghost_sum(x) - complex(want)) <= 3e-16 * abs(want)
+
+
+def test_ghost_sum_at_the_ends_of_the_double_range():
+    assert ghost_sum(1e308) == 0.0
+    assert ghost_sum(1e-300) == 6.913527435631152e+302
+    with pytest.raises(OverflowError, match="ghost_sum"):
+        ghost_sum(1e-308)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, -1.0, math.nan, -math.inf])
+def test_ghost_sum_refuses_x_outside_its_domain(x):
+    with term_counter() as count, pytest.raises(ValueError, match="ghost_sum requires x > 0"):
+        ghost_sum(x)
+    assert count() == 0
+
+
+def test_ghost_sum_takes_a_few_dozen_terms_at_every_x():
+    grid = [10.0**(k / 4) for k in range(-1200, 1233)]
+    grid += [0.05 * k for k in range(1, 1200)] + [1.0000001, 37.15]
+    for x in grid:
+        with term_counter() as count:
+            ghost_sum(x)
+        assert count() <= (40 if x <= 36 else 100), x
+
+
+def test_the_two_ghost_sum_rules_agree_across_the_split():
+    for k in range(-20, 21):
+        x = 1.0 + 0.001 * k
+        want = _ghost_direct_rule(x)
+        assert abs(ghost_sum(x) - want) <= 1e-15 * want, x
+    above = ghost_sum(math.nextafter(1.0, 2.0))
+    assert abs(ghost_sum(1.0) - above) <= 1e-15 * abs(above)
+
+
+@pytest.mark.parametrize("x, used", [(0.5, 7), (2.0, 21)])
+def test_ghost_sum_reads_the_cap_on_both_sides_of_the_split(x, used):
+    with term_counter() as count:
+        ghost_sum(x)
+    assert count() == used
+    with term_counter() as count, truncation(max_terms=3):
+        with pytest.raises(NonConvergenceError, match="within 3 terms"):
+            ghost_sum(x)
+    assert count() == 3
 
 
 def test_fermi_constants_small_orders():

@@ -32,7 +32,7 @@ def snapshot() -> list[list]:
 def test_registry_values_and_terms_are_bit_identical_to_golden():
     expected = json.loads(GOLDEN.read_text())
     got = snapshot()
-    assert len(got) == len(expected) == 342
+    assert len(got) == len(expected) == 344
     mismatches = [(g, e) for g, e in zip(got, expected) if g != e]
     assert not mismatches, mismatches[:5]
 
@@ -43,22 +43,43 @@ def _move(new: str, old: str) -> float:
     return abs(a - b) / abs(b) if b else abs(a)
 
 
+def _keyed(rows: list[list]) -> dict[tuple[str, int], list]:
+    """Rows by (case id, index of the sample within its case)."""
+    seen: dict[str, int] = {}
+    keyed = {}
+    for row in rows:
+        i = seen[row[0]] = seen.get(row[0], -1) + 1
+        keyed[row[0], i] = row
+    return keyed
+
+
 def print_diff() -> None:
-    """Print each sample's lhs/rhs move and terms_used change, then a summary."""
-    expected = json.loads(GOLDEN.read_text())
-    got = snapshot()
-    print(f"{'case':16} {'lhs move':>10} {'rhs move':>10} {'terms':>13}")
+    """Print each sample's lhs/rhs move and terms_used change, paired by
+    (case id, sample index), then the added and removed samples and a summary."""
+    expected = _keyed(json.loads(GOLDEN.read_text()))
+    got = _keyed(snapshot())
+    print(f"{'case':16} {'sample':>6} {'lhs move':>10} {'rhs move':>10} {'terms':>13}")
     largest = (0.0, "none")
     moved = 0
-    for (case, lhs, rhs, terms), (_, old_lhs, old_rhs, old_terms) in zip(got, expected):
+    for key, (_, lhs, rhs, terms) in got.items():
+        if key not in expected:
+            continue
+        _, old_lhs, old_rhs, old_terms = expected[key]
         lhs_move, rhs_move = _move(lhs, old_lhs), _move(rhs, old_rhs)
-        print(f"{case:16} {lhs_move:10.2e} {rhs_move:10.2e} {old_terms:6d} -> {terms:<6d}")
+        print(f"{key[0]:16} {key[1]:6d} {lhs_move:10.2e} {rhs_move:10.2e} "
+              f"{old_terms:6d} -> {terms:<6d}")
         if lhs_move or rhs_move:
             moved += 1
-            largest = max(largest, (max(lhs_move, rhs_move), case))
-    print(f"samples {len(got)} (golden {len(expected)}); values moved in {moved}; "
-          f"largest move {largest[0]:.2e} ({largest[1]}); "
-          f"terms_used {sum(row[3] for row in expected)} -> {sum(row[3] for row in got)}")
+            largest = max(largest, (max(lhs_move, rhs_move), key[0]))
+    added = [key for key in got if key not in expected]
+    removed = [key for key in expected if key not in got]
+    for label, keys, rows in (("added", added, got), ("removed", removed, expected)):
+        for key in keys:
+            print(f"{label} {key[0]} sample {key[1]}: {rows[key]}")
+    print(f"samples {len(got)} (golden {len(expected)}); added {len(added)}, removed {len(removed)}; "
+          f"values moved in {moved}; largest move {largest[0]:.2e} ({largest[1]}); "
+          f"terms_used {sum(row[3] for row in expected.values())} -> "
+          f"{sum(row[3] for row in got.values())}")
 
 
 if __name__ == "__main__":
