@@ -1119,11 +1119,6 @@ def _t21a_rhs(r, a):
             - cmath.sin(pi * th0 / c.K) / (c.k * c.Kprime) * angle_derivative(c.q.real, a))
 
 
-def _t21b_lhs(r, a):
-    c = _cr(r)
-    return eval_fourier("ss", _cneg(r), c.kprime.real * frame_offset(c, a))
-
-
 def _t21b_rhs(r, a):
     c = _cr(r)
     return (angle_derivative(c.q.real, a) / (c.k * c.Kprime)
@@ -1167,11 +1162,6 @@ def _eq104_lhs(r, u):
 def _eq104_rhs(r, u):
     c = _cr(r)
     return jacobi_cn(c, u / c.kprime.real)
-
-
-def _eq105_lhs(r, x):
-    c = _cr(r)
-    return eval_fourier("ss", c, x * c.K.real)
 
 
 def _eq105_rhs(r, x):
@@ -1342,10 +1332,6 @@ def _eq122_rhs(q, a):
     lg = cmath.log(q)
     return (2.0 * q ** a * lg / (1.0 - q ** (2 * a))
             + 2.0 * lg * sum_series(lambda n: q ** (n + 1) * _odd_quotient_count(n + 1, a)))
-
-
-def _eq123_lhs(y):
-    return sum_series(lambda n: 1.0 / (math.exp(2.0 * (2 * n + 1) * pi * y) - 1.0))
 
 
 def _eq123_rhs(y):
@@ -1617,20 +1603,16 @@ def _a157_rhs(a, p, q):
     return cayley(u_product(q ** a, -q ** (p - a), q ** p)) ** (-1.0)
 
 
-def _a157_printed_rhs(a, p, q):
-    return cayley(u_product(q ** a, -q ** (p - a), q ** p)) ** (-2.0)
-
-
 def _a158_lhs(a, p, q):
     return cmath.log(cayley(u_product(q ** a, -q ** (p - a), q ** p)))
 
 
 def _a158_rhs(a, p, q):
-    return 2.0 * restricted_divisor_log(q, p, [a, p - a], multiset=True)
+    return 2.0 * restricted_divisor_log(q, p, [a, p - a])
 
 
 def _a158_printed_rhs(a, p, q):
-    return 4.0 * restricted_divisor_log(q, p, [a, p - a])
+    return 4.0 * restricted_divisor_log(q, p, sorted({a % p, (p - a) % p}))
 
 
 def _a159_lhs(a, b, p, q, eps):
@@ -1657,8 +1639,7 @@ def _a161_lhs(a, p, q):
 
 def _a161_rhs(a, p, q):
     return (cmath.log(euler_product(q ** p))
-            - restricted_divisor_log(q, p, [a, p - a], odd_only=False,
-                                     x=-1.0, multiset=True))
+            - restricted_divisor_log(q, p, [a, p - a], odd_only=False, x=-1.0))
 
 
 def _a161_printed_rhs(a, p, q):
@@ -2152,7 +2133,7 @@ def _build() -> tuple[IdentityCase, ...]:
           ({"r": 2.0, "a": 0.7}, {"r": 1.0, "a": 0.55}),
           param_domain="0 < a < 1", tol=1e-9),
         C("T21b", "negated-nome ss at the scaled frame via the angle slope",
-          "qelliptic.angle.frame_offset", _t21b_lhs, _t21b_rhs,
+          "qelliptic.angle.frame_offset", _t19b_lhs, _t21b_rhs,
           ({"r": 2.0, "a": 0.7}, {"r": 1.0, "a": 0.55}),
           param_domain="0 < a < 1", tol=1e-9),
         C("EQ102", "star-frame exponential identity for e^{i pi a} q^a",
@@ -2165,7 +2146,7 @@ def _build() -> tuple[IdentityCase, ...]:
           "qelliptic.fourier.jacobi_cd", _eq104_lhs, _eq104_rhs,
           ({"r": 2.0, "u": 0.3}, {"r": 1.0, "u": 0.45})),
         C("EQ105", "ss as a cotangent/cosecant combination of negated-nome cd and cd1",
-          "qelliptic.fourier.eval_fourier", _eq105_lhs, _eq105_rhs,
+          "qelliptic.fourier.eval_fourier", _p4_lhs, _eq105_rhs,
           ({"r": 2.0, "x": 0.3}, {"r": 1.0, "x": 0.45})),
         C("T22", "ss at the star frame via cn and the twisted fractional sum",
           "qelliptic.angle.frame_offset_star", _t22_lhs, _t22_rhs,
@@ -2222,7 +2203,7 @@ def _build() -> tuple[IdentityCase, ...]:
           compare="derivative", tol=1e-11,
           param_domain="a positive integer, 0 < |q| < 1, principal Log q"),
         C("EQ123", "odd exponential sum via restricted divisor counts",
-          "qelliptic.qseries.divisors", _eq123_lhs, _eq123_rhs,
+          "qelliptic.qseries.divisors", _eq114_lhs, _eq123_rhs,
           ({"y": 0.35},), tol=1e-10),
         C("EQ124", "unit shift of the angle slope",
           "qelliptic.angle.angle_derivative", _eq124_lhs, _eq124_rhs,
@@ -2332,7 +2313,7 @@ def _build() -> tuple[IdentityCase, ...]:
           "qelliptic.thetagen.theta4_two", _a157_lhs, _a157_rhs,
           ({"a": 1, "p": 5, "q": 0.2}, {"a": 1, "p": 3, "q": 0.25}), tol=1e-10),
         C("A5-157-PRINTED", "inverse-squared variant of A5-157, kept for the record",
-          "qelliptic.thetagen.theta4_two", _a157_lhs, _a157_printed_rhs,
+          "qelliptic.thetagen.theta4_two", _a157_lhs, _a137_rhs,
           ({"a": 1, "p": 5, "q": 0.2},), status="QUARANTINED"),
         C("A5-158", "log-Cayley value as twice the multiset restricted divisor log",
           "qelliptic.thetagen.restricted_divisor_log", _a158_lhs, _a158_rhs,
@@ -2349,8 +2330,7 @@ def _build() -> tuple[IdentityCase, ...]:
           tol=1e-10),
         C("A-160", "log of the theta3/theta4 quotient as a restricted divisor log",
           "qelliptic.thetagen.restricted_divisor_log", _a160_lhs, _a160_rhs,
-          ({"a": 1, "p": 5, "q": 0.2},), tol=1e-10,
-          param_domain="2a not divisible by p"),
+          ({"a": 1, "p": 5, "q": 0.2}, {"a": 1, "p": 2, "q": 0.2}), tol=1e-10),
         C("A-161", "log theta3 as the Euler-product log minus an alternating multiset log",
           "qelliptic.thetagen.restricted_divisor_log", _a161_lhs, _a161_rhs,
           ({"a": 1, "p": 5, "q": 0.2}, {"a": 1, "p": 3, "q": 0.25}), tol=1e-10),
@@ -2359,12 +2339,12 @@ def _build() -> tuple[IdentityCase, ...]:
           ({"a": 1, "p": 5, "q": 0.2},), status="QUARANTINED"),
         C("A-162", "log of the minus-bracket as a restricted divisor log",
           "qelliptic.thetagen.restricted_divisor_log", _a162_lhs, _a162_rhs,
-          ({"a": 1, "p": 5, "q": 0.2}, {"a": 2, "p": 5, "q": 0.2}), tol=1e-10,
-          param_domain="2a not divisible by p"),
+          ({"a": 1, "p": 5, "q": 0.2}, {"a": 2, "p": 5, "q": 0.2}, {"a": 1, "p": 2, "q": 0.2}),
+          tol=1e-10),
         C("A-163", "log of the plus-bracket as an alternating restricted divisor log",
           "qelliptic.thetagen.restricted_divisor_log", _a163_lhs, _a163_rhs,
-          ({"a": 1, "p": 5, "q": 0.2}, {"a": 2, "p": 5, "q": 0.2}), tol=1e-10,
-          param_domain="2a not divisible by p"),
+          ({"a": 1, "p": 5, "q": 0.2}, {"a": 2, "p": 5, "q": 0.2}, {"a": 1, "p": 2, "q": 0.2}),
+          tol=1e-10),
         C("A-164", "log-Cayley at equal arguments as four times the one-class divisor log",
           "qelliptic.thetagen.restricted_divisor_log", _a164_lhs, _a164_rhs,
           ({"a": 1, "p": 3, "q": 0.2},), tol=1e-10,

@@ -14,10 +14,10 @@ Conventions
   product quotient it represents; both continued fractions below have
   closed forms under this map.
 * Restricted divisor sums run over factorizations ``A * B = n`` with
-  ``A, B >= 1``.  Residue constraints apply to ``B`` modulo ``p``.  The
-  ``multiset`` flag controls whether a divisor pair matching several of
-  the requested residue classes is counted once (set semantics) or once
-  per matching class (multiset semantics).
+  ``A, B >= 1``.  Residue constraints apply to ``B`` modulo ``p``, and a
+  divisor pair counts once for each listed class it matches: the classes
+  ``a`` and ``p - a`` of the agile brackets coincide at ``2a = p`` and then
+  count twice.
 """
 
 from __future__ import annotations
@@ -248,8 +248,9 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
     sum's result is returned with imaginary part 0.
 
     Raises ``ValueError`` where ``|q^a| >= 1`` (with ``odd``, also at
-    ``q = 0``) and where ``a`` or ``b`` is not finite at ``q = 0`` or ``b`` is
-    not finite on the reduced route,
+    ``q = 0``), and one naming the argument where ``a`` or ``b`` is not finite
+    at ``q = 0`` or where a step overflows and ``a`` or ``b`` is not finite (the
+    type is decided on that refusal, so the direct route takes no extra test),
     :class:`~qelliptic.numutil.NonConvergenceError` where
     :func:`_fold` spends its cap, and ``OverflowError`` where ``b Log q``, a
     factor, a ratio, a partial sum or the value is not finite.
@@ -258,8 +259,7 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
     if q == 0:
         if odd:
             raise ValueError(f"{name} requires 0 < |q^a| < 1; q = 0 is outside it")
-        if not (cmath.isfinite(a) and cmath.isfinite(b)):
-            raise ValueError(f"{name} requires finite a and b, got a = {a}, b = {b}")
+        _require_finite(name, a, b)
         if abs(principal_power(q, a)) >= 1.0:
             raise ValueError(f"{name} requires |q^a| < 1 for convergence")
         # Every term but n = 0 is 0^(n (a n + b)): 0 when each exponent has a
@@ -273,25 +273,34 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
     A = a * log_q
     if not A.real < 0.0:  # NaN fails it too
         raise ValueError(f"{name} requires |q^a| < 1 for convergence")
-    if not (odd or A.real > -0.5 * _PI):
-        x = principal_power(q, a)
-        sign = -1.0 if alternating else 1.0
-        return _fold(x * x, sign * principal_power(q, a + b), sign * principal_power(q, a - b), name)
-    A, B = _exponents(a, b, q, log_q, alternating, odd)
-    if not cmath.isfinite(B):
-        if not cmath.isfinite(b):
-            raise ValueError(f"{name} requires a finite b, got b = {b}")
-        raise OverflowError(f"{name}: b Log q = {B} is not finite")
-    A, B, log_f = _reduce(A, B, odd)
-    factor = cmath.exp(log_f)
-    r = 2.0 * A if odd else A  # log of the ratio of term 1 to term 0, less B
-    folded = _fold(cmath.exp(2.0 * A), cmath.exp(r + B), cmath.exp(r - B), name, B if odd else None)
-    value = factor * folded
-    if not cmath.isfinite(value):
-        raise OverflowError(f"{name}({a}, {b}; {q}) leaves the double range")
+    try:
+        if not (odd or A.real > -0.5 * _PI):
+            x = principal_power(q, a)
+            sign = -1.0 if alternating else 1.0
+            return _fold(x * x, sign * principal_power(q, a + b), sign * principal_power(q, a - b), name)
+        A, B = _exponents(a, b, q, log_q, alternating, odd)
+        if not cmath.isfinite(B):
+            raise OverflowError(f"{name}: b Log q = {B} is not finite")
+        A, B, log_f = _reduce(A, B, odd)
+        factor = cmath.exp(log_f)
+        r = 2.0 * A if odd else A  # log of the ratio of term 1 to term 0, less B
+        folded = _fold(cmath.exp(2.0 * A), cmath.exp(r + B), cmath.exp(r - B), name, B if odd else None)
+        value = factor * folded
+        if not cmath.isfinite(value):
+            raise OverflowError(f"{name}({a}, {b}; {q}) leaves the double range")
+    except OverflowError:
+        _require_finite(name, a, b)
+        raise
     if value.imag and not odd and _real_sum(q, a, b):
         return complex(value.real, 0.0)
     return value
+
+
+def _require_finite(name: str, a, b) -> None:
+    """``ValueError`` naming the first of ``a`` and ``b`` that is not finite."""
+    for label, v in (("a", a), ("b", b)):
+        if not cmath.isfinite(v):
+            raise ValueError(f"{name} requires a finite {label}, got {label} = {v}")
 
 
 def _real_sum(q, a, b) -> bool:
@@ -536,7 +545,6 @@ def restricted_divisor_log(
     *,
     odd_only: bool = True,
     x: complex = 1.0,
-    multiset: bool = False,
 ) -> complex:
     """Sum ``sum_{n>=1} q^n sum_{A B = n} w(A)`` restricted by residue class.
 
@@ -544,23 +552,18 @@ def restricted_divisor_log(
     ``odd_only`` and ``B mod p`` lying in ``residues``.  The weight is
     ``w(A) = x^A / A``; ``x = -1`` gives the alternating ``(-1)^A / A``.
 
-    With ``multiset=True`` a divisor pair is counted once per residue class
-    it matches, so repeated classes in ``residues`` accumulate; the default
-    counts each matching pair once regardless of how many classes agree.
+    A divisor pair counts once for each entry of ``residues`` that its class
+    matches, so a repeated class counts with its multiplicity; a set of
+    classes is passed as distinct entries.
     """
     res_list = [r % p for r in residues]
-    res_set = frozenset(res_list)
 
     def inner(n: int) -> complex:
         total = 0.0 + 0.0j
         for A in divisors(n):
             if odd_only and A % 2 == 0:
                 continue
-            bmod = (n // A) % p
-            if multiset:
-                count = sum(1 for r in res_list if r == bmod)
-            else:
-                count = 1 if bmod in res_set else 0
+            count = res_list.count((n // A) % p)
             if not count:
                 continue
             total += count * x**A / A

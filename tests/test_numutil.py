@@ -25,7 +25,15 @@ from qelliptic.numutil import (
     truncation,
 )
 from qelliptic.qseries import euler_product, qpochhammer
-from qelliptic.thetagen import cayley, cayley_u0_product, theta3_two, u0_product, u_product
+from qelliptic.thetagen import (
+    cayley,
+    cayley_u0_product,
+    theta1_two,
+    theta3_two,
+    theta4_two,
+    u0_product,
+    u_product,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +825,10 @@ _REFUSALS = [
     ("theta3_two, NaN b at q = 0", lambda: theta3_two(1, math.nan, 0.0), ValueError),
     ("theta3_two, NaN b", lambda: theta3_two(1, math.nan, 0.3), ValueError),
     ("theta3_two, infinite b", lambda: theta3_two(1, math.inf, 0.5), ValueError),
+    ("theta3_two, NaN b, direct route", lambda: theta3_two(1, math.nan, 0.01), ValueError),
+    ("theta3_two, infinite b, direct route", lambda: theta3_two(1, math.inf, 0.01), ValueError),
+    ("theta4_two, NaN b, direct route", lambda: theta4_two(1, math.nan, 0.01), ValueError),
+    ("theta1_two, infinite a", lambda: theta1_two(math.inf, 0, 0.3), ValueError),
 ]
 
 

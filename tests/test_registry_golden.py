@@ -32,7 +32,7 @@ def snapshot() -> list[list]:
 def test_registry_values_and_terms_are_bit_identical_to_golden():
     expected = json.loads(GOLDEN.read_text())
     got = snapshot()
-    assert len(got) == len(expected) == 344
+    assert len(got) == len(expected) == 347
     mismatches = [(g, e) for g, e in zip(got, expected) if g != e]
     assert not mismatches, mismatches[:5]
 

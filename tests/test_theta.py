@@ -605,18 +605,14 @@ def test_ramanujan_quantity_nome_splitting():
 # ---------------------------------------------------------------------------
 
 
-def brute_restricted_log(q, p, residues, *, odd_only=True, x=1.0, multiset=False,
-                         nmax=120):
+def brute_restricted_log(q, p, residues, *, odd_only=True, x=1.0, nmax=120):
     res_list = [r % p for r in residues]
     total = 0.0
     for A in range(1, nmax + 1):
         if odd_only and A % 2 == 0:
             continue
         for B in range(1, nmax // A + 1):
-            if multiset:
-                count = sum(1 for r in res_list if r == B % p)
-            else:
-                count = 1 if (B % p) in res_list else 0
+            count = res_list.count(B % p)
             if not count:
                 continue
             total += count * x**A / A * q ** (A * B)
@@ -627,7 +623,8 @@ def test_restricted_log_matches_brute_force():
     q = 0.2
     for kwargs in (
         dict(p=2, residues=[1]),
-        dict(p=5, residues=[1, 4], multiset=True),
+        dict(p=5, residues=[1, 4]),
+        dict(p=2, residues=[1, 1], odd_only=False),
         dict(p=3, residues=[1], odd_only=False, x=-1.0),
         dict(p=4, residues=[1], x=0.7),
     ):
@@ -665,9 +662,7 @@ def test_theta3_log_series_exponentiated():
     # theta3(p/2, p/2-a) = f(q^p) exp(-alternating unrestricted-parity series)
     a, p, q = 1.0, 4.0, 0.2
     want = euler_product(q ** int(p)) * cmath.exp(
-        -restricted_divisor_log(
-            q, int(p), [1, 3], odd_only=False, x=-1.0, multiset=True
-        )
+        -restricted_divisor_log(q, int(p), [1, 3], odd_only=False, x=-1.0)
     )
     assert abs(theta3_two(p / 2.0, p / 2.0 - a, q) - want) <= 1e-10
 
@@ -707,8 +702,26 @@ def test_two_sided_residue_split():
     # log cayley(U(q^a, -q^{p-a}; q^p)) counts classes a and p-a as a multiset
     a, p, q = 1.0, 2.0, 0.2
     lhs = cmath.log(cayley(u_product(q**a, -(q ** (p - a)), q ** int(p))))
-    rhs = 2.0 * restricted_divisor_log(q, int(p), [1, 1], multiset=True)
+    rhs = 2.0 * restricted_divisor_log(q, int(p), [1, 1])
     assert abs(lhs - rhs) <= 1e-9
+
+
+def test_coincident_classes_count_twice():
+    # at 2a = p the classes a and p - a of the brackets and of the theta3/theta4
+    # quotient are one class, which counts twice
+    a, p, q = 1, 2, 0.2
+    b1, b2 = p / 2.0, (p - 2.0 * a) / 2.0
+    for lhs, rhs in (
+        (cmath.log(agile_minus(a, p, q)), -restricted_divisor_log(q, p, [1, 1], odd_only=False)),
+        (cmath.log(agile_plus(a, p, q)), -restricted_divisor_log(q, p, [1, 1], odd_only=False, x=-1.0)),
+        (cmath.log(theta3_two(b1, b2, q) / theta4_two(b1, b2, q)), 2.0 * restricted_divisor_log(q, p, [1, 1])),
+    ):
+        assert abs(lhs - rhs) <= 1e-14 * abs(lhs)
+
+
+def test_restricted_log_has_one_counting_rule():
+    with pytest.raises(TypeError):
+        restricted_divisor_log(0.2, 2, [1, 1], multiset=True)
 
 
 def test_epsilon_sign_law():
