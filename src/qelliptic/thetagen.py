@@ -195,7 +195,7 @@ def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
         used += 1
         if not abs(total) < inf:
             _bump_terms(used)
-            raise OverflowError(f"{name} partial sum is {head + total} after {used} terms")
+            raise OverflowError(f"partial sum is {head + total} after {used} terms")
 
 
 def _exponents(a, b, q, log_q: complex, alternating: bool,
@@ -253,7 +253,8 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
     type is decided on that refusal, so the direct route takes no extra test),
     :class:`~qelliptic.numutil.NonConvergenceError` where
     :func:`_fold` spends its cap, and ``OverflowError`` where ``b Log q``, a
-    factor, a ratio, a partial sum or the value is not finite.
+    factor, a ratio, a partial sum or the value is not finite; its message
+    names the sum and its ``(a, b, q)``, then the step that overflowed.
     """
     name = "theta1_two" if odd else "theta4_two" if alternating else "theta3_two"
     if q == 0:
@@ -280,17 +281,17 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
             return _fold(x * x, sign * principal_power(q, a + b), sign * principal_power(q, a - b), name)
         A, B = _exponents(a, b, q, log_q, alternating, odd)
         if not cmath.isfinite(B):
-            raise OverflowError(f"{name}: b Log q = {B} is not finite")
+            raise OverflowError(f"b Log q = {B} is not finite")
         A, B, log_f = _reduce(A, B, odd)
         factor = cmath.exp(log_f)
         r = 2.0 * A if odd else A  # log of the ratio of term 1 to term 0, less B
         folded = _fold(cmath.exp(2.0 * A), cmath.exp(r + B), cmath.exp(r - B), name, B if odd else None)
         value = factor * folded
         if not cmath.isfinite(value):
-            raise OverflowError(f"{name}({a}, {b}; {q}) leaves the double range")
-    except OverflowError:
+            raise OverflowError("the value leaves the double range")
+    except OverflowError as exc:
         _require_finite(name, a, b)
-        raise
+        raise OverflowError(f"{name}({a}, {b}; {q}): {exc}") from exc
     if value.imag and not odd and _real_sum(q, a, b):
         return complex(value.real, 0.0)
     return value

@@ -182,9 +182,11 @@ def test_criterion_10_property_modes(capsys):
                   if c.compare == "limit" and c.status == "ACTIVE"]
         assert derivative and limits
         for case in derivative:
+            assert case.tol is not None, case.id
             assert case.tolerance <= 1e-6
             assert run_case(case).passed_all, case.id
         for case in limits:
+            assert case.tol is not None, case.id
             assert case.tolerance <= 1e-3
             assert run_case(case).passed_all, case.id
 

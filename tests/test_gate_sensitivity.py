@@ -6,7 +6,7 @@ holds it, by a wrapper that counts its calls and multiplies its value by
 ``1 + 100 tol``.  A case that still passes cannot see a relative error a
 hundred times its tolerance in the evaluator it claims to check; the few that
 may, for a stated reason, are listed below, and the lists are exact both
-ways.  The four per-policy context caches of ``_cases`` are cleared before
+ways.  The two per-policy context caches of ``_cases`` are cleared before
 and after each mutation, so that no context is reused across it.
 """
 
@@ -38,7 +38,7 @@ CONTEXT_ANCHORED = {
     "T8", "EQ41", "EQ59", "EQ79",
 }
 
-_CONTEXT_CACHES = ("_cr", "_cneg", "_cy", "_cnegy")
+_CONTEXT_CACHES = ("_cr", "_cneg")
 
 
 def _clear_contexts() -> None:

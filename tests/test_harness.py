@@ -1,10 +1,12 @@
 """Registry integrity, runner semantics, quarantine discipline, reports."""
 
+import ast
 import csv
 import importlib
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,17 @@ def test_registry_cases_well_formed():
         assert c.status in ("ACTIVE", "QUARANTINED")
         assert c.samples
         assert c.tolerance > 0.0
+
+
+def test_case_helpers_have_distinct_bodies():
+    # two module-level helpers of _cases with the same AST are one rule kept twice
+    tree = ast.parse(Path(_cases.__file__).read_text())
+    first = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            key = ast.dump(ast.Module(body=node.body, type_ignores=[])) + ast.dump(node.args)
+            assert key not in first, f"{node.name} has the same AST as {first[key]}"
+            first[key] = node.name
 
 
 def test_registry_anchors_resolve():
@@ -166,6 +179,12 @@ def test_cached_contexts_are_keyed_by_policy():
     with truncation(max_terms=3), pytest.raises(NonConvergenceError):
         cached_context(2.0)
     assert cached_context(2.0) is default
+
+
+def test_y_context_is_the_r_context_at_four_y_squared():
+    assert _cases._cy(0.35) is _cases._cr(4.0 * 0.35 * 0.35)
+    with pytest.raises(ValueError, match="y must be positive"):
+        _cases._cy(-0.35)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +389,15 @@ def test_sample_overrides_give_a_report_of_typed_failures(override):
                 assert rec.error.startswith("ValueError: closed form tabulated only at r in"), rec.error
             if rec.case_id in ("EQ11", "EQ122", "EQ124", "EQ125"):
                 assert not rec.error, rec.error
+
+
+@pytest.mark.parametrize("q", [0.95, 0.9j], ids=str)
+def test_eq128_holds_at_deep_nomes(q):
+    # k' off the context; formed as sqrt(1 - k^2) it read 0.81 at q = 0.95 and 1.0 at 0.9i
+    report = run_registry(registry(), id_filter="EQ128", sample_override={"q": q})
+    records = [rec for res in report.results for rec in res.records]
+    assert [rec.case_id for rec in records] == ["EQ128", "EQ128"]
+    assert all(rec.rel_residual <= 1e-14 for rec in records), records
 
 
 def test_id_filter_glob():

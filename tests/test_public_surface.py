@@ -2,7 +2,7 @@
 
 Each function in the ``__all__`` of the six compute layers (classes aside) is
 replaced, on every ``qelliptic`` module that holds it, by a wrapper that
-records its call; then one registry pass runs.  The four per-policy context
+records its call; then one registry pass runs.  The two per-policy context
 caches of ``_cases`` are cleared before and after the pass, so that a context
 an earlier test built cannot hide a call.  A public function that no registry
 case reaches either gets an ACTIVE case or is deleted; the one exception is
@@ -23,7 +23,7 @@ NEVER_CALLED = {
                           "and a registry pass runs under the policy it is given",
 }
 
-_CONTEXT_CACHES = ("_cr", "_cneg", "_cy", "_cnegy")
+_CONTEXT_CACHES = ("_cr", "_cneg")
 
 
 def _clear_contexts() -> None:

@@ -96,6 +96,13 @@ def test_theta_two_overflow_is_refused_fast():
         assert used() < 100
 
 
+def test_theta_two_overflow_names_the_sum_and_its_arguments():
+    # cn at q = 0.995, u = 100: the odd fold's head 2 sinh(B/2) overflows
+    with pytest.raises(OverflowError) as info:
+        thetagen.theta1_two(1, complex(-0.0, -690.4083993480899), 0.995)
+    assert str(info.value) == "theta1_two(1, (-0-690.4083993480899j); 0.995): math range error"
+
+
 def _per_term_power(q):
     """``s -> q^s`` as the per-term sum took it: exact integer powers,
     else ``exp(s Log q)``."""
