@@ -27,7 +27,8 @@ __all__ = [
 
 
 def angle_sum(q: complex, x: complex) -> complex:
-    """``2 sum_{n>=0} atanh(q^{n+x})`` with principal powers.
+    """``2 sum_{n>=0} atanh(q^{n+x})`` with principal powers: ``q^x`` is
+    formed once and each ``q^{n+x}`` from the one before it, times ``q``.
 
     Requires ``|q^x| < 1`` so every atanh argument stays inside the unit
     disk (terms then decay like ``q^n``); raises ``ValueError`` where that
@@ -37,7 +38,15 @@ def angle_sum(q: complex, x: complex) -> complex:
     qx = principal_power(q, x)
     if not abs(qx) < 1.0:
         raise ValueError(f"angle sum needs |q^x| < 1, got q^x = {qx}")
-    return 2.0 * sum_series(lambda n: cmath.atanh(qx * q**n))
+    qnx = qx  # q^(n+x), carried by its ratio q
+
+    def term(n: int) -> complex:
+        nonlocal qnx
+        if n > 0:
+            qnx *= q
+        return cmath.atanh(qnx)
+
+    return 2.0 * sum_series(term)
 
 
 def angle_derivative(q: complex, a: complex) -> complex:

@@ -69,10 +69,12 @@ __all__ = [
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
+_I_PI = 1j * math.pi
+_MINUS_I_PI = -1j * math.pi
 
 
-def _reduce(A: complex, B: complex, odd: bool = False) -> tuple[complex, complex, complex]:
-    """``(A', B', log f)`` with ``sum_n e^(A n^2 + B n) = f sum_n e^(A' n^2 + B' n)``
+def _reduce(path: list | None, A: complex, B: complex, odd: bool) -> tuple[complex, complex, complex, complex]:
+    """``(A', e^(2A'), B', log f)`` with ``sum_n e^(A n^2 + B n) = f sum_n e^(A' n^2 + B' n)``
     (``Re A < 0``), where ``tau' = A' / (i pi)`` lies in the fundamental
     domain (``|Re tau'| <= 1/2``, ``|tau'| >= 1``, so ``|e^A'| <= e^(-pi sqrt(3)/2)``),
     ``|Re B'| <= |Re A'|`` and ``|Im B'| <= pi``.
@@ -90,25 +92,55 @@ def _reduce(A: complex, B: complex, odd: bool = False) -> tuple[complex, complex
     step leaves ``B`` alone, ``B - 2 pi i k`` gives ``(-1)^k``, the shift
     ``(-1)^m`` more, the S step ``-i e^((A' - A)/4)`` more.
 
+    ``A``'s steps do not depend on ``B``, so a plan keeps them in ``path``
+    for its later calls, which carry only ``B``: ``A`` is walked where
+    ``path`` is ``None`` or empty, and an empty one is filled on the way; a
+    filled one is replayed, ``A`` ignored.  Each step is
+    ``(shift, A, h, c, after)``: the T step's shift ``pi m`` of ``Im B``
+    (``None`` where there is none, and for the odd sum), ``A`` after it, the
+    S step's ``h = log(-pi/A) / 2``, the odd sum's constant ``c`` and the
+    next ``A``; the last step, where ``A`` has arrived, has ``h = None`` and
+    ``after = e^(2A')``.
+
     The factors' logarithms are summed, so ``f`` is formed once, by the caller.
     """
     log_f = 0j
+    known = len(path) if path else 0
+    i = 0
     while True:
+        if i < known:
+            shift, A, h, c, after = path[i]
+            i += 1
+        else:
+            shift = None
+            a_imag = A.imag
+            if a_imag > _HALF_PI or a_imag < -_HALF_PI:
+                m = round(a_imag / _PI)
+                A = complex(A.real, a_imag - _PI * m)
+                if not odd:
+                    shift = _PI * m
+            # |tau| >= 1 up to rounding; the margin stops S steps that would
+            # only swap tau with -1/tau on the unit circle
+            if abs(A) >= 0.999 * _PI:
+                h = c = None
+                after = cmath.exp(2.0 * A)
+            else:
+                h = 0.5 * cmath.log(-_PI / A)
+                after = _PI * _PI / A
+                c = 0.25 * (after - A) - 0.5j * _PI if odd else None
+            if path is not None:
+                path.append((shift, A, h, c, after))
         # bounds tested by comparison, not abs(), on this hot path; B is
         # reduced modulo 2 pi i inline, and the odd sum's signs (-1)^k and
         # (-1)^m are charged to log_f only when odd
-        a_imag = A.imag
-        if a_imag > _HALF_PI or a_imag < -_HALF_PI:
-            m = round(a_imag / _PI)
-            A = complex(A.real, a_imag - _PI * m)
-            if not odd:
-                B = complex(B.real, B.imag + _PI * m)
+        if shift is not None:
+            B = complex(B.real, B.imag + shift)
         b_imag = B.imag
         if b_imag > _PI or b_imag < -_PI:
             k = round(b_imag / _TWO_PI)
             B = complex(B.real, b_imag - _TWO_PI * k)
             if odd:
-                log_f += 1j * _PI * k
+                log_f += _I_PI * k
         a_real = A.real
         if B.real > -a_real or B.real < a_real:
             m = round(-B.real / (2.0 * a_real))
@@ -117,15 +149,14 @@ def _reduce(A: complex, B: complex, odd: bool = False) -> tuple[complex, complex
             k = round(B.imag / _TWO_PI)
             B = complex(B.real, B.imag - _TWO_PI * k)
             if odd:
-                log_f += 1j * _PI * (m + k)
-        # |tau| >= 1 up to rounding; the margin stops S steps that would
-        # only swap tau with -1/tau on the unit circle
-        if abs(A) >= 0.999 * _PI:
-            return A, B, log_f
-        log_f += 0.5 * cmath.log(-_PI / A) - B * B / (4.0 * A)
-        A, B, A_old = _PI * _PI / A, -1j * _PI * B / A, A
+                log_f += _I_PI * (m + k)
+        if h is None:
+            return A, after, B, log_f
+        log_f += h - B * B / (4.0 * A)
+        B = _MINUS_I_PI * B / A
         if odd:
-            log_f += 0.25 * (A - A_old) - 0.5j * _PI
+            log_f += c
+        A = after
 
 
 def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
@@ -148,8 +179,8 @@ def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
     consumed are charged to :func:`~qelliptic.numutil.term_counter`.
 
     Raises :class:`~qelliptic.numutil.NonConvergenceError` after the
-    policy's ``max_terms`` terms, and ``OverflowError`` at the first partial
-    sum that is not finite.
+    policy's ``max_terms`` terms, and ``OverflowError`` where the odd fold's
+    head overflows or at the first partial sum that is not finite.
     """
     pol = current_policy()
     cutoff = pol.rel_tail_cutoff
@@ -157,8 +188,11 @@ def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
     if odd_B is None:
         head = t_plus = t_minus = 1.0 + 0.0j
     else:
-        head = 2.0 * cmath.sinh(0.5 * odd_B)
-        t_plus, t_minus = cmath.exp(0.5 * odd_B), cmath.exp(-0.5 * odd_B)
+        try:
+            head = 2.0 * cmath.sinh(0.5 * odd_B)
+            t_plus, t_minus = cmath.exp(0.5 * odd_B), cmath.exp(-0.5 * odd_B)
+        except OverflowError:
+            raise OverflowError(f"the odd fold's head 2 sinh(B/2) overflows at B = {odd_B}") from None
         weight, step = 2.0 + 0.0j, x2  # 2 (-1)^n e^(A n(n+1)) and e^(2 A (n+1))
     largest = abs(head)
     total = 0j  # the terms n >= 1
@@ -198,31 +232,21 @@ def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
             raise OverflowError(f"partial sum is {head + total} after {used} terms")
 
 
-def _exponents(a, b, q, log_q: complex, alternating: bool,
-               odd: bool = False) -> tuple[complex, complex]:
-    """``(A, B)`` with ``sum_n s^n q^(a n^2 + b n) = sum_n e^(A n^2 + B n)``
-    (with ``odd``, theta1's sum of :func:`_reduce`): ``A = a L`` and
-    ``B = b L (+ i pi when alternating)``, ``L = log_q = Log q``.
-
-    Where ``Re q < 0``, ``L = Log(-q) + i pi s`` (``s = +-1``), and the
-    multiple of ``i pi`` is split off as a T step by ``m = round(s Re a)``:
-    ``A = a Log(-q) + i pi (s a - m)``, ``B = b Log(-q) + i pi (s b + m)``
-    (``i pi s b`` for the odd sum, whose T step leaves ``B`` alone).
-    Near the negative axis what is left of ``Im A`` then keeps the relative
-    accuracy of ``Log(-q)``, where ``Im L`` carries an absolute error of
-    ``u pi`` (theta3 at ``-0.8645 - 0.028i``: 3.4e-15 off, 3.5e-14 from ``L``).
-    """
-    if q.real < 0.0:
-        s = 1.0 if log_q.imag > 0.0 else -1.0
-        log_p = cmath.log(-q)
-        m = round(s * a.real)
-        A = a * log_p + 1j * _PI * (s * a - m)
-        B = b * log_p + 1j * _PI * (s * b + (0 if odd else m))
-    else:
-        A, B = a * log_q, b * log_q
-    if alternating:
-        B += 1j * _PI
-    return A, B
+# The last plan of the even sums (theta3 and theta4 share it) and of the odd
+# one: what _theta_two needs of (a, q) and the parity alone, the tuple
+# (q, a, x2, log_b, turn, A, path, real).  x2 = q^(2a) is set on the direct
+# route only.  On the reduced one B = b log_b (+ i pi (s b + m) where
+# turn = (s, m)), A is the exponent before its reduction, path its steps (see
+# _reduce) and real whether a real b makes every term real once a +- b are
+# integers or q > 0 (q and a real, the sum even).  A call finds its plan by the
+# identity of its a and q, so equal keys that would pick other branches of
+# Log q (-0.0 == 0.0) or other powers (1 == 1.0) never share one.  The path
+# is None after the nome's first call, recorded by its second and replayed
+# from its third on, so a call at a new nome walks A once and records
+# nothing: with the identity test and a plain tuple that keeps it within a
+# few per cent of a kernel without plans.  A plan is kept only once its walk
+# is done, so the path of a kept plan is never written.
+_plans: list[tuple | None] = [None, None]
 
 
 def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
@@ -232,29 +256,33 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
 
     The sum is written as ``sum_n e^(A n^2 + B n)`` with ``L = Log q``,
     ``A = a L`` and ``B = b L (+ i pi when alternating)``, so that
-    ``|q^a| = e^(Re A)``.  Where ``|q^a| <= e^(-pi/2)`` (``Im tau >= 1/2`` for
-    ``tau = A / (i pi)``) it is summed directly: its ratios
-    ``R_1+- = s q^(a +- b)`` and ``x2 = q^(2a)`` take three powers.  (Formed as
-    ``q^a q^(-b)``, ``R_1-`` would overflow at a tiny nome even where
-    ``q^(a-b) = 1``.)  The direct sum stays although the reduction would
-    apply there too: at ``(a, b, q) = (0.5, 0.25, 0.01)`` the reduced sum is
-    1.6e-16 (theta3) and 1.9e-16 (theta4) from mpmath, the direct one exact
-    to the double.  Elsewhere :func:`_reduce` carries ``tau`` into the
-    fundamental domain by Jacobi's imaginary transformation, and the reduced
-    sum, at a nome of at most ``e^(-pi sqrt(3)/2) ~ 0.066``, takes at most
-    five terms, with ratios ``e^(A' +- B')`` and ``e^(2A')``; it is multiplied
-    by the transformation's factor.  Where every term is real (real ``a``,
-    ``b`` and ``q > 0``, or ``q < 0`` with ``a +- b`` integers) the reduced
-    sum's result is returned with imaginary part 0.
+    ``|q^a| = e^(Re A)``.  What depends on ``(a, q)`` and the parity alone,
+    ``L``, the route, ``q^(2a)`` and ``A``'s reduction, is a plan kept for
+    the next call at the same ``a`` and ``q`` (``_plans``), so a quadrature
+    over ``b`` at one nome forms it once.  Where ``|q^a| <= e^(-pi/2)``
+    (``Im tau >= 1/2`` for ``tau = A / (i pi)``) it is summed directly: its
+    ratios ``R_1+- = s q^(a +- b)`` and ``x2 = q^(2a)`` take three powers, two
+    on a kept plan.  (Formed as ``q^a q^(-b)``, ``R_1-`` would overflow at a
+    tiny nome even where ``q^(a-b) = 1``.)  The direct sum stays although the
+    reduction would apply there too: at ``(a, b, q) = (0.5, 0.25, 0.01)`` the
+    reduced sum is 1.6e-16 (theta3) and 1.9e-16 (theta4) from mpmath, the
+    direct one exact to the double.  Elsewhere :func:`_reduce` carries ``tau``
+    into the fundamental domain by Jacobi's imaginary transformation, and the
+    reduced sum, at a nome of at most ``e^(-pi sqrt(3)/2) ~ 0.066``, takes at
+    most five terms, with ratios ``e^(A' +- B')`` and ``e^(2A')``; it is
+    multiplied by the transformation's factor.  Where every term is real
+    (real ``a``, ``b`` and ``q > 0``, or ``q < 0`` with ``a +- b`` integers)
+    the reduced sum's result is returned with imaginary part 0.
 
     Raises ``ValueError`` where ``|q^a| >= 1`` (with ``odd``, also at
     ``q = 0``), and one naming the argument where ``a`` or ``b`` is not finite
     at ``q = 0`` or where a step overflows and ``a`` or ``b`` is not finite (the
     type is decided on that refusal, so the direct route takes no extra test),
     :class:`~qelliptic.numutil.NonConvergenceError` where
-    :func:`_fold` spends its cap, and ``OverflowError`` where ``b Log q``, a
-    factor, a ratio, a partial sum or the value is not finite; its message
-    names the sum and its ``(a, b, q)``, then the step that overflowed.
+    :func:`_fold` spends its cap, and ``OverflowError`` where ``b Log q``, the
+    transformation's factor, the odd fold's head, a ratio, a partial sum or
+    the value is not finite; its message names the sum and its ``(a, b, q)``,
+    then the step that overflowed.
     """
     name = "theta1_two" if odd else "theta4_two" if alternating else "theta3_two"
     if q == 0:
@@ -270,30 +298,72 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
         if b == a or b == -a:
             return 0j if alternating else 2.0 + 0.0j
         raise PoleError(f"{name}: q^(a n^2 + b n) has a pole at q = 0 when a < |b|")
-    log_q = cmath.log(q)
-    A = a * log_q
-    if not A.real < 0.0:  # NaN fails it too
-        raise ValueError(f"{name} requires |q^a| < 1 for convergence")
     try:
-        if not (odd or A.real > -0.5 * _PI):
-            x = principal_power(q, a)
+        plan = _plans[odd]
+        if plan is not None and plan[0] is q and plan[1] is a:
+            _, _, x2, log_b, turn, A, path, real = plan
+            if path is None and x2 is None:  # the nome's second call
+                path = []
+                plan = (q, a, None, log_b, turn, A, path, real)
+        else:
+            log_q = cmath.log(q)
+            A = a * log_q
+            if not A.real < 0.0:  # NaN fails it too
+                raise ValueError(f"{name} requires |q^a| < 1 for convergence")
+            if not (odd or A.real > -0.5 * _PI):
+                x = principal_power(q, a)
+                x2 = x * x
+                plan = (q, a, x2, None, None, None, None, False)
+            else:
+                x2 = turn = None
+                log_b = log_q
+                if q.real < 0.0:
+                    # L = Log(-q) + i pi s (s = +-1), whose multiple of i pi
+                    # is split off as a T step by m = round(s Re a):
+                    # A = a Log(-q) + i pi (s a - m), B = b Log(-q) + i pi (s b + m)
+                    # (i pi s b for the odd sum, whose T step leaves B alone).
+                    # Near the negative axis what is left of Im A then keeps
+                    # the relative accuracy of Log(-q), where Im L carries an
+                    # absolute error of u pi (theta3 at -0.8645 - 0.028i:
+                    # 3.4e-15 off, 3.5e-14 from L)
+                    s = 1.0 if log_q.imag > 0.0 else -1.0
+                    log_b = cmath.log(-q)
+                    m = round(s * a.real)
+                    A = a * log_b + _I_PI * (s * a - m)
+                    turn = (s, 0 if odd else m)
+                path = None
+                real = not odd and q.imag == 0.0 and a.imag == 0.0
+                plan = (q, a, None, log_b, turn, A, None, real)
+        if x2 is not None:
+            _plans[odd] = plan
             sign = -1.0 if alternating else 1.0
-            return _fold(x * x, sign * principal_power(q, a + b), sign * principal_power(q, a - b), name)
-        A, B = _exponents(a, b, q, log_q, alternating, odd)
+            return _fold(x2, sign * principal_power(q, a + b), sign * principal_power(q, a - b), name)
+        if turn is None:
+            B = b * log_b
+        else:
+            B = b * log_b + _I_PI * (turn[0] * b + turn[1])
+        if alternating:
+            B += _I_PI
         if not cmath.isfinite(B):
             raise OverflowError(f"b Log q = {B} is not finite")
-        A, B, log_f = _reduce(A, B, odd)
-        factor = cmath.exp(log_f)
+        A, e2A, B, log_f = _reduce(path, A, B, odd)
+        _plans[odd] = plan
+        try:
+            factor = cmath.exp(log_f)
+        except OverflowError:
+            raise OverflowError(f"the transformation factor e^{log_f} overflows") from None
         r = 2.0 * A if odd else A  # log of the ratio of term 1 to term 0, less B
-        folded = _fold(cmath.exp(2.0 * A), cmath.exp(r + B), cmath.exp(r - B), name, B if odd else None)
+        folded = _fold(e2A, cmath.exp(r + B), cmath.exp(r - B), name, B if odd else None)
         value = factor * folded
         if not cmath.isfinite(value):
             raise OverflowError("the value leaves the double range")
     except OverflowError as exc:
         _require_finite(name, a, b)
         raise OverflowError(f"{name}({a}, {b}; {q}): {exc}") from exc
-    if value.imag and not odd and _real_sum(q, a, b):
-        return complex(value.real, 0.0)
+    if value.imag and real:
+        b = complex(b)
+        if b.imag == 0.0 and (q.real > 0.0 or (a.real + b.real).is_integer() and (a.real - b.real).is_integer()):
+            return complex(value.real, 0.0)
     return value
 
 
@@ -302,15 +372,6 @@ def _require_finite(name: str, a, b) -> None:
     for label, v in (("a", a), ("b", b)):
         if not cmath.isfinite(v):
             raise ValueError(f"{name} requires a finite {label}, got {label} = {v}")
-
-
-def _real_sum(q, a, b) -> bool:
-    """Whether every term ``q^(a n^2 + b n)`` is real: real ``a``, ``b`` and
-    ``q > 0``, or ``q < 0`` with ``a + b`` and ``a - b`` integers."""
-    q, a, b = complex(q), complex(a), complex(b)
-    return q.imag == a.imag == b.imag == 0.0 and (
-        q.real > 0.0 or (a.real + b.real).is_integer() and (a.real - b.real).is_integer()
-    )
 
 
 def theta1_two(a, b, q) -> complex:

@@ -100,7 +100,98 @@ def test_theta_two_overflow_names_the_sum_and_its_arguments():
     # cn at q = 0.995, u = 100: the odd fold's head 2 sinh(B/2) overflows
     with pytest.raises(OverflowError) as info:
         thetagen.theta1_two(1, complex(-0.0, -690.4083993480899), 0.995)
-    assert str(info.value) == "theta1_two(1, (-0-690.4083993480899j); 0.995): math range error"
+    assert str(info.value) == (
+        "theta1_two(1, (-0-690.4083993480899j); 0.995): "
+        "the odd fold's head 2 sinh(B/2) overflows at B = (1768.9819553686482+0j)"
+    )
+    # b = 200 at q = 0.3: the transformation's factor e^(log f) overflows
+    for f, log_f in ((theta3_two, "(12040.207594822856+0j)"),
+                     (thetagen.theta1_two, "(12038.459205270932-315.7300616857742j)")):
+        with pytest.raises(OverflowError) as info:
+            f(1, 200, 0.3)
+        assert str(info.value) == f"{f.__name__}(1, 200; 0.3): the transformation factor e^{log_f} overflows"
+
+
+def _plan_cases(seed, count):
+    """Seeded ``(f, a, b, q)``: theta1/3/4_two at positive, negative and
+    complex nomes, complex ones with signed zero parts among them, on both
+    routes, with refusals (``|q^a| >= 1``, non-finite or NaN arguments,
+    ``q = 0``) and overflows (``b = 200``, ``b = 1e308``) mixed in; then the
+    odd sums whose ``Im A`` is infinite at its first T step, where an
+    infinite ``b Log q`` is refused first."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        r = rng.uniform(0.01, 0.99)
+        q = rng.choice((
+            r, -r, r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)),
+            complex(rng.choice((r, -r)), rng.choice((0.0, -0.0))),
+            complex(rng.choice((0.0, -0.0)), rng.choice((r, -r))),
+        ))
+        a = rng.choice((1, 2, 0.5, 2.5, 16.0, rng.uniform(0.05, 4.0), complex(rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0)),
+                        complex(1, rng.choice((0.0, -0.0))), -1.0, 0.0))
+        b = rng.choice((0, 1, 0.4, -1.0, rng.uniform(-3.0, 3.0), complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)),
+                        2j * rng.random() / cmath.log(q), complex(0.0, rng.uniform(-700.0, 700.0)), 200, 1e308))
+        if rng.random() < 0.03:
+            q = rng.choice((0, 0j, 1.0, complex(0.5, math.nan)))
+        if rng.random() < 0.03:
+            a, b = rng.choice(((math.inf, b), (math.nan, b), (a, math.inf), (a, math.nan), (complex(1.0, 1e308), b)))
+        cases.append((rng.choice((thetagen.theta1_two, theta3_two, theta4_two)), a, b, q))
+    return cases + [(thetagen.theta1_two, complex(1.0, 1e308), b, q) for b in (0.5, 1e308) for q in (0.1, -0.1)]
+
+
+def _outcome(f, a, b, q):
+    """``repr`` of the value or the exception's type and text, with the terms charged."""
+    with term_counter() as used:
+        try:
+            result = repr(f(a, b, q))
+        except Exception as exc:  # the refusal is the outcome compared
+            result = f"{type(exc).__name__}: {exc}"
+    return result, used()
+
+
+def _twin(z):
+    """A number equal to ``z`` but another object: a complex ``z`` with the
+    sign of each zero part turned, a float one as a complex."""
+    if isinstance(z, complex):
+        return complex(z.real if z.real else -z.real, z.imag if z.imag else -z.imag)
+    return complex(z) if isinstance(z, float) else z
+
+
+def _cold():
+    """Drop the kernel's kept plans."""
+    thetagen._plans[:] = [None, None]
+
+
+def test_theta_two_plan_is_the_same_cold_warm_and_evicted():
+    # the per-(a, q) plan changes no value, term count or refusal: a call
+    # reads the same on a cold plan, on the plan its first call kept, on the
+    # path its second call recorded, after another nome's call evicted its
+    # plan, and after a call at an equal twin (-0.0 == 0.0 and
+    # 0.5 == 0.5 + 0j, though Log(-q) of the twins differ in a zero's sign)
+    cases = _plan_cases(2036, 1500)
+    cold = []
+    for case in cases:
+        _cold()
+        cold.append(_outcome(*case))
+    assert sum(text.startswith(("ValueError", "OverflowError")) for text, _ in cold) > 200
+    # A's path meets an infinite Im A, refused after the steps before it:
+    # after b Log q, where that is infinite too
+    assert cold[-4][0] == "OverflowError: theta1_two((1+1e+308j), 0.5; 0.1): cannot convert float infinity to integer"
+    assert cold[-2][0] == "OverflowError: theta1_two((1+1e+308j), 1e+308; 0.1): b Log q = (-inf+0j) is not finite"
+    assert sum(not text.startswith(("ValueError", "OverflowError", "PoleError")) for text, _ in cold) > 600
+    replayed = 0
+    for case, want in zip(cases, cold):
+        _cold()
+        assert [_outcome(*case) for _ in range(3)] == [want] * 3, case
+        plan = thetagen._plans[case[0] is thetagen.theta1_two]
+        replayed += bool(plan and plan[6])  # the third call replayed a path
+    assert replayed > 400
+    for case, want in zip(cases, cold):
+        assert _outcome(*case) == want, case  # the case before evicted its plan
+    for (f, a, b, q), want in zip(cases, cold):
+        _outcome(f, _twin(a), b, _twin(q))
+        assert _outcome(f, a, b, q) == want, (f, a, b, q)
 
 
 def _per_term_power(q):
@@ -176,8 +267,15 @@ def _tail_bound_stop(power, a, b, alternating, cutoff=1e-16):
 
 def _reduced(a, b, q, alternating):
     """``(A', B', log f)``: the kernel's reduction of ``sum s^n q^(a n^2 + b n)
-    = sum e^(A n^2 + B n)``."""
-    return thetagen._reduce(*thetagen._exponents(a, b, q, cmath.log(q), alternating))
+    = sum e^(A n^2 + B n)``, ``B`` formed off the plan as the kernel forms it."""
+    _cold()
+    theta3_two(a, 0, q)
+    _, _, _, log_b, turn, A, _, _ = thetagen._plans[0]
+    B = b * log_b if turn is None else b * log_b + 1j * math.pi * (turn[0] * b + turn[1])
+    if alternating:
+        B += 1j * math.pi
+    A, _, B, log_f = thetagen._reduce(None, A, B, False)
+    return A, B, log_f
 
 
 def _direct(a, q):
@@ -351,7 +449,9 @@ def test_real_sums_are_exactly_real():
 
 @pytest.mark.parametrize("q", [0.05, 0.9])
 def test_theta_two_takes_three_powers_per_call(monkeypatch, q):
-    # the direct sum, which runs where |q^a| <= e^(-pi/2): 0.9^16 = 0.185
+    # the direct sum, which runs where |q^a| <= e^(-pi/2): 0.9^16 = 0.185; a
+    # cold plan forms q^(2a), then each call its ratios q^(a +- b), so a call
+    # on a kept plan (theta3 and theta4 share it, at any b) takes two powers
     a = 2.5 if q < 0.5 else 16.0
     assert _direct(a, q)
     calls = []
@@ -362,9 +462,14 @@ def test_theta_two_takes_three_powers_per_call(monkeypatch, q):
 
     monkeypatch.setattr(thetagen, "principal_power", counting_power)
     for f in (theta3_two, theta4_two):
+        _cold()
         calls.clear()
         f(a, 1.5, q)
-        assert len(calls) == 3
+        assert calls == [a, a + 1.5, a - 1.5]
+        for g, b in ((f, 1.5), (theta3_two, 0.5), (theta4_two, -0.25)):
+            calls.clear()
+            g(a, b, q)
+            assert calls == [a + b, a - b], (g, b)
 
 
 class _CountingCmath:
@@ -384,7 +489,10 @@ class _CountingCmath:
 @pytest.mark.parametrize("q", [0.9, 0.5, -0.7, 0.6 + 0.3j, 0.95j])
 def test_reduced_theta_two_forms_no_per_term_power(monkeypatch, q):
     # the reduced sum takes its ratios e^(A' +- B') and e^(2 A') and the
-    # transformation's factor as four exponentials, however many terms it sums
+    # transformation's factor as four exponentials on a cold plan, however many
+    # terms it sums, and on the nome's second call, which records A's path;
+    # e^(2 A') is the path's, so a call that replays it (theta3 and theta4
+    # share it, at any b) takes three
     calls = []
 
     def counting_power(w, s):
@@ -397,9 +505,11 @@ def test_reduced_theta_two_forms_no_per_term_power(monkeypatch, q):
     for f in (theta3_two, theta4_two):
         for a, b in ((1, 0), (1, 0.4), (0.7, -1.1), (1, 0.4j)):
             assert not _direct(a, q)
-            counting_cmath.exp_calls = 0
-            f(a, b, q)
-            assert calls == [] and counting_cmath.exp_calls == 4, (f, a, b)
+            _cold()
+            for g, b2, exps in ((f, b, 4), (f, b, 4), (f, b, 3), (theta3_two, 2 * b + 0.1, 3), (theta4_two, -b, 3)):
+                counting_cmath.exp_calls = 0
+                g(a, b2, q)
+                assert calls == [] and counting_cmath.exp_calls == exps, (g, a, b2)
 
 
 def _gaussian_sum_mp(A, B):
@@ -425,7 +535,7 @@ def test_reduction_lands_in_the_fundamental_domain_and_keeps_the_sum():
     for _ in range(60):
         A = complex(rng.uniform(-1.5, -0.01), rng.uniform(-20.0, 20.0))
         B = complex(rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0))
-        A2, B2, log_f = thetagen._reduce(A, B)
+        A2, _, B2, log_f = thetagen._reduce(None, A, B, False)
         tau = A2 / (1j * math.pi)
         assert abs(tau.real) <= 0.5 and abs(tau) >= 0.999 and tau.imag > 0.8, (A, B)
         assert abs(B2.real) <= abs(A2.real) and abs(B2.imag) <= math.pi, (A, B)
