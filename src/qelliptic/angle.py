@@ -14,7 +14,10 @@ from __future__ import annotations
 import cmath
 
 from .elliptic import EllipticContext
-from .numutil import principal_power, sum_series
+from .numutil import (
+    _SCALE_FLOOR, NonConvergenceError, _bump_terms, current_policy, principal_power, sum_series,
+)
+from .qseries import _LOG_TAIL_NOME, _LOG_TAIL_Y, _log_tail
 from .thetagen import odd_ratio_sum
 
 __all__ = [
@@ -30,6 +33,13 @@ def angle_sum(q: complex, x: complex) -> complex:
     """``2 sum_{n>=0} atanh(q^{n+x})`` with principal powers: ``q^x`` is
     formed once and each ``q^{n+x}`` from the one before it, times ``q``.
 
+    Below ``|q| = 1/2`` the terms are summed by :func:`sum_series`.  From
+    ``|q| = 1/2`` on they are summed one by one while ``|q^{n+x}| > 1/8``,
+    and the rest as its odd log series ``sum_{k odd} y^k / (k (1 - q^k))``
+    at ``y = q^{n+x}`` (:func:`~qelliptic.qseries._log_tail`), which stops on
+    the scale of :func:`sum_series`; the terms of both are charged to
+    :func:`~qelliptic.numutil.term_counter` and counted against ``max_terms``.
+
     Requires ``|q^x| < 1`` so every atanh argument stays inside the unit
     disk (terms then decay like ``q^n``); raises ``ValueError`` where that
     does not hold, a NaN ``q`` or ``x`` included.
@@ -39,6 +49,24 @@ def angle_sum(q: complex, x: complex) -> complex:
     if not abs(qx) < 1.0:
         raise ValueError(f"angle sum needs |q^x| < 1, got q^x = {qx}")
     qnx = qx  # q^(n+x), carried by its ratio q
+    if _LOG_TAIL_NOME <= abs(q) < 1.0:
+        max_terms = current_policy().max_terms
+        total = 0j
+        peak = 0.0
+        used = 0
+        while abs(qnx) > _LOG_TAIL_Y:
+            if used == max_terms:
+                _bump_terms(used)
+                raise NonConvergenceError(f"angle sum did not converge within {max_terms} terms")
+            t = cmath.atanh(qnx)
+            total += t
+            mag = abs(t)
+            if mag > peak:
+                peak = mag
+            qnx *= q
+            used += 1
+        _bump_terms(used)
+        return 2.0 * _log_tail(qnx, q, True, max_terms - used, total, _SCALE_FLOOR * peak)
 
     def term(n: int) -> complex:
         nonlocal qnx

@@ -488,7 +488,8 @@ def principal_power(w: complex, s: complex) -> complex:
 
     Integer exponents bypass the log to avoid spurious branch noise and to
     keep real inputs exactly real; an integer power that leaves the double
-    range raises ``OverflowError`` naming ``w`` and ``n``.
+    range raises ``OverflowError`` naming ``w`` and ``n``, and one that
+    underflows is 0, for a negative or complex ``w`` too.
     """
     sc = complex(s)
     if sc.imag == 0.0 and sc.real.is_integer():
@@ -497,10 +498,17 @@ def principal_power(w: complex, s: complex) -> complex:
             raise PoleError("0 raised to a negative power")
         try:
             return complex(w) ** n
+        except ZeroDivisionError:
+            # CPython's phase n Arg w leaves the double range for a huge n and
+            # a negative or complex w: |w|^n decides between 0 and an overflow
+            r = abs(complex(w))
+            if (r < 1.0 and n > 0) or (r > 1.0 and n < 0):
+                return 0j
         except OverflowError:
-            raise OverflowError(
-                f"principal_power: w**n leaves the double range at w = {w}, n = {sc.real!r}"
-            ) from None
+            pass
+        raise OverflowError(
+            f"principal_power: w**n leaves the double range at w = {w}, n = {sc.real!r}"
+        )
     if w == 0:
         if sc.real > 0:
             return 0.0 + 0.0j

@@ -36,18 +36,32 @@ __all__ = [
 ]
 
 
+# qpochhammer and the angle sum: from |q| = 1/2 on, a product takes its factors
+# one by one only while |a q^n| > 1/8 and sums the rest as the log series of
+# _log_tail, which at |y| <= 1/8 ends in about 18 terms at any |q| < 1.  Below
+# |q| = 1/2 the direct loops are short, and every registry sample, all of whose
+# products and angle sums lie there, keeps its value bit for bit.
+_LOG_TAIL_NOME = 0.5
+_LOG_TAIL_Y = 0.125
+
+
 def qpochhammer(a: complex, q: complex) -> complex:
     """Infinite q-shifted factorial ``(a; q)_inf = prod_{k>=0} (1 - a q^k)``,
     which converges for ``|q| < 1``.
 
     Raises ``ValueError``, before any factor is taken, where ``a`` is not
-    finite or ``|q| < 1`` does not hold (NaN included).  It stops at the
-    first factor with ``|a q^k| |q| / (1 - |q|)`` at most the active policy's
-    ``rel_tail_cutoff``: that geometric series bounds the relative effect of
-    every factor left out.  A product that is not finite
-    there (it overflowed on the way, which no later factor undoes) raises
+    finite or ``|q| < 1`` does not hold (NaN included).  Below ``|q| = 1/2``
+    it stops at the first factor with ``|a q^k| |q| / (1 - |q|)`` at most the
+    active policy's ``rel_tail_cutoff``: that geometric series bounds the
+    relative effect of every factor left out.  From ``|q| = 1/2`` on it takes
+    the factors while ``|a q^k| > 1/8`` and multiplies by ``exp(-tail)``, the
+    log series of the rest (:func:`_log_tail`), stopped where its bound is at
+    most ``rel_tail_cutoff``: again a relative effect on the product.  The
+    factors and tail terms are charged to :func:`~qelliptic.numutil.term_counter`.
+    A product that is not finite (it overflowed on the way, which no later
+    factor undoes, or ``exp(-tail)`` alone leaves the double range) raises
     ``OverflowError``, as a non-finite partial sum does; more than the
-    policy's ``max_terms`` factors raise :class:`NonConvergenceError`.
+    policy's ``max_terms`` factors and terms raise :class:`NonConvergenceError`.
     """
     a = complex(a)
     q = complex(q)
@@ -57,20 +71,87 @@ def qpochhammer(a: complex, q: complex) -> complex:
     if not cmath.isfinite(a):
         raise ValueError(f"infinite q-Pochhammer requires a finite a, got a = {a}")
     pol = current_policy()
-    # a factor |a q^k| at most this leaves a tail of at most rel_tail_cutoff
-    negligible = pol.rel_tail_cutoff * (1.0 - rho) / rho if rho > 0.0 else math.inf
     prod = 1.0 + 0.0j
-    qk = 1.0 + 0.0j
-    for used in range(1, pol.max_terms + 1):
-        factor_dev = a * qk
-        prod *= 1.0 - factor_dev
-        if abs(factor_dev) <= negligible:
+    if rho < _LOG_TAIL_NOME:
+        # a factor |a q^k| at most this leaves a tail of at most rel_tail_cutoff
+        negligible = pol.rel_tail_cutoff * (1.0 - rho) / rho if rho > 0.0 else math.inf
+        qk = 1.0 + 0.0j
+        for used in range(1, pol.max_terms + 1):
+            factor_dev = a * qk
+            prod *= 1.0 - factor_dev
+            if abs(factor_dev) <= negligible:
+                _bump_terms(used)
+                if not cmath.isfinite(prod):
+                    raise OverflowError(f"q-Pochhammer product is {prod} after {used} factors")
+                return prod
+            qk *= q
+        _bump_terms(pol.max_terms)
+        raise NonConvergenceError(f"q-Pochhammer product did not converge in {pol.max_terms} factors")
+    y = a  # a q^used
+    used = 0
+    while abs(y) > _LOG_TAIL_Y:
+        if used == pol.max_terms:
             _bump_terms(used)
-            if not cmath.isfinite(prod):
-                raise OverflowError(f"q-Pochhammer product is {prod} after {used} factors")
-            return prod
-        qk *= q
-    raise NonConvergenceError(f"q-Pochhammer product did not converge in {pol.max_terms} factors")
+            raise NonConvergenceError(f"q-Pochhammer product did not converge in {pol.max_terms} factors")
+        prod *= 1.0 - y
+        y *= q
+        used += 1
+    _bump_terms(used)
+    tail = _log_tail(y, q, False, pol.max_terms - used)
+    try:
+        prod *= cmath.exp(-tail)
+    except OverflowError:
+        raise OverflowError(
+            f"q-Pochhammer product: exp(-tail) = exp({-tail}) leaves the double range "
+            f"after {used} factors"
+        ) from None
+    if not cmath.isfinite(prod):
+        raise OverflowError(
+            f"q-Pochhammer product is {prod} after {used} factors and its log-series tail"
+        )
+    return prod
+
+
+def _log_tail(y: complex, q: complex, odd: bool, budget: int,
+              head: complex | None = None, floor: float = 0.0) -> complex:
+    """``sum_k y^k / (k (1 - q^k))`` over every ``k >= 1``, or over odd ``k``
+    only, for ``|y| <= 1/8`` and ``|q| < 1``, with ``y^k`` and ``q^k`` carried
+    as running products.  Over every ``k`` it is ``-log (y; q)_inf``, and over
+    odd ``k`` it is ``sum_{n>=0} atanh(y q^n)`` (expand each logarithm and
+    sum the geometric series in ``n``; Gasper & Rahman, *Basic Hypergeometric
+    Series*, 2nd ed., section 1.3).
+
+    The terms from ``k`` on sum to at most ``|y|^k / (k (1 - |q|) (1 - |y|^s))``,
+    ``s`` the step of ``k``, since ``|1 - q^k| >= 1 - |q|``.  It stops once that
+    bound is at most ``rel_tail_cutoff``, an absolute bound on a logarithm and
+    so a relative one on its exponential; given the partial sum ``head`` of
+    the terms before ``y``, it returns ``head`` plus the series and stops on
+    :func:`~qelliptic.numutil.sum_series`' scale instead, ``rel_tail_cutoff``
+    times ``max(|head + series|, floor)``.  It takes at least one term,
+    charges its terms to :func:`~qelliptic.numutil.term_counter` and raises
+    :class:`NonConvergenceError` when it would take more than ``budget``.
+    """
+    pol = current_policy()
+    cutoff = pol.rel_tail_cutoff
+    ry = abs(y)
+    ys, qs, rs = (y * y, q * q, ry * ry) if odd else (y, q, ry)
+    step = 2 if odd else 1
+    c = 1.0 / ((1.0 - abs(q)) * (1.0 - rs))
+    total = 0j if head is None else head
+    yk, qk, rk, k = y, q, ry, 1
+    for used in range(1, budget + 1):
+        total += yk / (k * (1.0 - qk))
+        k += step
+        rk *= rs
+        if rk * c <= k * cutoff * (1.0 if head is None else max(abs(total), floor)):
+            _bump_terms(used)
+            return total
+        yk *= ys
+        qk *= qs
+    _bump_terms(budget)
+    raise NonConvergenceError(
+        f"log-series tail at y = {y}, q = {q} did not converge within max_terms = {pol.max_terms}"
+    )
 
 
 def euler_product(q: complex) -> complex:

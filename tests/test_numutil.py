@@ -10,6 +10,7 @@ import pytest
 from assertions import assert_close
 
 from qelliptic import numutil
+from qelliptic.angle import angle_sum
 from qelliptic.numutil import (
     DEFAULT_POLICY,
     NonConvergenceError,
@@ -766,12 +767,22 @@ def test_principal_power_principal_branch():
     assert_close([got.real, got.imag], [0.0, math.sqrt(0.2)], atol=1e-15)
 
 
-@pytest.mark.parametrize("w, s", [(0.01, -199), (0.3, -1e300), (1e200, 2)])
+@pytest.mark.parametrize("w, s", [(0.01, -199), (0.3, -1e300), (1e200, 2),
+                                  (-0.5, -1e308), (-2.0, 1e308), (-1.5 + 2j, 1e308)])
 def test_principal_power_integer_overflow_names_w_and_n(w, s):
     with pytest.raises(OverflowError) as info:
         principal_power(w, s)
     assert str(info.value) == (f"principal_power: w**n leaves the double range "
                                f"at w = {w}, n = {float(s)!r}")
+
+
+@pytest.mark.parametrize("w, s", [(-0.5, 1e308), (-2.0, -1e308), (-0.3 - 0.4j, 1e308), (0.05, 1e308)])
+def test_principal_power_integer_underflow_is_zero_at_any_base(w, s):
+    # CPython's complex ** int takes the phase n Arg w, which is infinite for a
+    # negative or complex w here (a bare ZeroDivisionError); |w|^n underflows
+    # to 0 as at a positive base, and the theta kernel's ratio q^(a - b) with it
+    assert principal_power(w, s) == 0j
+    assert principal_power(abs(w), s) == 0j
 
 
 def test_principal_power_zero_base():
@@ -808,11 +819,17 @@ _REFUSALS = [
     ("numeric_derivative, infinite f", lambda: numeric_derivative(lambda t: math.inf, 1.0), OverflowError),
     ("theta3_two, overflowing fold", lambda: theta3_two(1, 150.5, 0.01), OverflowError),
     ("theta3_two, b Log q past the double range", lambda: theta3_two(1e-3, 1e308, 1e-300), OverflowError),
+    ("theta3_two, q^(a - b) past the double range at a negative nome",
+     lambda: theta3_two(2.5, 1e308, -0.5), OverflowError),
     ("cayley, subnormal 1 - v", lambda: cayley(1 + 1e-320j), OverflowError),
     ("u_product, N - D and N + D infinite", lambda: u_product(1e200, -1e200, 0.0), OverflowError),
     ("cayley_u0_product, P past the double range", lambda: cayley_u0_product(0.9, 0.995), OverflowError),
     # a spent cap: NonConvergenceError
+    # (0.5; 0.5): 2 direct factors, then a tail of 17 terms that a cap of 3 cuts
     ("qpochhammer, capped", _capped(lambda: qpochhammer(0.5, 0.5)), NonConvergenceError),
+    ("qpochhammer, capped in its direct factors", _capped(lambda: qpochhammer(0.5, 0.9)), NonConvergenceError),
+    # 20 atanh terms and an odd tail of 8
+    ("angle_sum, capped in its tail", _capped(lambda: angle_sum(0.9, 0.7), max_terms=25), NonConvergenceError),
     ("theta3_two, capped", _capped(lambda: theta3_two(1, 0.5, 0.2), max_terms=1), NonConvergenceError),
     # a denominator that is exactly 0: PoleError
     ("cayley, v = 1", lambda: cayley(1.0), PoleError),
