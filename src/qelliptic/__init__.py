@@ -82,6 +82,7 @@ from .thetagen import (
     agile_minus,
     agile_plus,
     cayley,
+    cayley_u_product,
     cayley_u0_product,
     odd_lambert,
     odd_ratio_sum,

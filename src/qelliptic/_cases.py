@@ -59,6 +59,7 @@ from .thetagen import (
     agile_minus,
     agile_plus,
     cayley,
+    cayley_u_product,
     cayley_u0_product,
     log_P,
     odd_lambert,
@@ -293,8 +294,12 @@ def _eq15_rhs(r):
 
 def _eq16_lhs(r):
     rt = math.sqrt(r)
-    return (2 * sum_series(lambda n: (n + 1) / (math.exp(4 * pi * (n + 1) / rt) - 1.0))
-            - sum_series(lambda j: (2 * j + 1) / (math.exp(2 * pi * (2 * j + 1) / rt) - 1.0)))
+
+    def inv_expm1(x):  # 1/(e^x - 1), 0 where e^x would overflow
+        return math.exp(-x) / -math.expm1(-x)
+
+    return (2 * sum_series(lambda n: (n + 1) * inv_expm1(4 * pi * (n + 1) / rt))
+            - sum_series(lambda j: (2 * j + 1) * inv_expm1(2 * pi * (2 * j + 1) / rt)))
 
 
 def _eq16_rhs(r):
@@ -705,7 +710,7 @@ def _eq60_lhs(r):
 # --------------------------------------------------------------------------
 
 def _eq63_lhs(a, b, q):
-    return cayley(u_product(a, b, q)) ** 2
+    return cayley_u_product(a, b, q) ** 2
 
 
 def _eq63_rhs(a, b, q):
@@ -885,7 +890,7 @@ def _eq83_lhs(q, a, b):
 
 
 def _eq83_rhs(q, a, b):
-    return cmath.log(cayley(u_product(q ** a, q ** b, q)))
+    return cmath.log(cayley_u_product(q ** a, q ** b, q))
 
 
 def _t17b_lhs(q, a):
@@ -933,7 +938,7 @@ def _t18_rhs(r, a):
     c = _cr(r)
     th0 = frame_offset(c, a)
     return (angle_sum(c.q.real, a) / 2j
-            + cmath.log(jacobi_nd(c, th0) + c.k * jacobi_sd(c, th0)) / 4j)
+            + cmath.log(jacobi_dn(c, th0) / (1 - c.k * jacobi_sn(c, th0))) / 4j)
 
 
 def _eq88_lhs(r):
@@ -992,7 +997,7 @@ def _t19a_rhs(r, a):
     tail = sum_series(
         lambda n: (-1) ** n * q ** (n + 0.5) / ((2 * n + 1) * (1.0 - q ** (2 * n + 1))))
     return (1j / c.k * cmath.log(cmath.exp(2.0 * angle_sum(q, a))
-                                 * (jacobi_nd(c, th0) + c.k * jacobi_sd(c, th0)))
+                                 * (jacobi_dn(c, th0) / (1 - c.k * jacobi_sn(c, th0))))
             + 4.0 / c.k * tail)
 
 
@@ -1421,7 +1426,7 @@ def _eq130_rhs(y):
 # --------------------------------------------------------------------------
 
 def _a131_lhs(k, h, q):
-    return cayley(u_product(q ** (k + h), -q ** (k - h), q ** (2 * k)))
+    return cayley_u_product(q ** (k + h), -q ** (k - h), q ** (2 * k))
 
 
 def _a131_rhs(k, h, q):
@@ -1434,7 +1439,7 @@ def _a132_lhs(a, p, q):
 
 
 def _a132_rhs(a, p, q):
-    return cayley(u_product(q ** a, -q ** (p - a), q ** p))
+    return cayley_u_product(q ** a, -q ** (p - a), q ** p)
 
 
 def _a135_lhs(a, p, q, form):
@@ -1450,7 +1455,7 @@ def _a135_rhs(a, p, q, form):
 
 
 def _a136_lhs(a, b, p, q):
-    return cayley(u_product(q ** a, -q ** b, q ** p)) ** 2
+    return cayley_u_product(q ** a, -q ** b, q ** p) ** 2
 
 
 def _a136_rhs(a, b, p, q):
@@ -1462,7 +1467,7 @@ def _a137_lhs(a, p, q):
 
 
 def _a137_rhs(a, p, q):
-    return cayley(u_product(q ** a, -q ** (p - a), q ** p)) ** (-2.0)
+    return cayley_u_product(q ** a, -q ** (p - a), q ** p) ** (-2.0)
 
 
 def _a140_lhs(a, p, q):
@@ -1587,11 +1592,11 @@ def _a157_lhs(a, p, q):
 
 
 def _a157_rhs(a, p, q):
-    return cayley(u_product(q ** a, -q ** (p - a), q ** p)) ** (-1.0)
+    return cayley_u_product(q ** a, -q ** (p - a), q ** p) ** (-1.0)
 
 
 def _a158_lhs(a, p, q):
-    return cmath.log(cayley(u_product(q ** a, -q ** (p - a), q ** p)))
+    return cmath.log(cayley_u_product(q ** a, -q ** (p - a), q ** p))
 
 
 def _a158_rhs(a, p, q):
@@ -1603,7 +1608,7 @@ def _a158_printed_rhs(a, p, q):
 
 
 def _a159_lhs(a, b, p, q, eps):
-    return cmath.log(cayley(u_product(q ** a, eps * q ** b, q ** p)))
+    return cmath.log(cayley_u_product(q ** a, eps * q ** b, q ** p))
 
 
 def _a159_rhs(a, b, p, q, eps):
@@ -1647,7 +1652,7 @@ def _a163_rhs(a, p, q):
 
 def _a164_lhs(a, p, q):
     w = q ** a
-    return cmath.log(cayley(u_product(w, -w, q ** p)))
+    return cmath.log(cayley_u_product(w, -w, q ** p))
 
 
 def _a164_rhs(a, p, q):
@@ -1665,8 +1670,8 @@ def _a165_rhs(a, p, q, eps):
 
 
 def _a166_lhs(a, b, p, q, eps):
-    return (cmath.log(cayley(u_product(q ** a, eps * q ** b, q ** p)))
-            + cmath.log(cayley(u_product(q ** (p - a), eps * q ** (p - b), q ** p))))
+    return (cmath.log(cayley_u_product(q ** a, eps * q ** b, q ** p))
+            + cmath.log(cayley_u_product(q ** (p - a), eps * q ** (p - b), q ** p)))
 
 
 def _a166_rhs(a, b, p, q, eps):
@@ -1678,7 +1683,7 @@ def _a166_rhs(a, b, p, q, eps):
 
 
 def _a167_lhs(a, b, p, q, x):
-    return cmath.log(cayley(u_product(x * q ** a, -x * q ** b, q ** p)))
+    return cmath.log(cayley_u_product(x * q ** a, -x * q ** b, q ** p))
 
 
 def _a167_rhs(a, b, p, q, x):
@@ -1692,7 +1697,7 @@ def _a167_printed_rhs(a, b, p, q, x):
 
 
 def _a168_lhs(a, b, p, q, x, y):
-    return cmath.log(cayley(u_product(x * q ** a, -y * q ** b, q ** p)))
+    return cmath.log(cayley_u_product(x * q ** a, -y * q ** b, q ** p))
 
 
 def _a168_rhs(a, b, p, q, x, y):
@@ -1715,7 +1720,7 @@ def _a169_rhs(a, p, q, x):
 
 
 def _a170_lhs(a, b, q):
-    return cayley(u_product(a, -b, q)) ** 2
+    return cayley_u_product(a, -b, q) ** 2
 
 
 def _a170_rhs(a, b, q):
@@ -1723,7 +1728,7 @@ def _a170_rhs(a, b, q):
 
 
 def _main_a1_lhs(x, y, q):
-    return cmath.log(cayley(u_product(x * q, y * q, q)))
+    return cmath.log(cayley_u_product(x * q, y * q, q))
 
 
 def _main_a1_rhs(x, y, q):

@@ -12,7 +12,11 @@ Conventions
 -----------
 * ``cayley(v) = -1 + 2/(1 - v)`` maps the fraction value ``v`` to the
   product quotient it represents; both continued fractions below have
-  closed forms under this map.
+  closed forms under this map.  Those images are formed from their products
+  directly, ``cayley_u_product(a, b, q) = N/D`` and
+  ``cayley_u0_product(a, q) = P``, not as ``cayley`` of a product form
+  ``(N - D)/(N + D)``: as ``q -> 1`` that value nears 1 and ``1 - v`` loses
+  its digits.
 * Restricted divisor sums run over factorizations ``A * B = n`` with
   ``A, B >= 1``.  Residue constraints apply to ``B`` modulo ``p``, and a
   divisor pair counts once for each listed class it matches: the classes
@@ -55,6 +59,7 @@ __all__ = [
     "u_product",
     "u0_cf",
     "u0_product",
+    "cayley_u_product",
     "cayley_u0_product",
     "odd_lambert",
     "log_P",
@@ -550,6 +555,19 @@ def u0_product(a, q) -> complex:
     if not cmath.isfinite(u):
         raise OverflowError(f"u0_product at a = {a}, q = {q} is {u}")
     return u
+
+
+def cayley_u_product(a, b, q) -> complex:
+    """Quotient ``N/D`` with ``N = (-a; q) (b; q)`` and ``D = (a; q) (-b; q)``,
+    the cayley image of ``U(a, b; q)``, formed without ``U``; ``PoleError``
+    where ``D`` is exactly 0, ``OverflowError`` where ``N/D`` is not finite."""
+    den = qpochhammer(a, q) * qpochhammer(-b, q)
+    if den == 0:
+        raise PoleError("cayley_u_product: vanishing (a; q) (-b; q) product")
+    w = qpochhammer(-a, q) * qpochhammer(b, q) / den
+    if not cmath.isfinite(w):
+        raise OverflowError(f"cayley_u_product at a = {a}, b = {b}, q = {q} is {w}")
+    return w
 
 
 def cayley_u0_product(a, q) -> complex:

@@ -28,6 +28,7 @@ from qelliptic.numutil import (
 from qelliptic.qseries import euler_product, qpochhammer
 from qelliptic.thetagen import (
     cayley,
+    cayley_u_product,
     cayley_u0_product,
     theta1_two,
     theta3_two,
@@ -823,6 +824,7 @@ _REFUSALS = [
      lambda: theta3_two(2.5, 1e308, -0.5), OverflowError),
     ("cayley, subnormal 1 - v", lambda: cayley(1 + 1e-320j), OverflowError),
     ("u_product, N - D and N + D infinite", lambda: u_product(1e200, -1e200, 0.0), OverflowError),
+    ("cayley_u_product, N/D past the double range", lambda: cayley_u_product(0.9, -0.9, 0.995), OverflowError),
     ("cayley_u0_product, P past the double range", lambda: cayley_u0_product(0.9, 0.995), OverflowError),
     # a spent cap: NonConvergenceError
     # (0.5; 0.5): 2 direct factors, then a tail of 17 terms that a cap of 3 cuts
@@ -834,6 +836,7 @@ _REFUSALS = [
     # a denominator that is exactly 0: PoleError
     ("cayley, v = 1", lambda: cayley(1.0), PoleError),
     ("u_product, N + D = 0", lambda: u_product(2.0, 0.5, 0.0), PoleError),
+    ("cayley_u_product, D = 0", lambda: cayley_u_product(1.0, 0.5, 0.3), PoleError),
     ("cayley_u0_product, (a; q) = 0", lambda: cayley_u0_product(1.0, 0.5), PoleError),
     ("u0_product, P + 1 = 0", lambda: u0_product(1j, 0.0), PoleError),
     # an argument outside the domain, NaN included: ValueError, not a pole

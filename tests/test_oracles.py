@@ -1,6 +1,6 @@
 """mpmath oracles over 330 seeded points of the disk |q| <= 0.9 and, for
-the products and the angle sum, 150 more with 0.5 <= |q| <= 0.99, the
-elliptic context over the real segment [-0.98, 0.98] and the disk |q| <= 0.95,
+the products and the angle sum, 150 more with 0.5 <= |q| <= 0.99, U's
+cayley image N/D over 300 with |q| <= 0.97, the elliptic context over the real segment [-0.98, 0.98] and the disk |q| <= 0.95,
 the theta nulls over the real segments +-[0.001, 0.999] and the disk
 |q| <= 0.95, and the six Jacobi functions sn, cn, dn, cd, sd, nd over real
 and complex nomes up to |q| = 0.95, on and off the strip (bounds and their
@@ -31,7 +31,7 @@ from qelliptic.fourier import (
 )
 from qelliptic.numutil import PoleError, principal_power
 from qelliptic.qseries import euler_product, qpochhammer
-from qelliptic.thetagen import agile_minus, rr_cf, theta3_two, u0_cf, u_cf
+from qelliptic.thetagen import agile_minus, cayley_u_product, rr_cf, theta3_two, u0_cf, u_cf
 
 
 def _phase(rng):
@@ -205,6 +205,29 @@ def test_worst_relative_error_at_deep_nomes(name, bound):
     on both routes, is amplified by the product up to about 2e-14 here and
     would drown the product's own error."""
     assert deep_errors()[name] <= bound
+
+
+def test_cayley_u_product_over_the_disk_to_097():
+    """``N/D = (-a; q)(b; q) / ((a; q)(-b; q))`` over 300 seeded points, q
+    positive, negative or complex in turn with 0.02 <= |q| <= 0.97 and
+    0.05 <= |a|, |b| <= 0.9.  The quotient adds only its own roundings to
+    those of its four products, so the bound is four times the deep
+    qpochhammer bound above (the worst here is 8.4e-15).  Formed as
+    ``cayley(u_product(a, b, q))``, through U = (N - D)/(N + D) and back,
+    the same points read a relative error of 1.0 at the worst, and one of
+    them a false ``PoleError``, since 1 - U has lost its digits."""
+    rng = random.Random(38)
+    worst = 0.0
+    with mp.workdps(20):
+        for i in range(300):
+            r = rng.uniform(0.02, 0.97)
+            q = (r, -r, r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))[i % 3]
+            a = rng.uniform(0.05, 0.9) * _phase(rng)
+            b = rng.uniform(0.05, 0.9) * _phase(rng)
+            mq, ma, mb = mp.mpc(q), mp.mpc(a), mp.mpc(b)
+            want = _qp(-ma, mq) * _qp(mb, mq) / (_qp(ma, mq) * _qp(-mb, mq))
+            worst = max(worst, _rel(cayley_u_product(a, b, q), want))
+    assert worst <= 4 * 8.3e-15
 
 
 # ---------------------------------------------------------------------------
