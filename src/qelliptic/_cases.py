@@ -718,7 +718,7 @@ def _eq63_rhs(a, b, q):
 
 
 def _eq66_lhs(a, q):
-    return cayley(u0_product(a, q))
+    return cayley(u0_cf(a, q))
 
 
 def _eq67_lhs(a, q):
@@ -1985,8 +1985,8 @@ def _build() -> tuple[IdentityCase, ...]:
           "qelliptic.thetagen.cayley_u0_product", _eq63_lhs, _eq63_rhs,
           ({"a": 0.3, "b": 0.1, "q": 0.2}, {"a": 0.3, "b": 0.5, "q": 0.2}),
           tol=1e-10),
-        C("EQ66", "the Moebius form -1 + 2/(1-u0) equals the Cayley transform of u0",
-          "qelliptic.thetagen.u0_product", _eq66_lhs,
+        C("EQ66", "the Moebius form -1 + 2/(1-u0) of the continued fraction u0 equals P",
+          "qelliptic.thetagen.u0_cf", _eq66_lhs,
           lambda a, q: cayley_u0_product(a, q),
           ({"a": 0.3, "q": 0.2}, {"a": -0.25, "q": 0.3})),
         C("EQ67", "odd Lambert logarithm of the Cayley-transformed u0",

@@ -6,7 +6,10 @@ The central object is
 
 together with its exact x-derivative and the affine frame functions that tie
 a power ``q^a`` to a shifted argument of the elliptic expansions.  Powers of
-complex ``q`` are principal throughout.
+complex ``q`` are principal throughout.  The angle has one route at every
+nome: it is twice the odd Lambert sum ``sum_{m odd} z^m / (m (1 - q^m))`` at
+``z = q^x``, summed by :func:`~qelliptic.thetagen.odd_lambert`, and its
+slope is :func:`~qelliptic.thetagen.odd_ratio_sum`.
 """
 
 from __future__ import annotations
@@ -14,11 +17,8 @@ from __future__ import annotations
 import cmath
 
 from .elliptic import EllipticContext
-from .numutil import (
-    _SCALE_FLOOR, NonConvergenceError, _bump_terms, current_policy, principal_power, sum_series,
-)
-from .qseries import _LOG_TAIL_NOME, _LOG_TAIL_Y, _log_tail
-from .thetagen import odd_ratio_sum
+from .numutil import principal_power
+from .thetagen import odd_lambert, odd_ratio_sum
 
 __all__ = [
     "angle_sum",
@@ -30,51 +30,16 @@ __all__ = [
 
 
 def angle_sum(q: complex, x: complex) -> complex:
-    """``2 sum_{n>=0} atanh(q^{n+x})`` with principal powers: ``q^x`` is
-    formed once and each ``q^{n+x}`` from the one before it, times ``q``.
+    """``2 sum_{n>=0} atanh(q^{n+x})`` with the principal power ``q^x``: twice
+    thetagen's :func:`~qelliptic.thetagen.odd_lambert` at ``z = q^x``,
+    ``Q = q``, which sums the atanh terms and ends on their odd log series.
 
-    Below ``|q| = 1/2`` the terms are summed by :func:`sum_series`.  From
-    ``|q| = 1/2`` on they are summed one by one while ``|q^{n+x}| > 1/8``,
-    and the rest as its odd log series ``sum_{k odd} y^k / (k (1 - q^k))``
-    at ``y = q^{n+x}`` (:func:`~qelliptic.qseries._log_tail`), which stops on
-    the scale of :func:`sum_series`; the terms of both are charged to
-    :func:`~qelliptic.numutil.term_counter` and counted against ``max_terms``.
-
-    Requires ``|q^x| < 1`` so every atanh argument stays inside the unit
-    disk (terms then decay like ``q^n``); raises ``ValueError`` where that
-    does not hold, a NaN ``q`` or ``x`` included.
+    Requires ``|q^x| < 1`` and ``|q| < 1`` so every atanh argument stays
+    inside the unit disk (terms then decay like ``q^n``); ``odd_lambert``
+    raises ``ValueError`` where that does not hold, a NaN ``q`` or ``x``
+    included.
     """
-    q = complex(q)
-    qx = principal_power(q, x)
-    if not abs(qx) < 1.0:
-        raise ValueError(f"angle sum needs |q^x| < 1, got q^x = {qx}")
-    qnx = qx  # q^(n+x), carried by its ratio q
-    if _LOG_TAIL_NOME <= abs(q) < 1.0:
-        max_terms = current_policy().max_terms
-        total = 0j
-        peak = 0.0
-        used = 0
-        while abs(qnx) > _LOG_TAIL_Y:
-            if used == max_terms:
-                _bump_terms(used)
-                raise NonConvergenceError(f"angle sum did not converge within {max_terms} terms")
-            t = cmath.atanh(qnx)
-            total += t
-            mag = abs(t)
-            if mag > peak:
-                peak = mag
-            qnx *= q
-            used += 1
-        _bump_terms(used)
-        return 2.0 * _log_tail(qnx, q, True, max_terms - used, total, _SCALE_FLOOR * peak)
-
-    def term(n: int) -> complex:
-        nonlocal qnx
-        if n > 0:
-            qnx *= q
-        return cmath.atanh(qnx)
-
-    return 2.0 * sum_series(term)
+    return 2.0 * odd_lambert(principal_power(q, x), q)
 
 
 def angle_derivative(q: complex, a: complex) -> complex:

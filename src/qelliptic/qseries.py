@@ -36,11 +36,11 @@ __all__ = [
 ]
 
 
-# qpochhammer and the angle sum: from |q| = 1/2 on, a product takes its factors
-# one by one only while |a q^n| > 1/8 and sums the rest as the log series of
-# _log_tail, which at |y| <= 1/8 ends in about 18 terms at any |q| < 1.  Below
-# |q| = 1/2 the direct loops are short, and every registry sample, all of whose
-# products and angle sums lie there, keeps its value bit for bit.
+# From |q| = 1/2 on, qpochhammer takes its factors only while |a q^n| > 1/8
+# and sums the rest as the log series of _log_tail, about 18 terms at any
+# |q| < 1.  Below |q| = 1/2 it keeps its direct loop: that loop is the side of
+# EQ67, EQ82, EQ83, T17b and MAIN-A1 that shares no code with odd_lambert,
+# which ends on _log_tail at every nome, so a fault there cannot cancel.
 _LOG_TAIL_NOME = 0.5
 _LOG_TAIL_Y = 0.125
 
@@ -119,7 +119,9 @@ def _log_tail(y: complex, q: complex, odd: bool, budget: int,
     as running products.  Over every ``k`` it is ``-log (y; q)_inf``, and over
     odd ``k`` it is ``sum_{n>=0} atanh(y q^n)`` (expand each logarithm and
     sum the geometric series in ``n``; Gasper & Rahman, *Basic Hypergeometric
-    Series*, 2nd ed., section 1.3).
+    Series*, 2nd ed., section 1.3).  :func:`qpochhammer` ends on the first
+    from ``|q| = 1/2`` on, and :func:`~qelliptic.thetagen.odd_lambert`, the
+    angle sum's body, on the second at every nome.
 
     The terms from ``k`` on sum to at most ``|y|^k / (k (1 - |q|) (1 - |y|^s))``,
     ``s`` the step of ``k``, since ``|1 - q^k| >= 1 - |q|``.  It stops once that
@@ -150,7 +152,7 @@ def _log_tail(y: complex, q: complex, odd: bool, budget: int,
         qk *= qs
     _bump_terms(budget)
     raise NonConvergenceError(
-        f"log-series tail at y = {y}, q = {q} did not converge within max_terms = {pol.max_terms}"
+        f"log-series tail at y = {y}, q = {q} did not converge within {pol.max_terms} terms"
     )
 
 

@@ -40,7 +40,7 @@ from .numutil import (
     principal_power,
     sum_series,
 )
-from .qseries import divisors, qpochhammer
+from .qseries import _LOG_TAIL_Y, _log_tail, divisors, qpochhammer
 
 __all__ = [
     "theta1_two",
@@ -589,13 +589,38 @@ def cayley_u0_product(a, q) -> complex:
 # ---------------------------------------------------------------------------
 
 def odd_lambert(z, Q) -> complex:
-    """Sum ``sum_{m odd >= 1} z^m / (m (1 - Q^m))``; needs ``|z| < 1``."""
+    """Sum ``sum_{m odd >= 1} z^m / (m (1 - Q^m)) = sum_{n>=0} atanh(z Q^n)``.
 
-    def term(n: int) -> complex:
-        m = 2 * n + 1
-        return z**m / (m * (1.0 - Q**m))
-
-    return sum_series(term)
+    The terms ``atanh(z Q^n)`` are summed while ``|z Q^n| > 1/8``, ``z Q^n``
+    carried by its ratio ``Q``, and the rest as the odd log series at
+    ``y = z Q^n`` (:func:`~qelliptic.qseries._log_tail`), stopped on the scale
+    of :func:`~qelliptic.numutil.sum_series`; all terms are charged to
+    :func:`~qelliptic.numutil.term_counter` and counted against ``max_terms``.
+    Raises ``ValueError`` naming ``z`` and ``Q`` unless ``|z| < 1`` and
+    ``|Q| < 1`` (NaN included).
+    """
+    z = complex(z)
+    Q = complex(Q)
+    if not (abs(z) < 1.0 and abs(Q) < 1.0):
+        raise ValueError(f"odd Lambert sum needs |z| < 1 and |Q| < 1, got z = {z}, Q = {Q}")
+    max_terms = current_policy().max_terms
+    total = 0j
+    peak = 0.0
+    used = 0
+    y = z  # z Q^used
+    while abs(y) > _LOG_TAIL_Y:
+        if used == max_terms:
+            _bump_terms(used)
+            raise NonConvergenceError(f"odd Lambert sum did not converge within {max_terms} terms")
+        t = cmath.atanh(y)
+        total += t
+        mag = abs(t)
+        if mag > peak:
+            peak = mag
+        y *= Q
+        used += 1
+    _bump_terms(used)
+    return _log_tail(y, Q, True, max_terms - used, total, _SCALE_FLOOR * peak)
 
 
 def log_P(A, q) -> complex:

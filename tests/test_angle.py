@@ -25,7 +25,6 @@ from qelliptic.qseries import qpochhammer
 from qelliptic.thetagen import (
     cayley,
     cayley_u0_product,
-    odd_lambert,
     u0_cf,
     u0_product,
     u_cf,
@@ -52,42 +51,39 @@ def test_angle_monotone_decay():
     assert all(a > b > 0.0 for a, b in zip(values, values[1:]))
 
 
-# repr of the angle's odd Lambert form (below) and of angle_derivative at
-# negative, complex and deep nomes, from the bodies they had before they called
-# thetagen's kernels.  The lambert value at (-0.6, 0.3) and the slope at
-# (-0.6, 0.5) moved by about an ulp when sum_series took its scale-invariant
-# stop; they are 7.4e-17 and 2.1e-16 relative from 50-digit mpmath (4.5e-17 and
-# 6.3e-17 before).
+# repr of angle_sum and of angle_derivative at negative, complex and deep
+# nomes.  Each literal's relative distance from 50-digit mpmath at the same
+# double q and x, angle then slope, in row order: 0 and 1.0e-15, 4.1e-17 and
+# 2.7e-16, 2.4e-16 and 1.4e-16; 1.7e-16 and 1.3e-16, 0 and 4.0e-17, 1.3e-16 and
+# 0; 2.2e-16 and 1.5e-15, 0 and 7.9e-16, 3.2e-16 and 1.9e-16.
 _ANGLE_LITERALS = [
-    (-0.6, 0.3, (0.35465267461167854+0.8514541132647058j), (-2.0985667380347817-0.4889438739206031j)),
-    (-0.6, 0.5, (3.181866621588628e-17+0.7852706509495067j), (-1.6324917209374816-0.2654445351747986j)),
-    (-0.6, 1.7, (0.2703304335743908-0.43229758507168103j), (1.2809053850122933+0.8417281146934464j)),
+    (-0.6, 0.3, (0.3546526746116786+0.8514541132647058j), (-2.0985667380347817-0.4889438739206031j)),
+    (-0.6, 0.5, (3.1818666216897854e-17+0.7852706509495064j), (-1.6324917209374816-0.2654445351747986j)),
+    (-0.6, 1.7, (0.2703304335743908-0.4322975850716809j), (1.2809053850122933+0.8417281146934464j)),
     (0.5 * cmath.exp(0.7j), 0.3, (2.0808633474952276+1.9389614445180174j),
      (-4.210750005556171-0.7938226794898717j)),
-    (0.5 * cmath.exp(0.7j), 0.5, (1.4157704055058598+1.7797667873296898j),
+    (0.5 * cmath.exp(0.7j), 0.5, (1.415770405505859+1.7797667873296883j),
      (-2.6718475003835684-0.7970468085126579j)),
-    (0.5 * cmath.exp(0.7j), 1.7, (-0.10291424119424472+0.8698659058445983j),
+    (0.5 * cmath.exp(0.7j), 1.7, (-0.10291424119424464+0.8698659058445982j),
      (-0.5048370795907964-0.680790767624064j)),
-    (0.85, 0.3, (15.861088430577029+0j), (-6.012536782860645+0j)),
-    (0.85, 0.5, (14.835664613584898+0j), (-4.473434482844373+0j)),
-    (0.85, 1.7, (11.154315539864903+0j), (-2.3045414863752964+0j)),
+    (0.85, 0.3, (15.86108843057704+0j), (-6.012536782860645+0j)),
+    (0.85, 0.5, (14.835664613584894+0j), (-4.473434482844373+0j)),
+    (0.85, 1.7, (11.1543155398649+0j), (-2.3045414863752964+0j)),
 ]
 
 
-def _angle_lambert(q, x):
-    """The angle as ``2 sum_{m>=0} q^{x(2m+1)} / ((2m+1)(1 - q^{2m+1}))``."""
-    q = complex(q)
-    return 2.0 * odd_lambert(principal_power(q, x), q)
-
-
-@pytest.mark.parametrize("q, x, lambert, slope", _ANGLE_LITERALS)
-def test_angle_lambert_and_slope_are_bit_identical_to_literals(q, x, lambert, slope):
-    assert _angle_lambert(q, x) == lambert
+@pytest.mark.parametrize("q, x, angle, slope", _ANGLE_LITERALS)
+def test_angle_lambert_and_slope_are_bit_identical_to_literals(q, x, angle, slope):
+    assert angle_sum(q, x) == angle
     assert angle_derivative(q, x) == slope
 
 
 def test_angle_sum_equals_lambert_form():
-    assert abs(angle_sum(0.2, 0.7) - _angle_lambert(0.2, 0.7)) <= 1e-12
+    # 2 sum_{m odd} q^{xm} / (m (1 - q^m)), summed inline over 40 terms
+    q, x = 0.2, 0.7
+    qx = q**x
+    want = 2.0 * sum(qx**m / (m * (1.0 - q**m)) for m in range(1, 80, 2))
+    assert abs(angle_sum(q, x) - want) <= 4e-16 * abs(want)
 
 
 def test_angle_log_product_form():
@@ -110,6 +106,10 @@ def test_angle_half_argument_closed_form():
 def test_angle_domain():
     with pytest.raises(ValueError):
         angle_sum(0.5, -1.0)  # |q^x| = 2
+    # |q^x| = 1/2 but |q| = 2: the terms q^(n+x) grow, and the refusal names
+    # z = q^x and Q = q
+    with pytest.raises(ValueError, match=r"got z = \(0\.5\+0j\), Q = \(2\+0j\)"):
+        angle_sum(2.0, -1.0)
 
 
 def test_angle_integer_argument_closed_form():

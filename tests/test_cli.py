@@ -581,6 +581,10 @@ CAPPED_EVALS = [
     (("theta3", "--q", "0.5"), 1),
     # products, elliptic contexts and agile brackets must see the cap too
     (("f", "--q", "0.3"), 5),
+    # a deep product and an angle sum, spent in their log-series tails (the
+    # angle at q = 0.3 takes 2 atanh terms before its tail)
+    (("f", "--q", "0.9"), 25),
+    (("theta-angle", "--q", "0.3", "--x", "0.7"), 3),
     (("K", "--r", "2"), 4),
     (("E", "--r", "2"), 4),
     (("k", "--r", "2"), 4),

@@ -888,6 +888,17 @@ def test_unrestricted_odd_lambert_form():
         assert abs(lhs - rhs) <= 1e-9
 
 
+@pytest.mark.parametrize("z, Q", [
+    (1.0, 0.3), (0.6 + 0.8j, 0.3), (0.5, 1.5), (0.5, -1.0), (0.5, 0.99 + 0.2j),
+    (math.nan, 0.3), (0.5, math.nan), (complex(0.2, math.nan), 0.3),
+])
+def test_odd_lambert_refuses_outside_the_disk_by_name(z, Q):
+    # |z| >= 1, |Q| >= 1 or NaN: a ValueError naming both
+    with pytest.raises(ValueError, match=r"^odd Lambert sum needs \|z\| < 1 and \|Q\| < 1, "
+                                         r"got z = .*, Q = "):
+        odd_lambert(z, Q)
+
+
 # ---------------------------------------------------------------------------
 # the odd sum: theta1's fold
 # ---------------------------------------------------------------------------
