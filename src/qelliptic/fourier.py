@@ -210,10 +210,13 @@ def cd1_halfplane(ctx: EllipticContext, u: complex) -> complex:
 
     written out as cd*cos(2w) - i cd*sin(2w) - (2i/k) sin(2w) D(u), which only
     needs ``|A| < 1`` rather than the two-sided strip condition.
+
+    Raises ``ValueError`` where ``u`` is not finite or ``|A| >= 1``, and
+    ``OverflowError`` where ``|u/K| >= 1e12`` (:func:`_u_to_w`), before any sum.
     """
     u = complex(u)
     q = ctx.q
-    w = ctx.half_period_w * u
+    w = _u_to_w("cd1_halfplane", ctx, u)
     A = 1j * principal_power(q, 0.5) * cmath.exp(1j * w)
     if not abs(A) < 1.0:
         raise ValueError("cd1 half-plane form needs |A| < 1")

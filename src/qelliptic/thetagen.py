@@ -78,11 +78,38 @@ _I_PI = 1j * math.pi
 _MINUS_I_PI = -1j * math.pi
 
 
-def _reduce(path: list | None, A: complex, B: complex, odd: bool) -> tuple[complex, complex, complex, complex]:
+def _walk(A: complex, odd: bool) -> tuple:
+    """``A``'s steps to the fundamental domain (see :func:`_reduce`), which do
+    not depend on ``B``: each is ``(shift, A, h, c, after)``, the T step's
+    shift ``pi m`` of ``Im B`` (``None`` where there is none, and for the odd
+    sum), ``A`` after it, the S step's ``h = log(-pi/A) / 2``, the odd sum's
+    constant ``c`` and the next ``A``; the last step, where ``A`` has
+    arrived, has ``h = None`` and ``after = e^(2A')``."""
+    steps = []
+    while True:
+        shift = None
+        a_imag = A.imag
+        if a_imag > _HALF_PI or a_imag < -_HALF_PI:
+            m = round(a_imag / _PI)
+            A = complex(A.real, a_imag - _PI * m)
+            if not odd:
+                shift = _PI * m
+        # |tau| >= 1 up to rounding; the margin stops S steps that would
+        # only swap tau with -1/tau on the unit circle
+        if abs(A) >= 0.999 * _PI:
+            steps.append((shift, A, None, None, cmath.exp(2.0 * A)))
+            return tuple(steps)
+        h = 0.5 * cmath.log(-_PI / A)
+        after = _PI * _PI / A
+        steps.append((shift, A, h, 0.25 * (after - A) - 0.5j * _PI if odd else None, after))
+        A = after
+
+
+def _reduce(path: tuple, B: complex, odd: bool) -> tuple[complex, complex, complex, complex]:
     """``(A', e^(2A'), B', log f)`` with ``sum_n e^(A n^2 + B n) = f sum_n e^(A' n^2 + B' n)``
-    (``Re A < 0``), where ``tau' = A' / (i pi)`` lies in the fundamental
-    domain (``|Re tau'| <= 1/2``, ``|tau'| >= 1``, so ``|e^A'| <= e^(-pi sqrt(3)/2)``),
-    ``|Re B'| <= |Re A'|`` and ``|Im B'| <= pi``.
+    (``Re A < 0``), where ``path`` is ``_walk(A, odd)``, ``tau' = A' / (i pi)``
+    lies in the fundamental domain (``|Re tau'| <= 1/2``, ``|tau'| >= 1``, so
+    ``|e^A'| <= e^(-pi sqrt(3)/2)``), ``|Re B'| <= |Re A'|`` and ``|Im B'| <= pi``.
 
     * T step: ``(A, B) -> (A - i pi m, B + i pi m)``, since
       ``e^(i pi m n^2) = e^(i pi m n)``.
@@ -97,44 +124,10 @@ def _reduce(path: list | None, A: complex, B: complex, odd: bool) -> tuple[compl
     step leaves ``B`` alone, ``B - 2 pi i k`` gives ``(-1)^k``, the shift
     ``(-1)^m`` more, the S step ``-i e^((A' - A)/4)`` more.
 
-    ``A``'s steps do not depend on ``B``, so a plan keeps them in ``path``
-    for its later calls, which carry only ``B``: ``A`` is walked where
-    ``path`` is ``None`` or empty, and an empty one is filled on the way; a
-    filled one is replayed, ``A`` ignored.  Each step is
-    ``(shift, A, h, c, after)``: the T step's shift ``pi m`` of ``Im B``
-    (``None`` where there is none, and for the odd sum), ``A`` after it, the
-    S step's ``h = log(-pi/A) / 2``, the odd sum's constant ``c`` and the
-    next ``A``; the last step, where ``A`` has arrived, has ``h = None`` and
-    ``after = e^(2A')``.
-
     The factors' logarithms are summed, so ``f`` is formed once, by the caller.
     """
     log_f = 0j
-    known = len(path) if path else 0
-    i = 0
-    while True:
-        if i < known:
-            shift, A, h, c, after = path[i]
-            i += 1
-        else:
-            shift = None
-            a_imag = A.imag
-            if a_imag > _HALF_PI or a_imag < -_HALF_PI:
-                m = round(a_imag / _PI)
-                A = complex(A.real, a_imag - _PI * m)
-                if not odd:
-                    shift = _PI * m
-            # |tau| >= 1 up to rounding; the margin stops S steps that would
-            # only swap tau with -1/tau on the unit circle
-            if abs(A) >= 0.999 * _PI:
-                h = c = None
-                after = cmath.exp(2.0 * A)
-            else:
-                h = 0.5 * cmath.log(-_PI / A)
-                after = _PI * _PI / A
-                c = 0.25 * (after - A) - 0.5j * _PI if odd else None
-            if path is not None:
-                path.append((shift, A, h, c, after))
+    for shift, A, h, c, after in path:
         # bounds tested by comparison, not abs(), on this hot path; B is
         # reduced modulo 2 pi i inline, and the odd sum's signs (-1)^k and
         # (-1)^m are charged to log_f only when odd
@@ -161,7 +154,6 @@ def _reduce(path: list | None, A: complex, B: complex, odd: bool) -> tuple[compl
         B = _MINUS_I_PI * B / A
         if odd:
             log_f += c
-        A = after
 
 
 def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
@@ -239,18 +231,15 @@ def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
 
 # The last plan of the even sums (theta3 and theta4 share it) and of the odd
 # one: what _theta_two needs of (a, q) and the parity alone, the tuple
-# (q, a, x2, log_b, turn, A, path, real).  x2 = q^(2a) is set on the direct
+# (q, a, x2, log_b, turn, path, real).  x2 = q^(2a) is set on the direct
 # route only.  On the reduced one B = b log_b (+ i pi (s b + m) where
-# turn = (s, m)), A is the exponent before its reduction, path its steps (see
-# _reduce) and real whether a real b makes every term real once a +- b are
-# integers or q > 0 (q and a real, the sum even).  A call finds its plan by the
-# identity of its a and q, so equal keys that would pick other branches of
-# Log q (-0.0 == 0.0) or other powers (1 == 1.0) never share one.  The path
-# is None after the nome's first call, recorded by its second and replayed
-# from its third on, so a call at a new nome walks A once and records
-# nothing: with the identity test and a plain tuple that keeps it within a
-# few per cent of a kernel without plans.  A plan is kept only once its walk
-# is done, so the path of a kept plan is never written.
+# turn = (s, m)), path is A's steps (_walk) and real whether a real b makes
+# every term real once a +- b are integers or q > 0 (q and a real, the sum
+# even).  A call finds its plan by the identity of its a and q, so equal keys
+# that would pick other branches of Log q (-0.0 == 0.0) or other powers
+# (1 == 1.0) never share one.  A nome's first call makes its plan whole,
+# walking A once, and no call writes it after; the identity test and a plain
+# tuple keep its bookkeeping near 2% of that call.
 _plans: list[tuple | None] = [None, None]
 
 
@@ -262,10 +251,11 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
     The sum is written as ``sum_n e^(A n^2 + B n)`` with ``L = Log q``,
     ``A = a L`` and ``B = b L (+ i pi when alternating)``, so that
     ``|q^a| = e^(Re A)``.  What depends on ``(a, q)`` and the parity alone,
-    ``L``, the route, ``q^(2a)`` and ``A``'s reduction, is a plan kept for
-    the next call at the same ``a`` and ``q`` (``_plans``), so a quadrature
-    over ``b`` at one nome forms it once.  Where ``|q^a| <= e^(-pi/2)``
-    (``Im tau >= 1/2`` for ``tau = A / (i pi)``) it is summed directly: its
+    ``L``, the route, ``q^(2a)`` and ``A``'s path (:func:`_walk`), is a plan
+    made by the first call at an ``a`` and ``q`` and kept for the next
+    (``_plans``), so a quadrature over ``b`` at one nome forms it once.
+    Where ``|q^a| <= e^(-pi/2)`` (``Im tau >= 1/2`` for
+    ``tau = A / (i pi)``) it is summed directly: its
     ratios ``R_1+- = s q^(a +- b)`` and ``x2 = q^(2a)`` take three powers, two
     on a kept plan.  (Formed as ``q^a q^(-b)``, ``R_1-`` would overflow at a
     tiny nome even where ``q^(a-b) = 1``.)  The direct sum stays although the
@@ -306,10 +296,7 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
     try:
         plan = _plans[odd]
         if plan is not None and plan[0] is q and plan[1] is a:
-            _, _, x2, log_b, turn, A, path, real = plan
-            if path is None and x2 is None:  # the nome's second call
-                path = []
-                plan = (q, a, None, log_b, turn, A, path, real)
+            _, _, x2, log_b, turn, path, real = plan
         else:
             log_q = cmath.log(q)
             A = a * log_q
@@ -318,9 +305,9 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
             if not (odd or A.real > -0.5 * _PI):
                 x = principal_power(q, a)
                 x2 = x * x
-                plan = (q, a, x2, None, None, None, None, False)
+                _plans[odd] = (q, a, x2, None, None, None, False)
             else:
-                x2 = turn = None
+                x2 = turn = path = None
                 log_b = log_q
                 if q.real < 0.0:
                     # L = Log(-q) + i pi s (s = +-1), whose multiple of i pi
@@ -336,11 +323,8 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
                     m = round(s * a.real)
                     A = a * log_b + _I_PI * (s * a - m)
                     turn = (s, 0 if odd else m)
-                path = None
                 real = not odd and q.imag == 0.0 and a.imag == 0.0
-                plan = (q, a, None, log_b, turn, A, None, real)
         if x2 is not None:
-            _plans[odd] = plan
             sign = -1.0 if alternating else 1.0
             return _fold(x2, sign * principal_power(q, a + b), sign * principal_power(q, a - b), name)
         if turn is None:
@@ -351,8 +335,10 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
             B += _I_PI
         if not cmath.isfinite(B):
             raise OverflowError(f"b Log q = {B} is not finite")
-        A, e2A, B, log_f = _reduce(path, A, B, odd)
-        _plans[odd] = plan
+        if path is None:
+            path = _walk(A, odd)
+            _plans[odd] = (q, a, None, log_b, turn, path, real)
+        A, e2A, B, log_f = _reduce(path, B, odd)
         try:
             factor = cmath.exp(log_f)
         except OverflowError:
@@ -630,7 +616,10 @@ def log_P(A, q) -> complex:
 
 
 def odd_ratio_sum(A, q) -> complex:
-    """Sum ``sum_{n>=0} A^(2n+1) / (1 - q^(2n+1))``."""
+    """Sum ``sum_{n>=0} A^(2n+1) / (1 - q^(2n+1))``; ``ValueError`` naming ``A``
+    and ``q`` unless ``|A| < 1`` and ``|q| < 1`` (NaN included)."""
+    if not (abs(A) < 1.0 and abs(q) < 1.0):
+        raise ValueError(f"odd ratio sum needs |A| < 1 and |q| < 1, got A = {A}, q = {q}")
 
     def term(n: int) -> complex:
         m = 2 * n + 1
@@ -660,7 +649,13 @@ def restricted_divisor_log(
     A divisor pair counts once for each entry of ``residues`` that its class
     matches, so a repeated class counts with its multiplicity; a set of
     classes is passed as distinct entries.
+
+    Raises ``ValueError`` unless ``|q| < 1`` (NaN included) and ``p >= 1``.
     """
+    if not abs(q) < 1.0:
+        raise ValueError(f"restricted divisor log needs |q| < 1, got q = {q}")
+    if p < 1:
+        raise ValueError(f"restricted divisor log needs a modulus p >= 1, got p = {p}")
     res_list = [r % p for r in residues]
 
     def inner(n: int) -> complex:

@@ -110,6 +110,10 @@ def test_angle_domain():
     # z = q^x and Q = q
     with pytest.raises(ValueError, match=r"got z = \(0\.5\+0j\), Q = \(2\+0j\)"):
         angle_sum(2.0, -1.0)
+    # the slope's |q^a| = 4 is refused by odd_ratio_sum by name, not by an
+    # overflowing power
+    with pytest.raises(ValueError, match=r"got A = \(4\+0j\), q = \(0\.5\+0j\)"):
+        angle_derivative(0.5, -2.0)
 
 
 def test_angle_integer_argument_closed_form():

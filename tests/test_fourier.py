@@ -24,7 +24,7 @@ from qelliptic.fourier import (
     jacobi_sd,
     jacobi_sn,
 )
-from qelliptic.numutil import PoleError, complex_quad, principal_power, sum_series
+from qelliptic.numutil import PoleError, complex_quad, principal_power, sum_series, term_counter
 from qelliptic.thetagen import odd_ratio_sum
 
 PI = math.pi
@@ -373,6 +373,20 @@ def test_cd1_halfplane_domain():
     c = ctx(0.05)
     with pytest.raises(ValueError):
         cd1_halfplane(c, -1.2j * c.Kprime.real)
+
+
+@pytest.mark.parametrize("u, exc", [
+    (math.inf, ValueError), (complex(0.0, math.inf), ValueError), (math.nan, ValueError),
+    (1e13, OverflowError),
+])
+def test_cd1_halfplane_refuses_u_by_its_own_name_before_any_sum(u, exc):
+    # w = pi u/(2K) by _u_to_w, the rule eval_fourier and the quotients share:
+    # u = inf read "needs |A| < 1", and u = 1e13 summed D before cd refused it
+    c = ctx(0.05)
+    with term_counter() as used:
+        with pytest.raises(exc, match=r"^cd1_halfplane: u"):
+            cd1_halfplane(c, u)
+    assert used() == 0
 
 
 def test_cd1_outer_lattice_closed_form():

@@ -30,6 +30,7 @@ from qelliptic.thetagen import (
     cayley,
     cayley_u_product,
     cayley_u0_product,
+    restricted_divisor_log,
     theta1_two,
     theta3_two,
     theta4_two,
@@ -849,6 +850,11 @@ _REFUSALS = [
     ("theta3_two, infinite b, direct route", lambda: theta3_two(1, math.inf, 0.01), ValueError),
     ("theta4_two, NaN b, direct route", lambda: theta4_two(1, math.nan, 0.01), ValueError),
     ("theta1_two, infinite a", lambda: theta1_two(math.inf, 0, 0.3), ValueError),
+    ("restricted_divisor_log, |q| > 1", lambda: restricted_divisor_log(2.0, 3, [1]), ValueError),
+    ("restricted_divisor_log, |q| = 1", lambda: restricted_divisor_log(-1.0, 3, [1]), ValueError),
+    ("restricted_divisor_log, NaN q", lambda: restricted_divisor_log(math.nan, 3, [1]), ValueError),
+    ("restricted_divisor_log, p = 0", lambda: restricted_divisor_log(0.2, 0, [1]), ValueError),
+    ("restricted_divisor_log, p = -1", lambda: restricted_divisor_log(0.2, -1, [1]), ValueError),
 ]
 
 

@@ -26,6 +26,7 @@ from qelliptic.thetagen import (
     cayley,
     cayley_u0_product,
     odd_lambert,
+    odd_ratio_sum,
     ramanujan_quantity,
     restricted_divisor_log,
     rr_G,
@@ -165,10 +166,10 @@ def _cold():
 
 def test_theta_two_plan_is_the_same_cold_warm_and_evicted():
     # the per-(a, q) plan changes no value, term count or refusal: a call
-    # reads the same on a cold plan, on the plan its first call kept, on the
-    # path its second call recorded, after another nome's call evicted its
-    # plan, and after a call at an equal twin (-0.0 == 0.0 and
-    # 0.5 == 0.5 + 0j, though Log(-q) of the twins differ in a zero's sign)
+    # reads the same on a cold plan, on the plan and path its first call kept
+    # (twice), after another nome's call evicted its plan, and after a call
+    # at an equal twin (-0.0 == 0.0 and 0.5 == 0.5 + 0j, though Log(-q) of the
+    # twins differ in a zero's sign)
     cases = _plan_cases(2036, 1500)
     cold = []
     for case in cases:
@@ -185,7 +186,7 @@ def test_theta_two_plan_is_the_same_cold_warm_and_evicted():
         _cold()
         assert [_outcome(*case) for _ in range(3)] == [want] * 3, case
         plan = thetagen._plans[case[0] is thetagen.theta1_two]
-        replayed += bool(plan and plan[6])  # the third call replayed a path
+        replayed += bool(plan and plan[5])  # the later calls replayed a path
     assert replayed > 400
     for case, want in zip(cases, cold):
         assert _outcome(*case) == want, case  # the case before evicted its plan
@@ -270,11 +271,11 @@ def _reduced(a, b, q, alternating):
     = sum e^(A n^2 + B n)``, ``B`` formed off the plan as the kernel forms it."""
     _cold()
     theta3_two(a, 0, q)
-    _, _, _, log_b, turn, A, _, _ = thetagen._plans[0]
+    _, _, _, log_b, turn, path, _ = thetagen._plans[0]
     B = b * log_b if turn is None else b * log_b + 1j * math.pi * (turn[0] * b + turn[1])
     if alternating:
         B += 1j * math.pi
-    A, _, B, log_f = thetagen._reduce(None, A, B, False)
+    A, _, B, log_f = thetagen._reduce(path, B, False)
     return A, B, log_f
 
 
@@ -490,9 +491,9 @@ class _CountingCmath:
 def test_reduced_theta_two_forms_no_per_term_power(monkeypatch, q):
     # the reduced sum takes its ratios e^(A' +- B') and e^(2 A') and the
     # transformation's factor as four exponentials on a cold plan, however many
-    # terms it sums, and on the nome's second call, which records A's path;
-    # e^(2 A') is the path's, so a call that replays it (theta3 and theta4
-    # share it, at any b) takes three
+    # terms it sums; e^(2 A') is the path's, which that call walks and keeps,
+    # so every later call at the nome (theta3 and theta4 share it, at any b)
+    # replays it and takes three, and none writes it
     calls = []
 
     def counting_power(w, s):
@@ -506,10 +507,13 @@ def test_reduced_theta_two_forms_no_per_term_power(monkeypatch, q):
         for a, b in ((1, 0), (1, 0.4), (0.7, -1.1), (1, 0.4j)):
             assert not _direct(a, q)
             _cold()
-            for g, b2, exps in ((f, b, 4), (f, b, 4), (f, b, 3), (theta3_two, 2 * b + 0.1, 3), (theta4_two, -b, 3)):
+            kept = None
+            for g, b2, exps in ((f, b, 4), (f, b, 3), (f, b, 3), (theta3_two, 2 * b + 0.1, 3), (theta4_two, -b, 3)):
                 counting_cmath.exp_calls = 0
                 g(a, b2, q)
                 assert calls == [] and counting_cmath.exp_calls == exps, (g, a, b2)
+                kept = kept or thetagen._plans[0][5]
+            assert thetagen._plans[0][5] is kept  # the first call's path, never replaced
 
 
 def _gaussian_sum_mp(A, B):
@@ -535,7 +539,7 @@ def test_reduction_lands_in_the_fundamental_domain_and_keeps_the_sum():
     for _ in range(60):
         A = complex(rng.uniform(-1.5, -0.01), rng.uniform(-20.0, 20.0))
         B = complex(rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0))
-        A2, _, B2, log_f = thetagen._reduce(None, A, B, False)
+        A2, _, B2, log_f = thetagen._reduce(thetagen._walk(A, False), B, False)
         tau = A2 / (1j * math.pi)
         assert abs(tau.real) <= 0.5 and abs(tau) >= 0.999 and tau.imag > 0.8, (A, B)
         assert abs(B2.real) <= abs(A2.real) and abs(B2.imag) <= math.pi, (A, B)
@@ -897,6 +901,18 @@ def test_odd_lambert_refuses_outside_the_disk_by_name(z, Q):
     with pytest.raises(ValueError, match=r"^odd Lambert sum needs \|z\| < 1 and \|Q\| < 1, "
                                          r"got z = .*, Q = "):
         odd_lambert(z, Q)
+
+
+@pytest.mark.parametrize("A, q", [
+    (0.5, 2.0), (1.0, 0.3), (0.6 + 0.8j, 0.3), (0.5, -1.0), (4.0 + 0j, 0.5 + 0j),
+    (math.nan, 0.3), (0.5, math.nan), (complex(0.2, math.nan), 0.3),
+])
+def test_odd_ratio_sum_refuses_outside_the_disk_by_name(A, q):
+    # |A| >= 1, |q| >= 1 or NaN: a ValueError naming both, where (0.5, 2.0)
+    # summed to a value and (4, 0.5), angle_derivative(0.5, -2)'s, overflowed
+    with pytest.raises(ValueError, match=r"^odd ratio sum needs \|A\| < 1 and \|q\| < 1, "
+                                         r"got A = .*, q = "):
+        odd_ratio_sum(A, q)
 
 
 # ---------------------------------------------------------------------------
