@@ -709,12 +709,24 @@ def _eq60_lhs(r):
 # the two-variable continued fraction U, the one-variable u0, the angle
 # --------------------------------------------------------------------------
 
+# The Cayley square laws C(U)^2 = W (EQ63, A-136, A-137, A-170) take U from its
+# continued fraction, W from u0's Cayley images, and compare (W - 1)/(W + 1):
+# 2U/(1 + U^2) at W = C(U)^2.  C(U) itself takes 1 - U, which loses its digits
+# as U -> 1 (A-170 read 0.19 off at q = 0.95).
+def _square_law_u(u):
+    return 2.0 * u / (1.0 + u * u)
+
+
+def _square_law_w(num, den):  # at W = num/den
+    return (num - den) / (num + den)
+
+
 def _eq63_lhs(a, b, q):
-    return cayley_u_product(a, b, q) ** 2
+    return _square_law_u(u_cf(a, b, q))
 
 
 def _eq63_rhs(a, b, q):
-    return cayley_u0_product(a, q) / cayley_u0_product(b, q)
+    return _square_law_w(cayley_u0_product(a, q), cayley_u0_product(b, q))
 
 
 def _eq66_lhs(a, q):
@@ -1455,19 +1467,19 @@ def _a135_rhs(a, p, q, form):
 
 
 def _a136_lhs(a, b, p, q):
-    return cayley_u_product(q ** a, -q ** b, q ** p) ** 2
+    return _square_law_u(u_cf(q ** a, -q ** b, q ** p))
 
 
 def _a136_rhs(a, b, p, q):
-    return cayley_u0_product(q ** a, q ** p) * cayley_u0_product(q ** b, q ** p)
+    return _square_law_w(cayley_u0_product(q ** a, q ** p) * cayley_u0_product(q ** b, q ** p), 1.0)
 
 
-def _a137_lhs(a, p, q):
-    return (agile_minus(a, p, q) / agile_plus(a, p, q)) ** 2
+def _a137_lhs(a, p, q):  # (agile_minus/agile_plus)^2 = C(U)^-2
+    return _square_law_w(agile_plus(a, p, q) ** 2, agile_minus(a, p, q) ** 2)
 
 
 def _a137_rhs(a, p, q):
-    return cayley_u_product(q ** a, -q ** (p - a), q ** p) ** (-2.0)
+    return _square_law_u(u_cf(q ** a, -q ** (p - a), q ** p))
 
 
 def _a140_lhs(a, p, q):
@@ -1720,11 +1732,11 @@ def _a169_rhs(a, p, q, x):
 
 
 def _a170_lhs(a, b, q):
-    return cayley_u_product(a, -b, q) ** 2
+    return _square_law_u(u_cf(a, -b, q))
 
 
 def _a170_rhs(a, b, q):
-    return cayley_u0_product(a, q) * cayley_u0_product(b, q)
+    return _square_law_w(cayley_u0_product(a, q) * cayley_u0_product(b, q), 1.0)
 
 
 def _main_a1_lhs(x, y, q):
@@ -2301,7 +2313,7 @@ def _build() -> tuple[IdentityCase, ...]:
           "qelliptic.thetagen.theta4_two", _a157_lhs, _a157_rhs,
           ({"a": 1, "p": 5, "q": 0.2}, {"a": 1, "p": 3, "q": 0.25}), tol=1e-10),
         C("A5-157-PRINTED", "inverse-squared variant of A5-157, kept for the record",
-          "qelliptic.thetagen.theta4_two", _a157_lhs, _a137_rhs,
+          "qelliptic.thetagen.theta4_two", _a157_lhs, lambda a, p, q: _a157_rhs(a, p, q) ** 2,
           ({"a": 1, "p": 5, "q": 0.2},), status="QUARANTINED"),
         C("A5-158", "log-Cayley value as twice the multiset restricted divisor log",
           "qelliptic.thetagen.restricted_divisor_log", _a158_lhs, _a158_rhs,

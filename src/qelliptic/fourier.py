@@ -217,9 +217,10 @@ def cd1_halfplane(ctx: EllipticContext, u: complex) -> complex:
     u = complex(u)
     q = ctx.q
     w = _u_to_w("cd1_halfplane", ctx, u)
-    A = 1j * principal_power(q, 0.5) * cmath.exp(1j * w)
-    if not abs(A) < 1.0:
+    # log|A| = log|q|/2 - Im w, tested before e^(i w) overflows at a large -Im w
+    if not 0.5 * math.log(abs(q)) - w.imag < 0.0:
         raise ValueError("cd1 half-plane form needs |A| < 1")
+    A = 1j * principal_power(q, 0.5) * cmath.exp(1j * w)
 
     def term(n: int) -> complex:
         qn = q**n

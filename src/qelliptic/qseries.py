@@ -36,11 +36,12 @@ __all__ = [
 ]
 
 
-# From |q| = 1/2 on, qpochhammer takes its factors only while |a q^n| > 1/8
-# and sums the rest as the log series of _log_tail, about 18 terms at any
-# |q| < 1.  Below |q| = 1/2 it keeps its direct loop: that loop is the side of
-# EQ67, EQ82, EQ83, T17b and MAIN-A1 that shares no code with odd_lambert,
-# which ends on _log_tail at every nome, so a fault there cannot cancel.
+# qpochhammer takes its factors down to the first with |a q^n| <= 1/8 from
+# |q| = 1/2 on, and sums the rest as the log series of _log_tail, about 15
+# terms at any |q| < 1.  Below |q| = 1/2 it takes every factor that its
+# geometric tail bound asks for: that product is the side of EQ67, EQ82, EQ83,
+# T17b and MAIN-A1 that shares no code with odd_lambert, which ends on
+# _log_tail at every nome, so a fault there cannot cancel.
 _LOG_TAIL_NOME = 0.5
 _LOG_TAIL_Y = 0.125
 
@@ -50,18 +51,19 @@ def qpochhammer(a: complex, q: complex) -> complex:
     which converges for ``|q| < 1``.
 
     Raises ``ValueError``, before any factor is taken, where ``a`` is not
-    finite or ``|q| < 1`` does not hold (NaN included).  Below ``|q| = 1/2``
-    it stops at the first factor with ``|a q^k| |q| / (1 - |q|)`` at most the
-    active policy's ``rel_tail_cutoff``: that geometric series bounds the
-    relative effect of every factor left out.  From ``|q| = 1/2`` on it takes
-    the factors while ``|a q^k| > 1/8`` and multiplies by ``exp(-tail)``, the
-    log series of the rest (:func:`_log_tail`), stopped where its bound is at
-    most ``rel_tail_cutoff``: again a relative effect on the product.  The
-    factors and tail terms are charged to :func:`~qelliptic.numutil.term_counter`.
-    A product that is not finite (it overflowed on the way, which no later
-    factor undoes, or ``exp(-tail)`` alone leaves the double range) raises
-    ``OverflowError``, as a non-finite partial sum does; more than the
-    policy's ``max_terms`` factors and terms raise :class:`NonConvergenceError`.
+    finite or ``|q| < 1`` does not hold (NaN included).  One loop takes the
+    factors, ``a q^k`` carried by its ratio, down to the first with
+    ``|a q^k| <= stop``.  Below ``|q| = 1/2``, ``stop`` is the policy's
+    ``rel_tail_cutoff`` times ``(1 - |q|)/|q|``: the geometric series
+    ``|a q^k| |q|/(1 - |q|)`` bounds the relative effect of every factor left
+    out.  From ``|q| = 1/2`` on, ``stop`` is 1/8 and the product is multiplied
+    by ``exp(-tail)``, the log series of the factors left out
+    (:func:`_log_tail`), whose bound is again a relative one.  Factors and tail
+    terms are charged to :func:`~qelliptic.numutil.term_counter`.  A product
+    that is not finite (it overflowed on the way, which no later factor
+    undoes, or ``exp(-tail)`` alone leaves the double range) raises
+    ``OverflowError``; more than the policy's ``max_terms`` factors and terms
+    raise :class:`NonConvergenceError`.
     """
     a = complex(a)
     q = complex(q)
@@ -71,43 +73,37 @@ def qpochhammer(a: complex, q: complex) -> complex:
     if not cmath.isfinite(a):
         raise ValueError(f"infinite q-Pochhammer requires a finite a, got a = {a}")
     pol = current_policy()
+    deep = rho >= _LOG_TAIL_NOME
+    if deep:
+        stop = _LOG_TAIL_Y
+    else:
+        stop = pol.rel_tail_cutoff * (1.0 - rho) / rho if rho > 0.0 else math.inf
     prod = 1.0 + 0.0j
-    if rho < _LOG_TAIL_NOME:
-        # a factor |a q^k| at most this leaves a tail of at most rel_tail_cutoff
-        negligible = pol.rel_tail_cutoff * (1.0 - rho) / rho if rho > 0.0 else math.inf
-        qk = 1.0 + 0.0j
-        for used in range(1, pol.max_terms + 1):
-            factor_dev = a * qk
-            prod *= 1.0 - factor_dev
-            if abs(factor_dev) <= negligible:
-                _bump_terms(used)
-                if not cmath.isfinite(prod):
-                    raise OverflowError(f"q-Pochhammer product is {prod} after {used} factors")
-                return prod
-            qk *= q
-        _bump_terms(pol.max_terms)
-        raise NonConvergenceError(f"q-Pochhammer product did not converge in {pol.max_terms} factors")
-    y = a  # a q^used
+    y = a  # a q^used, the next factor's deviation from 1
     used = 0
-    while abs(y) > _LOG_TAIL_Y:
-        if used == pol.max_terms:
-            _bump_terms(used)
-            raise NonConvergenceError(f"q-Pochhammer product did not converge in {pol.max_terms} factors")
+    last = math.nan  # |a q^(used - 1)|, the last factor's: before the first, no stop holds
+    for used in range(1, pol.max_terms + 1):
+        last = abs(y)
         prod *= 1.0 - y
         y *= q
-        used += 1
+        if last <= stop:
+            break
     _bump_terms(used)
-    tail = _log_tail(y, q, False, pol.max_terms - used)
-    try:
-        prod *= cmath.exp(-tail)
-    except OverflowError:
-        raise OverflowError(
-            f"q-Pochhammer product: exp(-tail) = exp({-tail}) leaves the double range "
-            f"after {used} factors"
-        ) from None
+    if not last <= stop:
+        raise NonConvergenceError(f"q-Pochhammer product did not converge in {pol.max_terms} factors")
+    if deep:
+        tail = _log_tail(y, q, False, pol.max_terms - used)
+        try:
+            prod *= cmath.exp(-tail)
+        except OverflowError:
+            raise OverflowError(
+                f"q-Pochhammer product: exp(-tail) = exp({-tail}) leaves the double range "
+                f"after {used} factors"
+            ) from None
     if not cmath.isfinite(prod):
         raise OverflowError(
-            f"q-Pochhammer product is {prod} after {used} factors and its log-series tail"
+            f"q-Pochhammer product is {prod} after {used} factors"
+            + (" and its log-series tail" if deep else "")
         )
     return prod
 

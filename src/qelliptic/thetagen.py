@@ -326,7 +326,11 @@ def _theta_two(a, b, q, alternating: bool, odd: bool = False) -> complex:
                 real = not odd and q.imag == 0.0 and a.imag == 0.0
         if x2 is not None:
             sign = -1.0 if alternating else 1.0
-            return _fold(x2, sign * principal_power(q, a + b), sign * principal_power(q, a - b), name)
+            try:
+                r_plus, r_minus = principal_power(q, a + b), principal_power(q, a - b)
+            except OverflowError:
+                raise OverflowError("a ratio power q^(a +- b) leaves the double range") from None
+            return _fold(x2, sign * r_plus, sign * r_minus, name)
         if turn is None:
             B = b * log_b
         else:
@@ -403,12 +407,25 @@ def agile_plus(a, p, q) -> complex:
     return qpochhammer(-principal_power(q, a), qp) * qpochhammer(-principal_power(q, p - a), qp)
 
 
-def ramanujan_quantity(a, b, p, q) -> complex:
-    """Quotient ``agile_minus(a, p, q) / agile_minus(b, p, q)``."""
-    den = agile_minus(b, p, q)
+def _quotient(num: complex, den: complex, name: str, *args, square: bool = False) -> complex:
+    """``num / den``, squared when ``square``, for the product quotients of this module:
+    :class:`~qelliptic.numutil.PoleError` only where ``den`` is exactly 0, and
+    ``OverflowError`` where the result is not finite, naming ``name(*args)``."""
     if den == 0:
-        raise PoleError("ramanujan_quantity: denominator agile product vanished")
-    return agile_minus(a, p, q) / den
+        raise PoleError(f"{name}({', '.join(map(str, args))}): the denominator is 0")
+    w = num / den
+    if square:
+        w *= w
+    if not cmath.isfinite(w):
+        raise OverflowError(f"{name}({', '.join(map(str, args))}) is {w}")
+    return w
+
+
+def ramanujan_quantity(a, b, p, q) -> complex:
+    """Quotient ``agile_minus(a, p, q) / agile_minus(b, p, q)``; ``PoleError``
+    where the divisor is exactly 0, ``OverflowError`` where the quotient is not finite."""
+    den = agile_minus(b, p, q)
+    return _quotient(agile_minus(a, p, q), den, "ramanujan_quantity", a, b, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +499,7 @@ def rr_cf(q) -> complex:
 def cayley(v) -> complex:
     """Map ``v -> -1 + 2/(1 - v)``; ``PoleError`` only where ``1 - v`` is exactly 0,
     ``OverflowError`` where the image is not finite."""
-    d = 1.0 - v
-    if d == 0:
-        raise PoleError("cayley transform evaluated at v = 1")
-    w = -1.0 + 2.0 / d
-    if not cmath.isfinite(w):
-        raise OverflowError(f"cayley transform at v = {v} is {w}")
-    return w
+    return -1.0 + _quotient(2.0, 1.0 - v, "cayley", v)
 
 
 def u_cf(a, b, q) -> complex:
@@ -515,13 +526,7 @@ def u_product(a, b, q) -> complex:
     ``OverflowError`` where the quotient is not finite."""
     num = qpochhammer(-a, q) * qpochhammer(b, q)
     den = qpochhammer(a, q) * qpochhammer(-b, q)
-    s = num + den
-    if s == 0:
-        raise PoleError("u_product: vanishing denominator N + D")
-    u = (num - den) / s
-    if not cmath.isfinite(u):
-        raise OverflowError(f"u_product at a = {a}, b = {b}, q = {q} is {u}")
-    return u
+    return _quotient(num - den, num + den, "u_product", a, b, q)
 
 
 def u0_cf(a, q) -> complex:
@@ -535,12 +540,7 @@ def u0_product(a, q) -> complex:
     ``PoleError`` where ``P + 1`` is exactly 0, ``OverflowError`` where the
     quotient is not finite."""
     p_val = cayley_u0_product(a, q)
-    if p_val == -1.0:
-        raise PoleError("u0_product: vanishing denominator P + 1")
-    u = (p_val - 1.0) / (p_val + 1.0)
-    if not cmath.isfinite(u):
-        raise OverflowError(f"u0_product at a = {a}, q = {q} is {u}")
-    return u
+    return _quotient(p_val - 1.0, p_val + 1.0, "u0_product", a, q)
 
 
 def cayley_u_product(a, b, q) -> complex:
@@ -548,12 +548,7 @@ def cayley_u_product(a, b, q) -> complex:
     the cayley image of ``U(a, b; q)``, formed without ``U``; ``PoleError``
     where ``D`` is exactly 0, ``OverflowError`` where ``N/D`` is not finite."""
     den = qpochhammer(a, q) * qpochhammer(-b, q)
-    if den == 0:
-        raise PoleError("cayley_u_product: vanishing (a; q) (-b; q) product")
-    w = qpochhammer(-a, q) * qpochhammer(b, q) / den
-    if not cmath.isfinite(w):
-        raise OverflowError(f"cayley_u_product at a = {a}, b = {b}, q = {q} is {w}")
-    return w
+    return _quotient(qpochhammer(-a, q) * qpochhammer(b, q), den, "cayley_u_product", a, b, q)
 
 
 def cayley_u0_product(a, q) -> complex:
@@ -561,13 +556,7 @@ def cayley_u0_product(a, q) -> complex:
     ``PoleError`` where ``(a; q)`` is exactly 0, ``OverflowError`` where ``P``
     is not finite."""
     den = qpochhammer(a, q)
-    if den == 0:
-        raise PoleError("cayley_u0_product: vanishing (a; q) product")
-    r = qpochhammer(-a, q) / den
-    p = r * r
-    if not cmath.isfinite(p):
-        raise OverflowError(f"cayley_u0_product at a = {a}, q = {q} is {p}")
-    return p
+    return _quotient(qpochhammer(-a, q), den, "cayley_u0_product", a, q, square=True)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,12 @@ def test_agm_keeps_tiny_and_huge_arguments(a, b, scale):
     assert abs(agm(a * scale, b * scale) - want) <= 1e-15 * abs(want)
 
 
+def test_agm_takes_the_convergent_branch_of_each_root():
+    # at (-1, -1.1) the principal root of a_0 b_0 = 1.1 gives
+    # |a_1 - b_1| > |a_1 + b_1|: the chain negates it, so the mean is odd
+    assert agm(-1.0, -1.1) == -agm(1.0, 1.1)
+
+
 def test_agm_refuses_arguments_beyond_a_common_scaling():
     with pytest.raises(OverflowError, match="too far apart"):
         agm(1e-300, 1e300)

@@ -375,6 +375,13 @@ def test_cd1_halfplane_domain():
         cd1_halfplane(c, -1.2j * c.Kprime.real)
 
 
+def test_cd1_halfplane_refuses_a_far_half_plane_before_e_iw():
+    # |A| = |q|^(1/2) e^(-Im w) is far past 1 at u = -1000i, where e^(i w)
+    # itself overflows: it read CPython's bare "math range error"
+    with pytest.raises(ValueError, match=r"needs \|A\| < 1"):
+        cd1_halfplane(ctx(0.05), -1000j)
+
+
 @pytest.mark.parametrize("u, exc", [
     (math.inf, ValueError), (complex(0.0, math.inf), ValueError), (math.nan, ValueError),
     (1e13, OverflowError),

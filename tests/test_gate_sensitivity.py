@@ -23,7 +23,7 @@ from qelliptic.registry import registry
 # ACTIVE cases that pass with their anchor scaled, each with the reason
 STILL_PASS = {
     "EQ12": "scale cancels: the anchor enters through a logarithmic derivative",
-    "EQ63": "scale cancels: the right side is a quotient of two anchor calls",
+    "EQ63": "scale cancels: the right side (P_a - P_b)/(P_a + P_b) is a ratio of two anchor calls",
     "EQ89.2": "scale cancels: the left side is a quotient of two anchor calls",
     "A-150": "scale cancels: the right side is a quotient of two anchor calls",
     "EQ43": "same call on both sides: one anchor factor on each side",

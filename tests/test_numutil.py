@@ -30,6 +30,8 @@ from qelliptic.thetagen import (
     cayley,
     cayley_u_product,
     cayley_u0_product,
+    odd_lambert,
+    ramanujan_quantity,
     restricted_divisor_log,
     theta1_two,
     theta3_two,
@@ -827,12 +829,15 @@ _REFUSALS = [
     ("u_product, N - D and N + D infinite", lambda: u_product(1e200, -1e200, 0.0), OverflowError),
     ("cayley_u_product, N/D past the double range", lambda: cayley_u_product(0.9, -0.9, 0.995), OverflowError),
     ("cayley_u0_product, P past the double range", lambda: cayley_u0_product(0.9, 0.995), OverflowError),
+    # 414 direct factors below |q| = 1/2 overflow to inf, and then to NaN
+    ("qpochhammer, product past the double range", lambda: qpochhammer(1e200, 0.3), OverflowError),
     # a spent cap: NonConvergenceError
-    # (0.5; 0.5): 2 direct factors, then a tail of 17 terms that a cap of 3 cuts
+    # (0.5; 0.5): 3 direct factors, the last at 1/8, then a tail of 12 terms that a cap of 3 cuts
     ("qpochhammer, capped", _capped(lambda: qpochhammer(0.5, 0.5)), NonConvergenceError),
     ("qpochhammer, capped in its direct factors", _capped(lambda: qpochhammer(0.5, 0.9)), NonConvergenceError),
     # 20 atanh terms and an odd tail of 8
     ("angle_sum, capped in its tail", _capped(lambda: angle_sum(0.9, 0.7), max_terms=25), NonConvergenceError),
+    ("odd_lambert, capped in its atanh terms", _capped(lambda: odd_lambert(0.99, 0.9)), NonConvergenceError),
     ("theta3_two, capped", _capped(lambda: theta3_two(1, 0.5, 0.2), max_terms=1), NonConvergenceError),
     # a denominator that is exactly 0: PoleError
     ("cayley, v = 1", lambda: cayley(1.0), PoleError),
@@ -840,6 +845,7 @@ _REFUSALS = [
     ("cayley_u_product, D = 0", lambda: cayley_u_product(1.0, 0.5, 0.3), PoleError),
     ("cayley_u0_product, (a; q) = 0", lambda: cayley_u0_product(1.0, 0.5), PoleError),
     ("u0_product, P + 1 = 0", lambda: u0_product(1j, 0.0), PoleError),
+    ("ramanujan_quantity, agile_minus(0, p, q) = 0", lambda: ramanujan_quantity(1, 0, 5, 0.3), PoleError),
     # an argument outside the domain, NaN included: ValueError, not a pole
     # or an overflow that the argument itself brought in
     ("theta3_two, NaN a at q = 0", lambda: theta3_two(math.nan, 0, 0.0), ValueError),

@@ -55,35 +55,32 @@ def test_qpochhammer_matches_brute_force():
 def test_qpochhammer_stops_at_its_geometric_tail_bound(a, q, cutoff):
     a, q = complex(a), complex(q)
     rho = abs(q)
+    k = 0
     if rho < 0.5:
         # the first factor k with |a q^k| |q|/(1 - |q|) <= cutoff is the last
-        k = 0
         while abs(a) * rho ** k * rho / (1.0 - rho) > cutoff:
             k += 1
-        want_count = k + 1
-        # the finite product of factors 0..k, with q^j carried as a running product
-        want, qj = 1.0 + 0.0j, 1.0 + 0.0j
-        for _ in range(k + 1):
-            want *= 1.0 - a * qj
-            qj *= q
     else:
-        # the factors while |a q^k| > 1/8, then -log of the rest as the series
-        # sum_j y^j/(j (1 - q^j)) at y = a q^k, whose terms past j sum to at
-        # most |y|^(j+1)/((j+1)(1 - |q|)(1 - |y|)): the first j where that is
-        # at most cutoff is the last term
-        k = 0
+        # the first factor k with |a q^k| <= 1/8 is the last
         while abs(a) * rho ** k > 0.125:
             k += 1
-        r = abs(a) * rho ** k
+    want_count = k + 1
+    # the finite product of factors 0..k, with a q^i carried by its ratio
+    want, y = 1.0 + 0.0j, a
+    for _ in range(k + 1):
+        want *= 1.0 - y
+        y *= q
+    if rho >= 0.5:
+        # then -log of the rest as the series sum_j y^j/(j (1 - q^j)) at
+        # y = a q^(k+1), whose terms past j sum to at most
+        # |y|^(j+1)/((j+1)(1 - |q|)(1 - |y|)): the first j where that is at
+        # most cutoff is the last term
+        r = abs(y)
         j = 1
         while r ** (j + 1) / ((j + 1) * (1.0 - rho) * (1.0 - r)) > cutoff:
             j += 1
-        want_count = k + j
-        # the same operations in the same order: a q^i and y^i, q^i carried
-        want, y = 1.0 + 0.0j, a
-        for _ in range(k):
-            want *= 1.0 - y
-            y *= q
+        want_count += j
+        # the same operations in the same order: y^i and q^i carried
         tail, yi, qi = 0j, y, q
         for i in range(1, j + 1):
             tail += yi / (i * (1.0 - qi))
@@ -114,26 +111,32 @@ def test_qpochhammer_refuses_a_non_finite_argument_before_any_factor(a, q):
 
 
 def test_qpochhammer_refuses_a_product_that_overflows():
-    # (-0.99; 0.999)_inf grows past the double range: its 2,069 direct factors
+    # (-0.99; 0.999)_inf grows past the double range: its 2,070 direct factors
     # stay finite and exp(-tail) of the rest carries the product to inf, which
     # no later factor brings back; at q = 0.9999 exp(-tail) alone overflows
-    with pytest.raises(OverflowError, match=r"q-Pochhammer product is \(inf\+0j\) after 2069 factors "
+    with pytest.raises(OverflowError, match=r"q-Pochhammer product is \(inf\+0j\) after 2070 factors "
                                             r"and its log-series tail"):
         qpochhammer(-0.99, 0.999)
     with pytest.raises(OverflowError, match=r"q-Pochhammer product: exp\(-tail\) = exp\(\(1\d{3}\.\d+[+-]0j\)\) "
-                                            r"leaves the double range after 20693 factors"):
+                                            r"leaves the double range after 20694 factors"):
         qpochhammer(-0.99, 0.9999)
+    # below |q| = 1/2 the direct factors alone overflow: refused after the
+    # stop rule, with every factor charged
+    with term_counter() as count:
+        with pytest.raises(OverflowError, match=r"^q-Pochhammer product is \(nan\+nanj\) after 414 factors$"):
+            qpochhammer(1e200, 0.3)
+        assert count() == 414
 
 
 @pytest.mark.parametrize("call, units", [
-    # 19 direct factors and 17 tail terms (the factor-by-factor product took 371)
+    # 20 direct factors and 16 tail terms (the factor-by-factor product took 371)
     (lambda: euler_product(0.9), 36),
-    # 2,078 direct factors and 19 tail terms (it took 43,727)
-    (lambda: euler_product(0.999), 2097),
+    # 2,079 direct factors and 19 tail terms (it took 43,727)
+    (lambda: euler_product(0.999), 2098),
     # 20 atanh terms and 8 odd tail terms (sum_series took 348)
     (lambda: angle_sum(0.9, 0.7), 28),
-    # two products at q^5 = 0.995: 416 and 415 direct factors, 18 tail terms each (it took 16,848)
-    (lambda: agile_minus(1, 5, 0.999), 867),
+    # two products at q^5 = 0.995: 417 and 416 direct factors, 18 tail terms each (it took 16,848)
+    (lambda: agile_minus(1, 5, 0.999), 869),
 ], ids=["euler_product(0.9)", "euler_product(0.999)", "angle_sum(0.9, 0.7)", "agile_minus(1, 5, 0.999)"])
 def test_deep_products_and_the_angle_sum_end_on_the_log_series_tail(call, units):
     # a fall back to one factor or one term at a time fails these counts

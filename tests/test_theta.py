@@ -111,6 +111,12 @@ def test_theta_two_overflow_names_the_sum_and_its_arguments():
         with pytest.raises(OverflowError) as info:
             f(1, 200, 0.3)
         assert str(info.value) == f"{f.__name__}(1, 200; 0.3): the transformation factor e^{log_f} overflows"
+    # b = +-551.7 at q = 0.05, on the direct route (jacobi_cd at u = 1000i):
+    # the ratio power q^(a -+ b) overflows, which read "math range error"
+    for b in (551.7365525161352, -551.7365525161352):
+        with pytest.raises(OverflowError) as info:
+            theta3_two(1, b, 0.05)
+        assert str(info.value) == f"theta3_two(1, {b}; 0.05): a ratio power q^(a +- b) leaves the double range"
 
 
 def _plan_cases(seed, count):
@@ -890,6 +896,14 @@ def test_unrestricted_odd_lambert_form():
         lhs = cmath.log(cayley(u_product(x * q, y * q, q)))
         rhs = 2.0 * odd_lambert(x * q, q) - 2.0 * odd_lambert(y * q, q)
         assert abs(lhs - rhs) <= 1e-9
+
+
+def test_odd_lambert_charges_a_spent_cap():
+    # |0.99 (0.9)^n| > 1/8 for n < 20: a cap of 3 ends the atanh terms
+    with truncation(max_terms=3), term_counter() as used:
+        with pytest.raises(NonConvergenceError, match="within 3 terms"):
+            odd_lambert(0.99, 0.9)
+        assert used() == 3
 
 
 @pytest.mark.parametrize("z, Q", [
