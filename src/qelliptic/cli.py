@@ -169,8 +169,8 @@ def _diagnostic_eval(fn: Callable[[], complex]) -> tuple[complex, int, float]:
 
 
 def _evaluate(fn: Callable[[argparse.Namespace], complex], args: argparse.Namespace) -> complex:
-    """``fn(args)`` as a complex number.  A non-finite value (say a product
-    of two finite factors that overflows) is a failed evaluation."""
+    """``fn(args)`` as a complex number.  A non-finite value, which the
+    library's own checks should already have refused, is a failed evaluation."""
     value = complex(fn(args))
     if not cmath.isfinite(value):
         raise OverflowError(f"value is not finite: {format_complex(value)}")

@@ -58,7 +58,7 @@ class TruncationPolicy(NamedTuple):
     rel_tail_cutoff : float
         A series stops once its terms and tail are at most this fraction of
         ``max(|partial sum|, 2^-52 max |term|)`` (see :func:`sum_series`); an
-        infinite product once its geometric tail bound is at most it.
+        infinite product once the bound on its log-series tail is at most it.
     max_terms : int
         Hard cap on the terms of a series, the factors of a product, the
         depth of a continued fraction and the steps of an AGM chain;
@@ -496,16 +496,21 @@ def principal_power(w: complex, s: complex) -> complex:
         n = int(sc.real)
         if w == 0 and n < 0:
             raise PoleError("0 raised to a negative power")
+        wc = complex(w)
         try:
-            return complex(w) ** n
-        except ZeroDivisionError:
+            v = wc ** n
+            # for |n| <= 100 CPython multiplies: NaN, not an error, where the
+            # power of a finite w (or for n < 0 the power it inverts) overflows
+            if not cmath.isnan(v) or not cmath.isfinite(wc):
+                return v
+        except (ZeroDivisionError, OverflowError):
             # CPython's phase n Arg w leaves the double range for a huge n and
-            # a negative or complex w: |w|^n decides between 0 and an overflow
-            r = abs(complex(w))
-            if (r < 1.0 and n > 0) or (r > 1.0 and n < 0):
-                return 0j
-        except OverflowError:
+            # a negative or complex w (a bare ZeroDivisionError), or its modulus
             pass
+        # |w|^n decides between 0 and an overflow
+        r = abs(wc)
+        if (r < 1.0 and n > 0) or (r > 1.0 and n < 0):
+            return 0j
         raise OverflowError(
             f"principal_power: w**n leaves the double range at w = {w}, n = {sc.real!r}"
         )

@@ -36,13 +36,9 @@ __all__ = [
 ]
 
 
-# qpochhammer takes its factors down to the first with |a q^n| <= 1/8 from
-# |q| = 1/2 on, and sums the rest as the log series of _log_tail, about 15
-# terms at any |q| < 1.  Below |q| = 1/2 it takes every factor that its
-# geometric tail bound asks for: that product is the side of EQ67, EQ82, EQ83,
-# T17b and MAIN-A1 that shares no code with odd_lambert, which ends on
-# _log_tail at every nome, so a fault there cannot cancel.
-_LOG_TAIL_NOME = 0.5
+# qpochhammer takes its factors down to the first with |a q^n| <= 1/8 and sums
+# the rest as a log series, about 15 terms at any |q| < 1; odd_lambert's head
+# stops at the same 1/8 and sums its own odd tail.
 _LOG_TAIL_Y = 0.125
 
 
@@ -51,17 +47,17 @@ def qpochhammer(a: complex, q: complex) -> complex:
     which converges for ``|q| < 1``.
 
     Raises ``ValueError``, before any factor is taken, where ``a`` is not
-    finite or ``|q| < 1`` does not hold (NaN included).  One loop takes the
-    factors, ``a q^k`` carried by its ratio, down to the first with
-    ``|a q^k| <= stop``.  Below ``|q| = 1/2``, ``stop`` is the policy's
-    ``rel_tail_cutoff`` times ``(1 - |q|)/|q|``: the geometric series
-    ``|a q^k| |q|/(1 - |q|)`` bounds the relative effect of every factor left
-    out.  From ``|q| = 1/2`` on, ``stop`` is 1/8 and the product is multiplied
-    by ``exp(-tail)``, the log series of the factors left out
-    (:func:`_log_tail`), whose bound is again a relative one.  Factors and tail
+    finite or ``|q| < 1`` does not hold (NaN included).  One route at every
+    nome: the factors, ``a q^k`` carried by its ratio, down to the first with
+    ``|a q^k| <= 1/8``, times ``exp(-T)`` for the rest, where
+    ``T = sum_{j>=1} y^j / (j (1 - q^j)) = -log (y; q)_inf`` at the next
+    ``y = a q^k`` (Gasper & Rahman, *Basic Hypergeometric Series*, 2nd ed.,
+    section 1.3).  ``T`` stops once the bound ``|y|^j / (j (1 - |q|) (1 - |y|))``
+    on its terms from ``j`` on is at most ``rel_tail_cutoff``: an absolute
+    bound on a logarithm, so a relative one on the product.  Factors and tail
     terms are charged to :func:`~qelliptic.numutil.term_counter`.  A product
     that is not finite (it overflowed on the way, which no later factor
-    undoes, or ``exp(-tail)`` alone leaves the double range) raises
+    undoes, or ``exp(-T)`` alone leaves the double range) raises
     ``OverflowError``; more than the policy's ``max_terms`` factors and terms
     raise :class:`NonConvergenceError`.
     """
@@ -73,83 +69,46 @@ def qpochhammer(a: complex, q: complex) -> complex:
     if not cmath.isfinite(a):
         raise ValueError(f"infinite q-Pochhammer requires a finite a, got a = {a}")
     pol = current_policy()
-    deep = rho >= _LOG_TAIL_NOME
-    if deep:
-        stop = _LOG_TAIL_Y
-    else:
-        stop = pol.rel_tail_cutoff * (1.0 - rho) / rho if rho > 0.0 else math.inf
+    max_terms = pol.max_terms
     prod = 1.0 + 0.0j
-    y = a  # a q^used, the next factor's deviation from 1
-    used = 0
-    last = math.nan  # |a q^(used - 1)|, the last factor's: before the first, no stop holds
-    for used in range(1, pol.max_terms + 1):
+    y = a  # a q^factors, the next factor's deviation from 1
+    for factors in range(1, max_terms + 1):
         last = abs(y)
         prod *= 1.0 - y
         y *= q
-        if last <= stop:
+        if last <= _LOG_TAIL_Y:
             break
-    _bump_terms(used)
-    if not last <= stop:
-        raise NonConvergenceError(f"q-Pochhammer product did not converge in {pol.max_terms} factors")
-    if deep:
-        tail = _log_tail(y, q, False, pol.max_terms - used)
-        try:
-            prod *= cmath.exp(-tail)
-        except OverflowError:
-            raise OverflowError(
-                f"q-Pochhammer product: exp(-tail) = exp({-tail}) leaves the double range "
-                f"after {used} factors"
-            ) from None
-    if not cmath.isfinite(prod):
-        raise OverflowError(
-            f"q-Pochhammer product is {prod} after {used} factors"
-            + (" and its log-series tail" if deep else "")
-        )
-    return prod
-
-
-def _log_tail(y: complex, q: complex, odd: bool, budget: int,
-              head: complex | None = None, floor: float = 0.0) -> complex:
-    """``sum_k y^k / (k (1 - q^k))`` over every ``k >= 1``, or over odd ``k``
-    only, for ``|y| <= 1/8`` and ``|q| < 1``, with ``y^k`` and ``q^k`` carried
-    as running products.  Over every ``k`` it is ``-log (y; q)_inf``, and over
-    odd ``k`` it is ``sum_{n>=0} atanh(y q^n)`` (expand each logarithm and
-    sum the geometric series in ``n``; Gasper & Rahman, *Basic Hypergeometric
-    Series*, 2nd ed., section 1.3).  :func:`qpochhammer` ends on the first
-    from ``|q| = 1/2`` on, and :func:`~qelliptic.thetagen.odd_lambert`, the
-    angle sum's body, on the second at every nome.
-
-    The terms from ``k`` on sum to at most ``|y|^k / (k (1 - |q|) (1 - |y|^s))``,
-    ``s`` the step of ``k``, since ``|1 - q^k| >= 1 - |q|``.  It stops once that
-    bound is at most ``rel_tail_cutoff``, an absolute bound on a logarithm and
-    so a relative one on its exponential; given the partial sum ``head`` of
-    the terms before ``y``, it returns ``head`` plus the series and stops on
-    :func:`~qelliptic.numutil.sum_series`' scale instead, ``rel_tail_cutoff``
-    times ``max(|head + series|, floor)``.  It takes at least one term,
-    charges its terms to :func:`~qelliptic.numutil.term_counter` and raises
-    :class:`NonConvergenceError` when it would take more than ``budget``.
-    """
-    pol = current_policy()
+    else:
+        _bump_terms(max_terms)
+        raise NonConvergenceError(f"q-Pochhammer product did not converge in {max_terms} factors")
     cutoff = pol.rel_tail_cutoff
     ry = abs(y)
-    ys, qs, rs = (y * y, q * q, ry * ry) if odd else (y, q, ry)
-    step = 2 if odd else 1
-    c = 1.0 / ((1.0 - abs(q)) * (1.0 - rs))
-    total = 0j if head is None else head
-    yk, qk, rk, k = y, q, ry, 1
-    for used in range(1, budget + 1):
-        total += yk / (k * (1.0 - qk))
-        k += step
-        rk *= rs
-        if rk * c <= k * cutoff * (1.0 if head is None else max(abs(total), floor)):
-            _bump_terms(used)
-            return total
-        yk *= ys
-        qk *= qs
-    _bump_terms(budget)
-    raise NonConvergenceError(
-        f"log-series tail at y = {y}, q = {q} did not converge within {pol.max_terms} terms"
-    )
+    c = 1.0 / ((1.0 - rho) * (1.0 - ry))
+    tail = 0j
+    yk, qk, rk, k = y, q, ry, 1  # y^k, q^k and |y|^k carried
+    for used in range(factors + 1, max_terms + 1):
+        tail += yk / (k * (1.0 - qk))
+        k += 1
+        rk *= ry
+        if rk * c <= k * cutoff:
+            break
+        yk *= y
+        qk *= q
+    else:
+        _bump_terms(max_terms)
+        raise NonConvergenceError(f"q-Pochhammer product: the log-series tail at y = {y} "
+                                  f"did not converge within {max_terms} factors and terms")
+    _bump_terms(used)
+    try:
+        prod *= cmath.exp(-tail)
+    except OverflowError:
+        raise OverflowError(
+            f"q-Pochhammer product: exp(-tail) = exp({-tail}) leaves the double range "
+            f"after {factors} factors"
+        ) from None
+    if not cmath.isfinite(prod):
+        raise OverflowError(f"q-Pochhammer product is {prod} after {factors} factors and its log-series tail")
+    return prod
 
 
 def euler_product(q: complex) -> complex:

@@ -40,7 +40,7 @@ from .numutil import (
     principal_power,
     sum_series,
 )
-from .qseries import _LOG_TAIL_Y, _log_tail, divisors, qpochhammer
+from .qseries import _LOG_TAIL_Y, divisors, qpochhammer
 
 __all__ = [
     "theta1_two",
@@ -396,15 +396,28 @@ def theta4_two(a, b, q) -> complex:
 # ---------------------------------------------------------------------------
 
 def agile_minus(a, p, q) -> complex:
-    """Product ``prod_{n>=0} (1 - q^(p n + a)) (1 - q^(p n + p - a))``."""
-    qp = principal_power(q, p)
-    return qpochhammer(principal_power(q, a), qp) * qpochhammer(principal_power(q, p - a), qp)
+    """Product ``prod_{n>=0} (1 - q^(p n + a)) (1 - q^(p n + p - a))``;
+    ``OverflowError`` where it is not finite."""
+    return _agile(a, p, q, False)
 
 
 def agile_plus(a, p, q) -> complex:
-    """Product ``prod_{n>=0} (1 + q^(p n + a)) (1 + q^(p n + p - a))``."""
+    """Product ``prod_{n>=0} (1 + q^(p n + a)) (1 + q^(p n + p - a))``;
+    ``OverflowError`` where it is not finite."""
+    return _agile(a, p, q, True)
+
+
+def _agile(a, p, q, plus: bool) -> complex:
+    """``(-+q^a; q^p) (-+q^(p - a); q^p)``: two finite products whose product
+    may still overflow, refused by the bracket's name."""
     qp = principal_power(q, p)
-    return qpochhammer(-principal_power(q, a), qp) * qpochhammer(-principal_power(q, p - a), qp)
+    x, y = principal_power(q, a), principal_power(q, p - a)
+    if plus:
+        x, y = -x, -y
+    w = qpochhammer(x, qp) * qpochhammer(y, qp)
+    if not cmath.isfinite(w):
+        raise OverflowError(f"{'agile_plus' if plus else 'agile_minus'}({a}, {p}, {q}) is {w}")
+    return w
 
 
 def _quotient(num: complex, den: complex, name: str, *args, square: bool = False) -> complex:
@@ -567,9 +580,10 @@ def odd_lambert(z, Q) -> complex:
     """Sum ``sum_{m odd >= 1} z^m / (m (1 - Q^m)) = sum_{n>=0} atanh(z Q^n)``.
 
     The terms ``atanh(z Q^n)`` are summed while ``|z Q^n| > 1/8``, ``z Q^n``
-    carried by its ratio ``Q``, and the rest as the odd log series at
-    ``y = z Q^n`` (:func:`~qelliptic.qseries._log_tail`), stopped on the scale
-    of :func:`~qelliptic.numutil.sum_series`; all terms are charged to
+    carried by its ratio ``Q``, and the rest as the odd series itself at
+    ``y = z Q^n``: its terms from ``m`` on sum to at most
+    ``|y|^m / (m (1 - |Q|) (1 - |y|^2))``, which stops it on the scale of
+    :func:`~qelliptic.numutil.sum_series`.  All terms are charged to
     :func:`~qelliptic.numutil.term_counter` and counted against ``max_terms``.
     Raises ``ValueError`` naming ``z`` and ``Q`` unless ``|z| < 1`` and
     ``|Q| < 1`` (NaN included).
@@ -578,7 +592,8 @@ def odd_lambert(z, Q) -> complex:
     Q = complex(Q)
     if not (abs(z) < 1.0 and abs(Q) < 1.0):
         raise ValueError(f"odd Lambert sum needs |z| < 1 and |Q| < 1, got z = {z}, Q = {Q}")
-    max_terms = current_policy().max_terms
+    pol = current_policy()
+    max_terms = pol.max_terms
     total = 0j
     peak = 0.0
     used = 0
@@ -594,8 +609,24 @@ def odd_lambert(z, Q) -> complex:
             peak = mag
         y *= Q
         used += 1
-    _bump_terms(used)
-    return _log_tail(y, Q, True, max_terms - used, total, _SCALE_FLOOR * peak)
+    cutoff = pol.rel_tail_cutoff
+    floor = _SCALE_FLOOR * peak
+    ry = abs(y)
+    rs = ry * ry
+    ys, qs = y * y, Q * Q
+    c = 1.0 / ((1.0 - abs(Q)) * (1.0 - rs))
+    yk, qk, rk, m = y, Q, ry, 1  # y^m, Q^m and |y|^m carried over odd m
+    for used in range(used + 1, max_terms + 1):
+        total += yk / (m * (1.0 - qk))
+        m += 2
+        rk *= rs
+        if rk * c <= m * cutoff * max(abs(total), floor):
+            _bump_terms(used)
+            return total
+        yk *= ys
+        qk *= qs
+    _bump_terms(max_terms)
+    raise NonConvergenceError(f"odd Lambert sum did not converge within {max_terms} terms")
 
 
 def log_P(A, q) -> complex:

@@ -27,6 +27,8 @@ from qelliptic.numutil import (
 )
 from qelliptic.qseries import euler_product, qpochhammer
 from qelliptic.thetagen import (
+    agile_minus,
+    agile_plus,
     cayley,
     cayley_u_product,
     cayley_u0_product,
@@ -771,7 +773,7 @@ def test_principal_power_principal_branch():
     assert_close([got.real, got.imag], [0.0, math.sqrt(0.2)], atol=1e-15)
 
 
-@pytest.mark.parametrize("w, s", [(0.01, -199), (0.3, -1e300), (1e200, 2),
+@pytest.mark.parametrize("w, s", [(0.01, -199), (0.3, -1e300), (1e200, 2), (1e200 + 1e200j, 2),
                                   (-0.5, -1e308), (-2.0, 1e308), (-1.5 + 2j, 1e308)])
 def test_principal_power_integer_overflow_names_w_and_n(w, s):
     with pytest.raises(OverflowError) as info:
@@ -780,11 +782,13 @@ def test_principal_power_integer_overflow_names_w_and_n(w, s):
                                f"at w = {w}, n = {float(s)!r}")
 
 
-@pytest.mark.parametrize("w, s", [(-0.5, 1e308), (-2.0, -1e308), (-0.3 - 0.4j, 1e308), (0.05, 1e308)])
+@pytest.mark.parametrize("w, s", [(-0.5, 1e308), (-2.0, -1e308), (-0.3 - 0.4j, 1e308), (0.05, 1e308),
+                                  (1e10, -50), (-1e10, -50), (1e10 + 1j, -40)])
 def test_principal_power_integer_underflow_is_zero_at_any_base(w, s):
     # CPython's complex ** int takes the phase n Arg w, which is infinite for a
     # negative or complex w here (a bare ZeroDivisionError); |w|^n underflows
-    # to 0 as at a positive base, and the theta kernel's ratio q^(a - b) with it
+    # to 0 as at a positive base, and the theta kernel's ratio q^(a - b) with it.
+    # For -100 <= n < 0 it takes 1/w**|n|, a bare NaN where w**|n| overflows
     assert principal_power(w, s) == 0j
     assert principal_power(abs(w), s) == 0j
 
@@ -829,7 +833,10 @@ _REFUSALS = [
     ("u_product, N - D and N + D infinite", lambda: u_product(1e200, -1e200, 0.0), OverflowError),
     ("cayley_u_product, N/D past the double range", lambda: cayley_u_product(0.9, -0.9, 0.995), OverflowError),
     ("cayley_u0_product, P past the double range", lambda: cayley_u0_product(0.9, 0.995), OverflowError),
-    # 414 direct factors below |q| = 1/2 overflow to inf, and then to NaN
+    # two finite products, 1.8e171 and 1.0e186, whose product is not
+    ("agile_plus, two finite brackets past the double range", lambda: agile_plus(50, 2, -0.999), OverflowError),
+    ("agile_minus, two finite brackets past the double range", lambda: agile_minus(1, 2, -0.999), OverflowError),
+    # 386 direct factors at q = 0.3 overflow to inf, and then to NaN
     ("qpochhammer, product past the double range", lambda: qpochhammer(1e200, 0.3), OverflowError),
     # a spent cap: NonConvergenceError
     # (0.5; 0.5): 3 direct factors, the last at 1/8, then a tail of 12 terms that a cap of 3 cuts

@@ -55,41 +55,35 @@ def test_qpochhammer_matches_brute_force():
 def test_qpochhammer_stops_at_its_geometric_tail_bound(a, q, cutoff):
     a, q = complex(a), complex(q)
     rho = abs(q)
+    # the first factor k with |a q^k| <= 1/8 is the last, at every nome
     k = 0
-    if rho < 0.5:
-        # the first factor k with |a q^k| |q|/(1 - |q|) <= cutoff is the last
-        while abs(a) * rho ** k * rho / (1.0 - rho) > cutoff:
-            k += 1
-    else:
-        # the first factor k with |a q^k| <= 1/8 is the last
-        while abs(a) * rho ** k > 0.125:
-            k += 1
+    while abs(a) * rho ** k > 0.125:
+        k += 1
     want_count = k + 1
     # the finite product of factors 0..k, with a q^i carried by its ratio
     want, y = 1.0 + 0.0j, a
     for _ in range(k + 1):
         want *= 1.0 - y
         y *= q
-    if rho >= 0.5:
-        # then -log of the rest as the series sum_j y^j/(j (1 - q^j)) at
-        # y = a q^(k+1), whose terms past j sum to at most
-        # |y|^(j+1)/((j+1)(1 - |q|)(1 - |y|)): the first j where that is at
-        # most cutoff is the last term
-        r = abs(y)
-        j = 1
-        while r ** (j + 1) / ((j + 1) * (1.0 - rho) * (1.0 - r)) > cutoff:
-            j += 1
-        want_count += j
-        # the same operations in the same order: y^i and q^i carried
-        tail, yi, qi = 0j, y, q
-        for i in range(1, j + 1):
-            tail += yi / (i * (1.0 - qi))
-            yi *= y
-            qi *= q
-        want *= cmath.exp(-tail)
-        # the bound holds: the terms left out move the log by at most cutoff
-        left = sum(y ** i / (i * (1.0 - q ** i)) for i in range(j + 1, j + 200))
-        assert abs(left) <= cutoff
+    # then -log of the rest as the series sum_j y^j/(j (1 - q^j)) at
+    # y = a q^(k+1), whose terms past j sum to at most
+    # |y|^(j+1)/((j+1)(1 - |q|)(1 - |y|)): the first j where that is at
+    # most cutoff is the last term
+    r = abs(y)
+    j = 1
+    while r ** (j + 1) / ((j + 1) * (1.0 - rho) * (1.0 - r)) > cutoff:
+        j += 1
+    want_count += j
+    # the same operations in the same order: y^i and q^i carried
+    tail, yi, qi = 0j, y, q
+    for i in range(1, j + 1):
+        tail += yi / (i * (1.0 - qi))
+        yi *= y
+        qi *= q
+    want *= cmath.exp(-tail)
+    # the bound holds: the terms left out move the log by at most cutoff
+    left = sum(y ** i / (i * (1.0 - q ** i)) for i in range(j + 1, j + 200))
+    assert abs(left) <= cutoff
     with truncation(rel_tail_cutoff=cutoff), term_counter() as count:
         got = qpochhammer(a, q)
         assert count() == want_count
@@ -120,12 +114,13 @@ def test_qpochhammer_refuses_a_product_that_overflows():
     with pytest.raises(OverflowError, match=r"q-Pochhammer product: exp\(-tail\) = exp\(\(1\d{3}\.\d+[+-]0j\)\) "
                                             r"leaves the double range after 20694 factors"):
         qpochhammer(-0.99, 0.9999)
-    # below |q| = 1/2 the direct factors alone overflow: refused after the
-    # stop rule, with every factor charged
+    # at a shallow nome the direct factors alone overflow: refused after the
+    # stop rule, with every factor and tail term charged (386 and 8)
     with term_counter() as count:
-        with pytest.raises(OverflowError, match=r"^q-Pochhammer product is \(nan\+nanj\) after 414 factors$"):
+        with pytest.raises(OverflowError, match=r"^q-Pochhammer product is \(nan\+nanj\) after 386 factors "
+                                                r"and its log-series tail$"):
             qpochhammer(1e200, 0.3)
-        assert count() == 414
+        assert count() == 394
 
 
 @pytest.mark.parametrize("call, units", [

@@ -603,6 +603,15 @@ def test_agile_eta_normalizations():
     assert abs(agile_minus(a, p, q) - theta4_two(p / 2.0, (p - 2.0 * a) / 2.0, q) / f) <= 1e-10
 
 
+@pytest.mark.parametrize("fn, a, p, q", [(agile_plus, -50, 2, 0.999), (agile_plus, 50, 2, -0.999),
+                                         (agile_minus, 1, 2, -0.999)])
+def test_agile_brackets_refuse_a_product_past_the_double_range(fn, a, p, q):
+    # each q-Pochhammer factor is finite; their product is not, and is refused
+    # by the bracket's name rather than returned as inf
+    with pytest.raises(OverflowError, match=rf"^{fn.__name__}\({a}, {p}, {q}\) is \(inf\+0j\)$"):
+        fn(a, p, q)
+
+
 # ---------------------------------------------------------------------------
 # cayley transform and the theta quotient for U
 # ---------------------------------------------------------------------------
