@@ -6,7 +6,10 @@ Everything here is elementary (no elliptic quantities); the elliptic and
 theta layers are built on top of these primitives.  The Ghost Sum
 ``S(x) = sum_{n>=1} 1/(e^(n x) - 1)``, the divisor Lambert sum at
 ``q = e^-x``, is owned here alone: the CLI's ``ghost-sum`` and the registry's
-cases P1 and T7 call :func:`ghost_sum`.
+cases P1 and T7 call :func:`ghost_sum`.  The divisor series,
+:func:`divisor_expand` and thetagen's ``restricted_divisor_log``, share one
+body that walks the divisors of ``m = 1, 2, ...`` in order, so no ``m`` is
+factored and nothing is cached.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ def lambert_sum(q: complex, weight: Callable[[int], complex]) -> complex:
     carried from term to term as a running product."""
     q = complex(q)
     if not abs(q) < 1.0:
-        raise ValueError("Lambert sum requires |q| < 1")
+        raise ValueError(f"Lambert sum requires |q| < 1, got q = {q}")
     qn = 1.0 + 0.0j
 
     def term(n: int) -> complex:
@@ -140,39 +143,50 @@ def divisor_expand(q: complex, weight: Callable[[int], complex]) -> complex:
     geometric denominators into divisor sums, so both evaluators must agree
     wherever both converge.
     """
-    q = complex(q)
     if not abs(q) < 1.0:
-        raise ValueError("divisor expansion requires |q| < 1")
+        raise ValueError(f"divisor expansion requires |q| < 1, got q = {q}")
+    return _divisor_series(q, lambda d, e: complex(weight(d)))
+
+
+def _divisor_series(q: complex, coeff: Callable[[int, int], complex]) -> complex:
+    """``sum_{m>=1} q^m sum_{d e = m} coeff(d, e)``, each ``m``'s pairs taken
+    with ``d`` ascending, for a ``|q| < 1`` the caller has checked.
+
+    One walk over ``m = 1, 2, ...`` hands each term its divisors (an
+    incremental sieve: O'Neill, *J. Funct. Programming* 19, 2009), so it
+    relies on :func:`sum_series` asking for each term once and in order.  A
+    divisor ``d <= sqrt(m)`` joins at ``m = d^2`` and is filed under its next
+    multiple; each larger one is ``m // d``.  A real nome has real powers.
+    """
+    q = complex(q)
+    if q.imag == 0.0:
+        q = q.real
+    pending: dict[int, list[int]] = {}  # m -> its divisors d <= sqrt(m), largest first
 
     def term(n: int) -> complex:
         m = n + 1
-        coeff = sum(complex(weight(d)) for d in divisors(m))
-        return coeff * q**m
+        small = pending.pop(m, [])[::-1]
+        root = math.isqrt(m)
+        if root * root == m:
+            small.append(root)
+        total = 0.0 + 0.0j
+        for d in small:
+            total += coeff(d, m // d)
+            pending.setdefault(m + d, []).append(d)
+        for d in reversed(small):
+            if d * d != m:
+                total += coeff(m // d, d)
+        return total * q**m
 
     return sum_series(term)
 
 
 def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of ``n >= 1``."""
-    if n < 1:
-        raise ValueError("divisors defined for n >= 1")
-    return list(_divisors(n))
-
-
-# the divisor sums ask for the same few n over and over (a registry pass
-# makes about a thousand calls for n <= 39), so each n is divided out once;
-# typed, so that a float n keeps its own (float) large divisors
-@lru_cache(maxsize=1024, typed=True)
-def _divisors(n: int) -> tuple[int, ...]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
+    """Sorted positive divisors of an integer ``n >= 1``, by trial division."""
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError(f"divisors needs an integer n >= 1, got n = {n!r}")
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def divisor_count(n: int) -> int:

@@ -40,7 +40,7 @@ from .numutil import (
     principal_power,
     sum_series,
 )
-from .qseries import _LOG_TAIL_Y, divisors, qpochhammer
+from .qseries import _LOG_TAIL_Y, _divisor_series, qpochhammer
 
 __all__ = [
     "theta1_two",
@@ -678,19 +678,8 @@ def restricted_divisor_log(
         raise ValueError(f"restricted divisor log needs a modulus p >= 1, got p = {p}")
     res_list = [r % p for r in residues]
 
-    def inner(n: int) -> complex:
-        total = 0.0 + 0.0j
-        for A in divisors(n):
-            if odd_only and A % 2 == 0:
-                continue
-            count = res_list.count((n // A) % p)
-            if not count:
-                continue
-            total += count * x**A / A
-        return total
+    def coeff(A: int, B: int) -> complex:
+        count = 0 if odd_only and A % 2 == 0 else res_list.count(B % p)
+        return count * x**A / A if count else 0.0
 
-    def term(n_index: int) -> complex:
-        n = n_index + 1
-        return q**n * inner(n)
-
-    return sum_series(term)
+    return _divisor_series(q, coeff)

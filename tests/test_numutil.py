@@ -25,7 +25,7 @@ from qelliptic.numutil import (
     term_counter,
     truncation,
 )
-from qelliptic.qseries import euler_product, qpochhammer
+from qelliptic.qseries import divisor_count, divisors, euler_product, qpochhammer
 from qelliptic.thetagen import (
     agile_minus,
     agile_plus,
@@ -868,6 +868,12 @@ _REFUSALS = [
     ("restricted_divisor_log, NaN q", lambda: restricted_divisor_log(math.nan, 3, [1]), ValueError),
     ("restricted_divisor_log, p = 0", lambda: restricted_divisor_log(0.2, 0, [1]), ValueError),
     ("restricted_divisor_log, p = -1", lambda: restricted_divisor_log(0.2, -1, [1]), ValueError),
+    # an n that is not an integer >= 1; trial division never ended on inf
+    ("divisors, n = inf", lambda: divisors(math.inf), ValueError),
+    ("divisors, NaN n", lambda: divisors(math.nan), ValueError),
+    ("divisors, n = 12.5", lambda: divisors(12.5), ValueError),
+    ("divisors, n = 12.0", lambda: divisors(12.0), ValueError),
+    ("divisor_count, n = 12.0", lambda: divisor_count(12.0), ValueError),
 ]
 
 

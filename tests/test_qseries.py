@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +13,7 @@ from assertions import assert_close
 from qelliptic.angle import angle_sum
 from qelliptic.numutil import NonConvergenceError, sum_series, term_counter, truncation
 from qelliptic.qseries import (
+    _divisor_series,
     bernoulli,
     dirichlet_chi8,
     divisor_count,
@@ -24,7 +26,7 @@ from qelliptic.qseries import (
     qpochhammer,
     zeta_value,
 )
-from qelliptic.thetagen import agile_minus
+from qelliptic.thetagen import agile_minus, restricted_divisor_log
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +243,73 @@ def test_odd_index_lambert_equals_odd_divisor_expansion():
     assert abs(hyperbolic - lambert_sum(q, odd)) <= 1e-10
 
 
+def test_a_real_nome_gives_a_real_divisor_sum():
+    # complex ** n past n = 100 goes through the polar form, which gives a
+    # real negative nome's powers an imaginary part
+    for q in (-0.99, complex(-0.99), 0.999):
+        assert divisor_expand(q, lambda n: 1.0).imag == 0.0
+
+
+def test_divisor_walk_hands_each_m_its_divisor_pairs_in_order():
+    pairs = []
+
+    def coeff(d, e):
+        pairs.append((d, e))
+        return 1.0
+
+    _divisor_series(0.99, coeff)  # about 3,400 terms
+    expected = [(d, m // d) for m in range(1, 2001) for d in divisors(m)]
+    assert pairs[:len(expected)] == expected
+
+
+def _reference(q, coeff):
+    """``sum_m q^m sum_{d | m} coeff(d, m // d)`` from ``divisors(m)``, and its term count."""
+    def term(n):
+        m = n + 1
+        total = 0.0 + 0.0j
+        for d in divisors(m):
+            total += coeff(d, m // d)
+        return total * q**m
+
+    with term_counter() as count:
+        value = sum_series(term)
+    return value, count()
+
+
+def _counted(call):
+    with term_counter() as count:
+        value = call()
+    return value, count()
+
+
+DIVISOR_NOMES = (0.3, 0.9, 0.3 + 0.4j)
+
+
+@pytest.mark.parametrize("q", DIVISOR_NOMES)
+@pytest.mark.parametrize("name", WEIGHTS)
+def test_divisor_expand_is_the_sum_from_divisors(q, name):
+    w = WEIGHTS[name]
+    assert _counted(lambda: divisor_expand(q, w)) == _reference(q, lambda d, e: complex(w(d)))
+
+
+@pytest.mark.parametrize("q", DIVISOR_NOMES)
+@pytest.mark.parametrize("p, residues, odd_only, x", [
+    (5, [1, 4], True, 1.0),
+    (3, [1, 1], True, 1.0),  # a repeated class counts twice
+    (4, [1, 3], False, 1.0),
+    (5, [2, 3], True, -1.0),
+    (6, [1, 5], False, -1.0),
+])
+def test_restricted_divisor_log_is_the_sum_from_divisors(q, p, residues, odd_only, x):
+    def coeff(A, B):
+        if odd_only and A % 2 == 0:
+            return 0.0
+        return residues.count(B % p) * x**A / A
+
+    got = _counted(lambda: restricted_divisor_log(q, p, residues, odd_only=odd_only, x=x))
+    assert got == _reference(q, coeff)
+
+
 # ---------------------------------------------------------------------------
 # divisor arithmetic
 # ---------------------------------------------------------------------------
@@ -264,6 +333,18 @@ def test_divisors_returns_a_fresh_list_per_call():
 def test_divisors_match_trial_division():
     for n in range(1, 501):
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: divisors(12.0), "n = 12.0"),
+    (lambda: divisors(math.inf), "n = inf"),
+    (lambda: divisor_count(12.5), "n = 12.5"),
+    (lambda: divisor_expand(-1.2, lambda n: 1.0), "q = -1.2"),
+    (lambda: lambert_sum(1.5, lambda n: 1.0), "q = (1.5+0j)"),
+], ids=["divisors 12.0", "divisors inf", "divisor_count 12.5", "divisor_expand", "lambert_sum"])
+def test_divisor_refusals_name_their_argument(call, text):
+    with pytest.raises(ValueError, match=re.escape(text)):
+        call()
 
 
 def test_divisor_count_values():
