@@ -8,14 +8,14 @@ theta layers are built on top of these primitives.  The Ghost Sum
 ``q = e^-x``, is owned here alone: the CLI's ``ghost-sum`` and the registry's
 cases P1 and T7 call :func:`ghost_sum`.  The divisor series,
 :func:`divisor_expand` and thetagen's ``restricted_divisor_log``, share one
-body that walks the divisors of ``m = 1, 2, ...`` in order, so no ``m`` is
-factored and nothing is cached.
+body, which divides each ``m`` out by trial division and caches nothing.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
@@ -150,32 +150,18 @@ def divisor_expand(q: complex, weight: Callable[[int], complex]) -> complex:
 
 def _divisor_series(q: complex, coeff: Callable[[int, int], complex]) -> complex:
     """``sum_{m>=1} q^m sum_{d e = m} coeff(d, e)``, each ``m``'s pairs taken
-    with ``d`` ascending, for a ``|q| < 1`` the caller has checked.
-
-    One walk over ``m = 1, 2, ...`` hands each term its divisors (an
-    incremental sieve: O'Neill, *J. Funct. Programming* 19, 2009), so it
-    relies on :func:`sum_series` asking for each term once and in order.  A
-    divisor ``d <= sqrt(m)`` joins at ``m = d^2`` and is filed under its next
-    multiple; each larger one is ``m // d``.  A real nome has real powers.
+    with ``d`` ascending, for a ``|q| < 1`` the caller has checked.  Each
+    ``m`` is divided out by :func:`divisors`; a real nome has real powers.
     """
     q = complex(q)
     if q.imag == 0.0:
         q = q.real
-    pending: dict[int, list[int]] = {}  # m -> its divisors d <= sqrt(m), largest first
 
     def term(n: int) -> complex:
         m = n + 1
-        small = pending.pop(m, [])[::-1]
-        root = math.isqrt(m)
-        if root * root == m:
-            small.append(root)
         total = 0.0 + 0.0j
-        for d in small:
+        for d in divisors(m):
             total += coeff(d, m // d)
-            pending.setdefault(m + d, []).append(d)
-        for d in reversed(small):
-            if d * d != m:
-                total += coeff(m // d, d)
         return total * q**m
 
     return sum_series(term)
@@ -183,10 +169,19 @@ def _divisor_series(q: complex, coeff: Callable[[int, int], complex]) -> complex
 
 def divisors(n: int) -> list[int]:
     """Sorted positive divisors of an integer ``n >= 1``, by trial division."""
-    if not (isinstance(n, int) and n >= 1):
+    try:
+        k = operator.index(n)
+    except TypeError:
+        k = 0  # not an integer: refused below by name
+    if k < 1:
         raise ValueError(f"divisors needs an integer n >= 1, got n = {n!r}")
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
+    small, large = [], []  # one loop: half the cost of two comprehensions at n <= 120
+    for d in range(1, math.isqrt(k) + 1):
+        if k % d == 0:
+            small.append(d)
+            if d * d != k:
+                large.append(k // d)
+    return small + large[::-1]
 
 
 def divisor_count(n: int) -> int:

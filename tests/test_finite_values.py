@@ -14,7 +14,7 @@ builds one; a Fourier name each name of the table.  An ``int`` parameter or
 a modulus ``p`` takes 2 and ±50, ±300: at 10^10 ``bernoulli``'s exact
 recurrence runs for hours, a cost and not a finiteness question.  A callable
 is the constant 1e10 or 1e-300, and the residue classes are [0, 1]: at
-|q| = 0.999 each divisor sum takes about 0.12 s.  A function with more than
+|q| = 0.999 each divisor sum takes about 0.2 s.  A function with more than
 ``_MAX_CALLS`` combinations is called at a sample of them, seeded by its name.
 """
 

@@ -250,7 +250,7 @@ def test_a_real_nome_gives_a_real_divisor_sum():
         assert divisor_expand(q, lambda n: 1.0).imag == 0.0
 
 
-def test_divisor_walk_hands_each_m_its_divisor_pairs_in_order():
+def test_divisor_series_hands_each_m_its_divisor_pairs_in_order():
     pairs = []
 
     def coeff(d, e):
@@ -333,6 +333,15 @@ def test_divisors_returns_a_fresh_list_per_call():
 def test_divisors_match_trial_division():
     for n in range(1, 501):
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
+def test_divisors_take_any_integer_type():
+    class Twelve:
+        def __index__(self):
+            return 12
+
+    assert divisors(Twelve()) == divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert all(type(d) is int for d in divisors(Twelve()))
 
 
 @pytest.mark.parametrize("call, text", [
