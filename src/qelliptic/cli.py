@@ -18,7 +18,7 @@ Exit codes: 0 success; 1 a failed verification gate or a failed evaluation
 configuration, a violated precondition (an argument outside the domain, NaN
 included) or a pole (a ``ValueError`` or a ``PoleError``, a denominator that
 is exactly 0; the message names it).  The exception's type alone decides the
-code.  All output is deterministic and locale-independent.
+code.  Output is locale-independent; only ``verify``'s timings vary.
 """
 
 from __future__ import annotations

@@ -85,8 +85,7 @@ def _agm(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
     # sum_{n>=0} 2^{n-1} c_n^2 with c_0 = c, c_{n+1} = (a_n - b_n)/2.  Each
     # square root takes the branch with |a_{n+1} - b_{n+1}| <= |a_{n+1} + b_{n+1}|.
     # A zero element makes every later geometric mean 0, so the mean is 0.
-    # At most the policy's max_terms steps are taken; the steps taken are
-    # charged to term_counter.
+    # At most the policy's max_terms steps are taken, each charged to term_counter.
     max_terms = current_policy().max_terms
     csum = 0.5 * c * c
     power = 0.5

@@ -114,6 +114,8 @@ class term_counter:
     """Count the series terms, fraction depth, product factors and AGM steps
     evaluated in this context.
 
+    Each primitive charges its work once on every exit, a raising term or
+    coefficient included; a refusal on entry, before any work, charges nothing.
     Used as ``with term_counter() as used:``, it yields a zero-argument
     callable returning the running count; read after the block, it returns
     the block's final count.  Nested counters stack: each level sees only
@@ -171,8 +173,8 @@ def sum_series(term: Callable[[int], complex]) -> complex:
 
     Exact-zero terms neither count toward the run of negligible terms nor
     break it, so lacunary series run on through their gaps; 64 exact zeros
-    in a row end the sum.  The terms consumed are charged to
-    :func:`term_counter`.
+    in a row end the sum.  The terms asked for, a raising one included, are
+    charged to :func:`term_counter`.
 
     Returns
     -------
@@ -196,47 +198,44 @@ def sum_series(term: Callable[[int], complex]) -> complex:
     peak_n = big_n = -1
     small = zeros = 0
     inf = math.inf
-    for n in range(max_terms):
-        t = term(n)
-        if type(t) is not complex:  # the test costs less than complex(t) does
-            t = complex(t)
-        mag = abs(t)
-        if mag == 0.0:
-            zeros += 1
-            if zeros >= _RUN:
-                _bump_terms(n + 1)
-                return total
-            continue
-        zeros = 0
-        total += t
-        before, last = last, mag
-        if mag > peak:
-            peak, peak_n = mag, n
-            floor = _SCALE_FLOOR * peak
-        scale = abs(total)
-        if not scale < inf:  # NaN or infinite partial sum
-            used = n + 1
-            _bump_terms(used)
-            raise OverflowError(f"series partial sum is {total} after {used} terms")
-        bound = cutoff * (scale if scale > floor else floor)
-        if mag > bound:
-            small = 0
-            big, big_n = mag, n
-            continue
-        small += 1
-        if small >= _WINDOW and (
-            big * (big / peak) ** ((n + 1 - big_n) / (big_n - peak_n)) <= bound
-            if big_n > peak_n
-            else small >= _RUN
-        ):
-            if _geometric_tail(last, before) <= bound:
-                _bump_terms(n + 1)
-                return total
-    _bump_terms(max(max_terms, 0))
-    raise NonConvergenceError(
-        f"series did not converge within {max_terms} terms "
-        f"(est_tail={_geometric_tail(last, before):.3g})"
-    )
+    n = -1  # the last index asked for: n + 1 terms are charged on every exit
+    try:
+        for n in range(max_terms):
+            t = term(n)
+            if type(t) is not complex:  # the test costs less than complex(t) does
+                t = complex(t)
+            mag = abs(t)
+            if mag == 0.0:
+                zeros += 1
+                if zeros >= _RUN:
+                    return total
+                continue
+            zeros = 0
+            total += t
+            before, last = last, mag
+            if mag > peak:
+                peak, peak_n = mag, n
+                floor = _SCALE_FLOOR * peak
+            scale = abs(total)
+            if not scale < inf:  # NaN or infinite partial sum
+                raise OverflowError(f"series partial sum is {total} after {n + 1} terms")
+            bound = cutoff * (scale if scale > floor else floor)
+            if mag > bound:
+                small = 0
+                big, big_n = mag, n
+                continue
+            small += 1
+            if small >= _WINDOW and (
+                big * (big / peak) ** ((n + 1 - big_n) / (big_n - peak_n)) <= bound
+                if big_n > peak_n
+                else small >= _RUN
+            ):
+                if _geometric_tail(last, before) <= bound:
+                    return total
+        raise NonConvergenceError(f"series did not converge within {max_terms} terms "
+                                  f"(est_tail={_geometric_tail(last, before):.3g})")
+    finally:
+        _bump_terms(n + 1)
 
 
 def _geometric_tail(last: float, before: float) -> float:
@@ -272,7 +271,7 @@ def continued_fraction(
     ``|C_k D_k - 1|`` of the convergent is at most 1e-14; ``b(1) == 0``
     gives exactly 0.  The deepest depth tried is the active policy's
     ``max_terms``.  The work charged to :func:`term_counter` is the final
-    depth.
+    depth, also where ``a(k)`` or ``b(k)`` raises.
 
     An exact zero in ``C_k`` or in the denominator of ``D_k`` means one
     convergent is 0 or infinite, not that the fraction is: it is replaced
@@ -293,57 +292,54 @@ def continued_fraction(
         settled by depth ``max_terms`` after an exact zero.
     """
     max_terms = _POLICY.get().max_terms
-    b1 = complex(b(1))
-    if b1 == 0:
-        _bump_terms(1)
-        return 0j
-    den = complex(a(1))
-    zero_at = 0  # the first depth with an exact zero, replaced by _TINY
-    d_zero = den == 0  # B_(k-1) == 0: the last convergent is infinite
-    c_zero = False  # A_(k-1) == 0: the last convergent is 0
-    if d_zero:
-        den, zero_at = _TINY, 1
-    d = 1.0 / den
-    f = b1 * d
-    c = complex(math.inf)  # C_1 = A_1/A_0 with A_0 = 0, so C_2 = a(2)
-    for k in range(2, max_terms + 1):
-        ak = complex(a(k))
-        bk = complex(b(k))
-        if (d_zero or c_zero) and bk == 0:
-            # the fraction ends at depth k - 1, on a convergent that is 0 or infinite
-            _bump_terms(k)
-            if d_zero:
-                raise PoleError(f"continued fraction ends on a zero denominator at depth {k - 1}")
+    k = 1  # the depth asked for, charged on every exit
+    try:
+        b1 = complex(b(1))
+        if b1 == 0:
             return 0j
-        den = ak + bk * d
-        c = ak + bk / c
-        d_zero = den == 0
-        c_zero = c == 0
-        if d_zero or c_zero:
-            zero_at = zero_at or k
-            if d_zero:
-                den = _TINY
-            if c_zero:
-                c = _TINY
-            d = 1.0 / den
-            f *= c * d
-            continue
+        den = complex(a(1))
+        zero_at = 0  # the first depth with an exact zero, replaced by _TINY
+        d_zero = den == 0  # B_(k-1) == 0: the last convergent is infinite
+        c_zero = False  # A_(k-1) == 0: the last convergent is 0
+        if d_zero:
+            den, zero_at = _TINY, 1
         d = 1.0 / den
-        delta = c * d
-        f *= delta
-        if not cmath.isfinite(f):  # a NaN or infinite ratio or convergent stays so
-            _bump_terms(k)
-            raise OverflowError(f"continued fraction convergent is {f} at depth {k}")
-        if abs(delta - 1.0) <= _CF_TOL:
-            _bump_terms(k)
-            return f
-    _bump_terms(max(max_terms, 1))
-    if zero_at:
-        raise PoleError(
-            f"continued fraction hit a zero denominator at depth {zero_at} "
-            f"and did not settle by depth {max_terms}"
-        )
-    raise NonConvergenceError(f"continued fraction did not stabilize by depth {max_terms}")
+        f = b1 * d
+        c = complex(math.inf)  # C_1 = A_1/A_0 with A_0 = 0, so C_2 = a(2)
+        for k in range(2, max_terms + 1):
+            ak = complex(a(k))
+            bk = complex(b(k))
+            if (d_zero or c_zero) and bk == 0:
+                # the fraction ends at depth k - 1, on a convergent that is 0 or infinite
+                if d_zero:
+                    raise PoleError(f"continued fraction ends on a zero denominator at depth {k - 1}")
+                return 0j
+            den = ak + bk * d
+            c = ak + bk / c
+            d_zero = den == 0
+            c_zero = c == 0
+            if d_zero or c_zero:
+                zero_at = zero_at or k
+                if d_zero:
+                    den = _TINY
+                if c_zero:
+                    c = _TINY
+                d = 1.0 / den
+                f *= c * d
+                continue
+            d = 1.0 / den
+            delta = c * d
+            f *= delta
+            if not cmath.isfinite(f):  # a NaN or infinite ratio or convergent stays so
+                raise OverflowError(f"continued fraction convergent is {f} at depth {k}")
+            if abs(delta - 1.0) <= _CF_TOL:
+                return f
+        if zero_at:
+            raise PoleError(f"continued fraction hit a zero denominator at depth {zero_at} "
+                            f"and did not settle by depth {max_terms}")
+        raise NonConvergenceError(f"continued fraction did not stabilize by depth {max_terms}")
+    finally:
+        _bump_terms(k)
 
 
 # numeric_derivative's first step, scaled by max(1, |a|): it balances the

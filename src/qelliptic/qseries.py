@@ -58,9 +58,9 @@ def qpochhammer(a: complex, q: complex) -> complex:
     section 1.3).  ``T`` stops once the bound ``|y|^j / (j (1 - |q|) (1 - |y|))``
     on its terms from ``j`` on is at most ``rel_tail_cutoff``: an absolute
     bound on a logarithm, so a relative one on the product.  Factors and tail
-    terms are charged to :func:`~qelliptic.numutil.term_counter`.  A product
-    that is not finite (it overflowed on the way, which no later factor
-    undoes, or ``exp(-T)`` alone leaves the double range) raises
+    terms are charged to :func:`~qelliptic.numutil.term_counter`, also on a
+    raise.  A product that is not finite (it overflowed on the way, which no
+    later factor undoes, or ``exp(-T)`` alone leaves the double range) raises
     ``OverflowError``; more than the policy's ``max_terms`` factors and terms
     raise :class:`NonConvergenceError`.
     """
@@ -75,40 +75,40 @@ def qpochhammer(a: complex, q: complex) -> complex:
     max_terms = pol.max_terms
     prod = 1.0 + 0.0j
     y = a  # a q^factors, the next factor's deviation from 1
-    for factors in range(1, max_terms + 1):
-        last = abs(y)
-        prod *= 1.0 - y
-        y *= q
-        if last <= _LOG_TAIL_Y:
-            break
-    else:
-        _bump_terms(max_terms)
-        raise NonConvergenceError(f"q-Pochhammer product did not converge in {max_terms} factors")
-    cutoff = pol.rel_tail_cutoff
-    ry = abs(y)
-    c = 1.0 / ((1.0 - rho) * (1.0 - ry))
-    tail = 0j
-    yk, qk, rk, k = y, q, ry, 1  # y^k, q^k and |y|^k carried
-    for used in range(factors + 1, max_terms + 1):
-        tail += yk / (k * (1.0 - qk))
-        k += 1
-        rk *= ry
-        if rk * c <= k * cutoff:
-            break
-        yk *= y
-        qk *= q
-    else:
-        _bump_terms(max_terms)
-        raise NonConvergenceError(f"q-Pochhammer product: the log-series tail at y = {y} "
-                                  f"did not converge within {max_terms} factors and terms")
-    _bump_terms(used)
+    used = 0  # factors, then factors and tail terms, charged on every exit
+    try:
+        for used in range(1, max_terms + 1):
+            last = abs(y)
+            prod *= 1.0 - y
+            y *= q
+            if last <= _LOG_TAIL_Y:
+                break
+        else:
+            raise NonConvergenceError(f"q-Pochhammer product did not converge in {max_terms} factors")
+        factors = used
+        cutoff = pol.rel_tail_cutoff
+        ry = abs(y)
+        c = 1.0 / ((1.0 - rho) * (1.0 - ry))
+        tail = 0j
+        yk, qk, rk, k = y, q, ry, 1  # y^k, q^k and |y|^k carried
+        for used in range(factors + 1, max_terms + 1):
+            tail += yk / (k * (1.0 - qk))
+            k += 1
+            rk *= ry
+            if rk * c <= k * cutoff:
+                break
+            yk *= y
+            qk *= q
+        else:
+            raise NonConvergenceError(f"q-Pochhammer product: the log-series tail at y = {y} "
+                                      f"did not converge within {max_terms} factors and terms")
+    finally:
+        _bump_terms(used)
     try:
         prod *= cmath.exp(-tail)
     except OverflowError:
-        raise OverflowError(
-            f"q-Pochhammer product: exp(-tail) = exp({-tail}) leaves the double range "
-            f"after {factors} factors"
-        ) from None
+        raise OverflowError(f"q-Pochhammer product: exp(-tail) = exp({-tail}) leaves the double "
+                            f"range after {factors} factors") from None
     if not cmath.isfinite(prod):
         raise OverflowError(f"q-Pochhammer product is {prod} after {factors} factors and its log-series tail")
     return prod
@@ -277,7 +277,7 @@ def ghost_sum(x: float) -> complex:
     at the first term at most ``rel_tail_cutoff`` times the head, or at the
     20th, the smallest term at ``x = 1``.  Each rule is the accurate one
     on its own side of ``x = 1`` (at ``x = 2`` the expansion is 9.2e-9 off).
-    The terms are charged to :func:`~qelliptic.numutil.term_counter`.
+    The terms are charged to :func:`~qelliptic.numutil.term_counter`, also on a raise.
 
     Raises ``ValueError`` unless ``x > 0`` (NaN included),
     :class:`~qelliptic.numutil.NonConvergenceError` past the policy's
@@ -300,16 +300,19 @@ def ghost_sum(x: float) -> complex:
     x2 = x * x
     power = x  # x^(2j-1)
     tail = 0.0
-    for used, c in enumerate(_ghost_coefficients(), 1):
-        if used > pol.max_terms:
-            _bump_terms(pol.max_terms)
-            raise NonConvergenceError(f"ghost_sum did not converge within {pol.max_terms} terms")
-        t = c * power
-        tail += t
-        if t <= negligible:
-            break
-        power *= x2
-    _bump_terms(used)
+    used = 0  # the terms taken, charged on every exit
+    try:
+        for c in _ghost_coefficients():
+            if used == pol.max_terms:
+                raise NonConvergenceError(f"ghost_sum did not converge within {pol.max_terms} terms")
+            used += 1
+            t = c * power
+            tail += t
+            if t <= negligible:
+                break
+            power *= x2
+    finally:
+        _bump_terms(used)
     return complex(head - tail)
 
 

@@ -172,8 +172,8 @@ def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
     ``rel_tail_cutoff`` times ``max(|partial sum|, 2^-52 max_n |P_n|)``, the
     scale of :func:`~qelliptic.numutil.sum_series` (one floor,
     ``numutil._SCALE_FLOOR``), which a power-of-two factor on every term does
-    not move.  ``P_0`` is added to the terms ``n >= 1`` once; the terms
-    consumed are charged to :func:`~qelliptic.numutil.term_counter`.
+    not move.  ``P_0`` is added to the terms ``n >= 1`` once; the terms asked
+    for are charged to :func:`~qelliptic.numutil.term_counter`, also on a raise.
 
     Raises :class:`~qelliptic.numutil.NonConvergenceError` after the
     policy's ``max_terms`` terms, and ``OverflowError`` where the odd fold's
@@ -193,40 +193,40 @@ def _fold(x2: complex, r_plus: complex, r_minus: complex, name: str,
         weight, step = 2.0 + 0.0j, x2  # 2 (-1)^n e^(A n(n+1)) and e^(2 A (n+1))
     largest = abs(head)
     total = 0j  # the terms n >= 1
-    used = 1
+    used = 1  # P_0 and the terms asked for, charged on every exit
     inf = math.inf
-    while True:
-        rho_plus = abs(r_plus)
-        rho_minus = abs(r_minus)
-        if rho_plus < 1.0 and rho_minus < 1.0:
-            tail = abs(t_plus) * rho_plus / (1.0 - rho_plus) + abs(t_minus) * rho_minus / (1.0 - rho_minus)
-            value = head + total
-            scale = abs(value)
-            floor = _SCALE_FLOOR * largest
-            if tail <= cutoff * (floor if floor > scale else scale):
-                _bump_terms(used)
-                return value
-        if used >= max_terms:
-            _bump_terms(used)
-            raise NonConvergenceError(f"{name} did not converge within {max_terms} terms")
-        t_plus *= r_plus
-        t_minus *= r_minus
-        r_plus *= x2
-        r_minus *= x2
-        if odd_B is None:
-            term = t_plus + t_minus
-        else:
-            weight *= -step
-            step *= x2
-            term = weight * cmath.sinh((used + 0.5) * odd_B)
-        total += term
-        mag = abs(term)
-        if mag > largest:
-            largest = mag
-        used += 1
-        if not abs(total) < inf:
-            _bump_terms(used)
-            raise OverflowError(f"partial sum is {head + total} after {used} terms")
+    try:
+        while True:
+            rho_plus = abs(r_plus)
+            rho_minus = abs(r_minus)
+            if rho_plus < 1.0 and rho_minus < 1.0:
+                tail = abs(t_plus) * rho_plus / (1.0 - rho_plus) + abs(t_minus) * rho_minus / (1.0 - rho_minus)
+                value = head + total
+                scale = abs(value)
+                floor = _SCALE_FLOOR * largest
+                if tail <= cutoff * (floor if floor > scale else scale):
+                    return value
+            if used >= max_terms:
+                raise NonConvergenceError(f"{name} did not converge within {max_terms} terms")
+            used += 1
+            t_plus *= r_plus
+            t_minus *= r_minus
+            r_plus *= x2
+            r_minus *= x2
+            if odd_B is None:
+                term = t_plus + t_minus
+            else:
+                weight *= -step
+                step *= x2
+                term = weight * cmath.sinh((used - 0.5) * odd_B)
+            total += term
+            mag = abs(term)
+            if mag > largest:
+                largest = mag
+            if not abs(total) < inf:
+                raise OverflowError(f"partial sum is {head + total} after {used} terms")
+    finally:
+        _bump_terms(used)
 
 
 # The last plan of the even sums (theta3 and theta4 share it) and of the odd
@@ -583,8 +583,8 @@ def odd_lambert(z, Q) -> complex:
     carried by its ratio ``Q``, and the rest as the odd series itself at
     ``y = z Q^n``: its terms from ``m`` on sum to at most
     ``|y|^m / (m (1 - |Q|) (1 - |y|^2))``, which stops it on the scale of
-    :func:`~qelliptic.numutil.sum_series`.  All terms are charged to
-    :func:`~qelliptic.numutil.term_counter` and counted against ``max_terms``.
+    :func:`~qelliptic.numutil.sum_series`.  All terms, also on a raise, are
+    charged to :func:`~qelliptic.numutil.term_counter` and counted against ``max_terms``.
     Raises ``ValueError`` naming ``z`` and ``Q`` unless ``|z| < 1`` and
     ``|Q| < 1`` (NaN included).
     """
@@ -596,37 +596,35 @@ def odd_lambert(z, Q) -> complex:
     max_terms = pol.max_terms
     total = 0j
     peak = 0.0
-    used = 0
+    used = 0  # the terms asked for, charged on every exit
     y = z  # z Q^used
-    while abs(y) > _LOG_TAIL_Y:
-        if used == max_terms:
-            _bump_terms(used)
-            raise NonConvergenceError(f"odd Lambert sum did not converge within {max_terms} terms")
-        t = cmath.atanh(y)
-        total += t
-        mag = abs(t)
-        if mag > peak:
-            peak = mag
-        y *= Q
-        used += 1
-    cutoff = pol.rel_tail_cutoff
-    floor = _SCALE_FLOOR * peak
-    ry = abs(y)
-    rs = ry * ry
-    ys, qs = y * y, Q * Q
-    c = 1.0 / ((1.0 - abs(Q)) * (1.0 - rs))
-    yk, qk, rk, m = y, Q, ry, 1  # y^m, Q^m and |y|^m carried over odd m
-    for used in range(used + 1, max_terms + 1):
-        total += yk / (m * (1.0 - qk))
-        m += 2
-        rk *= rs
-        if rk * c <= m * cutoff * max(abs(total), floor):
-            _bump_terms(used)
-            return total
-        yk *= ys
-        qk *= qs
-    _bump_terms(max_terms)
-    raise NonConvergenceError(f"odd Lambert sum did not converge within {max_terms} terms")
+    try:
+        while abs(y) > _LOG_TAIL_Y and used < max_terms:  # a spent cap leaves no tail term
+            used += 1
+            t = cmath.atanh(y)
+            total += t
+            mag = abs(t)
+            if mag > peak:
+                peak = mag
+            y *= Q
+        cutoff = pol.rel_tail_cutoff
+        floor = _SCALE_FLOOR * peak
+        ry = abs(y)
+        rs = ry * ry
+        ys, qs = y * y, Q * Q
+        c = 1.0 / ((1.0 - abs(Q)) * (1.0 - rs))
+        yk, qk, rk, m = y, Q, ry, 1  # y^m, Q^m and |y|^m carried over odd m
+        for used in range(used + 1, max_terms + 1):
+            total += yk / (m * (1.0 - qk))
+            m += 2
+            rk *= rs
+            if rk * c <= m * cutoff * max(abs(total), floor):
+                return total
+            yk *= ys
+            qk *= qs
+        raise NonConvergenceError(f"odd Lambert sum did not converge within {max_terms} terms")
+    finally:
+        _bump_terms(used)
 
 
 def log_P(A, q) -> complex:
@@ -670,13 +668,17 @@ def restricted_divisor_log(
     matches, so a repeated class counts with its multiplicity; a set of
     classes is passed as distinct entries.
 
-    Raises ``ValueError`` unless ``|q| < 1`` (NaN included) and ``p >= 1``.
+    Raises ``ValueError`` unless ``|q| < 1`` (NaN included) and ``p >= 1`` and
+    the residues are integer values (``2.0`` is one), naming the argument.
     """
     if not abs(q) < 1.0:
         raise ValueError(f"restricted divisor log needs |q| < 1, got q = {q}")
-    if p < 1:
-        raise ValueError(f"restricted divisor log needs a modulus p >= 1, got p = {p}")
-    res_list = [r % p for r in residues]
+    if not (p >= 1 and p % 1 == 0):  # NaN and inf give p % 1 = NaN
+        raise ValueError(f"restricted divisor log needs an integer modulus p >= 1, got p = {p!r}")
+    res_list = list(residues)
+    if any(r % 1 for r in res_list):
+        raise ValueError(f"restricted divisor log needs integer residues, got residues = {res_list}")
+    res_list = [r % p for r in res_list]
 
     def coeff(A: int, B: int) -> complex:
         count = 0 if odd_only and A % 2 == 0 else res_list.count(B % p)

@@ -64,6 +64,21 @@ def test_case_helpers_have_distinct_bodies():
             first[key] = node.name
 
 
+def test_each_function_charges_term_counter_once_in_a_finally():
+    # one charge site per primitive, in a finally, so that every exit,
+    # a raising term included, is charged by the same call
+    for path in sorted(Path(_cases.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)
+                     and "_bump_terms" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+            assert len(calls) <= 1, f"{path.name}: {func.name} calls _bump_terms {len(calls)} times"
+            in_finally = {id(node) for tr in ast.walk(func) if isinstance(tr, ast.Try)
+                          for stmt in tr.finalbody for node in ast.walk(stmt)}
+            assert all(id(call) in in_finally for call in calls), f"{path.name}: {func.name}"
+
+
 def test_registry_anchors_resolve():
     # every anchor names an importable attribute of this package
     for c in registry():
@@ -360,6 +375,28 @@ def test_tol_override_tightens_verdict():
     case = make_case(lhs=lambda: 1.0, rhs=lambda: 1.0 + 1e-7)
     assert not run_case(case).passed_all  # default 1e-9
     assert run_case(case, tol_override=1e-3).passed_all
+
+
+def test_a_refused_sample_carries_the_terms_asked_for(monkeypatch):
+    # at r = 0.01 EQ13's term overflows in math.exp at n = 11: each record
+    # carries the 12 term calls a recording wrapper sees, not 0
+    calls = []
+    real_sum_series = _cases.sum_series
+
+    def recording(term):
+        calls.append(0)
+
+        def counted(n):
+            calls[-1] += 1
+            return term(n)
+
+        return real_sum_series(counted)
+
+    monkeypatch.setattr(_cases, "sum_series", recording)
+    report = run_registry(registry(), id_filter="EQ13", sample_override={"r": 0.01})
+    records = report.results[0].records
+    assert all(rec.error.startswith("OverflowError") for rec in records)
+    assert [rec.terms_used for rec in records] == calls == [12, 12, 12]
 
 
 def test_sample_override_replaces_only_matching_keys():

@@ -416,6 +416,30 @@ def test_term_counter_is_per_task():
     assert asyncio.run(both()) == ([110, 165], 275)
 
 
+def test_sum_series_charges_the_terms_before_a_raising_term():
+    # the term at n = 5 raises: the six terms asked for, n = 0 ... 5, are charged
+    def term(n):
+        if n == 5:
+            raise ZeroDivisionError("term 5")
+        return 0.5**n
+
+    with term_counter() as count, pytest.raises(ZeroDivisionError, match="term 5"):
+        sum_series(term)
+    assert count() == 6
+
+
+def test_continued_fraction_charges_the_depth_of_a_raising_coefficient():
+    # b(4) raises before 1/(1 + 1/(1 + ...)) settles: depth 4 is charged
+    def b(k):
+        if k == 4:
+            raise ZeroDivisionError("b(4)")
+        return 1.0
+
+    with term_counter() as count, pytest.raises(ZeroDivisionError, match=r"b\(4\)"):
+        continued_fraction(lambda k: 1.0, b)
+    assert count() == 4
+
+
 # ---------------------------------------------------------------------------
 # numeric_derivative
 # ---------------------------------------------------------------------------
@@ -868,6 +892,13 @@ _REFUSALS = [
     ("restricted_divisor_log, NaN q", lambda: restricted_divisor_log(math.nan, 3, [1]), ValueError),
     ("restricted_divisor_log, p = 0", lambda: restricted_divisor_log(0.2, 0, [1]), ValueError),
     ("restricted_divisor_log, p = -1", lambda: restricted_divisor_log(0.2, -1, [1]), ValueError),
+    # a modulus or residue that is not an integer value: at p = NaN no class
+    # ever matched (0j), and p = 2.5 or inf and a residue of 1.5 gave a value
+    ("restricted_divisor_log, NaN p", lambda: restricted_divisor_log(0.2, math.nan, [1]), ValueError),
+    ("restricted_divisor_log, p = 2.5", lambda: restricted_divisor_log(0.2, 2.5, [1]), ValueError),
+    ("restricted_divisor_log, p = inf", lambda: restricted_divisor_log(0.2, math.inf, [1]), ValueError),
+    ("restricted_divisor_log, residue 1.5", lambda: restricted_divisor_log(0.2, 3, [1.5]), ValueError),
+    ("restricted_divisor_log, NaN residue", lambda: restricted_divisor_log(0.2, 3, [1, math.nan]), ValueError),
     # an n that is not an integer >= 1; trial division never ended on inf
     ("divisors, n = inf", lambda: divisors(math.inf), ValueError),
     ("divisors, NaN n", lambda: divisors(math.nan), ValueError),

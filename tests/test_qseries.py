@@ -350,10 +350,20 @@ def test_divisors_take_any_integer_type():
     (lambda: divisor_count(12.5), "n = 12.5"),
     (lambda: divisor_expand(-1.2, lambda n: 1.0), "q = -1.2"),
     (lambda: lambert_sum(1.5, lambda n: 1.0), "q = (1.5+0j)"),
-], ids=["divisors 12.0", "divisors inf", "divisor_count 12.5", "divisor_expand", "lambert_sum"])
+    (lambda: restricted_divisor_log(0.2, math.nan, [1]), "p = nan"),
+    (lambda: restricted_divisor_log(0.2, 2.5, [1]), "p = 2.5"),
+    (lambda: restricted_divisor_log(0.2, 5, [1, 1.5]), "residues = [1, 1.5]"),
+], ids=["divisors 12.0", "divisors inf", "divisor_count 12.5", "divisor_expand", "lambert_sum",
+        "restricted_divisor_log NaN p", "restricted_divisor_log p 2.5",
+        "restricted_divisor_log residue 1.5"])
 def test_divisor_refusals_name_their_argument(call, text):
     with pytest.raises(ValueError, match=re.escape(text)):
         call()
+
+
+def test_restricted_divisor_log_takes_integral_floats():
+    # the CLI passes --p 2 and --a 1 as floats
+    assert restricted_divisor_log(0.2, 5.0, [1.0, 4.0]) == restricted_divisor_log(0.2, 5, [1, 4])
 
 
 def test_divisor_count_values():
